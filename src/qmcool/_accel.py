@@ -1,44 +1,24 @@
-"""Hot sampling kernels: numba-compiled with a pure-numpy fallback.
+"""The Haar sampling kernel: Ginibre stream, QR, and the closed-form cycle energies.
 
-The expensive inner loop of the Monte Carlo sweeps — draw a Haar-random
-unitary, rotate the measurement basis, and accumulate the three cycle energy
-changes — lives here in two interchangeable implementations:
+The expensive inner loop of the Monte Carlo sweeps draws a Haar-random
+unitary U, rotates the measurement basis by it, and accumulates the three
+cycle energy changes.  The initial state is the diagonal Gibbs product with
+populations p, so the measurement only moves populations through the
+unistochastic matrix P = |U C|^2 (C holds the unrotated basis vectors as
+columns) and the energy changes have the closed form
 
-* a serial ``@njit`` kernel using modified Gram-Schmidt QR (numba);
-* a vectorized numpy path using batched ``np.linalg.qr``.
+    dE_i = p^T (P P^T - I) h_i,   dE = dE1 + dE2,
 
-Both consume identical Ginibre matrices and fix the QR gauge the same way
-(R-diagonal made real positive), so they agree to ~1e-14 per sample.  The
-backend is chosen automatically: numba when importable, numpy otherwise or
-when the environment variable ``QMCOOL_NO_NUMBA`` is set (to any non-empty
-value).  Every public function also accepts ``backend=`` to force a choice.
+with h_i the diagonal of H_i on the joint space.
 
 Reproducibility: sample ``i`` of a run is generated from its own Philox
 substream keyed by ``(seed, start + i)``, so results are a pure function of
-``(seed, start, n)`` — independent of batching, backend, or worker count.
+``(seed, start, n)`` and independent of batching.
 """
-
-import os
 
 import numpy as np
 
 from .errors import ValidationError
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-ENV_FLAG = "QMCOOL_NO_NUMBA"
-
-
-def backend_name():
-    """Active default backend: 'numba' or 'numpy'."""
-    if HAVE_NUMBA and not os.environ.get(ENV_FLAG):
-        return "numba"
-    return "numpy"
 
 
 def ginibre_batch(seed, start, n):
@@ -58,105 +38,32 @@ def haar_from_ginibre(gin):
     """QR-orthonormalize Ginibre matrices into Haar-distributed unitaries.
 
     The gauge is fixed by rotating each column so the corresponding R-diagonal
-    entry is real positive; this makes the map from Ginibre matrix to unitary
-    single-valued and shared with the numba kernel.
+    entry is real positive (Mezzadri, math-ph/0609050); this makes the map from
+    Ginibre matrix to unitary single-valued and the unitaries Haar-distributed.
     """
     q, r = np.linalg.qr(gin)
     d = np.einsum("...ii->...i", r)
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _cycle_kernel_numpy(gin, rho, h1, h2, basis_cols, e1_ref, e2_ref):
-    u = haar_from_ginibre(gin)
-    v = u @ basis_cols  # column k = U|psi_k>
-    w = np.einsum("nrk,rt,ntk->nk", v.conj(), rho, v).real
-    pr = np.abs(v) ** 2
-    e1 = np.einsum("nk,nrk,r->n", w, pr, h1)
-    e2 = np.einsum("nk,nrk,r->n", w, pr, h2)
-    out = np.empty((gin.shape[0], 3))
-    out[:, 0] = e1 - e1_ref
-    out[:, 1] = e2 - e2_ref
+def cycle_energies_from_ginibre(gin, p, h1, h2, basis_cols):
+    """Kernel entry point on pre-generated Ginibre matrices.
+
+    ``p`` holds the four populations of the diagonal initial state,
+    ``h1``/``h2`` the diagonal 4-vectors of the two local Hamiltonians lifted
+    to the joint space, and ``basis_cols`` the unrotated basis vectors as
+    columns.  Returns an (n, 3) float array of (dE1, dE2, dE) triples, one
+    per sample.
+    """
+    big_p = np.abs(haar_from_ginibre(gin) @ basis_cols) ** 2
+    b = big_p @ big_p.transpose(0, 2, 1) - np.eye(4)
+    out = np.empty((len(big_p), 3))
+    out[:, :2] = p @ b @ np.column_stack([h1, h2])
     out[:, 2] = out[:, 0] + out[:, 1]
     return out
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _cycle_kernel_numba(gin, rho, h1, h2, basis_cols, e1_ref, e2_ref):
-        n = gin.shape[0]
-        out = np.empty((n, 3))
-        q = np.empty((4, 4), dtype=np.complex128)
-        v = np.empty((4, 4), dtype=np.complex128)
-        for s in range(n):
-            a = gin[s]
-            # modified Gram-Schmidt with real-positive normalization: lands in
-            # the same gauge as LAPACK QR + R-diagonal phase correction
-            for j in range(4):
-                for r in range(4):
-                    q[r, j] = a[r, j]
-                for i in range(j):
-                    c = 0.0 + 0.0j
-                    for r in range(4):
-                        c += np.conj(q[r, i]) * q[r, j]
-                    for r in range(4):
-                        q[r, j] -= c * q[r, i]
-                nrm = 0.0
-                for r in range(4):
-                    nrm += q[r, j].real ** 2 + q[r, j].imag ** 2
-                nrm = np.sqrt(nrm)
-                for r in range(4):
-                    q[r, j] /= nrm
-            for k in range(4):
-                for r in range(4):
-                    c = 0.0 + 0.0j
-                    for t in range(4):
-                        c += q[r, t] * basis_cols[t, k]
-                    v[r, k] = c
-            e1 = 0.0
-            e2 = 0.0
-            for k in range(4):
-                w = 0.0
-                for r in range(4):
-                    for t in range(4):
-                        w += (np.conj(v[r, k]) * rho[r, t] * v[t, k]).real
-                for r in range(4):
-                    pr = v[r, k].real ** 2 + v[r, k].imag ** 2
-                    e1 += w * pr * h1[r]
-                    e2 += w * pr * h2[r]
-            out[s, 0] = e1 - e1_ref
-            out[s, 1] = e2 - e2_ref
-            out[s, 2] = (e1 - e1_ref) + (e2 - e2_ref)
-        return out
-
-
-def cycle_energies_from_ginibre(gin, rho, h1, h2, basis_cols, backend=None):
-    """Kernel entry point on pre-generated Ginibre matrices.
-
-    ``rho`` is the 4x4 initial state, ``h1``/``h2`` the diagonal 4-vectors of
-    the two local Hamiltonians lifted to the joint space, and ``basis_cols``
-    the unrotated basis vectors as columns.  Returns an (n, 3) float array of
-    (dE1, dE2, dE) triples, one per sample.
-    """
-    if backend is None:
-        backend = backend_name()
-    if backend not in ("numba", "numpy"):
-        raise ValidationError(f"unknown backend {backend!r}")
-    if backend == "numba" and not HAVE_NUMBA:
-        raise ValidationError("numba backend requested but numba is not importable")
-    gin = np.ascontiguousarray(gin, dtype=np.complex128)
-    rho = np.ascontiguousarray(rho, dtype=np.complex128)
-    h1 = np.ascontiguousarray(h1, dtype=np.float64)
-    h2 = np.ascontiguousarray(h2, dtype=np.float64)
-    basis_cols = np.ascontiguousarray(basis_cols, dtype=np.complex128)
-    e1_ref = float(np.einsum("rr,r->", rho, h1).real)
-    e2_ref = float(np.einsum("rr,r->", rho, h2).real)
-    if backend == "numba":
-        return _cycle_kernel_numba(gin, rho, h1, h2, basis_cols, e1_ref, e2_ref)
-    return _cycle_kernel_numpy(gin, rho, h1, h2, basis_cols, e1_ref, e2_ref)
-
-
-def cycle_energy_samples(rho, h1, h2, basis_cols, seed, n, start=0, backend=None):
+def cycle_energy_samples(p, h1, h2, basis_cols, seed, n, start=0):
     """Energy-change triples for n Haar-rotated-basis cycles from a seed."""
     gin = ginibre_batch(seed, start, n)
-    return cycle_energies_from_ginibre(gin, rho, h1, h2, basis_cols, backend=backend)
+    return cycle_energies_from_ginibre(gin, p, h1, h2, basis_cols)

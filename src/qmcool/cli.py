@@ -21,6 +21,7 @@ samples, shots, seed, eps, out, nu_values (comma list), hologram_beta.
 
 import argparse
 import hashlib
+import math
 import sys
 from dataclasses import dataclass
 
@@ -107,9 +108,12 @@ class RunConfig:
 
 def _parse_float(raw, key):
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
 def _parse_int(raw, key):
@@ -326,7 +330,7 @@ def cmd_noise(cfg):
     for w2 in cfg.omega2:
         econf = cfg.engine_config(w2)
         rho = initial_state(econf)
-        nu_c = critical_visibility(econf, basis=basis, tol=1e-4)
+        nu_c = critical_visibility(econf, basis=basis)
         for nu in cfg.nu_values:
             white = apply_povm(white_noise_povm(basis, nu), rho)
             w1, w2e, wt = energy_changes(econf, white)
@@ -360,7 +364,7 @@ def cmd_noise(cfg):
         "class_interf",
         "nu_c_interf",
     )
-    return _emit(cfg, "noise", [HOM_MODEL_NOTE, "nu_c bisection tolerance 1e-4"], header, rows)
+    return _emit(cfg, "noise", [HOM_MODEL_NOTE, "nu_c closed form"], header, rows)
 
 
 def cmd_haar_average(cfg):

@@ -27,19 +27,13 @@ from .errors import SecondLawViolation, ValidationError
 from .measure import (
     MeasurementBasis,
     PovmSet,
+    _hom_detected,
     apply_povm,
     canonical_basis,
     measurement_channel,
 )
 from .qcore import partial_trace, tensor, two_qubit_state
-from .thermo import (
-    BathSpec,
-    QubitSpec,
-    apply_channel,
-    energy,
-    gibbs_state,
-    thermalizing_channel,
-)
+from .thermo import BathSpec, QubitSpec, energy, gibbs_state, thermalizing_channel
 
 SLACK_FLOOR = -1e-10
 CLASS_LABELS = ("R", "E", "A", "H")
@@ -233,23 +227,23 @@ def _rethermalize(cfg, rho):
     return out
 
 
-def _haar_triples(cfg, n_samples, seed, backend=None):
+def _haar_triples(cfg, n_samples, seed):
     if n_samples < 1:
         raise ValidationError(f"need at least one sample, got {n_samples}")
-    rho = initial_state(cfg)
+    p = np.diagonal(initial_state(cfg)).real
     h1, h2 = _joint_hamiltonian_diagonals(cfg)
-    basis_cols = np.ascontiguousarray(canonical_basis().vectors.T)
-    return _accel.cycle_energy_samples(rho, h1, h2, basis_cols, seed, int(n_samples), backend=backend)
+    basis_cols = canonical_basis().vectors.T
+    return _accel.cycle_energy_samples(p, h1, h2, basis_cols, seed, int(n_samples))
 
 
-def frequency_sweep(cfg, n_samples, seed, eps=1e-12, backend=None):
+def frequency_sweep(cfg, n_samples, seed, eps=1e-12):
     """Empirical class frequencies over Haar-rotated canonical bases.
 
     Returns a dict mapping each of "R", "E", "A", "H" to a
     :class:`FrequencyEstimate` (frequency, binomial standard error).  The
     result is a pure function of (cfg, n_samples, seed).
     """
-    triples = _haar_triples(cfg, n_samples, seed, backend=backend)
+    triples = _haar_triples(cfg, n_samples, seed)
     counts = dict.fromkeys(CLASS_LABELS, 0)
     for de1, de2, de in triples:
         counts[classify(de1, de2, de, eps)] += 1
@@ -273,9 +267,9 @@ def depolarizing_prediction(cfg):
     return float(d1), float(d2), float(d1 + d2)
 
 
-def haar_average_report(cfg, n_samples, seed, eps=1e-12, backend=None):
+def haar_average_report(cfg, n_samples, seed, eps=1e-12):
     """Sample means of the energy triple over Haar-random bases."""
-    triples = _haar_triples(cfg, n_samples, seed, backend=backend)
+    triples = _haar_triples(cfg, n_samples, seed)
     n = len(triples)
     means = triples.mean(axis=0)
     if n > 1:
@@ -298,35 +292,34 @@ def haar_average_report(cfg, n_samples, seed, eps=1e-12, backend=None):
     )
 
 
-def critical_visibility(cfg, basis=None, tol=1e-4):
-    """Interference visibility at which dE2 changes sign (bisection).
+def critical_visibility(cfg, basis=None):
+    """Interference visibility nu_c at which dE2 changes sign, in closed form.
 
     Under the imperfect-interference measurement model, qubit 2 stops being
-    cooled below some visibility nu_c; this locates it to ``tol``.  Returns
-    None when dE2 does not change sign on [0, 1] (the configuration never
-    refrigerates, so no critical visibility exists).
-    """
-    from .measure import hom_noisy_channel
+    cooled below some visibility nu_c.  Before renormalization the model's
+    output is nu*G + (1-nu)*D (G the ideal interfering trains, D the
+    distinguishable-photon ones), so with e2(X) = Tr(X H2) and e the initial
+    energy of qubit 2, dE2(nu) = 0 is linear in nu and has the single root
 
+        nu_c = (e*Tr D - e2(D)) / (e2(G) - e2(D) - e*(Tr G - Tr D)).
+
+    Returns None when the denominator vanishes or the root lies outside
+    [0, 1] (the configuration never refrigerates, so no critical visibility
+    exists).
+    """
     if basis is None:
         basis = canonical_basis()
+    rho = initial_state(cfg)
+    _, h2 = _joint_hamiltonian_diagonals(cfg)
+    g_sum, d_sum = _hom_detected(basis, 1.0, rho), _hom_detected(basis, 0.0, rho)
 
-    def de2(nu):
-        post = hom_noisy_channel(basis, nu, initial_state(cfg))
-        return energy_changes(cfg, post)[1]
+    def e2(x):
+        return float(np.diagonal(x).real @ h2)
 
-    lo, hi = 0.0, 1.0
-    f_lo, f_hi = de2(lo), de2(hi)
-    if f_lo == 0.0:
-        return 0.0
-    if f_hi == 0.0:
-        return 1.0
-    if np.sign(f_lo) == np.sign(f_hi):
+    e = e2(rho)
+    tr_g, tr_d = g_sum.trace().real, d_sum.trace().real
+    den = e2(g_sum) - e2(d_sum) - e * (tr_g - tr_d)
+    if den == 0.0:
         return None
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if np.sign(de2(mid)) == np.sign(f_lo):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    nu_c = float((e * tr_d - e2(d_sum)) / den)
+    return nu_c if 0.0 <= nu_c <= 1.0 else None

@@ -81,8 +81,8 @@ class HaarSampler:
     """Deterministic Haar-unitary source: (seed, counter) -> unitary.
 
     Each counter value owns an independent Philox substream, so sample i is
-    identical whether drawn one at a time, in batches, or from parallel
-    workers.  Advancement is explicit via :meth:`advanced`.
+    identical whether drawn one at a time or in batches.  Advancement is
+    explicit via :meth:`advanced`.
     """
 
     seed: int
@@ -163,8 +163,8 @@ def apply_povm(povm, rho):
     return np.einsum("kij,jl,kml->im", povm.operators, arr, povm.operators.conj())
 
 
-def hom_noisy_channel(basis, visibility, rho):
-    """Non-selective measurement through an imperfect two-photon interferometer.
+def _hom_detected(basis, visibility, rho):
+    """Detected (unnormalized) output of the imperfect-interference measurement.
 
     Each projector k is realized optically as local unitaries and bias filters
     around a polarization-singlet projection performed by two-photon
@@ -173,15 +173,13 @@ def hom_noisy_channel(basis, visibility, rho):
     distinguishable-photon events — both photons transmitted, or both
     reflected (exchanged) — each with weight (1-nu)/4.  Per the detection
     bookkeeping, every projector branch is scaled by 1/eta_k^2 (its bias
-    efficiency enters twice, once per photon arm), and the output is
-    renormalized by the total detected weight.
+    efficiency enters twice, once per photon arm).
 
-    At nu = 1 this reduces exactly to :func:`measurement_channel`.
+    The result is affine in nu: nu*G + (1-nu)*D, with G its value at nu = 1
+    (the ideal trains) and D its value at nu = 0 (the distinguishable ones).
     """
     from .optics import projector_train_operators
 
-    if not (0.0 <= visibility <= 1.0):
-        raise ValidationError(f"visibility must lie in [0, 1], got {visibility!r}")
     arr = two_qubit_state(rho)
     out = np.zeros((4, 4), dtype=np.complex128)
     for k in range(4):
@@ -191,6 +189,19 @@ def hom_noisy_channel(basis, visibility, rho):
         branch += 0.25 * (1.0 - visibility) * (t @ arr @ t.conj().T)
         branch += 0.25 * (1.0 - visibility) * (r @ arr @ r.conj().T)
         out += branch / train.efficiency**2
+    return out
+
+
+def hom_noisy_channel(basis, visibility, rho):
+    """Non-selective measurement through an imperfect two-photon interferometer.
+
+    The detected output of :func:`_hom_detected`, renormalized by the total
+    detected weight.  At nu = 1 this reduces exactly to
+    :func:`measurement_channel`.
+    """
+    if not (0.0 <= visibility <= 1.0):
+        raise ValidationError(f"visibility must lie in [0, 1], got {visibility!r}")
+    out = _hom_detected(basis, visibility, rho)
     total = out.trace().real
     if total <= 1e-15:
         raise ValidationError("zero total detection probability")

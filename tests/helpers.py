@@ -2,7 +2,16 @@
 
 import numpy as np
 
-from qmcool import EngineConfig, HaarSampler, canonical_basis, haar_unitary, rotate_basis
+from qmcool import (
+    EngineConfig,
+    HaarSampler,
+    canonical_basis,
+    energy_changes,
+    haar_unitary,
+    hom_noisy_channel,
+    initial_state,
+    rotate_basis,
+)
 
 EXPERIMENT_OMEGA2 = (0.02, 0.06, 0.14, 0.18, 0.46, 0.86, 1.10)
 
@@ -56,3 +65,31 @@ def random_engine_config(rng):
 
 def random_rotated_basis(seed, counter=0):
     return rotate_basis(haar_unitary(HaarSampler(seed, counter)), canonical_basis())
+
+
+def bisect_critical_visibility(cfg, basis=None, tol=1e-10):
+    """Reference nu_c: bisection on the sign of dE2 under the interference model.
+
+    Returns None when dE2 does not change sign on [0, 1].
+    """
+    if basis is None:
+        basis = canonical_basis()
+
+    def de2(nu):
+        return energy_changes(cfg, hom_noisy_channel(basis, nu, initial_state(cfg)))[1]
+
+    lo, hi = 0.0, 1.0
+    f_lo, f_hi = de2(lo), de2(hi)
+    if f_lo == 0.0:
+        return 0.0
+    if f_hi == 0.0:
+        return 1.0
+    if np.sign(f_lo) == np.sign(f_hi):
+        return None
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if np.sign(de2(mid)) == np.sign(f_lo):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

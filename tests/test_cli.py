@@ -85,6 +85,20 @@ def test_malformed_config_value(tmp_path):
     assert cli.main(["sweep-omega", "--config", str(conf)]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "key", ["beta1", "beta2", "omega1", "omega2", "eps", "nu_values", "hologram_beta"])
+def test_non_finite_config_value(tmp_path, key, value):
+    conf = tmp_path / "c.ini"
+    conf.write_text(f"{key} = {value}\n")
+    assert cli.main(["sweep-omega", "--config", str(conf)]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_eps_flag(value):
+    assert cli.main(["sweep-omega", f"--eps={value}"]) == 2
+
+
 def test_config_missing_file():
     assert cli.main(["sweep-omega", "--config", "/nonexistent/path.ini"]) == 2
 

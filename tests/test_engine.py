@@ -29,6 +29,7 @@ from helpers import (
     EXPECTED_CLASSES,
     EXPECTED_TRIPLES,
     EXPERIMENT_OMEGA2,
+    bisect_critical_visibility,
     closed_form_triple,
     random_engine_config,
     reference_config,
@@ -200,8 +201,17 @@ def test_critical_visibility_decreases_with_omega2():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("omega2", [0.02, 0.06, 0.14, 0.18])
+def test_critical_visibility_matches_bisection(omega2):
+    cfg = reference_config(omega2)
+    assert critical_visibility(cfg) == pytest.approx(bisect_critical_visibility(cfg), abs=1e-9)
+
+
 def test_critical_visibility_none_outside_r_range():
-    assert critical_visibility(reference_config(0.46)) is None
+    for omega2 in (0.46, 0.86, 1.10):
+        cfg = reference_config(omega2)
+        assert critical_visibility(cfg) is None
+        assert bisect_critical_visibility(cfg) is None
 
 
 def test_run_cycle_check_reset():
