@@ -32,8 +32,8 @@ from .measure import (
     canonical_basis,
     measurement_channel,
 )
-from .qcore import partial_trace, tensor, two_qubit_state
-from .thermo import BathSpec, QubitSpec, energy, gibbs_state, thermalizing_channel
+from .qcore import tensor, two_qubit_state
+from .thermo import BathSpec, QubitSpec, gibbs_state, thermalizing_channel
 
 SLACK_FLOOR = -1e-10
 CLASS_LABELS = ("R", "E", "A", "H")
@@ -120,12 +120,12 @@ def classify(de1, de2, de, eps=1e-12):
     measurement heats nothing, and H is the only label that degenerates
     gracefully to a no-op.  Otherwise the four sign patterns are tested with
     weak inequalities at tolerance eps, in priority order R, E, A, H, which
-    makes the function total and deterministic on boundary ties.
+    makes the function total and deterministic on boundary ties.  The sum
+    check also allows the rounding of one addition, 2^-52*(|dE1| + |dE2|).
     """
-    if abs(de - de1 - de2) > eps:
-        raise ValidationError(
-            f"inconsistent triple: |dE - dE1 - dE2| = {abs(de - de1 - de2):.3e} > {eps:.3e}"
-        )
+    gap = abs(de - de1 - de2)
+    if gap > eps and gap > 2.0**-52 * (abs(de1) + abs(de2)):
+        raise ValidationError(f"inconsistent triple: |dE - dE1 - dE2| = {gap:.3e} > {eps:.3e}")
     if abs(de1) <= eps and abs(de2) <= eps and abs(de) <= eps:
         return "H"
     if de1 >= -eps and de2 <= eps and de >= -eps:
@@ -160,11 +160,15 @@ def regime(cfg):
 
 
 def energy_changes(cfg, post_state):
-    """(dE1, dE2, dE) from the initial Gibbs product to ``post_state``."""
-    rho = initial_state(cfg)
+    """(dE1, dE2, dE) from the initial Gibbs product to ``post_state``.
+
+    Both H_i are diagonal, so dE_i = (diag(post) - p) . h_i with p the Gibbs
+    populations; ``post_state`` is e.g. G = measurement_channel of the product.
+    """
     post = two_qubit_state(post_state)
-    de1 = energy(partial_trace(post, 1), cfg.qubit1) - energy(partial_trace(rho, 1), cfg.qubit1)
-    de2 = energy(partial_trace(post, 2), cfg.qubit2) - energy(partial_trace(rho, 2), cfg.qubit2)
+    shift = np.diagonal(post).real - np.diagonal(initial_state(cfg)).real
+    h1, h2 = _joint_hamiltonian_diagonals(cfg)
+    de1, de2 = float(shift @ h1), float(shift @ h2)
     return de1, de2, de1 + de2
 
 
@@ -191,9 +195,6 @@ def run_cycle(cfg, measurement=None, eps=1e-12, check_reset=False):
         raise ValidationError(
             f"measurement must be a basis, a POVM, or a callable, got {type(measurement)!r}"
         )
-    drift = abs(post.trace() - 1.0)
-    if drift > 1e-10:
-        raise ValidationError(f"measurement stroke failed to preserve trace (drift {drift:.3e})")
     de1, de2, de = energy_changes(cfg, post)
     slack = cfg.bath1.beta * de1 + cfg.bath2.beta * de2
     if slack < SLACK_FLOOR:
@@ -297,8 +298,8 @@ def critical_visibility(cfg, basis=None):
 
     Under the imperfect-interference measurement model, qubit 2 stops being
     cooled below some visibility nu_c.  Before renormalization the model's
-    output is nu*G + (1-nu)*D (G the ideal interfering trains, D the
-    distinguishable-photon ones), so with e2(X) = Tr(X H2) and e the initial
+    output is nu*G + (1-nu)*D (G = measurement_channel, D the
+    distinguishable-photon trains), so with e2(X) = Tr(X H2) and e the initial
     energy of qubit 2, dE2(nu) = 0 is linear in nu and has the single root
 
         nu_c = (e*Tr D - e2(D)) / (e2(G) - e2(D) - e*(Tr G - Tr D)).
@@ -307,11 +308,10 @@ def critical_visibility(cfg, basis=None):
     [0, 1] (the configuration never refrigerates, so no critical visibility
     exists).
     """
-    if basis is None:
-        basis = canonical_basis()
+    basis = canonical_basis() if basis is None else basis
     rho = initial_state(cfg)
     _, h2 = _joint_hamiltonian_diagonals(cfg)
-    g_sum, d_sum = _hom_detected(basis, 1.0, rho), _hom_detected(basis, 0.0, rho)
+    g_sum, d_sum = measurement_channel(basis, rho), _hom_detected(basis, 0.0, rho)
 
     def e2(x):
         return float(np.diagonal(x).real @ h2)

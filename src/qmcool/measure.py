@@ -175,21 +175,21 @@ def _hom_detected(basis, visibility, rho):
     bookkeeping, every projector branch is scaled by 1/eta_k^2 (its bias
     efficiency enters twice, once per photon arm).
 
-    The result is affine in nu: nu*G + (1-nu)*D, with G its value at nu = 1
-    (the ideal trains) and D its value at nu = 0 (the distinguishable ones).
+    With V_k = |v_k><v_k| and A_k = Tr_2(V_k) x I, the singlet projection
+    (I - SWAP)/2 makes the transmit and reflect trains 2*eta_k*A_k and
+    2*eta_k*(A_k - V_k), so the weights cancel: nu*G + (1-nu)*D with
+    G = measurement_channel and D = sum_k A_k rho A_k + (A_k-V_k) rho (A_k-V_k).
+    The trains of :func:`~qmcool.optics.projector_train_operators` cross-check it.
     """
-    from .optics import projector_train_operators
-
-    arr = two_qubit_state(rho)
-    out = np.zeros((4, 4), dtype=np.complex128)
-    for k in range(4):
-        train = projector_train_operators(basis.vectors[k])
-        g, t, r = train.ideal, train.transmit, train.reflect
-        branch = visibility * (g @ arr @ g.conj().T)
-        branch += 0.25 * (1.0 - visibility) * (t @ arr @ t.conj().T)
-        branch += 0.25 * (1.0 - visibility) * (r @ arr @ r.conj().T)
-        out += branch / train.efficiency**2
-    return out
+    ideal = measurement_channel(basis, rho)
+    arr = as_complex(rho)
+    distinguishable = np.zeros((4, 4), dtype=np.complex128)
+    for v in basis.vectors:
+        c = v.reshape(2, 2)
+        a = np.kron(c @ c.conj().T, np.eye(2))
+        r = a - np.outer(v, v.conj())
+        distinguishable += a @ arr @ a + r @ arr @ r
+    return visibility * ideal + (1.0 - visibility) * distinguishable
 
 
 def hom_noisy_channel(basis, visibility, rho):

@@ -6,12 +6,16 @@ from qmcool import (
     EngineConfig,
     HaarSampler,
     canonical_basis,
+    energy,
     energy_changes,
     haar_unitary,
     hom_noisy_channel,
     initial_state,
+    partial_trace,
     rotate_basis,
+    two_qubit_state,
 )
+from qmcool.optics import projector_train_operators
 
 EXPERIMENT_OMEGA2 = (0.02, 0.06, 0.14, 0.18, 0.46, 0.86, 1.10)
 
@@ -93,3 +97,28 @@ def bisect_critical_visibility(cfg, basis=None, tol=1e-10):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def partial_trace_energy_changes(cfg, post_state):
+    """Reference (dE1, dE2, dE): energies of the two reduced states."""
+    rho = initial_state(cfg)
+    post = two_qubit_state(post_state)
+    de1 = energy(partial_trace(post, 1), cfg.qubit1) - energy(partial_trace(rho, 1), cfg.qubit1)
+    de2 = energy(partial_trace(post, 2), cfg.qubit2) - energy(partial_trace(rho, 2), cfg.qubit2)
+    return de1, de2, de1 + de2
+
+
+def trains_hom_detected(basis, visibility, rho):
+    """Reference detected output of the interference model, built from the
+    three optical trains of every projector (weights nu, (1-nu)/4, (1-nu)/4,
+    each branch over eta_k^2)."""
+    arr = two_qubit_state(rho)
+    out = np.zeros((4, 4), dtype=np.complex128)
+    for k in range(4):
+        train = projector_train_operators(basis.vectors[k])
+        g, t, r = train.ideal, train.transmit, train.reflect
+        branch = visibility * (g @ arr @ g.conj().T)
+        branch += 0.25 * (1.0 - visibility) * (t @ arr @ t.conj().T)
+        branch += 0.25 * (1.0 - visibility) * (r @ arr @ r.conj().T)
+        out += branch / train.efficiency**2
+    return out

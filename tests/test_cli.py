@@ -54,6 +54,21 @@ def test_sweep_omega_equal_pull_is_engine_class(tmp_path):
     assert rows[0]["regime"] == "R-range"
 
 
+@pytest.mark.parametrize("command", ["sweep-omega", "noise"])
+@pytest.mark.parametrize("line", ["eps=1e-320", "omega1=1e300", "omega1=1e308"])
+def test_extreme_scales_run_and_classify(tmp_path, command, line):
+    # dE = dE1 + dE2 is rounded once; that rounding is no invariant breach
+    conf = tmp_path / "c.ini"
+    conf.write_text(line + "\n")
+    out = tmp_path / "o.csv"
+    assert cli.main([command, "--config", str(conf), "--out", str(out)]) == 0
+    _, rows = _rows(_read(out))
+    if command == "sweep-omega":
+        assert [r["class"] for r in rows] == [r["regime"][0] for r in rows]
+    else:
+        assert "none" not in {r["class_white"] for r in rows}
+
+
 def test_frequency_requires_seed():
     assert cli.main(["frequency"]) == 2
 

@@ -9,6 +9,7 @@ from qmcool import (
     RegimeLabel,
     SecondLawViolation,
     ValidationError,
+    apply_povm,
     canonical_basis,
     classify,
     critical_visibility,
@@ -16,7 +17,9 @@ from qmcool import (
     energy_changes,
     frequency_sweep,
     haar_average_report,
+    haar_unitaries,
     haar_unitary,
+    hom_noisy_channel,
     initial_state,
     measurement_channel,
     regime,
@@ -31,6 +34,8 @@ from helpers import (
     EXPERIMENT_OMEGA2,
     bisect_critical_visibility,
     closed_form_triple,
+    partial_trace_energy_changes,
+    random_density,
     random_engine_config,
     reference_config,
 )
@@ -93,8 +98,17 @@ def test_classify_examples():
 
 
 def test_classify_rejects_inconsistent_sum():
-    with pytest.raises(ValidationError):
-        classify(0.1, 0.1, 0.5)
+    for triple, eps in (((0.1, 0.1, 0.5), 1e-12), ((0.1, 0.1, 0.5), 1e-320),
+                        ((1e300, 1e300, 3e300), 1e-12)):
+        with pytest.raises(ValidationError):
+            classify(*triple, eps=eps)
+
+
+def test_classify_allows_rounding_of_the_sum():
+    # dE is one rounded addition; at this scale its error exceeds the default eps
+    de1, de2 = 0.0478 * 1e300, -0.00096
+    assert classify(de1, de2, de1 + de2) == "R"
+    assert classify(0.0488, -0.00096, 0.0488 - 0.00096, eps=1e-320) == "R"
 
 
 def test_classify_rejects_impossible_triple():
@@ -147,6 +161,22 @@ def test_energy_changes_consistent_with_run_cycle():
     assert de1 == pytest.approx(report.dE1, abs=1e-14)
     assert de2 == pytest.approx(report.dE2, abs=1e-14)
     assert de == pytest.approx(report.dE, abs=1e-14)
+
+
+def test_energy_changes_match_partial_traces():
+    bases = [rotate_basis(u, canonical_basis()) for u in haar_unitaries(HaarSampler(29), 50)]
+    rng = np.random.default_rng(31)
+    for omega2 in EXPERIMENT_OMEGA2:
+        cfg = reference_config(omega2)
+        rho = initial_state(cfg)
+        posts = [measurement_channel(b, rho) for b in bases]
+        posts += [apply_povm(white_noise_povm(b, nu), rho) for b in bases[:10]
+                  for nu in (0.2, 0.6)]
+        posts += [hom_noisy_channel(b, nu, rho) for b in bases[:10] for nu in (0.0, 0.5, 1.0)]
+        posts += [random_density(rng, 4) for _ in range(20)]
+        for post in posts:
+            assert np.max(np.abs(np.subtract(energy_changes(cfg, post),
+                                             partial_trace_energy_changes(cfg, post)))) <= 1e-14
 
 
 def test_frequency_sweep_rows_sum_to_one():

@@ -23,8 +23,9 @@ from qmcool import (
     white_noise_povm,
 )
 
-from helpers import random_density, reference_config
+from helpers import random_density, reference_config, trains_hom_detected
 from qmcool.engine import initial_state
+from qmcool.measure import _hom_detected
 
 
 def test_canonical_basis_orthonormal():
@@ -244,3 +245,14 @@ def test_hom_channel_preserves_trace():
 def test_hom_channel_rejects_bad_visibility():
     with pytest.raises(ValueError):
         hom_noisy_channel(canonical_basis(), 1.2, np.eye(4) / 4)
+
+
+def test_hom_closed_form_matches_optical_trains():
+    bases = [canonical_basis()]
+    bases += [rotate_basis(u, canonical_basis()) for u in haar_unitaries(HaarSampler(71), 200)]
+    for omega2 in (0.02, 0.18, 0.86):
+        rho = initial_state(reference_config(omega2))
+        for basis in bases:
+            for nu in (0.0, 0.37, 1.0):
+                assert np.max(np.abs(_hom_detected(basis, nu, rho)
+                                     - trains_hom_detected(basis, nu, rho))) <= 1e-12

@@ -16,6 +16,7 @@ from qmcool import (
     gibbs_state,
     measurement_channel,
     omega_of_d,
+    partial_trace,
     project_optically,
     schmidt_projector,
     solve_hologram,
@@ -288,7 +289,12 @@ def test_train_operators_ideal_is_scaled_projector():
         ops = projector_train_operators(vec)
         eta = ((form.a / form.b) ** 2 + 1) / 2
         assert ops.efficiency == pytest.approx(eta, abs=1e-12)
-        assert np.allclose(ops.ideal, eta * np.outer(vec, vec.conj()), atol=1e-10)
+        proj = np.outer(vec, vec.conj())
+        assert np.allclose(ops.ideal, eta * proj, atol=1e-10)
+        # the closed form of the interference model rests on these two identities
+        marginal = np.kron(partial_trace(proj, keep=1), np.eye(2))
+        assert np.allclose(ops.transmit / (2 * eta), marginal, atol=1e-12)
+        assert np.allclose(ops.reflect / (2 * eta), marginal - proj, atol=1e-12)
 
 
 def test_train_operators_efficiency_extremes():
