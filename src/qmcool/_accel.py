@@ -21,10 +21,16 @@ import numpy as np
 from .errors import ValidationError
 
 
+# Philox keys above this pass through float64 in numpy and alias other keys.
+INT64_MAX = 2**63 - 1
+
+
 def ginibre_batch(seed, start, n):
     """n complex standard-Gaussian 4x4 matrices from per-sample Philox substreams."""
-    if seed is None or int(seed) < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    if seed is None or not 0 <= int(seed) <= INT64_MAX:
+        raise ValidationError(f"seed must be an integer in [0, 2**63 - 1], got {seed!r}")
+    if int(start) + n - 1 > INT64_MAX:
+        raise ValidationError(f"sample counter {int(start) + n - 1} exceeds 2**63 - 1")
     out = np.empty((n, 4, 4), dtype=np.complex128)
     root = np.sqrt(2.0)
     for i in range(n):

@@ -28,27 +28,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
+from ._accel import INT64_MAX
 from .engine import (
     EngineConfig,
     classify,
-    critical_visibility,
-    energy_changes,
     frequency_sweep,
     haar_average_report,
-    initial_state,
+    noise_sweep,
     regime,
     run_cycle,
 )
 from .errors import ConfigError, SecondLawViolation, ValidationError
-from .measure import (
-    HaarSampler,
-    apply_povm,
-    canonical_basis,
-    haar_unitary,
-    hom_noisy_channel,
-    rotate_basis,
-    white_noise_povm,
-)
+from .measure import HaarSampler, canonical_basis, haar_unitary, rotate_basis
 from .optics import solve_hologram
 from .thermo import BathSpec, QubitSpec, thermalizing_channel
 from .tomo import (
@@ -193,10 +184,10 @@ def resolve_config(args):
         raise ConfigError(f"omega2 values must be positive, got {omega2}")
     if samples is not None and samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
-    if shots is not None and shots < 1:
-        raise ConfigError(f"shots must be >= 1, got {shots}")
-    if seed is not None and seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    if shots is not None and not 1 <= shots <= INT64_MAX:
+        raise ConfigError(f"shots must lie in [1, 2**63 - 1], got {shots}")
+    if seed is not None and not 0 <= seed <= INT64_MAX:
+        raise ConfigError(f"seed must lie in [0, 2**63 - 1], got {seed}")
     if eps <= 0:
         raise ConfigError(f"eps must be positive, got {eps}")
     if any(not 0.0 <= nu <= 1.0 for nu in nu_values):
@@ -325,31 +316,14 @@ def _label_or_none(de1, de2, de, eps):
 
 
 def cmd_noise(cfg):
-    basis = canonical_basis()
     rows = []
     for w2 in cfg.omega2:
-        econf = cfg.engine_config(w2)
-        rho = initial_state(econf)
-        nu_c = critical_visibility(econf, basis=basis)
-        for nu in cfg.nu_values:
-            white = apply_povm(white_noise_povm(basis, nu), rho)
-            w1, w2e, wt = energy_changes(econf, white)
-            hom = hom_noisy_channel(basis, nu, rho)
-            h1, h2, ht = energy_changes(econf, hom)
+        sweep, nu_c = noise_sweep(cfg.engine_config(w2), cfg.nu_values)
+        nu_c = float("nan") if nu_c is None else nu_c
+        for nu, white, interf in sweep:
             rows.append(
-                (
-                    w2,
-                    nu,
-                    w1,
-                    w2e,
-                    wt,
-                    _label_or_none(w1, w2e, wt, cfg.eps),
-                    h1,
-                    h2,
-                    ht,
-                    _label_or_none(h1, h2, ht, cfg.eps),
-                    float("nan") if nu_c is None else nu_c,
-                )
+                (w2, nu, *white, _label_or_none(*white, cfg.eps),
+                 *interf, _label_or_none(*interf, cfg.eps), nu_c)
             )
     header = (
         "omega2",

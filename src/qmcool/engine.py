@@ -27,13 +27,14 @@ from .errors import SecondLawViolation, ValidationError
 from .measure import (
     MeasurementBasis,
     PovmSet,
-    _hom_detected,
+    _distinguishable,
     apply_povm,
     canonical_basis,
     measurement_channel,
+    white_noise_mixture_weights,
 )
-from .qcore import tensor, two_qubit_state
-from .thermo import BathSpec, QubitSpec, gibbs_state, thermalizing_channel
+from .qcore import two_qubit_state
+from .thermo import BathSpec, QubitSpec, gibbs_population
 
 SLACK_FLOOR = -1e-10
 CLASS_LABELS = ("R", "E", "A", "H")
@@ -101,9 +102,16 @@ class HaarAverageReport:
     n_samples: int
 
 
+def _populations(cfg):
+    """The four Gibbs populations p of gibbs1 x gibbs2, in (|00>, |01>, |10>, |11>) order."""
+    p1 = gibbs_population(cfg.qubit1, cfg.bath1)
+    p2 = gibbs_population(cfg.qubit2, cfg.bath2)
+    return np.outer([p1, 1.0 - p1], [p2, 1.0 - p2]).ravel()
+
+
 def initial_state(cfg):
-    """The working substance before the measurement stroke: gibbs1 x gibbs2."""
-    return tensor(gibbs_state(cfg.qubit1, cfg.bath1), gibbs_state(cfg.qubit2, cfg.bath2))
+    """The working substance before the measurement stroke: gibbs1 x gibbs2 = diag(p)."""
+    return np.diag(_populations(cfg)).astype(np.complex128)
 
 
 def _joint_hamiltonian_diagonals(cfg):
@@ -166,21 +174,23 @@ def energy_changes(cfg, post_state):
     populations; ``post_state`` is e.g. G = measurement_channel of the product.
     """
     post = two_qubit_state(post_state)
-    shift = np.diagonal(post).real - np.diagonal(initial_state(cfg)).real
+    return _energy_triple(cfg, np.diagonal(post).real - _populations(cfg))
+
+
+def _energy_triple(cfg, shift):
+    """(dE1, dE2, dE) of a population shift diag(post) - p."""
     h1, h2 = _joint_hamiltonian_diagonals(cfg)
     de1, de2 = float(shift @ h1), float(shift @ h2)
     return de1, de2, de1 + de2
 
 
-def run_cycle(cfg, measurement=None, eps=1e-12, check_reset=False):
+def run_cycle(cfg, measurement=None, eps=1e-12):
     """One full engine cycle; returns the :class:`EngineReport`.
 
     ``measurement`` may be a :class:`~qmcool.measure.MeasurementBasis`
     (default: the canonical basis), a :class:`~qmcool.measure.PovmSet`, or a
     callable ``rho -> rho'``.  The rethermalization stroke is implicit —
-    the thermalizing channel restores the Gibbs product exactly; pass
-    ``check_reset=True`` to route stroke 2 through the Kraus channels and
-    verify the fixed point end to end.
+    the thermalizing channel restores the Gibbs product exactly.
     """
     if measurement is None:
         measurement = canonical_basis()
@@ -201,11 +211,6 @@ def run_cycle(cfg, measurement=None, eps=1e-12, check_reset=False):
         raise SecondLawViolation(
             f"beta1*dE1 + beta2*dE2 = {slack:.3e} below tolerance {SLACK_FLOOR:.1e}"
         )
-    if check_reset:
-        reset = _rethermalize(cfg, post)
-        err = np.max(np.abs(reset - rho))
-        if err > 1e-12:
-            raise ValidationError(f"stroke 2 failed to restore the Gibbs product ({err:.3e})")
     return EngineReport(
         dE1=de1,
         dE2=de2,
@@ -215,23 +220,10 @@ def run_cycle(cfg, measurement=None, eps=1e-12, check_reset=False):
     )
 
 
-def _rethermalize(cfg, rho):
-    """Apply both single-qubit thermalizing channels to the joint state."""
-    ch1 = thermalizing_channel(cfg.qubit1, cfg.bath1)
-    ch2 = thermalizing_channel(cfg.qubit2, cfg.bath2)
-    out = np.zeros((4, 4), dtype=np.complex128)
-    arr = two_qubit_state(rho)
-    for k1 in ch1.operators:
-        for k2 in ch2.operators:
-            k = tensor(k1, k2)
-            out += k @ arr @ k.conj().T
-    return out
-
-
 def _haar_triples(cfg, n_samples, seed):
     if n_samples < 1:
         raise ValidationError(f"need at least one sample, got {n_samples}")
-    p = np.diagonal(initial_state(cfg)).real
+    p = _populations(cfg)
     h1, h2 = _joint_hamiltonian_diagonals(cfg)
     basis_cols = canonical_basis().vectors.T
     return _accel.cycle_energy_samples(p, h1, h2, basis_cols, seed, int(n_samples))
@@ -293,6 +285,49 @@ def haar_average_report(cfg, n_samples, seed, eps=1e-12):
     )
 
 
+def noise_sweep(cfg, nu_values, basis=None):
+    """Energy triples under both detector-noise models, and the critical visibility.
+
+    Returns ``(rows, nu_c)``: one ``(nu, white, interf)`` row of (dE1, dE2, dE)
+    triples per noise weight, and ``nu_c`` as in :func:`critical_visibility`.
+    Both models act on rho = diag(p) through G = measurement_channel(basis, rho)
+    and the distinguishable-photon sum D, so only g = diag(G), d = diag(D) enter:
+    the white-noise post state c1*G + c2*rho shifts the populations by
+    c1*(g - p), the interference post state (nu*G + (1-nu)*D) / Tr(...) by
+    (nu*g + (1-nu)*d) / sum(nu*g + (1-nu)*d) - p.
+
+    Every row's post state is a convex mixture of rho, G and D/TrD (weights
+    c1, c2 for white noise; lambda = nu/(nu + (1-nu)*TrD) on G for
+    interference).  Convex mixtures keep Hermiticity, unit trace and the
+    eigenvalue floor, so validating rho (inside measurement_channel), G and
+    D/TrD once, with TrD above the zero-detection floor, certifies every row.
+    """
+    if any(not 0.0 <= nu <= 1.0 for nu in nu_values):
+        raise ValidationError(f"noise weights must lie in [0, 1], got {nu_values!r}")
+    basis = canonical_basis() if basis is None else basis
+    p, rho = _populations(cfg), initial_state(cfg)
+    big_g = two_qubit_state(measurement_channel(basis, rho))
+    big_d = _distinguishable(basis, rho)
+    g, d = np.diagonal(big_g).real, np.diagonal(big_d).real
+    tr_g, tr_d = g.sum(), d.sum()
+    if tr_d <= 1e-15:
+        raise ValidationError("zero total detection probability")
+    two_qubit_state(big_d / tr_d)
+    rows = []
+    for nu in nu_values:
+        c1, _ = white_noise_mixture_weights(nu)
+        detected = nu * g + (1.0 - nu) * d
+        rows.append((nu, _energy_triple(cfg, c1 * (g - p)),
+                     _energy_triple(cfg, detected / detected.sum() - p)))
+    _, h2 = _joint_hamiltonian_diagonals(cfg)
+    e, e2_g, e2_d = float(p @ h2), float(g @ h2), float(d @ h2)
+    den = e2_g - e2_d - e * (tr_g - tr_d)
+    if den == 0.0:
+        return rows, None
+    nu_c = float((e * tr_d - e2_d) / den)
+    return rows, (nu_c if 0.0 <= nu_c <= 1.0 else None)
+
+
 def critical_visibility(cfg, basis=None):
     """Interference visibility nu_c at which dE2 changes sign, in closed form.
 
@@ -308,18 +343,4 @@ def critical_visibility(cfg, basis=None):
     [0, 1] (the configuration never refrigerates, so no critical visibility
     exists).
     """
-    basis = canonical_basis() if basis is None else basis
-    rho = initial_state(cfg)
-    _, h2 = _joint_hamiltonian_diagonals(cfg)
-    g_sum, d_sum = measurement_channel(basis, rho), _hom_detected(basis, 0.0, rho)
-
-    def e2(x):
-        return float(np.diagonal(x).real @ h2)
-
-    e = e2(rho)
-    tr_g, tr_d = g_sum.trace().real, d_sum.trace().real
-    den = e2(g_sum) - e2(d_sum) - e * (tr_g - tr_d)
-    if den == 0.0:
-        return None
-    nu_c = float((e * tr_d - e2(d_sum)) / den)
-    return nu_c if 0.0 <= nu_c <= 1.0 else None
+    return noise_sweep(cfg, (), basis)[1]

@@ -163,8 +163,21 @@ def apply_povm(povm, rho):
     return np.einsum("kij,jl,kml->im", povm.operators, arr, povm.operators.conj())
 
 
-def _hom_detected(basis, visibility, rho):
-    """Detected (unnormalized) output of the imperfect-interference measurement.
+def _distinguishable(basis, rho):
+    """D = sum_k A_k rho A_k + (A_k-V_k) rho (A_k-V_k) of :func:`hom_noisy_channel`;
+    ``rho`` is not validated here."""
+    arr = as_complex(rho)
+    out = np.zeros((4, 4), dtype=np.complex128)
+    for v in basis.vectors:
+        c = v.reshape(2, 2)
+        a = np.kron(c @ c.conj().T, np.eye(2))
+        r = a - np.outer(v, v.conj())
+        out += a @ arr @ a + r @ arr @ r
+    return out
+
+
+def hom_noisy_channel(basis, visibility, rho):
+    """Non-selective measurement through an imperfect two-photon interferometer.
 
     Each projector k is realized optically as local unitaries and bias filters
     around a polarization-singlet projection performed by two-photon
@@ -177,31 +190,16 @@ def _hom_detected(basis, visibility, rho):
 
     With V_k = |v_k><v_k| and A_k = Tr_2(V_k) x I, the singlet projection
     (I - SWAP)/2 makes the transmit and reflect trains 2*eta_k*A_k and
-    2*eta_k*(A_k - V_k), so the weights cancel: nu*G + (1-nu)*D with
-    G = measurement_channel and D = sum_k A_k rho A_k + (A_k-V_k) rho (A_k-V_k).
-    The trains of :func:`~qmcool.optics.projector_train_operators` cross-check it.
-    """
-    ideal = measurement_channel(basis, rho)
-    arr = as_complex(rho)
-    distinguishable = np.zeros((4, 4), dtype=np.complex128)
-    for v in basis.vectors:
-        c = v.reshape(2, 2)
-        a = np.kron(c @ c.conj().T, np.eye(2))
-        r = a - np.outer(v, v.conj())
-        distinguishable += a @ arr @ a + r @ arr @ r
-    return visibility * ideal + (1.0 - visibility) * distinguishable
-
-
-def hom_noisy_channel(basis, visibility, rho):
-    """Non-selective measurement through an imperfect two-photon interferometer.
-
-    The detected output of :func:`_hom_detected`, renormalized by the total
-    detected weight.  At nu = 1 this reduces exactly to
-    :func:`measurement_channel`.
+    2*eta_k*(A_k - V_k), so the weights cancel: the detected output is
+    nu*G + (1-nu)*D with G = measurement_channel and D = :func:`_distinguishable`.
+    It is renormalized by the total detected weight, so at nu = 1 this reduces
+    exactly to :func:`measurement_channel`.  The trains of
+    :func:`~qmcool.optics.projector_train_operators` cross-check it.
     """
     if not (0.0 <= visibility <= 1.0):
         raise ValidationError(f"visibility must lie in [0, 1], got {visibility!r}")
-    out = _hom_detected(basis, visibility, rho)
+    ideal = measurement_channel(basis, rho)
+    out = visibility * ideal + (1.0 - visibility) * _distinguishable(basis, rho)
     total = out.trace().real
     if total <= 1e-15:
         raise ValidationError("zero total detection probability")

@@ -79,11 +79,13 @@ def partial_trace(rho, keep):
     raise ValidationError(f"keep must be 1 or 2, got {keep!r}")
 
 
-def _psd_sqrt(rho):
-    """Hermitian square root with tiny negative eigenvalues clipped to zero."""
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+def _fidelity(a, b):
+    """Uhlmann fidelity of two unvalidated Hermitian unit-trace operators, capped
+    at 1; tiny negative eigenvalues are clipped to zero."""
+    w, v = np.linalg.eigh(a)
+    sa = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    w = np.linalg.eigvalsh(sa @ b @ sa)
+    return min(float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2), 1.0)
 
 
 def state_fidelity(a, b):
@@ -94,10 +96,7 @@ def state_fidelity(a, b):
         raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
     validate_density(a, name="first state")
     validate_density(b, name="second state")
-    sa = _psd_sqrt(a)
-    w = np.linalg.eigvalsh(sa @ b @ sa)
-    f = float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
-    return min(f, 1.0)
+    return _fidelity(a, b)
 
 
 def trace_distance(a, b):

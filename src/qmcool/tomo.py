@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .measure import MeasurementBasis, PovmSet
+from .qcore import _fidelity
 from .thermo import KrausChannel, apply_channel
 
 _P1 = [
@@ -256,14 +257,6 @@ def measurement_tomography(measurement, probes=None, shots=None, seed=None, retu
     return (recon, raw) if return_raw else recon
 
 
-def _fidelity_psd(a, b):
-    """Uhlmann fidelity of two PSD unit-trace operators (tiny negatives clipped)."""
-    wa, va = np.linalg.eigh(a)
-    sa = (va * np.sqrt(np.clip(wa, 0.0, None))) @ va.conj().T
-    w = np.linalg.eigvalsh(sa @ b @ sa)
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
-
-
 def process_fidelity(chi_a, chi_b):
     """Uhlmann fidelity between two chi matrices (normalized to unit trace)."""
     a = np.asarray(chi_a, dtype=np.complex128)
@@ -272,16 +265,19 @@ def process_fidelity(chi_a, chi_b):
         raise ValidationError(f"chi shape mismatch: {a.shape} vs {b.shape}")
     a = 0.5 * (a + a.conj().T)
     b = 0.5 * (b + b.conj().T)
-    return min(_fidelity_psd(a / a.trace().real, b / b.trace().real), 1.0)
+    return _fidelity(a / a.trace().real, b / b.trace().real)
 
 
 def effect_fidelity(effect_a, effect_b):
-    """Uhlmann fidelity between two effects, each normalized to unit trace."""
+    """Uhlmann fidelity between two effects, each normalized to unit trace; 0 if
+    either is the zero effect (a shot-mode estimate clipped to nothing)."""
     a = np.asarray(effect_a, dtype=np.complex128)
     b = np.asarray(effect_b, dtype=np.complex128)
+    if not (a.any() and b.any()):
+        return 0.0
     a = 0.5 * (a + a.conj().T)
     b = 0.5 * (b + b.conj().T)
     ta, tb = a.trace().real, b.trace().real
     if ta <= 0 or tb <= 0:
         raise ValidationError("effects must have positive trace")
-    return min(_fidelity_psd(a / ta, b / tb), 1.0)
+    return _fidelity(a / ta, b / tb)

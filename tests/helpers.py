@@ -8,11 +8,13 @@ from qmcool import (
     canonical_basis,
     energy,
     energy_changes,
+    gibbs_state,
     haar_unitary,
     hom_noisy_channel,
     initial_state,
     partial_trace,
     rotate_basis,
+    tensor,
     two_qubit_state,
 )
 from qmcool.optics import projector_train_operators
@@ -97,6 +99,11 @@ def bisect_critical_visibility(cfg, basis=None, tol=1e-10):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def kron_initial_state(cfg):
+    """Reference initial state: the Kronecker product of the two Gibbs states."""
+    return tensor(gibbs_state(cfg.qubit1, cfg.bath1), gibbs_state(cfg.qubit2, cfg.bath2))
 
 
 def partial_trace_energy_changes(cfg, post_state):

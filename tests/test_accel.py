@@ -49,6 +49,12 @@ def test_ginibre_rejects_bad_seed():
         _accel.ginibre_batch(-1, 0, 2)
     with pytest.raises(ValueError):
         _accel.ginibre_batch(None, 0, 2)
+    # numpy passes Philox keys >= 2**63 through float64, which aliases seeds
+    with pytest.raises(ValueError):
+        _accel.ginibre_batch(2**63, 0, 2)
+    with pytest.raises(ValueError):
+        _accel.ginibre_batch(1, 2**63 - 1, 2)
+    assert _accel.ginibre_batch(2**63 - 1, 2**63 - 2, 2).shape == (2, 4, 4)
 
 
 def test_haar_from_ginibre_unitary():

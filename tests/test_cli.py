@@ -253,3 +253,25 @@ def test_config_hash_excludes_out_path(tmp_path):
     cli.main(["sweep-omega", "--out", str(a)])
     cli.main(["sweep-omega", "--out", str(b)])
     assert _read(a).splitlines()[0] == _read(b).splitlines()[0]
+
+
+SEEDED_COMMANDS = (
+    ["frequency", "--samples", "5"],
+    ["haar-average", "--samples", "5"],
+    ["tomography", "--shots", "10"],
+)
+
+
+@pytest.mark.parametrize("command", SEEDED_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize(
+    "seed, code", [(2**63 - 1, 0), (2**63, 2), (2**64 - 1, 2), (2**64, 2), (10**30, 2)])
+def test_seed_beyond_int64_is_config_error(tmp_path, command, seed, code):
+    # numpy's Philox aliases keys >= 2**63 (float64) and rejects keys >= 2**64
+    conf = tmp_path / "c.ini"
+    conf.write_text("omega2 = 0.18\n")
+    args = command + ["--config", str(conf), "--seed", str(seed), "--out", str(tmp_path / "o")]
+    assert cli.main(args) == code
+
+
+def test_shots_beyond_int64_is_config_error():
+    assert cli.main(["tomography", "--shots", str(2**63), "--seed", "1"]) == 2

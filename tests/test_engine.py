@@ -22,9 +22,11 @@ from qmcool import (
     hom_noisy_channel,
     initial_state,
     measurement_channel,
+    noise_sweep,
     regime,
     rotate_basis,
     run_cycle,
+    thermalizing_channel,
     white_noise_povm,
 )
 
@@ -34,9 +36,11 @@ from helpers import (
     EXPERIMENT_OMEGA2,
     bisect_critical_visibility,
     closed_form_triple,
+    kron_initial_state,
     partial_trace_energy_changes,
     random_density,
     random_engine_config,
+    random_rotated_basis,
     reference_config,
 )
 
@@ -245,8 +249,61 @@ def test_critical_visibility_none_outside_r_range():
 
 
 def test_run_cycle_check_reset():
-    report = run_cycle(reference_config(0.18), check_reset=True)
-    assert report.classification == "R"
+    # stroke 2, both thermalizing channels, restores the Gibbs product exactly
+    cfg = reference_config(0.18)
+    kraus = [np.kron(k1, k2) for k1 in thermalizing_channel(cfg.qubit1, cfg.bath1).operators
+             for k2 in thermalizing_channel(cfg.qubit2, cfg.bath2).operators]
+    rho = initial_state(cfg)
+    for basis in (canonical_basis(), random_rotated_basis(53)):
+        post = measurement_channel(basis, rho)
+        reset = sum(k @ post @ k.conj().T for k in kraus)
+        assert np.max(np.abs(reset - rho)) <= 1e-12
+    assert run_cycle(cfg).classification == "R"
+
+
+def _label(triple):
+    try:
+        return classify(*triple)
+    except ValidationError:
+        return "none"
+
+
+@pytest.mark.parametrize("omega2", EXPERIMENT_OMEGA2)
+def test_noise_sweep_matches_general_path(omega2):
+    cfg = reference_config(omega2)
+    rho = initial_state(cfg)
+    nus = (0.0, 0.01, 0.37, 0.5, 1.0)
+    bases = [canonical_basis()]
+    bases += [rotate_basis(u, canonical_basis()) for u in haar_unitaries(HaarSampler(43), 20)]
+    for basis in bases:
+        rows, _ = noise_sweep(cfg, nus, basis)
+        assert [row[0] for row in rows] == list(nus)
+        for nu, white, interf in rows:
+            for got, post in ((white, apply_povm(white_noise_povm(basis, nu), rho)),
+                              (interf, hom_noisy_channel(basis, nu, rho))):
+                want = energy_changes(cfg, post)
+                assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+                assert _label(got) == _label(want)
+
+
+def test_noise_sweep_rejects_weight_outside_unit_interval():
+    for nus in ((0.5, 1.5), (-0.1,), (float("nan"),)):
+        with pytest.raises(ValidationError):
+            noise_sweep(reference_config(0.18), nus)
+
+
+def test_initial_state_matches_kron_of_gibbs_states():
+    rng = np.random.default_rng(37)
+    configs = [random_engine_config(rng) for _ in range(200)]
+    for _ in range(2000):
+        omega1, omega2, beta1, beta2 = 10.0 ** rng.uniform(-300, 300, 4)
+        if beta1 != beta2:
+            configs.append(EngineConfig.from_values(omega1, omega2, *sorted((beta1, beta2))))
+    with np.errstate(over="ignore"):  # beta*omega may overflow; tanh(inf) = 1 exactly
+        for cfg in configs:
+            got = initial_state(cfg)
+            assert got.dtype == np.complex128
+            assert np.array_equal(got, kron_initial_state(cfg))
 
 
 def test_run_cycle_white_noise_classification_invariant():

@@ -25,7 +25,7 @@ from qmcool import (
 
 from helpers import random_density, reference_config, trains_hom_detected
 from qmcool.engine import initial_state
-from qmcool.measure import _hom_detected
+from qmcool.measure import _distinguishable
 
 
 def test_canonical_basis_orthonormal():
@@ -253,6 +253,9 @@ def test_hom_closed_form_matches_optical_trains():
     for omega2 in (0.02, 0.18, 0.86):
         rho = initial_state(reference_config(omega2))
         for basis in bases:
+            assert np.max(np.abs(_distinguishable(basis, rho)
+                                 - trains_hom_detected(basis, 0.0, rho))) <= 1e-12
             for nu in (0.0, 0.37, 1.0):
-                assert np.max(np.abs(_hom_detected(basis, nu, rho)
-                                     - trains_hom_detected(basis, nu, rho))) <= 1e-12
+                trains = trains_hom_detected(basis, nu, rho)
+                assert np.max(np.abs(hom_noisy_channel(basis, nu, rho)
+                                     - trains / trains.trace().real)) <= 1e-12

@@ -19,6 +19,7 @@ from qmcool import (
     thermalizing_channel,
     white_noise_povm,
 )
+from qmcool.errors import ValidationError
 from qmcool.tomo import apply_chi, effect_fidelity, pauli_basis
 
 from helpers import random_density, random_rotated_basis
@@ -173,6 +174,15 @@ def test_measurement_tomography_shots_haar_bases():
         for k in range(4):
             fids.append(effect_fidelity(effects[k], basis.projector(k)))
     assert np.mean(fids) >= 0.97
+
+
+def test_effect_fidelity_of_zero_effect():
+    # one shot per probe can leave no positive eigenvalue in an estimated effect
+    effects = measurement_tomography(canonical_basis(), shots=1, seed=13)
+    assert not effects[1].any()
+    assert effect_fidelity(effects[1], canonical_basis().projector(1)) == 0.0
+    with pytest.raises(ValidationError):
+        effect_fidelity(-canonical_basis().projector(1), canonical_basis().projector(1))
 
 
 def test_measurement_tomography_shots_raw_kept():
