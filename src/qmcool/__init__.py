@@ -5,8 +5,8 @@ qubits; depending on the measurement basis and the parameters, the cycle
 refrigerates the cold bath, extracts energy, accelerates the natural heat
 flow, or just heats everything.  The package provides the abstract
 channel-level simulation, Haar-random measurement statistics, two detector
-noise models, a path-polarization optics implementation layer that is
-cross-validated against the abstract channels, and process/measurement
+noise models, a path-polarization optics layer for the thermalizing step that
+is cross-validated against the abstract channel, and process/measurement
 tomography with an optional shot-noise layer.
 """
 
@@ -45,14 +45,10 @@ from .measure import (
     white_noise_povm,
 )
 from .optics import (
-    BiasSetting,
     Hologram,
     PathPolState,
-    bias_from_coefficients,
     d_of_omega,
     omega_of_d,
-    project_optically,
-    schmidt_projector,
     solve_hologram,
     thermal_channel_optical,
     thermalize_optically,
@@ -90,7 +86,6 @@ from .tomo import (
 __all__ = [
     "__version__",
     "BathSpec",
-    "BiasSetting",
     "ConfigError",
     "EngineConfig",
     "EngineReport",
@@ -108,7 +103,6 @@ __all__ = [
     "ValidationError",
     "apply_channel",
     "apply_povm",
-    "bias_from_coefficients",
     "canonical_basis",
     "chi_from_kraus",
     "classify",
@@ -134,12 +128,10 @@ __all__ = [
     "partial_trace",
     "process_fidelity",
     "process_tomography",
-    "project_optically",
     "regime",
     "rotate_basis",
     "run_cycle",
     "sample_counts",
-    "schmidt_projector",
     "single_qubit_state",
     "solve_hologram",
     "state_fidelity",

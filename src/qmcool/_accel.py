@@ -25,16 +25,22 @@ from .errors import ValidationError
 INT64_MAX = 2**63 - 1
 
 
-def ginibre_batch(seed, start, n):
-    """n complex standard-Gaussian 4x4 matrices from per-sample Philox substreams."""
+def check_seed(seed):
+    """The seed as an int, if it is a Philox key in [0, 2**63 - 1]."""
     if seed is None or not 0 <= int(seed) <= INT64_MAX:
         raise ValidationError(f"seed must be an integer in [0, 2**63 - 1], got {seed!r}")
+    return int(seed)
+
+
+def ginibre_batch(seed, start, n):
+    """n complex standard-Gaussian 4x4 matrices from per-sample Philox substreams."""
+    seed = check_seed(seed)
     if int(start) + n - 1 > INT64_MAX:
         raise ValidationError(f"sample counter {int(start) + n - 1} exceeds 2**63 - 1")
     out = np.empty((n, 4, 4), dtype=np.complex128)
     root = np.sqrt(2.0)
     for i in range(n):
-        g = np.random.Generator(np.random.Philox(key=[int(seed), int(start) + i]))
+        g = np.random.Generator(np.random.Philox(key=[seed, int(start) + i]))
         z = g.standard_normal((2, 4, 4))
         out[i] = (z[0] + 1j * z[1]) / root
     return out

@@ -256,10 +256,8 @@ def _emit(cfg, command, comments, header, rows):
     return 0
 
 
-def _require(cfg, command, samples=False, seed=False):
-    if samples and cfg.samples is None:
-        raise ConfigError(f"{command} needs --samples")
-    if seed and cfg.seed is None:
+def _require_seed(cfg, command):
+    if cfg.seed is None:
         raise ConfigError(f"{command} needs --seed")
 
 
@@ -284,7 +282,7 @@ def cmd_sweep_omega(cfg):
 
 
 def cmd_frequency(cfg):
-    _require(cfg, "frequency", seed=True)
+    _require_seed(cfg, "frequency")
     samples = cfg.samples if cfg.samples is not None else 10000
     rows = []
     for w2 in cfg.omega2:
@@ -342,7 +340,7 @@ def cmd_noise(cfg):
 
 
 def cmd_haar_average(cfg):
-    _require(cfg, "haar-average", seed=True)
+    _require_seed(cfg, "haar-average")
     samples = cfg.samples if cfg.samples is not None else 10000
     rows = []
     for w2 in cfg.omega2:

@@ -263,10 +263,14 @@ def depolarizing_prediction(cfg):
 def haar_average_report(cfg, n_samples, seed, eps=1e-12):
     """Sample means of the energy triple over Haar-random bases."""
     triples = _haar_triples(cfg, n_samples, seed)
+    # reduce in units of the larger gap so that sums of huge triples stay finite;
+    # a power-of-two scale is exact
+    k = math.frexp(max(cfg.qubit1.omega, cfg.qubit2.omega))[1]
+    np.ldexp(triples, -k, out=triples)
     n = len(triples)
-    means = triples.mean(axis=0)
+    means = np.ldexp(triples.mean(axis=0), k)
     if n > 1:
-        errs = triples.std(axis=0, ddof=1) / math.sqrt(n)
+        errs = np.ldexp(triples.std(axis=0, ddof=1) / math.sqrt(n), k)
     else:
         errs = np.full(3, np.nan)
     pred = depolarizing_prediction(cfg)

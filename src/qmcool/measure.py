@@ -193,8 +193,8 @@ def hom_noisy_channel(basis, visibility, rho):
     2*eta_k*(A_k - V_k), so the weights cancel: the detected output is
     nu*G + (1-nu)*D with G = measurement_channel and D = :func:`_distinguishable`.
     It is renormalized by the total detected weight, so at nu = 1 this reduces
-    exactly to :func:`measurement_channel`.  The trains of
-    :func:`~qmcool.optics.projector_train_operators` cross-check it.
+    exactly to :func:`measurement_channel`.  The tests check it against the
+    trains themselves, built from any Schmidt decomposition of each v_k.
     """
     if not (0.0 <= visibility <= 1.0):
         raise ValidationError(f"visibility must lie in [0, 1], got {visibility!r}")

@@ -13,19 +13,19 @@ thermalizing channel as two setting branches (population-keeping cosine pair
 and population-moving sine pair); summing both settings after path
 decoherence reproduces the abstract channel exactly.
 
-Projective measurements are realized photon-pair-wise: each basis vector is
-Schmidt-decomposed into local unitaries and a bias filter around a
-polarization-singlet projection with efficiency eta = ((a/b)^2 + 1)/2.
+The measurement half of the hardware (local unitaries and bias filters around
+a two-photon singlet projection) is not simulated here:
+:func:`~qmcool.measure.hom_noisy_channel` evaluates its trains in closed form,
+and the test suite rebuilds the trains as an independent check.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .qcore import as_complex, single_qubit_state
+from .qcore import single_qubit_state
 from .thermo import BathSpec, gibbs_population
 
 GRID_ROWS = 512
@@ -33,13 +33,6 @@ Z_MAX = GRID_ROWS // 2  # rows z = -256..-1, 1..256 (no row 0)
 OMEGA_STEP = 0.02
 PIXELS_PER_STEP = 8
 OMEGA_MAX = OMEGA_STEP * (GRID_ROWS // PIXELS_PER_STEP)
-
-_SINGLET = np.zeros((4, 4), dtype=np.complex128)
-_SINGLET[1, 1] = _SINGLET[2, 2] = 0.5
-_SINGLET[1, 2] = _SINGLET[2, 1] = -0.5
-
-_SWAP = np.zeros((4, 4), dtype=np.complex128)
-_SWAP[0, 0] = _SWAP[1, 2] = _SWAP[2, 1] = _SWAP[3, 3] = 1.0
 
 
 def omega_of_d(d):
@@ -152,9 +145,6 @@ class PathPolState:
             raise ValidationError(f"squared norm {total:.6f} exceeds 1")
         object.__setattr__(self, "amplitudes", amps)
 
-    def norm_squared(self):
-        return sum(abs(v) ** 2 for v in self.amplitudes.values())
-
 
 def encode_qubit(vec, d):
     """Put amplitude vec[0] on (-d/2, H) and vec[1] on (+d/2, V)."""
@@ -260,143 +250,4 @@ def thermal_channel_optical(rho, qubit, bath):
             for component in rail_components(emitted):
                 u = decode_qubit(component, d)
                 out += weight * np.outer(u, u.conj())
-    return out
-
-
-class SchmidtForm(NamedTuple):
-    """vec = (u1 x u2)(a|HV> - b|VH>) with 0 <= a <= b."""
-
-    u1: np.ndarray
-    u2: np.ndarray
-    a: float
-    b: float
-
-
-def schmidt_projector(vec):
-    """Deterministic Schmidt form of a two-qubit unit vector.
-
-    The SVD gauge freedom is fixed so equal inputs always yield identical
-    outputs: for a degenerate singular pair the right vectors are chosen as
-    the polarization axes (V then H); for a product vector the second pair is
-    the explicit orthogonal complement; finally the largest-magnitude entry
-    of each right vector is made real positive, with the joint phase carried
-    by the left vector.
-    """
-    vec = as_complex(vec).reshape(-1)
-    if vec.shape != (4,):
-        raise ValidationError(f"expected a two-qubit vector, got shape {vec.shape}")
-    nrm = np.linalg.norm(vec)
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValidationError(f"vector norm deviates from 1 by {abs(nrm - 1.0):.3e}")
-    c = vec.reshape(2, 2)
-    u, s, vh = np.linalg.svd(c)
-    x = [u[:, 0], u[:, 1]]
-    y = [vh[0, :].conj(), vh[1, :].conj()]
-    b, a = float(s[0]), float(s[1])
-    if b - a <= 1e-11:
-        # degenerate pair: anchor the right vectors on the polarization axes
-        yb = np.array([1.0, 0.0], dtype=np.complex128)
-        ya = np.array([0.0, 1.0], dtype=np.complex128)
-        xb = c @ yb / b
-        xb = xb / np.linalg.norm(xb)
-        xa = c @ ya / a
-        xa = xa - (xb.conj() @ xa) * xb
-        xa = xa / np.linalg.norm(xa)
-        x = [xb, xa]
-        y = [yb, ya]
-    else:
-        if a <= 1e-12:
-            # product vector: SVD's null pair is arbitrary, build it explicitly
-            x[1] = np.array([-np.conj(x[0][1]), np.conj(x[0][0])])
-            y[1] = np.array([-np.conj(y[0][1]), np.conj(y[0][0])])
-        for k in range(2):
-            j = int(np.argmax(np.abs(y[k])))
-            ph = y[k][j] / abs(y[k][j])
-            y[k] = y[k] / ph
-            x[k] = x[k] / ph
-    u1 = np.column_stack([x[1], -x[0]])
-    u2 = np.column_stack([np.conj(y[0]), np.conj(y[1])])
-    rebuilt = a * np.kron(u1[:, 0], u2[:, 1]) - b * np.kron(u1[:, 1], u2[:, 0])
-    if np.max(np.abs(rebuilt - vec)) > 1e-10:
-        raise ValidationError("schmidt reconstruction failed")
-    return SchmidtForm(u1=u1, u2=u2, a=a, b=b)
-
-
-@dataclass(frozen=True)
-class BiasSetting:
-    """Half-wave-plate angle of the bias interferometer and its efficiency.
-
-    The bias filter transmits H with amplitude sin(2*theta) and V unchanged;
-    the efficiency eta = (sin^2(2*theta) + 1)/2 lies in [1/2, 1].
-    """
-
-    theta_deg: float
-    efficiency: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta_deg <= 45.0 + 1e-9):
-            raise ValidationError(f"bias angle must lie in [0, 45] degrees, got {self.theta_deg!r}")
-        if not (0.5 - 1e-12 <= self.efficiency <= 1.0 + 1e-12):
-            raise ValidationError(f"efficiency must lie in [1/2, 1], got {self.efficiency!r}")
-
-    def h_transmission(self):
-        return math.sin(math.radians(2.0 * self.theta_deg))
-
-
-def bias_from_coefficients(a, b):
-    """Bias setting realizing Schmidt weights (a, b): theta = arcsin(a/b)/2."""
-    if not (0.0 <= a <= b) or b <= 0.0:
-        raise ValidationError(f"need 0 <= a <= b with b > 0, got a={a!r}, b={b!r}")
-    if abs(a * a + b * b - 1.0) > 1e-10:
-        raise ValidationError(f"coefficients must satisfy a^2 + b^2 = 1, got {a * a + b * b:.6f}")
-    ratio = min(a / b, 1.0)
-    theta = 0.5 * math.degrees(math.asin(ratio))
-    return BiasSetting(theta_deg=theta, efficiency=0.5 * (ratio * ratio + 1.0))
-
-
-class TrainOperators(NamedTuple):
-    """Operator sandwich of one projector's optical train.
-
-    ``ideal`` is the interfering train (local unitaries and bias filters
-    around the singlet projection) and equals efficiency * |vec><vec|;
-    ``transmit`` and ``reflect`` are the two distinguishable-photon
-    coincidence trains in which the singlet projection is replaced by both
-    photons passing, or both photons being exchanged, at the interference
-    point.
-    """
-
-    ideal: np.ndarray
-    transmit: np.ndarray
-    reflect: np.ndarray
-    efficiency: float
-
-
-def projector_train_operators(vec):
-    """The three coincidence-train operators of one measurement vector."""
-    u1, u2, a, b = schmidt_projector(vec)
-    ratio = a / b
-    dia = np.diag([ratio, 1.0]).astype(np.complex128)
-    eta = 0.5 * (ratio * ratio + 1.0)
-    pre = np.kron(dia @ u1.conj().T, u2.conj().T)
-    post = np.kron(u1 @ dia, u2)
-    return TrainOperators(
-        ideal=post @ _SINGLET @ pre,
-        transmit=post @ pre,
-        reflect=post @ _SWAP @ pre,
-        efficiency=eta,
-    )
-
-
-def project_optically(basis, rho):
-    """Non-selective measurement through the per-projector optical trains.
-
-    Each branch is renormalized by its efficiency eta_k^2; the result equals
-    measurement_channel(basis, rho) identically.
-    """
-    arr = as_complex(rho)
-    out = np.zeros((4, 4), dtype=np.complex128)
-    for k in range(4):
-        train = projector_train_operators(basis.vectors[k])
-        g = train.ideal
-        out += (g @ arr @ g.conj().T) / train.efficiency**2
     return out

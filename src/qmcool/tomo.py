@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._accel import check_seed
 from .errors import ValidationError
 from .measure import MeasurementBasis, PovmSet
 from .qcore import _fidelity
@@ -101,6 +102,7 @@ def apply_chi(chi, rho):
 
 def sample_counts(probabilities, shots, seed):
     """Multinomial outcome counts; deterministic per seed."""
+    seed = check_seed(seed)
     p = np.asarray(probabilities, dtype=np.float64)
     if np.any(p < -1e-12):
         raise ValidationError(f"negative probability {p.min():.3e}")
@@ -113,7 +115,7 @@ def sample_counts(probabilities, shots, seed):
         raise ValidationError(f"shots must be non-negative, got {shots!r}")
     if shots == 0:
         return np.zeros(len(p), dtype=np.int64)
-    rng = np.random.Generator(np.random.Philox(key=[int(seed), 0]))
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     return rng.multinomial(int(shots), p)
 
 
@@ -155,8 +157,7 @@ def process_tomography(channel, probes=None, shots=None, seed=None, return_raw=F
     if probes is None:
         probes = default_probes(n)
     if shots is not None:
-        if seed is None:
-            raise ValidationError("shot-noise mode needs a seed")
+        seed = check_seed(seed)
         if int(shots) < 1:
             raise ValidationError(f"shots must be >= 1, got {shots!r}")
     _, paulis = pauli_basis(n)
@@ -167,7 +168,7 @@ def process_tomography(channel, probes=None, shots=None, seed=None, return_raw=F
     for j, probe in enumerate(probes.states):
         sigma = evolve(probe)
         if shots is not None:
-            rng = np.random.Generator(np.random.Philox(key=[int(seed), j]))
+            rng = np.random.Generator(np.random.Philox(key=[seed, j]))
             sigma = _estimate_state(sigma, int(shots), rng)
         block = np.empty((dim * dim, npa * npa), dtype=np.complex128)
         for m, pm in enumerate(paulis):
@@ -223,8 +224,8 @@ def measurement_tomography(measurement, probes=None, shots=None, seed=None, retu
     n = _n_qubits_of_dim(dim)
     if probes is None:
         probes = default_probes(n)
-    if shots is not None and seed is None:
-        raise ValidationError("shot-noise mode needs a seed")
+    if shots is not None:
+        seed = check_seed(seed)
     _, paulis = pauli_basis(n)
     npa = len(paulis)
 
@@ -237,7 +238,7 @@ def measurement_tomography(measurement, probes=None, shots=None, seed=None, retu
         if shots is None:
             freqs[j] = p_out
         else:
-            rng = np.random.Generator(np.random.Philox(key=[int(seed), j]))
+            rng = np.random.Generator(np.random.Philox(key=[seed, j]))
             p_norm = p_out / p_out.sum()
             freqs[j] = rng.multinomial(int(shots), p_norm) / float(shots)
     coeffs, _, rank, _ = np.linalg.lstsq(design, freqs, rcond=None)

@@ -17,7 +17,6 @@ from qmcool import (
     tensor,
     two_qubit_state,
 )
-from qmcool.optics import projector_train_operators
 
 EXPERIMENT_OMEGA2 = (0.02, 0.06, 0.14, 0.18, 0.46, 0.86, 1.10)
 
@@ -115,17 +114,38 @@ def partial_trace_energy_changes(cfg, post_state):
     return de1, de2, de1 + de2
 
 
+# two-photon interference point: singlet projection for indistinguishable
+# photons; both transmitted (I) or both reflected (SWAP) for distinguishable ones
+SINGLET = np.array([[0, 0, 0, 0], [0, 0.5, -0.5, 0], [0, -0.5, 0.5, 0], [0, 0, 0, 0]])
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+def optical_trains(vec):
+    """(ideal, transmit, reflect, eta): the coincidence trains measuring vec.
+
+    vec = (u1 x u2)(a|HV> - b|VH>) from any Schmidt decomposition; local
+    unitaries and bias filters diag(a/b, 1) surround the interference point.
+    Every train is invariant under the decomposition's gauge freedom.
+    """
+    u, s, vh = np.linalg.svd(np.reshape(vec, (2, 2)))
+    ratio = s[1] / s[0]
+    u1 = np.column_stack([u[:, 1], -u[:, 0]])
+    dia = np.diag([ratio, 1.0])
+    pre = np.kron(dia @ u1.conj().T, vh.conj())
+    post = np.kron(u1 @ dia, vh.T)
+    return post @ SINGLET @ pre, post @ pre, post @ SWAP @ pre, 0.5 * (ratio**2 + 1.0)
+
+
 def trains_hom_detected(basis, visibility, rho):
     """Reference detected output of the interference model, built from the
     three optical trains of every projector (weights nu, (1-nu)/4, (1-nu)/4,
-    each branch over eta_k^2)."""
+    each branch over eta_k^2); at nu = 1 it is the ideal optical measurement."""
     arr = two_qubit_state(rho)
     out = np.zeros((4, 4), dtype=np.complex128)
-    for k in range(4):
-        train = projector_train_operators(basis.vectors[k])
-        g, t, r = train.ideal, train.transmit, train.reflect
+    for vec in basis.vectors:
+        g, t, r, eta = optical_trains(vec)
         branch = visibility * (g @ arr @ g.conj().T)
         branch += 0.25 * (1.0 - visibility) * (t @ arr @ t.conj().T)
         branch += 0.25 * (1.0 - visibility) * (r @ arr @ r.conj().T)
-        out += branch / train.efficiency**2
+        out += branch / eta**2
     return out

@@ -175,6 +175,19 @@ def test_haar_average_output(tmp_path):
     assert abs(float(row["mean_dE1"]) - float(row["pred_dE1"])) < 5 * float(row["se_dE1"])
 
 
+@pytest.mark.parametrize("config", ["omega1 = 1e308\n", "omega1 = 1e-320\nomega2 = 1e308\n"],
+                         ids=["huge-omega1", "tiny-omega1-huge-omega2"])
+def test_haar_average_extreme_scales_stay_finite(tmp_path, config):
+    conf = tmp_path / "c.ini"
+    conf.write_text(config)
+    out = tmp_path / "h.csv"
+    assert cli.main(["haar-average", "--config", str(conf), "--seed", "1",
+                     "--samples", "20", "--out", str(out)]) == 0
+    _, rows = _rows(_read(out))
+    cells = [float(v) for row in rows for k, v in row.items() if k.startswith(("mean_", "se_"))]
+    assert cells and np.all(np.isfinite(cells))
+
+
 def test_haar_average_requires_seed():
     assert cli.main(["haar-average"]) == 2
 

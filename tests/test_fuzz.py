@@ -16,7 +16,7 @@ FLOATS = st.one_of(st.floats(1e-320, 1e308), st.floats(1e-3, 1e3))
 NUS = st.one_of(st.floats(0.0, 1.0), FLOATS)
 BIG_INTS = st.one_of(
     st.sampled_from([2**63 - 1, 2**63, 2**64]), st.integers(0, 2**63 - 1), st.integers(0, 2**70))
-COMMANDS = ("sweep-omega", "noise", "tomography", "frequency", "haar-average")
+COMMANDS = ("sweep-omega", "noise", "tomography", "frequency", "haar-average", "hologram")
 
 
 @st.composite
@@ -24,7 +24,7 @@ def invocations(draw):
     """(argv without --config/--out, config file text)."""
     command = draw(st.sampled_from(COMMANDS))
     values = {}
-    for key in ("beta1", "beta2", "omega1", "eps"):
+    for key in ("beta1", "beta2", "omega1", "eps", "hologram_beta"):
         if draw(st.booleans()):
             values[key] = draw(FLOATS)
     if "beta2" in values and draw(st.booleans()):  # often an ordered pair, beta1 < beta2

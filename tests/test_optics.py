@@ -1,4 +1,4 @@
-"""Optics layer: holograms, path-polarization encoding, Schmidt gauge, trains."""
+"""Optics layer: holograms, path-polarization encoding; the measurement trains of the test oracle."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from qmcool import (
     PathPolState,
     QubitSpec,
     apply_channel,
-    bias_from_coefficients,
     canonical_basis,
     d_of_omega,
     gibbs_population,
@@ -17,8 +16,6 @@ from qmcool import (
     measurement_channel,
     omega_of_d,
     partial_trace,
-    project_optically,
-    schmidt_projector,
     solve_hologram,
     thermal_channel_optical,
     thermalize_optically,
@@ -29,11 +26,10 @@ from qmcool.optics import (
     decode_qubit,
     encode_qubit,
     omega_of_z,
-    projector_train_operators,
     rail_components,
 )
 
-from helpers import random_density, random_unit_vector
+from helpers import optical_trains, random_density, random_unit_vector, trains_hom_detected
 
 
 def test_omega_of_d_grid():
@@ -198,86 +194,36 @@ def test_thermal_channel_optical_fixed_point():
     assert np.allclose(out, gibbs_state(q, b), atol=1e-12)
 
 
+def _assert_ideal_train(vec, eta=None):
+    ideal, _, _, efficiency = optical_trains(vec)
+    if eta is None:  # the Schmidt weights a^2 <= b^2 are the reduced state's eigenvalues
+        lo, hi = np.linalg.eigvalsh(partial_trace(np.outer(vec, vec.conj()), keep=1))
+        eta = 0.5 * (lo / hi + 1.0)
+    assert efficiency == pytest.approx(eta, abs=1e-12)
+    assert np.allclose(ideal, eta * np.outer(vec, vec.conj()), atol=1e-10)
+
+
 def test_schmidt_projector_singlet():
     s = 1 / np.sqrt(2)
-    vec = np.array([0.0, s, -s, 0.0])
-    form = schmidt_projector(vec)
-    assert form.a == pytest.approx(s, abs=1e-12)
-    assert form.b == pytest.approx(s, abs=1e-12)
-    assert np.allclose(form.u1, np.eye(2), atol=1e-10)
-    assert np.allclose(form.u2, np.eye(2), atol=1e-10)
+    _assert_ideal_train(np.array([0.0, s, -s, 0.0]), 1.0)
 
 
 def test_schmidt_projector_triplet():
+    # a degenerate singular pair: the SVD's choice of it must not matter
     s = 1 / np.sqrt(2)
-    vec = np.array([0.0, s, s, 0.0])
-    form = schmidt_projector(vec)
-    assert form.a == pytest.approx(s, abs=1e-12)
-    assert form.b == pytest.approx(s, abs=1e-12)
-    assert np.allclose(form.u1, np.diag([1.0, -1.0]), atol=1e-10)
-    assert np.allclose(form.u2, np.eye(2), atol=1e-10)
+    _assert_ideal_train(np.array([0.0, s, s, 0.0]), 1.0)
 
 
 def test_schmidt_projector_product_state():
-    form = schmidt_projector(np.array([1.0, 0.0, 0.0, 0.0]))
-    assert form.a == pytest.approx(0.0, abs=1e-12)
-    assert form.b == pytest.approx(1.0, abs=1e-12)
-    # b-branch factors reproduce |00>: u1[:,1] x u2[:,0] up to phase
-    col = np.kron(form.u1[:, 1], form.u2[:, 0])
-    assert abs(np.vdot(col, [1, 0, 0, 0])) == pytest.approx(1.0, abs=1e-10)
+    # a zero singular value: the SVD's null pair is arbitrary
+    _assert_ideal_train(np.array([1.0, 0.0, 0.0, 0.0]), 0.5)
 
 
 def test_schmidt_projector_reconstructs_haar_vectors():
     from qmcool import HaarSampler, haar_unitaries
     us = haar_unitaries(HaarSampler(321), 200)
     for u in us:
-        vec = u[:, 0]
-        form = schmidt_projector(vec)
-        assert 0.0 <= form.a <= form.b + 1e-12
-        rebuilt = form.a * np.kron(form.u1[:, 0], form.u2[:, 1]) - form.b * np.kron(
-            form.u1[:, 1], form.u2[:, 0])
-        assert np.linalg.norm(rebuilt - vec) < 1e-10
-
-
-def test_schmidt_projector_deterministic():
-    vec = np.array([0.1, 0.5, -0.7, 0.2 + 0.3j])
-    vec = vec / np.linalg.norm(vec)
-    f1 = schmidt_projector(vec)
-    f2 = schmidt_projector(vec)
-    assert np.array_equal(f1.u1, f2.u1)
-    assert np.array_equal(f1.u2, f2.u2)
-    assert f1.a == f2.a and f1.b == f2.b
-
-
-def test_schmidt_projector_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        schmidt_projector(np.array([1.0, 1.0, 0.0, 0.0]))
-
-
-def test_bias_from_coefficients_examples():
-    setting = bias_from_coefficients(1 / np.sqrt(2), 1 / np.sqrt(2))
-    assert setting.theta_deg == pytest.approx(45.0, abs=1e-10)
-    assert setting.efficiency == pytest.approx(1.0, abs=1e-12)
-    setting = bias_from_coefficients(0.0, 1.0)
-    assert setting.theta_deg == pytest.approx(0.0, abs=1e-12)
-    assert setting.efficiency == pytest.approx(0.5, abs=1e-12)
-    setting = bias_from_coefficients(1 / np.sqrt(3), np.sqrt(2) / np.sqrt(3))
-    assert setting.theta_deg == pytest.approx(22.5, abs=1e-10)
-    assert setting.efficiency == pytest.approx(0.75, abs=1e-12)
-
-
-def test_bias_setting_transmission():
-    setting = bias_from_coefficients(1 / np.sqrt(2), 1 / np.sqrt(2))
-    assert setting.h_transmission() == pytest.approx(1.0, abs=1e-12)
-    setting = bias_from_coefficients(0.0, 1.0)
-    assert setting.h_transmission() == pytest.approx(0.0, abs=1e-12)
-
-
-def test_bias_from_coefficients_rejects_bad_pairs():
-    with pytest.raises(ValueError):
-        bias_from_coefficients(0.9, 0.1)  # a > b
-    with pytest.raises(ValueError):
-        bias_from_coefficients(-0.1, 1.0)
+        _assert_ideal_train(u[:, 0])
 
 
 def test_train_operators_ideal_is_scaled_projector():
@@ -285,24 +231,19 @@ def test_train_operators_ideal_is_scaled_projector():
     us = haar_unitaries(HaarSampler(55), 25)
     for u in us:
         vec = u[:, 2]
-        form = schmidt_projector(vec)
-        ops = projector_train_operators(vec)
-        eta = ((form.a / form.b) ** 2 + 1) / 2
-        assert ops.efficiency == pytest.approx(eta, abs=1e-12)
+        _assert_ideal_train(vec)
+        _, transmit, reflect, eta = optical_trains(vec)
         proj = np.outer(vec, vec.conj())
-        assert np.allclose(ops.ideal, eta * proj, atol=1e-10)
         # the closed form of the interference model rests on these two identities
         marginal = np.kron(partial_trace(proj, keep=1), np.eye(2))
-        assert np.allclose(ops.transmit / (2 * eta), marginal, atol=1e-12)
-        assert np.allclose(ops.reflect / (2 * eta), marginal - proj, atol=1e-12)
+        assert np.allclose(transmit / (2 * eta), marginal, atol=1e-12)
+        assert np.allclose(reflect / (2 * eta), marginal - proj, atol=1e-12)
 
 
 def test_train_operators_efficiency_extremes():
     s = 1 / np.sqrt(2)
-    singlet = np.array([0.0, s, -s, 0.0])
-    assert projector_train_operators(singlet).efficiency == pytest.approx(1.0, abs=1e-12)
-    product = np.array([1.0, 0.0, 0.0, 0.0])
-    assert projector_train_operators(product).efficiency == pytest.approx(0.5, abs=1e-12)
+    assert optical_trains([0.0, s, -s, 0.0])[3] == pytest.approx(1.0, abs=1e-12)
+    assert optical_trains([1.0, 0.0, 0.0, 0.0])[3] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_project_optically_matches_measurement_channel():
@@ -310,7 +251,7 @@ def test_project_optically_matches_measurement_channel():
     basis = canonical_basis()
     for _ in range(20):
         rho = random_density(rng, 4)
-        assert np.allclose(project_optically(basis, rho),
+        assert np.allclose(trains_hom_detected(basis, 1.0, rho),
                            measurement_channel(basis, rho), atol=1e-12)
 
 
@@ -320,5 +261,12 @@ def test_project_optically_rotated_basis():
     for i in range(10):
         basis = random_rotated_basis(900, i)
         rho = random_density(rng, 4)
-        assert np.allclose(project_optically(basis, rho),
+        assert np.allclose(trains_hom_detected(basis, 1.0, rho),
                            measurement_channel(basis, rho), atol=1e-11)
+
+
+def test_exports_resolve_and_omit_removed_trains():
+    namespace = {}
+    exec("from qmcool import *", namespace)  # raises if a name in __all__ does not resolve
+    assert not {"BiasSetting", "bias_from_coefficients", "project_optically",
+                "schmidt_projector"} & set(namespace)

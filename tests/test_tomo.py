@@ -234,3 +234,17 @@ def test_sample_counts_concentration():
         if np.any(np.abs(counts - shots * 0.25) > 3 * sigma):
             bad += 1
     assert bad <= 2
+
+
+@pytest.mark.parametrize("seed", [2**63 - 1, 2**63, -1])
+def test_shot_noise_seed_range(seed):
+    # numpy passes Philox keys >= 2**63 through float64 (2**63 and 2**63 + 1
+    # alias) and casts -1 with a warning
+    channel = thermalizing_channel(QubitSpec(0.18), BathSpec(1.0))
+    for run in (lambda: sample_counts(np.array([0.5, 0.5]), shots=10, seed=seed),
+                lambda: process_tomography(channel, shots=10, seed=seed),
+                lambda: measurement_tomography(canonical_basis(), shots=10, seed=seed)):
+        if seed == 2**63 - 1:
+            run()
+        else:
+            pytest.raises(ValidationError, run)
