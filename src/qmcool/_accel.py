@@ -1,20 +1,15 @@
-"""The Haar sampling kernel: Ginibre stream, QR, and the closed-form cycle energies.
-
-The expensive inner loop of the Monte Carlo sweeps draws a Haar-random
-unitary U, rotates the measurement basis by it, and accumulates the three
-cycle energy changes.  The initial state is the diagonal Gibbs product with
-populations p, so the measurement only moves populations through the
-unistochastic matrix P = |U C|^2 (C holds the unrotated basis vectors as
-columns) and the energy changes have the closed form
-
-    dE_i = p^T (P P^T - I) h_i,   dE = dE1 + dE2,
-
-with h_i the diagonal of H_i on the joint space.
+"""The Haar sampling stream: Philox-keyed Ginibre matrices and their QR.
 
 Reproducibility: sample ``i`` of a run is generated from its own Philox
 substream keyed by ``(seed, start + i)``, so results are a pure function of
 ``(seed, start, n)`` and independent of batching.
+
+The cycle-energy kernel lives in :mod:`qmcool.engine`.  This module keeps
+its name because the benchmark harness (``perfbench/``) reads and wraps
+the stream as ``qmcool._accel``.
 """
+
+import operator
 
 import numpy as np
 
@@ -26,10 +21,14 @@ INT64_MAX = 2**63 - 1
 
 
 def check_seed(seed):
-    """The seed as an int, if it is a Philox key in [0, 2**63 - 1]."""
-    if seed is None or not 0 <= int(seed) <= INT64_MAX:
+    """The seed as an int, if it is an integer (not a bool, float or str) in [0, 2**63 - 1]."""
+    try:
+        value = None if isinstance(seed, bool) else operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or not 0 <= value <= INT64_MAX:
         raise ValidationError(f"seed must be an integer in [0, 2**63 - 1], got {seed!r}")
-    return int(seed)
+    return value
 
 
 def ginibre_batch(seed, start, n):
@@ -56,26 +55,3 @@ def haar_from_ginibre(gin):
     q, r = np.linalg.qr(gin)
     d = np.einsum("...ii->...i", r)
     return q * (d / np.abs(d))[..., None, :]
-
-
-def cycle_energies_from_ginibre(gin, p, h1, h2, basis_cols):
-    """Kernel entry point on pre-generated Ginibre matrices.
-
-    ``p`` holds the four populations of the diagonal initial state,
-    ``h1``/``h2`` the diagonal 4-vectors of the two local Hamiltonians lifted
-    to the joint space, and ``basis_cols`` the unrotated basis vectors as
-    columns.  Returns an (n, 3) float array of (dE1, dE2, dE) triples, one
-    per sample.
-    """
-    big_p = np.abs(haar_from_ginibre(gin) @ basis_cols) ** 2
-    b = big_p @ big_p.transpose(0, 2, 1) - np.eye(4)
-    out = np.empty((len(big_p), 3))
-    out[:, :2] = p @ b @ np.column_stack([h1, h2])
-    out[:, 2] = out[:, 0] + out[:, 1]
-    return out
-
-
-def cycle_energy_samples(p, h1, h2, basis_cols, seed, n, start=0):
-    """Energy-change triples for n Haar-rotated-basis cycles from a seed."""
-    gin = ginibre_batch(seed, start, n)
-    return cycle_energies_from_ginibre(gin, p, h1, h2, basis_cols)

@@ -13,6 +13,9 @@ Every command is a pure function of (config file, flags): identical inputs
 produce byte-identical CSV, including the header comment, which carries the
 package version and a hash of the fully resolved configuration.  Exit codes:
 0 success, 2 configuration error, 3 internal invariant violation.
+``frequency`` and ``haar-average`` share one Haar draw across their omega2 rows.
+``sweep-omega``'s ``ratio`` cell prints ``inf`` when omega2/omega1 exceeds the
+double range (e.g. omega1 = 1e-320); such a config is valid and exits 0.
 
 Config files are flat ``key = value`` text; unknown keys are rejected.  Flags
 win over file values.  Keys: beta1, beta2, omega1, omega2 (comma list),
@@ -284,9 +287,9 @@ def cmd_sweep_omega(cfg):
 def cmd_frequency(cfg):
     _require_seed(cfg, "frequency")
     samples = cfg.samples if cfg.samples is not None else 10000
+    engines = [cfg.engine_config(w2) for w2 in cfg.omega2]
     rows = []
-    for w2 in cfg.omega2:
-        freqs = frequency_sweep(cfg.engine_config(w2), samples, cfg.seed, eps=cfg.eps)
+    for w2, freqs in zip(cfg.omega2, frequency_sweep(engines, samples, cfg.seed, eps=cfg.eps)):
         row = [w2]
         for label in ("R", "E", "A", "H"):
             row.extend([freqs[label].frequency, freqs[label].stderr])
@@ -342,9 +345,9 @@ def cmd_noise(cfg):
 def cmd_haar_average(cfg):
     _require_seed(cfg, "haar-average")
     samples = cfg.samples if cfg.samples is not None else 10000
+    engines = [cfg.engine_config(w2) for w2 in cfg.omega2]
     rows = []
-    for w2 in cfg.omega2:
-        rep = haar_average_report(cfg.engine_config(w2), samples, cfg.seed, eps=cfg.eps)
+    for w2, rep in zip(cfg.omega2, haar_average_report(engines, samples, cfg.seed, eps=cfg.eps)):
         rows.append(
             (
                 w2,

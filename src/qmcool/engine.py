@@ -16,20 +16,22 @@ H (heater).
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from . import _accel
 from .errors import SecondLawViolation, ValidationError
 from .measure import (
+    HaarSampler,
     MeasurementBasis,
     PovmSet,
     _distinguishable,
     apply_povm,
     canonical_basis,
+    haar_unitaries,
     measurement_channel,
     white_noise_mixture_weights,
 )
@@ -220,31 +222,45 @@ def run_cycle(cfg, measurement=None, eps=1e-12):
     )
 
 
-def _haar_triples(cfg, n_samples, seed):
+def _haar_triples(cfgs, n_samples, seed):
+    """(dE1, dE2, dE) of each config over one draw of Haar bases, shape (len(cfgs), n, 3).
+
+    Sample i measures in the canonical basis rotated by the i-th unitary U of
+    ``haar_unitaries(HaarSampler(seed), n)``, the same U for every config.  On the
+    diagonal Gibbs product with populations p the measurement moves only populations,
+    through the unistochastic P = |U C|^2 (C: the canonical basis vectors as columns):
+    dE_i = p^T (P P^T - I) h_i with h_i the diagonal of H_i, and dE = dE1 + dE2.
+    B = P P^T - I does not depend on the config, so it is formed once for all rows.
+    """
     if n_samples < 1:
         raise ValidationError(f"need at least one sample, got {n_samples}")
-    p = _populations(cfg)
-    h1, h2 = _joint_hamiltonian_diagonals(cfg)
-    basis_cols = canonical_basis().vectors.T
-    return _accel.cycle_energy_samples(p, h1, h2, basis_cols, seed, int(n_samples))
+    us = haar_unitaries(HaarSampler(seed), int(n_samples))
+    big_p = np.abs(us @ canonical_basis().vectors.T) ** 2
+    b = big_p @ big_p.transpose(0, 2, 1) - np.eye(4)
+    out = np.empty((len(cfgs), len(b), 3))
+    for row, cfg in zip(out, cfgs):
+        row[:, :2] = _populations(cfg) @ b @ np.column_stack(_joint_hamiltonian_diagonals(cfg))
+        row[:, 2] = row[:, 0] + row[:, 1]
+    return out
 
 
-def frequency_sweep(cfg, n_samples, seed, eps=1e-12):
+def frequency_sweep(cfgs, n_samples, seed, eps=1e-12):
     """Empirical class frequencies over Haar-rotated canonical bases.
 
-    Returns a dict mapping each of "R", "E", "A", "H" to a
-    :class:`FrequencyEstimate` (frequency, binomial standard error).  The
-    result is a pure function of (cfg, n_samples, seed).
+    Returns one dict per config in ``cfgs``, mapping each of "R", "E", "A",
+    "H" to a :class:`FrequencyEstimate` (frequency, binomial standard error).
+    All configs share one draw of bases; each dict is a pure function of
+    (config, n_samples, seed).
     """
-    triples = _haar_triples(cfg, n_samples, seed)
-    counts = dict.fromkeys(CLASS_LABELS, 0)
-    for de1, de2, de in triples:
-        counts[classify(de1, de2, de, eps)] += 1
-    n = len(triples)
-    out = {}
-    for label in CLASS_LABELS:
-        f = counts[label] / n
-        out[label] = FrequencyEstimate(f, math.sqrt(f * (1.0 - f) / n))
+    out = []
+    for triples in _haar_triples(cfgs, n_samples, seed):
+        counts = Counter(classify(de1, de2, de, eps) for de1, de2, de in triples.tolist())
+        n = len(triples)
+        row = {}
+        for label in CLASS_LABELS:
+            f = counts[label] / n
+            row[label] = FrequencyEstimate(f, math.sqrt(f * (1.0 - f) / n))
+        out.append(row)
     return out
 
 
@@ -260,33 +276,35 @@ def depolarizing_prediction(cfg):
     return float(d1), float(d2), float(d1 + d2)
 
 
-def haar_average_report(cfg, n_samples, seed, eps=1e-12):
-    """Sample means of the energy triple over Haar-random bases."""
-    triples = _haar_triples(cfg, n_samples, seed)
-    # reduce in units of the larger gap so that sums of huge triples stay finite;
-    # a power-of-two scale is exact
-    k = math.frexp(max(cfg.qubit1.omega, cfg.qubit2.omega))[1]
-    np.ldexp(triples, -k, out=triples)
-    n = len(triples)
-    means = np.ldexp(triples.mean(axis=0), k)
-    if n > 1:
-        errs = np.ldexp(triples.std(axis=0, ddof=1) / math.sqrt(n), k)
-    else:
-        errs = np.full(3, np.nan)
-    pred = depolarizing_prediction(cfg)
-    return HaarAverageReport(
-        mean_dE1=float(means[0]),
-        mean_dE2=float(means[1]),
-        mean_dE=float(means[2]),
-        stderr_dE1=float(errs[0]),
-        stderr_dE2=float(errs[1]),
-        stderr_dE=float(errs[2]),
-        predicted_dE1=pred[0],
-        predicted_dE2=pred[1],
-        predicted_dE=pred[2],
-        classification=classify(float(means[0]), float(means[1]), float(means[2]), eps),
-        n_samples=n,
-    )
+def haar_average_report(cfgs, n_samples, seed, eps=1e-12):
+    """One :class:`HaarAverageReport` per config in ``cfgs``, over one shared draw of bases."""
+    reports = []
+    for cfg, triples in zip(cfgs, _haar_triples(cfgs, n_samples, seed)):
+        # reduce in units of the larger gap so that sums of huge triples stay finite;
+        # a power-of-two scale is exact
+        k = math.frexp(max(cfg.qubit1.omega, cfg.qubit2.omega))[1]
+        np.ldexp(triples, -k, out=triples)
+        n = len(triples)
+        means = np.ldexp(triples.mean(axis=0), k)
+        if n > 1:
+            errs = np.ldexp(triples.std(axis=0, ddof=1) / math.sqrt(n), k)
+        else:
+            errs = np.full(3, np.nan)
+        pred = depolarizing_prediction(cfg)
+        reports.append(HaarAverageReport(
+            mean_dE1=float(means[0]),
+            mean_dE2=float(means[1]),
+            mean_dE=float(means[2]),
+            stderr_dE1=float(errs[0]),
+            stderr_dE2=float(errs[1]),
+            stderr_dE=float(errs[2]),
+            predicted_dE1=pred[0],
+            predicted_dE2=pred[1],
+            predicted_dE=pred[2],
+            classification=classify(float(means[0]), float(means[1]), float(means[2]), eps),
+            n_samples=n,
+        ))
+    return reports
 
 
 def noise_sweep(cfg, nu_values, basis=None):

@@ -89,8 +89,10 @@ class HaarSampler:
     counter: int = 0
 
     def __post_init__(self):
-        if int(self.seed) < 0 or int(self.counter) < 0:
-            raise ValidationError("seed and counter must be non-negative integers")
+        _accel.check_seed(self.seed)
+        counter = self.counter
+        if not isinstance(counter, (int, np.integer)) or not 0 <= counter <= _accel.INT64_MAX:
+            raise ValidationError(f"counter must be an integer in [0, 2**63 - 1], got {counter!r}")
 
     def advanced(self, n=1):
         """A new sampler whose counter is moved forward by n."""
@@ -99,8 +101,7 @@ class HaarSampler:
 
 def haar_unitary(sampler):
     """One Haar-distributed 4x4 unitary for the sampler's (seed, counter)."""
-    gin = _accel.ginibre_batch(sampler.seed, sampler.counter, 1)
-    return _accel.haar_from_ginibre(gin)[0]
+    return haar_unitaries(sampler, 1)[0]
 
 
 def haar_unitaries(sampler, n):

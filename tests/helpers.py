@@ -17,6 +17,8 @@ from qmcool import (
     tensor,
     two_qubit_state,
 )
+from qmcool._accel import ginibre_batch, haar_from_ginibre
+from qmcool.engine import _joint_hamiltonian_diagonals, _populations
 
 EXPERIMENT_OMEGA2 = (0.02, 0.06, 0.14, 0.18, 0.46, 0.86, 1.10)
 
@@ -98,6 +100,24 @@ def bisect_critical_visibility(cfg, basis=None, tol=1e-10):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def per_row_haar_triples(cfg, n, seed):
+    """Reference (n, 3) Haar triples of one config: the former per-row kernel.
+
+    Draws its own Ginibre batch for the one config; the lines after the
+    inputs are the body of the kernel that each row used to call.
+    """
+    gin = ginibre_batch(seed, 0, n)
+    p = _populations(cfg)
+    h1, h2 = _joint_hamiltonian_diagonals(cfg)
+    basis_cols = canonical_basis().vectors.T
+    big_p = np.abs(haar_from_ginibre(gin) @ basis_cols) ** 2
+    b = big_p @ big_p.transpose(0, 2, 1) - np.eye(4)
+    out = np.empty((len(big_p), 3))
+    out[:, :2] = p @ b @ np.column_stack([h1, h2])
+    out[:, 2] = out[:, 0] + out[:, 1]
+    return out
 
 
 def kron_initial_state(cfg):

@@ -12,7 +12,6 @@ import pytest
 
 from qmcool import (
     BathSpec,
-    EngineConfig,
     HaarSampler,
     QubitSpec,
     apply_channel,
@@ -84,20 +83,18 @@ def test_criterion_1_sweep_classification(capsys):
 def test_criterion_2_haar_frequency_curve(capsys):
     n = 10000
     t0 = time.perf_counter()
-    freqs, errs = [], []
-    for omega2 in EXPERIMENT_OMEGA2:
-        est = frequency_sweep(reference_config(omega2), n, SEED)
-        freqs.append(est["R"].frequency)
-        errs.append(est["R"].stderr)
+    # the last row, omega2 = 0.001, is the small-gap limit evidence
+    cfgs = [reference_config(omega2) for omega2 in EXPERIMENT_OMEGA2 + (0.001,)]
+    *rows, tiny = frequency_sweep(cfgs, n, SEED)
     elapsed = time.perf_counter() - t0
+    freqs = [est["R"].frequency for est in rows]
+    errs = [est["R"].stderr for est in rows]
     zeros_exact = all(f == 0.0 for f, w in zip(freqs, EXPERIMENT_OMEGA2) if w >= 0.46)
     monotone = all(
         freqs[i + 1] <= freqs[i] + 2 * np.hypot(errs[i], errs[i + 1])
         for i in range(len(freqs) - 1)
     )
     in_band = 0.42 <= freqs[0] <= 0.50
-    # small-gap limit evidence: the band is approached only as omega2 -> 0
-    tiny = frequency_sweep(EngineConfig.from_values(1.02, 0.001, 0.4, 1.0), n, SEED)
     ok = zeros_exact and monotone and in_band and elapsed < 60.0
     line = _report(
         capsys, 2, ok,
@@ -114,9 +111,8 @@ def test_criterion_3_haar_average_depolarizing(capsys):
     t0 = time.perf_counter()
     all_positive = True
     worst_z = 0.0
-    for omega2 in EXPERIMENT_OMEGA2:
-        cfg = reference_config(omega2)
-        rep = haar_average_report(cfg, n, SEED)
+    cfgs = [reference_config(omega2) for omega2 in EXPERIMENT_OMEGA2]
+    for cfg, rep in zip(cfgs, haar_average_report(cfgs, n, SEED)):
         pred = depolarizing_prediction(cfg)
         all_positive &= rep.mean_dE1 > 0 and rep.mean_dE2 > 0 and rep.mean_dE > 0
         all_positive &= rep.classification == "H"

@@ -55,7 +55,7 @@ def test_sweep_omega_equal_pull_is_engine_class(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["sweep-omega", "noise"])
-@pytest.mark.parametrize("line", ["eps=1e-320", "omega1=1e300", "omega1=1e308"])
+@pytest.mark.parametrize("line", ["eps=1e-320", "omega1=1e300", "omega1=1e308", "omega1=1e-320"])
 def test_extreme_scales_run_and_classify(tmp_path, command, line):
     # dE = dE1 + dE2 is rounded once; that rounding is no invariant breach
     conf = tmp_path / "c.ini"
@@ -65,6 +65,9 @@ def test_extreme_scales_run_and_classify(tmp_path, command, line):
     _, rows = _rows(_read(out))
     if command == "sweep-omega":
         assert [r["class"] for r in rows] == [r["regime"][0] for r in rows]
+        if line == "omega1=1e-320":
+            # omega2/omega1 exceeds the double range; the cell is documented as inf
+            assert all(r["ratio"] == "inf" for r in rows)
     else:
         assert "none" not in {r["class_white"] for r in rows}
 

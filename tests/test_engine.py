@@ -29,6 +29,7 @@ from qmcool import (
     thermalizing_channel,
     white_noise_povm,
 )
+from qmcool.engine import _haar_triples
 
 from helpers import (
     EXPECTED_CLASSES,
@@ -38,6 +39,7 @@ from helpers import (
     closed_form_triple,
     kron_initial_state,
     partial_trace_energy_changes,
+    per_row_haar_triples,
     random_density,
     random_engine_config,
     random_rotated_basis,
@@ -183,36 +185,79 @@ def test_energy_changes_match_partial_traces():
                                              partial_trace_energy_changes(cfg, post)))) <= 1e-14
 
 
+def _experiment_configs():
+    return [reference_config(omega2) for omega2 in EXPERIMENT_OMEGA2]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_haar_triples_match_per_row_kernel(seed):
+    cfgs = _experiment_configs()
+    triples = _haar_triples(cfgs, 2000, seed)
+    assert triples.shape == (len(cfgs), 2000, 3)
+    for cfg, rows in zip(cfgs, triples):
+        assert np.array_equal(rows, per_row_haar_triples(cfg, 2000, seed))
+
+
+def test_haar_triples_rows_match_one_row_calls():
+    cfgs = _experiment_configs()
+    triples = _haar_triples(cfgs, 300, 5)
+    for cfg, rows in zip(cfgs, triples):
+        assert np.array_equal(rows, _haar_triples([cfg], 300, 5)[0])
+
+
+def test_closed_form_kernel_matches_channel_path():
+    # 30 Haar bases, shared by the 7 omega2 rows, through the measurement channel
+    cfgs = _experiment_configs()
+    us = haar_unitaries(HaarSampler(2718), 30)
+    for cfg, rows in zip(cfgs, _haar_triples(cfgs, 30, 2718)):
+        for triple, u in zip(rows, us):
+            report = run_cycle(cfg, rotate_basis(u, canonical_basis()))
+            assert np.allclose(triple, (report.dE1, report.dE2, report.dE), rtol=0, atol=1e-12)
+
+
+def test_cycle_energy_samples_deterministic():
+    cfgs = [reference_config()]
+    a = _haar_triples(cfgs, 64, 4)[0]
+    b = _haar_triples(cfgs, 64, 4)[0]
+    assert np.array_equal(a, b)
+    # sample i comes from its own substream, so a shorter draw is a prefix
+    c = _haar_triples(cfgs, 32, 4)[0]
+    assert np.allclose(a[:32], c, atol=1e-14)
+
+
+def test_cycle_samples_triple_additivity():
+    out = _haar_triples([reference_config()], 500, 21)[0]
+    assert np.allclose(out[:, 2], out[:, 0] + out[:, 1], atol=1e-14)
+
+
 def test_frequency_sweep_rows_sum_to_one():
-    cfg = reference_config(0.18)
-    est = frequency_sweep(cfg, seed=11, n_samples=2000)
+    (est,) = frequency_sweep([reference_config(0.18)], seed=11, n_samples=2000)
     total = sum(est[label].frequency for label in ("R", "E", "A", "H"))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_frequency_sweep_deterministic():
-    cfg = reference_config(0.14)
-    a = frequency_sweep(cfg, seed=77, n_samples=1500)
-    b = frequency_sweep(cfg, seed=77, n_samples=1500)
-    for label in ("R", "E", "A", "H"):
-        assert a[label] == b[label]
+    cfgs = [reference_config(0.14)]
+    a = frequency_sweep(cfgs, seed=77, n_samples=1500)
+    b = frequency_sweep(cfgs, seed=77, n_samples=1500)
+    assert a == b
 
 
 def test_frequency_sweep_no_refrigeration_outside_r_range():
-    for omega2 in (0.46, 0.86, 1.10):
-        est = frequency_sweep(reference_config(omega2), seed=5, n_samples=4000)
+    cfgs = [reference_config(omega2) for omega2 in (0.46, 0.86, 1.10)]
+    for est in frequency_sweep(cfgs, seed=5, n_samples=4000):
         assert est["R"].frequency == 0.0
 
 
 def test_frequency_sweep_stderr():
-    est = frequency_sweep(reference_config(0.02), seed=3, n_samples=5000)
+    (est,) = frequency_sweep([reference_config(0.02)], seed=3, n_samples=5000)
     f, se = est["R"]
     assert se == pytest.approx(np.sqrt(f * (1 - f) / 5000), abs=1e-12)
 
 
 def test_haar_average_matches_depolarizing_prediction():
     cfg = reference_config(0.18)
-    report = haar_average_report(cfg, seed=13, n_samples=4000)
+    (report,) = haar_average_report([cfg], seed=13, n_samples=4000)
     pred1, pred2, _ = depolarizing_prediction(cfg)
     assert pred1 == pytest.approx(0.08209630715383999, abs=1e-12)
     assert report.predicted_dE1 == pytest.approx(pred1, abs=1e-15)

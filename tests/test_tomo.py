@@ -236,10 +236,10 @@ def test_sample_counts_concentration():
     assert bad <= 2
 
 
-@pytest.mark.parametrize("seed", [2**63 - 1, 2**63, -1])
+@pytest.mark.parametrize("seed", [2**63 - 1, 2**63, -1, 1.5, "7", None])
 def test_shot_noise_seed_range(seed):
     # numpy passes Philox keys >= 2**63 through float64 (2**63 and 2**63 + 1
-    # alias) and casts -1 with a warning
+    # alias) and casts -1 with a warning; int() would alias 1.5 and "7"
     channel = thermalizing_channel(QubitSpec(0.18), BathSpec(1.0))
     for run in (lambda: sample_counts(np.array([0.5, 0.5]), shots=10, seed=seed),
                 lambda: process_tomography(channel, shots=10, seed=seed),
