@@ -5,9 +5,10 @@ qubits; depending on the measurement basis and the parameters, the cycle
 refrigerates the cold bath, extracts energy, accelerates the natural heat
 flow, or just heats everything.  The package provides the abstract
 channel-level simulation, Haar-random measurement statistics, two detector
-noise models, a path-polarization optics layer for the thermalizing step that
-is cross-validated against the abstract channel, and process/measurement
-tomography with an optional shot-noise layer.
+noise models, the path-polarization optics of the thermalizing step (the
+hologram's four Kraus operators, cross-validated against the abstract
+channel), and process/measurement tomography with an optional shot-noise
+layer.
 """
 
 __version__ = "0.1.0"
@@ -46,12 +47,11 @@ from .measure import (
 )
 from .optics import (
     Hologram,
-    PathPolState,
     d_of_omega,
+    hologram_channel,
     omega_of_d,
     solve_hologram,
     thermal_channel_optical,
-    thermalize_optically,
 )
 from .qcore import (
     partial_trace,
@@ -95,7 +95,6 @@ __all__ = [
     "Hologram",
     "KrausChannel",
     "MeasurementBasis",
-    "PathPolState",
     "PovmSet",
     "QubitSpec",
     "RegimeLabel",
@@ -119,6 +118,7 @@ __all__ = [
     "hamiltonian",
     "haar_unitaries",
     "haar_unitary",
+    "hologram_channel",
     "hom_noisy_channel",
     "initial_state",
     "measurement_channel",
@@ -139,7 +139,6 @@ __all__ = [
     "two_qubit_state",
     "validate_density",
     "thermal_channel_optical",
-    "thermalize_optically",
     "thermalizing_channel",
     "trace_distance",
     "von_neumann_entropy",

@@ -20,26 +20,31 @@ from .errors import ValidationError
 INT64_MAX = 2**63 - 1
 
 
+def check_int(value, name, low=0):
+    """value as an int, if it is an integer (not a bool, float or str) in [low, 2**63 - 1]."""
+    try:
+        out = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        out = None
+    if out is None or not low <= out <= INT64_MAX:
+        raise ValidationError(f"{name} must be an integer in [{low}, 2**63 - 1], got {value!r}")
+    return out
+
+
 def check_seed(seed):
     """The seed as an int, if it is an integer (not a bool, float or str) in [0, 2**63 - 1]."""
-    try:
-        value = None if isinstance(seed, bool) else operator.index(seed)
-    except TypeError:
-        value = None
-    if value is None or not 0 <= value <= INT64_MAX:
-        raise ValidationError(f"seed must be an integer in [0, 2**63 - 1], got {seed!r}")
-    return value
+    return check_int(seed, "seed")
 
 
 def ginibre_batch(seed, start, n):
     """n complex standard-Gaussian 4x4 matrices from per-sample Philox substreams."""
-    seed = check_seed(seed)
-    if int(start) + n - 1 > INT64_MAX:
-        raise ValidationError(f"sample counter {int(start) + n - 1} exceeds 2**63 - 1")
+    seed, start, n = check_seed(seed), check_int(start, "sample counter"), check_int(n, "n")
+    if start + n - 1 > INT64_MAX:
+        raise ValidationError(f"sample counter {start + n - 1} exceeds 2**63 - 1")
     out = np.empty((n, 4, 4), dtype=np.complex128)
     root = np.sqrt(2.0)
     for i in range(n):
-        g = np.random.Generator(np.random.Philox(key=[seed, int(start) + i]))
+        g = np.random.Generator(np.random.Philox(key=[seed, start + i]))
         z = g.standard_normal((2, 4, 4))
         out[i] = (z[0] + 1j * z[1]) / root
     return out

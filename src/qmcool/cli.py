@@ -384,11 +384,12 @@ def cmd_tomography(cfg):
     if cfg.shots is not None and cfg.seed is None:
         raise ConfigError("tomography with --shots needs --seed")
     targets = [(cfg.omega1, cfg.beta1)] + [(w2, cfg.beta2) for w2 in cfg.omega2]
-    rows = []
+    rows, exact_chis = [], []
     for w, beta in targets:
         channel = thermalizing_channel(QubitSpec(w), BathSpec(beta))
         analytic = chi_from_kraus(channel)
         chi = process_tomography(channel)
+        exact_chis.append(chi)
         rows.append(
             ("process_exact", f"thermal(omega={_fmt(w)} beta={_fmt(beta)})", "", "", "", "",
              "", "", process_fidelity(chi, analytic))
@@ -416,8 +417,7 @@ def cmd_tomography(cfg):
             fid = float(np.mean([effect_fidelity(est[k], truth[k]) for k in range(4)]))
             rows.append(("measurement_shots", label, "", "", "", "", cfg.shots, cfg.seed, fid))
     # operator entries of the first exact chi for regression snapshots
-    first = thermalizing_channel(QubitSpec(targets[0][0]), BathSpec(targets[0][1]))
-    chi = process_tomography(first)
+    chi = exact_chis[0]
     for r in range(chi.shape[0]):
         for c in range(chi.shape[1]):
             rows.append(

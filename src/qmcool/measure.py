@@ -90,13 +90,11 @@ class HaarSampler:
 
     def __post_init__(self):
         _accel.check_seed(self.seed)
-        counter = self.counter
-        if not isinstance(counter, (int, np.integer)) or not 0 <= counter <= _accel.INT64_MAX:
-            raise ValidationError(f"counter must be an integer in [0, 2**63 - 1], got {counter!r}")
+        _accel.check_int(self.counter, "counter")
 
     def advanced(self, n=1):
         """A new sampler whose counter is moved forward by n."""
-        return replace(self, counter=self.counter + int(n))
+        return replace(self, counter=self.counter + _accel.check_int(n, "step"))
 
 
 def haar_unitary(sampler):

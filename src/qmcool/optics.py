@@ -1,4 +1,5 @@
-"""Path-polarization optics simulation of the engine hardware.
+"""Path-polarization optics of the engine hardware: the rail grid and the
+thermalizing hologram.
 
 Encoding: a qubit with gap omega = 0.02*(d/8) lives on two beam-displacer
 rails separated by d pixels of a 512-row spatial grid, with |0> = horizontal
@@ -8,10 +9,11 @@ amplitude-transfer of the thermalizing step; rows come in 4-pixel bands, one
 band per 0.02 step of omega, antisymmetric between the two halves of the
 grid: phi(-z) = phi(z) - pi.
 
-Two half-wave-plate settings realize the four Kraus operators of the
-thermalizing channel as two setting branches (population-keeping cosine pair
-and population-moving sine pair); summing both settings after path
-decoherence reproduces the abstract channel exactly.
+Two half-wave-plate settings (population-keeping cosine pair and
+population-moving sine pair), followed by path decoherence, make the
+thermalizing step a linear map on the qubit: :func:`hologram_channel` reads
+its four Kraus operators off the phases of the two rails, and it reproduces
+the abstract thermalizing channel exactly.
 
 The measurement half of the hardware (local unitaries and bias filters around
 a two-photon singlet projection) is not simulated here:
@@ -19,14 +21,13 @@ a two-photon singlet projection) is not simulated here:
 and the test suite rebuilds the trains as an independent check.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .qcore import single_qubit_state
-from .thermo import BathSpec, gibbs_population
+from .thermo import BathSpec, KrausChannel, apply_channel, gibbs_population
 
 GRID_ROWS = 512
 Z_MAX = GRID_ROWS // 2  # rows z = -256..-1, 1..256 (no row 0)
@@ -118,136 +119,38 @@ def solve_hologram(bath):
     return Hologram(beta=beta, phases=phases)
 
 
-@dataclass(frozen=True)
-class PathPolState:
-    """Single-photon amplitudes over (grid row, polarization) modes.
+def hologram_channel(holo, d):
+    """The optical thermalizing step on the rails of separation d, as a Kraus channel.
 
-    Keys are (z, "H"|"V") with z a nonzero row within the grid; the total
-    squared norm may be below 1 (post-selection losses are allowed).
+    With phi_lo and phi_hi the hologram phases of rows -d/2 and +d/2, setting 1
+    (the cosine pair) attenuates each rail by cos(phi/2) of its own row, and
+    setting 2 (the sine pair) moves the amplitude across rails with a
+    polarization flip, weighted by sin(phi/2) of the source row:
+
+        cos(phi_lo/2)|0><0|,  cos(phi_hi/2)|1><1|,
+        sin(phi_hi/2)|0><1|,  -sin(phi_lo/2)|1><0|.
+
+    Rails differ in position, so each (setting, output rail) pair is one Kraus operator.
     """
-
-    amplitudes: dict
-
-    def __post_init__(self):
-        amps = {}
-        for key, value in self.amplitudes.items():
-            z, pol = key
-            if int(z) != z or z == 0 or abs(z) > Z_MAX:
-                raise ValidationError(f"row {z!r} is off the +-{Z_MAX} grid")
-            if pol not in ("H", "V"):
-                raise ValidationError(f"polarization must be 'H' or 'V', got {pol!r}")
-            value = complex(value)
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise ValidationError("non-finite amplitude")
-            amps[(int(z), pol)] = value
-        total = sum(abs(v) ** 2 for v in amps.values())
-        if total > 1.0 + 1e-12:
-            raise ValidationError(f"squared norm {total:.6f} exceeds 1")
-        object.__setattr__(self, "amplitudes", amps)
-
-
-def encode_qubit(vec, d):
-    """Put amplitude vec[0] on (-d/2, H) and vec[1] on (+d/2, V)."""
     omega_of_d(d)  # validates the separation
-    vec = np.asarray(vec, dtype=np.complex128)
-    if vec.shape != (2,):
-        raise ValidationError(f"expected a length-2 amplitude vector, got shape {vec.shape}")
     half = int(d) // 2
-    return PathPolState({(-half, "H"): vec[0], (half, "V"): vec[1]})
-
-
-def decode_qubit(state, d):
-    """Amplitudes on the (-d/2, H) and (+d/2, V) rails as a length-2 vector."""
-    half = int(d) // 2
-    allowed = {(-half, "H"), (half, "V")}
-    extra = set(state.amplitudes) - allowed
-    if extra:
-        raise ValidationError(f"state occupies modes off the +-{half} rails: {sorted(extra)}")
-    return np.array(
-        [state.amplitudes.get((-half, "H"), 0.0), state.amplitudes.get((half, "V"), 0.0)],
-        dtype=np.complex128,
-    )
-
-
-def _rail_half_separation(state):
-    half = None
-    for z, pol in state.amplitudes:
-        z0 = -z if pol == "H" else z
-        if z0 <= 0 or z0 % (PIXELS_PER_STEP // 2) != 0:
-            raise ValidationError(f"mode ({z}, {pol}) is off the +-d/2 rails")
-        if half is None:
-            half = z0
-        elif half != z0:
-            raise ValidationError("state occupies rails of different separations")
-    if half is None:
-        raise ValidationError("empty state carries no rail information")
-    return half
-
-
-def thermalize_optically(state, holo, setting):
-    """One half-wave-plate setting of the optical thermalizing step.
-
-    Setting 1 is the population-keeping (cosine) pair: each rail is attenuated
-    by cos(phi/2) of its own hologram row.  Setting 2 is the population-moving
-    (sine) pair: amplitudes hop rails with a polarization flip, weighted by
-    sin(phi/2) of the source row (the interferometer's polarization flip is
-    already folded in, so no stray sign is exposed).  Summing the two
-    setting outputs after rail decoherence equals the abstract thermalizing
-    channel.
-    """
-    half = _rail_half_separation(state)
-    a_h = state.amplitudes.get((-half, "H"), 0.0)
-    a_v = state.amplitudes.get((half, "V"), 0.0)
-    phi_lo = holo.phase_at(-half)
-    phi_hi = holo.phase_at(half)
-    if setting == 1:
-        amps = {
-            (-half, "H"): np.cos(0.5 * phi_lo) * a_h,
-            (half, "V"): np.cos(0.5 * phi_hi) * a_v,
-        }
-    elif setting == 2:
-        amps = {
-            (-half, "H"): np.sin(0.5 * phi_hi) * a_v,
-            (half, "V"): -np.sin(0.5 * phi_lo) * a_h,
-        }
-    else:
-        raise ValidationError(f"setting must be 1 or 2, got {setting!r}")
-    return PathPolState(amps)
-
-
-def rail_components(state):
-    """Split a state into its per-row components (path decoherence).
-
-    Amplitudes on different grid rows are distinguishable by position, so any
-    coherence between them is lost; each row becomes its own branch.
-    """
-    by_row = {}
-    for (z, pol), value in state.amplitudes.items():
-        if value != 0:
-            by_row.setdefault(z, {})[(z, pol)] = value
-    return [PathPolState(amps) for _, amps in sorted(by_row.items())]
+    phi_lo, phi_hi = holo.phase_at(-half), holo.phase_at(half)
+    c_lo, s_lo = np.cos(0.5 * phi_lo), np.sin(0.5 * phi_lo)
+    c_hi, s_hi = np.cos(0.5 * phi_hi), np.sin(0.5 * phi_hi)
+    return KrausChannel((
+        np.array([[c_lo, 0], [0, 0]]),
+        np.array([[0, 0], [0, c_hi]]),
+        np.array([[0, s_hi], [0, 0]]),
+        np.array([[0, 0], [-s_lo, 0]]),
+    ))
 
 
 def thermal_channel_optical(rho, qubit, bath):
     """The thermalizing channel evaluated through the optics layer.
 
-    Eigen-decomposes the input, pushes each eigenvector through both
-    half-wave-plate settings and the path decoherence, and reassembles the
-    output density operator.  Equals apply_channel(thermalizing_channel)
-    up to floating-point rounding.
+    Solves the hologram for the bath, reads the channel off the rails that
+    encode the qubit's gap and applies it to ``rho``.  Equals
+    apply_channel(thermalizing_channel) up to floating-point rounding.
     """
-    arr = single_qubit_state(rho)
     d = d_of_omega(qubit.omega if hasattr(qubit, "omega") else float(qubit))
-    holo = solve_hologram(bath)
-    out = np.zeros((2, 2), dtype=np.complex128)
-    w, v = np.linalg.eigh(arr)
-    for weight, column in zip(w, v.T):
-        if weight <= 1e-15:
-            continue
-        encoded = encode_qubit(column, d)
-        for setting in (1, 2):
-            emitted = thermalize_optically(encoded, holo, setting)
-            for component in rail_components(emitted):
-                u = decode_qubit(component, d)
-                out += weight * np.outer(u, u.conj())
-    return out
+    return apply_channel(hologram_channel(solve_hologram(bath), d), single_qubit_state(rho))

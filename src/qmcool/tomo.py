@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import check_seed
+from ._accel import check_int, check_seed
 from .errors import ValidationError
 from .measure import MeasurementBasis, PovmSet
 from .qcore import _fidelity
@@ -111,12 +111,11 @@ def sample_counts(probabilities, shots, seed):
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"probabilities sum to {total:.6f}, not 1")
     p = p / total
-    if int(shots) < 0:
-        raise ValidationError(f"shots must be non-negative, got {shots!r}")
+    shots = check_int(shots, "shots")
     if shots == 0:
         return np.zeros(len(p), dtype=np.int64)
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-    return rng.multinomial(int(shots), p)
+    return rng.multinomial(shots, p)
 
 
 def _estimate_state(sigma, shots, rng):
@@ -127,7 +126,7 @@ def _estimate_state(sigma, shots, rng):
     for g in paulis[1:]:
         p_plus = float(np.real(np.trace(sigma @ (np.eye(d) + g))) / 2.0)
         p_plus = min(max(p_plus, 0.0), 1.0)
-        k = rng.binomial(int(shots), p_plus)
+        k = rng.binomial(shots, p_plus)
         mean = (2.0 * k - shots) / shots
         est += (mean / d) * g
     return est
@@ -157,9 +156,7 @@ def process_tomography(channel, probes=None, shots=None, seed=None, return_raw=F
     if probes is None:
         probes = default_probes(n)
     if shots is not None:
-        seed = check_seed(seed)
-        if int(shots) < 1:
-            raise ValidationError(f"shots must be >= 1, got {shots!r}")
+        seed, shots = check_seed(seed), check_int(shots, "shots", 1)
     _, paulis = pauli_basis(n)
     npa = len(paulis)
 
@@ -169,7 +166,7 @@ def process_tomography(channel, probes=None, shots=None, seed=None, return_raw=F
         sigma = evolve(probe)
         if shots is not None:
             rng = np.random.Generator(np.random.Philox(key=[seed, j]))
-            sigma = _estimate_state(sigma, int(shots), rng)
+            sigma = _estimate_state(sigma, shots, rng)
         block = np.empty((dim * dim, npa * npa), dtype=np.complex128)
         for m, pm in enumerate(paulis):
             left = pm @ probe
@@ -225,7 +222,7 @@ def measurement_tomography(measurement, probes=None, shots=None, seed=None, retu
     if probes is None:
         probes = default_probes(n)
     if shots is not None:
-        seed = check_seed(seed)
+        seed, shots = check_seed(seed), check_int(shots, "shots", 1)
     _, paulis = pauli_basis(n)
     npa = len(paulis)
 
@@ -240,7 +237,7 @@ def measurement_tomography(measurement, probes=None, shots=None, seed=None, retu
         else:
             rng = np.random.Generator(np.random.Philox(key=[seed, j]))
             p_norm = p_out / p_out.sum()
-            freqs[j] = rng.multinomial(int(shots), p_norm) / float(shots)
+            freqs[j] = rng.multinomial(shots, p_norm) / shots
     coeffs, _, rank, _ = np.linalg.lstsq(design, freqs, rcond=None)
     if rank < npa:
         raise ValidationError(f"rank-deficient probe set (rank {rank} < {npa})")

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from qmcool import HaarSampler, ValidationError, _accel
+from qmcool import (EngineConfig, HaarSampler, ValidationError, _accel, frequency_sweep,
+                    haar_average_report)
+from qmcool.engine import _haar_triples
 
 
 def test_ginibre_substreams_are_independent_of_batching():
@@ -35,6 +37,20 @@ def test_ginibre_rejects_bad_seed():
     with pytest.raises(ValidationError):
         _accel.ginibre_batch(1, 2**63 - 1, 2)
     assert _accel.ginibre_batch(2**63 - 1, 2**63 - 2, 2).shape == (2, 4, 4)
+    # counters and counts are checked, not truncated: int() moved 1.5 to 1 and let -1 through
+    for start in (1.5, -1, True, "1"):
+        with pytest.raises(ValidationError):
+            _accel.ginibre_batch(1, start, 2)
+    for step in (1.5, -1, True):
+        with pytest.raises(ValidationError):
+            HaarSampler(5).advanced(step)
+    with pytest.raises(ValidationError):
+        HaarSampler(1, True)
+    cfg = EngineConfig.from_values(1.0, 0.18, 0.4, 1.0)
+    for n in (10.7, 0, True):
+        for run in (_haar_triples, haar_average_report, frequency_sweep):
+            with pytest.raises(ValidationError):
+                run([cfg], n, 3)
 
 
 def test_haar_from_ginibre_unitary():

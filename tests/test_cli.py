@@ -178,8 +178,10 @@ def test_haar_average_output(tmp_path):
     assert abs(float(row["mean_dE1"]) - float(row["pred_dE1"])) < 5 * float(row["se_dE1"])
 
 
-@pytest.mark.parametrize("config", ["omega1 = 1e308\n", "omega1 = 1e-320\nomega2 = 1e308\n"],
-                         ids=["huge-omega1", "tiny-omega1-huge-omega2"])
+@pytest.mark.parametrize("config", ["omega1 = 1e308\n", "omega1 = 1e-320\nomega2 = 1e308\n",
+                                    # three separate means add up only to within 3.3
+                                    "beta2 = 3.0\nomega1 = 3.973554692986576e+16\nomega2 = 15.0\n"],
+                         ids=["huge-omega1", "tiny-omega1-huge-omega2", "gap-ratio-3e15"])
 def test_haar_average_extreme_scales_stay_finite(tmp_path, config):
     conf = tmp_path / "c.ini"
     conf.write_text(config)

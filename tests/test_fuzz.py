@@ -1,5 +1,7 @@
-"""CLI fuzzing: every drawn config runs (exit 0) or is a config error (exit 2)."""
+"""CLI fuzzing: every drawn config runs (exit 0) or is a config error (exit 2),
+and a run that exits 0 prints only finite numbers, apart from three documented cells."""
 
+import math
 import os
 import tempfile
 
@@ -58,5 +60,29 @@ def test_cli_exits_zero_or_config_error(invocation):
         path = os.path.join(tmp, "c.ini")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(config)
-        code = cli.main(argv + ["--config", path, "--out", os.path.join(tmp, "o.csv")])
-    assert code in (0, 2), (argv, config)
+        out = os.path.join(tmp, "o.csv")
+        code = cli.main(argv + ["--config", path, "--out", out])
+        assert code in (0, 2), (argv, config)
+        if code == 0:
+            with open(out, encoding="utf-8") as fh:
+                _assert_finite_cells(argv[0], fh.read().splitlines(), (argv, config))
+
+
+def _assert_finite_cells(command, lines, context):
+    """Every numeric cell is finite, except nu_c_interf = nan (no critical visibility),
+    se_* = nan at one sample, and sweep-omega's ratio = inf (omega2/omega1 overflows)."""
+    one_sample = "# samples=1 per omega2, same seed shared across rows" in lines
+    body = [line for line in lines if not line.startswith("#")]
+    header = body[0].split(",")
+    for line in body[1:]:
+        for key, cell in zip(header, line.split(",")):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            if math.isfinite(value):
+                continue
+            allowed = ((key == "nu_c_interf" and cell == "nan")
+                       or (key.startswith("se_") and cell == "nan" and one_sample)
+                       or (command == "sweep-omega" and key == "ratio" and cell == "inf"))
+            assert allowed, (key, cell, context)

@@ -1,4 +1,4 @@
-"""Optics layer: holograms, path-polarization encoding; the measurement trains of the test oracle."""
+"""Optics layer: rail grid, holograms and their Kraus channel; the test oracle's measurement trains."""
 
 import numpy as np
 import pytest
@@ -6,30 +6,23 @@ import pytest
 from qmcool import (
     BathSpec,
     Hologram,
-    PathPolState,
     QubitSpec,
     apply_channel,
     canonical_basis,
     d_of_omega,
     gibbs_population,
     gibbs_state,
+    hologram_channel,
     measurement_channel,
     omega_of_d,
     partial_trace,
     solve_hologram,
     thermal_channel_optical,
-    thermalize_optically,
     thermalizing_channel,
 )
-from qmcool.optics import (
-    GRID_ROWS,
-    decode_qubit,
-    encode_qubit,
-    omega_of_z,
-    rail_components,
-)
+from qmcool.optics import GRID_ROWS, omega_of_z
 
-from helpers import optical_trains, random_density, random_unit_vector, trains_hom_detected
+from helpers import optical_trains, random_density, trains_hom_detected
 
 
 def test_omega_of_d_grid():
@@ -113,66 +106,31 @@ def test_hologram_rejects_asymmetry():
         Hologram(beta=1.0, phases=phases)
 
 
-def test_encode_decode_round_trip():
-    rng = np.random.default_rng(12)
-    for d in (8, 72, 408):
-        vec = random_unit_vector(rng, 2)
-        state = encode_qubit(vec, d)
-        back = decode_qubit(state, d)
-        assert np.allclose(back, vec, atol=1e-15)
-
-
-def test_encode_places_amplitudes_on_rails():
-    state = encode_qubit(np.array([0.6, 0.8]), 408)
-    assert state.amplitudes[(-204, "H")] == pytest.approx(0.6)
-    assert state.amplitudes[(204, "V")] == pytest.approx(0.8)
-
-
 def test_thermalize_optically_attenuates_excited_rail():
     beta = 1.0
     holo = solve_hologram(BathSpec(beta))
-    d = d_of_omega(0.18)
-    state = PathPolState(amplitudes={(d // 2, "V"): 1.0})
-    out = thermalize_optically(state, holo, setting=1)
+    cos_hi = hologram_channel(holo, d_of_omega(0.18)).operators[1]
+    out = cos_hi @ np.array([0.0, 1.0])
     p = gibbs_population(QubitSpec(0.18), BathSpec(beta))
     # cos(phi/2) with sin^2(phi/2) = p leaves amplitude sqrt(1-p)
-    assert abs(out.amplitudes[(d // 2, "V")]) == pytest.approx(np.sqrt(1 - p), abs=1e-12)
+    assert abs(out[1]) == pytest.approx(np.sqrt(1 - p), abs=1e-12)
+    assert out[0] == 0
 
 
 def test_thermalize_optically_mixture_reaches_gibbs():
-    # running both interferometer settings on the excited rail and adding the
-    # resulting outer products reproduces the thermal populations
+    # both interferometer settings on the excited rail, summed after path
+    # decoherence, reproduce the thermal populations
     q, b = QubitSpec(0.46), BathSpec(1.0)
-    holo = solve_hologram(b)
-    d = d_of_omega(0.46)
-    out = np.zeros((2, 2), dtype=complex)
-    for setting in (1, 2):
-        state = thermalize_optically(encode_qubit(np.array([0.0, 1.0]), d), holo, setting)
-        for comp in rail_components(state):
-            vec = decode_qubit(comp, d)
-            out += np.outer(vec, vec.conj())
+    channel = hologram_channel(solve_hologram(b), d_of_omega(0.46))
+    out = apply_channel(channel, np.diag([0.0, 1.0]))
     assert np.allclose(out, gibbs_state(q, b), atol=1e-12)
 
 
 def test_thermalize_optically_rejects_off_rail():
     holo = solve_hologram(BathSpec(1.0))
-    state = PathPolState(amplitudes={(3, "H"): 1.0})
-    with pytest.raises(ValueError):
-        thermalize_optically(state, holo, setting=1)
-
-
-def test_thermalize_optically_rejects_bad_setting():
-    holo = solve_hologram(BathSpec(1.0))
-    state = PathPolState(amplitudes={(4, "H"): 1.0})
-    with pytest.raises(ValueError):
-        thermalize_optically(state, holo, setting=3)
-
-
-def test_path_pol_state_validation():
-    with pytest.raises(ValueError):
-        PathPolState(amplitudes={(4, "X"): 1.0})
-    with pytest.raises(ValueError):
-        PathPolState(amplitudes={(4, "H"): 2.0})
+    for bad in (0, 3, 6, 12, -8, 520, 8.5):
+        with pytest.raises(ValueError):
+            hologram_channel(holo, bad)
 
 
 def test_thermal_channel_optical_matches_kraus_channel():
@@ -269,4 +227,7 @@ def test_exports_resolve_and_omit_removed_trains():
     namespace = {}
     exec("from qmcool import *", namespace)  # raises if a name in __all__ does not resolve
     assert not {"BiasSetting", "bias_from_coefficients", "project_optically",
-                "schmidt_projector"} & set(namespace)
+                "schmidt_projector", "PathPolState", "thermalize_optically"} & set(namespace)
+    from qmcool import optics
+    assert not {"PathPolState", "thermalize_optically", "encode_qubit", "decode_qubit",
+                "rail_components", "_rail_half_separation"} & set(vars(optics))

@@ -248,3 +248,12 @@ def test_shot_noise_seed_range(seed):
             run()
         else:
             pytest.raises(ValidationError, run)
+    if seed == 2**63 - 1:
+        # shot counts are checked, not truncated: 10.7 would count 10 and divide by 10.7,
+        # and 0 shots made the measurement fit singular
+        for shots in (10.7, -1, True, "10", 0):
+            if shots != 0:
+                pytest.raises(ValidationError, sample_counts, np.array([0.5, 0.5]), shots, seed)
+            pytest.raises(ValidationError, process_tomography, channel, shots=shots, seed=seed)
+            pytest.raises(ValidationError, measurement_tomography, canonical_basis(),
+                          shots=shots, seed=seed)
