@@ -42,12 +42,11 @@ from .engine import (
     run_cycle,
 )
 from .errors import ConfigError, SecondLawViolation, ValidationError
-from .measure import HaarSampler, canonical_basis, haar_unitary, rotate_basis
+from .measure import HaarSampler, canonical_basis, haar_unitaries, rotate_basis
 from .optics import solve_hologram
 from .thermo import BathSpec, QubitSpec, thermalizing_channel
 from .tomo import (
     chi_from_kraus,
-    default_probes,
     effect_fidelity,
     measurement_tomography,
     process_fidelity,
@@ -185,8 +184,8 @@ def resolve_config(args):
         raise ConfigError("omega2 list is empty")
     if any(w <= 0 for w in omega2):
         raise ConfigError(f"omega2 values must be positive, got {omega2}")
-    if samples is not None and samples < 1:
-        raise ConfigError(f"samples must be >= 1, got {samples}")
+    if samples is not None and not 1 <= samples <= INT64_MAX:
+        raise ConfigError(f"samples must lie in [1, 2**63 - 1], got {samples}")
     if shots is not None and not 1 <= shots <= INT64_MAX:
         raise ConfigError(f"shots must lie in [1, 2**63 - 1], got {shots}")
     if seed is not None and not 0 <= seed <= INT64_MAX:
@@ -380,6 +379,10 @@ def cmd_haar_average(cfg):
     return _emit(cfg, "haar-average", comments, header, rows)
 
 
+def _mean_effect_fidelity(effects, basis):
+    return float(np.mean([effect_fidelity(e, basis.projector(k)) for k, e in enumerate(effects)]))
+
+
 def cmd_tomography(cfg):
     if cfg.shots is not None and cfg.seed is None:
         raise ConfigError("tomography with --shots needs --seed")
@@ -401,20 +404,15 @@ def cmd_tomography(cfg):
                  cfg.shots, cfg.seed, process_fidelity(chi_s, analytic))
             )
     basis = canonical_basis()
-    probes = default_probes(2)
-    exact_effects = measurement_tomography(basis, probes)
-    true_effects = np.stack([basis.projector(k) for k in range(4)])
-    fid = float(np.mean([effect_fidelity(exact_effects[k], true_effects[k]) for k in range(4)]))
+    fid = _mean_effect_fidelity(measurement_tomography(basis), basis)
     rows.append(("measurement_exact", "canonical", "", "", "", "", "", "", fid))
     if cfg.shots is not None:
-        bases = [("canonical", basis)]
-        for i in range(5):
-            u = haar_unitary(HaarSampler(cfg.seed, i))
-            bases.append((f"haar_{i}", rotate_basis(u, basis)))
+        haar = haar_unitaries(HaarSampler(cfg.seed), 5)
+        bases = [("canonical", basis)] + [(f"haar_{i}", rotate_basis(u, basis))
+                                          for i, u in enumerate(haar)]
         for label, bas in bases:
-            est = measurement_tomography(bas, probes, shots=cfg.shots, seed=cfg.seed)
-            truth = np.stack([bas.projector(k) for k in range(4)])
-            fid = float(np.mean([effect_fidelity(est[k], truth[k]) for k in range(4)]))
+            est = measurement_tomography(bas, shots=cfg.shots, seed=cfg.seed)
+            fid = _mean_effect_fidelity(est, bas)
             rows.append(("measurement_shots", label, "", "", "", "", cfg.shots, cfg.seed, fid))
     # operator entries of the first exact chi for regression snapshots
     chi = exact_chis[0]

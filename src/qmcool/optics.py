@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .qcore import single_qubit_state
-from .thermo import BathSpec, KrausChannel, apply_channel, gibbs_population
+from .thermo import KrausChannel, _beta, _omega, apply_channel, gibbs_population
 
 GRID_ROWS = 512
 Z_MAX = GRID_ROWS // 2  # rows z = -256..-1, 1..256 (no row 0)
@@ -57,11 +57,16 @@ def d_of_omega(omega):
     return ki * PIXELS_PER_STEP
 
 
-def omega_of_z(z):
-    """Gap of the 4-pixel band containing grid row z (rows carry their band value)."""
+def _row(z):
+    """z as an int, if it is a grid row: a nonzero integer within +-Z_MAX."""
     if int(z) != z or z == 0 or abs(z) > Z_MAX:
         raise ValidationError(f"row must be a nonzero integer within +-{Z_MAX}, got {z!r}")
-    return OMEGA_STEP * ((abs(int(z)) + 3) // 4)
+    return int(z)
+
+
+def omega_of_z(z):
+    """Gap of the 4-pixel band containing grid row z (rows carry their band value)."""
+    return OMEGA_STEP * ((abs(_row(z)) + 3) // 4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,9 +97,7 @@ class Hologram:
 
     def phase_at(self, z):
         """Phase of row z (z in -256..-1, 1..256)."""
-        if int(z) != z or z == 0 or abs(z) > Z_MAX:
-            raise ValidationError(f"row must be a nonzero integer within +-{Z_MAX}, got {z!r}")
-        z = int(z)
+        z = _row(z)
         idx = Z_MAX + z - 1 if z > 0 else Z_MAX + z
         return float(self.phases[idx])
 
@@ -110,7 +113,7 @@ def solve_hologram(bath):
     Row z > 0 encodes sin^2(phi/2) = p(omega(z), beta), i.e.
     phi = 2*arcsin(sqrt(p)); the mirrored row carries phi - pi.
     """
-    beta = bath.beta if isinstance(bath, BathSpec) else BathSpec(float(bath)).beta
+    beta = _beta(bath)
     upper = np.empty(Z_MAX)
     for z in range(1, Z_MAX + 1):
         p = gibbs_population(omega_of_z(z), beta)
@@ -152,5 +155,5 @@ def thermal_channel_optical(rho, qubit, bath):
     encode the qubit's gap and applies it to ``rho``.  Equals
     apply_channel(thermalizing_channel) up to floating-point rounding.
     """
-    d = d_of_omega(qubit.omega if hasattr(qubit, "omega") else float(qubit))
+    d = d_of_omega(_omega(qubit))
     return apply_channel(hologram_channel(solve_hologram(bath), d), single_qubit_state(rho))

@@ -169,3 +169,48 @@ def trains_hom_detected(basis, visibility, rho):
         branch += 0.25 * (1.0 - visibility) * (r @ arr @ r.conj().T)
         out += branch / eta**2
     return out
+
+
+PAULI_1 = [
+    np.eye(2, dtype=np.complex128),
+    np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    np.array([[1, 0], [0, -1]], dtype=np.complex128),
+]
+
+
+def looped_paulis(dim):
+    """Reference Pauli product basis of dimension 2 or 4 as a list, qubit 1 slow."""
+    return list(PAULI_1) if dim == 2 else [np.kron(a, b) for a in PAULI_1 for b in PAULI_1]
+
+
+def looped_process_design(probes):
+    """Reference process design matrix: one block per probe, one column per
+    Pauli pair (m, n) holding the flattened P_m @ probe @ P_n."""
+    dim = probes[0].shape[0]
+    paulis = looped_paulis(dim)
+    npa = len(paulis)
+    rows = []
+    for probe in probes:
+        block = np.empty((dim * dim, npa * npa), dtype=np.complex128)
+        for m, pm in enumerate(paulis):
+            left = pm @ probe
+            for q, pn in enumerate(paulis):
+                block[:, m * npa + q] = (left @ pn).reshape(-1)
+        rows.append(block)
+    return np.vstack(rows)
+
+
+def looped_estimate_state(sigma, shots, rng):
+    """Reference shot-mode state estimate: one binomial per non-identity Pauli,
+    in Pauli order, with p_plus = Tr(sigma (I + G))/2."""
+    d = sigma.shape[0]
+    paulis = looped_paulis(d)
+    est = np.eye(d, dtype=np.complex128) / d
+    for g in paulis[1:]:
+        p_plus = float(np.real(np.trace(sigma @ (np.eye(d) + g))) / 2.0)
+        p_plus = min(max(p_plus, 0.0), 1.0)
+        k = rng.binomial(shots, p_plus)
+        mean = (2.0 * k - shots) / shots
+        est += (mean / d) * g
+    return est

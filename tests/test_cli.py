@@ -293,3 +293,10 @@ def test_seed_beyond_int64_is_config_error(tmp_path, command, seed, code):
 
 def test_shots_beyond_int64_is_config_error():
     assert cli.main(["tomography", "--shots", str(2**63), "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize("command", ["frequency", "haar-average"])
+@pytest.mark.parametrize("samples", [0, 2**63, 2**64, 10**30])
+def test_samples_beyond_int64_is_config_error(command, samples):
+    # 2**63 used to reach the sampler's own check and exit 3
+    assert cli.main([command, "--seed", "1", "--samples", str(samples)]) == 2

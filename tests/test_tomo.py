@@ -20,18 +20,26 @@ from qmcool import (
     white_noise_povm,
 )
 from qmcool.errors import ValidationError
-from qmcool.tomo import apply_chi, effect_fidelity, pauli_basis
+from qmcool.tomo import _estimate_state, _process_design, apply_chi, effect_fidelity, pauli_basis
 
-from helpers import random_density, random_rotated_basis
+from helpers import (
+    looped_estimate_state,
+    looped_paulis,
+    looped_process_design,
+    random_density,
+    random_rotated_basis,
+)
 
 
 def test_default_probes_counts():
     one = default_probes(1)
     two = default_probes(2)
-    assert len(one.states) == 4
-    assert len(two.states) == 16
-    for rho in list(one.states) + list(two.states):
+    assert one.shape == (4, 2, 2)
+    assert two.shape == (16, 4, 4)
+    for rho in list(one) + list(two):
         assert rho.trace().real == pytest.approx(1.0, abs=1e-12)
+    # qubit 1 is the slow index of the two-qubit products
+    assert np.array_equal(two, [np.kron(a, b) for a in one for b in one])
 
 
 def test_pauli_basis_sizes():
@@ -43,8 +51,27 @@ def test_pauli_basis_sizes():
     assert labels2[0] == "II" and labels2[5] == "XX"
     assert all(m.shape == (2, 2) for m in mats1)
     assert all(m.shape == (4, 4) for m in mats2)
+    assert np.array_equal(mats1, looped_paulis(2))
+    assert np.array_equal(mats2, looped_paulis(4))
     with pytest.raises(ValueError):
         pauli_basis(3)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_process_design_matches_looped_reference(n_qubits):
+    probes = default_probes(n_qubits)
+    assert np.array_equal(_process_design(probes), looped_process_design(probes))
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_estimate_state_matches_looped_reference(dim, seed):
+    sigma = random_density(np.random.default_rng(seed), dim)
+    for shots in (1, 100, 10000):
+        key = [seed, shots]
+        got = _estimate_state(sigma, shots, np.random.Generator(np.random.Philox(key=key)))
+        want = looped_estimate_state(sigma, shots, np.random.Generator(np.random.Philox(key=key)))
+        assert np.array_equal(got, want)
 
 
 def test_chi_of_identity_channel():
@@ -194,9 +221,7 @@ def test_measurement_tomography_shots_raw_kept():
 
 
 def test_measurement_tomography_rejects_rank_deficient_probes():
-    from qmcool.tomo import ProbeSet
-    rho = np.eye(4, dtype=complex) / 4
-    probes = ProbeSet(states=(rho,) * 16, labels=("x",) * 16)
+    probes = np.stack([np.eye(4, dtype=complex) / 4] * 16)
     with pytest.raises(ValueError):
         measurement_tomography(canonical_basis(), probes=probes)
 
