@@ -1,7 +1,10 @@
-"""The Haar sampling stream: Philox-keyed Ginibre matrices and their QR.
+"""The Haar sampling stream (stream version 2): Ginibre matrices and their QR.
 
-Reproducibility: sample ``i`` of a run is generated from its own Philox
-substream keyed by ``(seed, start + i)``, so results are a pure function of
+Every Philox key of the package is built here, as ``[seed, word]``.  The Haar
+stream of a seed is key ``[seed, HAAR_WORD]``; probe j's tomography shots use
+key ``[seed, j]``, and no probe index reaches ``HAAR_WORD``, so the two never
+share a stream.  Sample i of the Haar stream reads uniforms [32i, 32i + 32)
+(the counter set to 8i), so results are a pure function of
 ``(seed, start, n)`` and independent of batching.
 
 The cycle-energy kernel lives in :mod:`qmcool.engine`.  This module keeps
@@ -18,6 +21,8 @@ from .errors import ValidationError
 
 # Philox keys above this pass through float64 in numpy and alias other keys.
 INT64_MAX = 2**63 - 1
+HAAR_WORD = INT64_MAX  # second key word of the Haar stream
+STREAM_VERSION = 2  # printed by every command whose output reads the Haar stream
 
 
 def check_int(value, name, low=0):
@@ -36,17 +41,30 @@ def check_seed(seed):
     return check_int(seed, "seed")
 
 
+def stream(seed, word, counter=0):
+    """A Generator on Philox key [seed, word], its counter at ``counter``: word
+    HAAR_WORD is the Haar stream, word j < HAAR_WORD the shots of tomography probe j."""
+    return np.random.Generator(np.random.Philox(counter=counter, key=[check_seed(seed), word]))
+
+
 def ginibre_batch(seed, start, n):
-    """n complex standard-Gaussian 4x4 matrices from per-sample Philox substreams."""
-    seed, start, n = check_seed(seed), check_int(start, "sample counter"), check_int(n, "n")
-    if start + n - 1 > INT64_MAX:
-        raise ValidationError(f"sample counter {start + n - 1} exceeds 2**63 - 1")
-    out = np.empty((n, 4, 4), dtype=np.complex128)
-    root = np.sqrt(2.0)
-    for i in range(n):
-        g = np.random.Generator(np.random.Philox(key=[seed, start + i]))
-        z = g.standard_normal((2, 4, 4))
-        out[i] = (z[0] + 1j * z[1]) / root
+    """n complex standard-Gaussian 4x4 matrices, samples [start, start + n) of the Haar stream.
+
+    Each entry is Box-Muller, in place, on two consecutive uniforms (u, u'): radius
+    sqrt(-log(1 - u)) and angle 2 pi u', so E|z|^2 = 1 and u = 0 stays finite.
+    """
+    gen = stream(seed, HAAR_WORD, 8 * check_int(start, "sample counter"))
+    out = np.empty((check_int(n, "n"), 4, 4), dtype=np.complex128)
+    flat = out.reshape(-1)
+    gen.random(out=flat.view(np.float64))
+    r, theta = flat.real, flat.imag
+    np.log1p(np.negative(r, out=r), out=r)
+    np.sqrt(np.negative(r, out=r), out=r)
+    theta *= 2 * np.pi
+    cos = np.cos(theta)
+    np.sin(theta, out=theta)
+    theta *= r
+    r *= cos
     return out
 
 

@@ -26,12 +26,12 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import __version__
-from ._accel import INT64_MAX
+from ._accel import INT64_MAX, STREAM_VERSION
 from .engine import (
     EngineConfig,
     classify,
@@ -62,20 +62,7 @@ HOM_MODEL_NOTE = (
     "(both-transmit and both-reflect), branches scaled by 1/eta_k^2, "
     "renormalized by total detected weight"
 )
-
-_CONFIG_KEYS = (
-    "beta1",
-    "beta2",
-    "omega1",
-    "omega2",
-    "samples",
-    "shots",
-    "seed",
-    "eps",
-    "out",
-    "nu_values",
-    "hologram_beta",
-)
+_STREAM = f"stream={STREAM_VERSION}"  # a comment line of every output that reads the Haar stream
 
 
 @dataclass(frozen=True)
@@ -97,6 +84,9 @@ class RunConfig:
             return EngineConfig.from_values(self.omega1, omega2, self.beta1, self.beta2)
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
+
+
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def _parse_float(raw, key):
@@ -197,19 +187,8 @@ def resolve_config(args):
     if hologram_beta is not None and hologram_beta <= 0:
         raise ConfigError(f"hologram_beta must be positive, got {hologram_beta}")
 
-    cfg = RunConfig(
-        beta1=beta1,
-        beta2=beta2,
-        omega1=omega1,
-        omega2=omega2,
-        samples=samples,
-        shots=shots,
-        seed=seed,
-        eps=eps,
-        out=out,
-        nu_values=nu_values,
-        hologram_beta=hologram_beta,
-    )
+    cfg = RunConfig(beta1, beta2, omega1, omega2, samples, shots, seed, eps, out, nu_values,
+                    hologram_beta)
     for w2 in omega2:
         cfg.engine_config(w2)  # surface invalid engine parameters as exit 2
     return cfg
@@ -304,7 +283,7 @@ def cmd_frequency(cfg):
         "freq_H",
         "se_H",
     )
-    comments = [f"samples={samples} per omega2, same seed shared across rows"]
+    comments = [f"samples={samples} per omega2, same seed shared across rows", _STREAM]
     return _emit(cfg, "frequency", comments, header, rows)
 
 
@@ -375,7 +354,7 @@ def cmd_haar_average(cfg):
         "pred_dE",
         "class_of_mean",
     )
-    comments = [f"samples={samples} per omega2, same seed shared across rows"]
+    comments = [f"samples={samples} per omega2, same seed shared across rows", _STREAM]
     return _emit(cfg, "haar-average", comments, header, rows)
 
 
@@ -423,7 +402,7 @@ def cmd_tomography(cfg):
                  r, c, chi[r, c].real, chi[r, c].imag, "", "", "")
             )
     header = ("record", "label", "row", "col", "re", "im", "shots", "seed", "fidelity")
-    return _emit(cfg, "tomography", [], header, rows)
+    return _emit(cfg, "tomography", [] if cfg.shots is None else [_STREAM], header, rows)
 
 
 def cmd_hologram(cfg):

@@ -80,9 +80,9 @@ def rotate_basis(u, basis):
 class HaarSampler:
     """Deterministic Haar-unitary source: (seed, counter) -> unitary.
 
-    Each counter value owns an independent Philox substream, so sample i is
-    identical whether drawn one at a time or in batches.  Advancement is
-    explicit via :meth:`advanced`.
+    Counter i reads uniforms [32i, 32i + 32) of the seed's Haar stream (see
+    :mod:`qmcool._accel`), so sample i is identical whether drawn one at a time
+    or in batches.  Advancement is explicit via :meth:`advanced`.
     """
 
     seed: int

@@ -9,15 +9,16 @@ read out through Pauli expectations.  In shot mode every non-identity Pauli
 G (eigenvalues +-1, projectors (I +- G)/2) is sampled as a binomial, in
 Pauli order, and reconstructed operators are eigenvalue-clipped at zero (the
 pre-clip matrix is available for diagnostics).  Probe j draws its shots from
-its own Philox substream keyed by (seed, j), so its counts do not depend on
-the other probes.  Exact mode performs a perfect round trip to 1e-10.
+its own Philox stream ``_accel.stream(seed, j)``, key (seed, j), so its counts
+do not depend on the other probes and never share the seed's Haar stream.
+Exact mode performs a perfect round trip to 1e-10.
 """
 
 import itertools
 
 import numpy as np
 
-from ._accel import check_int, check_seed
+from ._accel import check_int, check_seed, stream
 from .errors import ValidationError
 from .measure import MeasurementBasis, PovmSet
 from .qcore import _fidelity
@@ -66,10 +67,6 @@ def _probes_or_default(probes, dim):
     return default_probes(dim // 2) if probes is None else np.asarray(probes)
 
 
-def _substream(seed, j):
-    return np.random.Generator(np.random.Philox(key=[seed, j]))
-
-
 def chi_from_kraus(channel):
     """Analytic chi matrix of a Kraus channel in the Pauli product basis."""
     d = channel.dim
@@ -98,7 +95,7 @@ def sample_counts(probabilities, shots, seed):
     shots = check_int(shots, "shots")
     if shots == 0:
         return np.zeros(len(p), dtype=np.int64)
-    return _substream(seed, 0).multinomial(shots, p)
+    return stream(seed, 0).multinomial(shots, p)
 
 
 def _estimate_state(sigma, shots, rng):
@@ -125,7 +122,7 @@ def process_tomography(channel, probes=None, shots=None, seed=None, return_raw=F
     ``channel`` is a :class:`~qmcool.thermo.KrausChannel` or any callable
     rho -> rho' (callables require ``probes``, a stack of states, to fix the
     dimension).  With ``shots`` set, output states are estimated from sampled
-    Pauli expectations using a per-probe Philox substream of ``seed``; the
+    Pauli expectations using a per-probe Philox stream of ``seed``; the
     reconstructed chi is then eigenvalue-clipped at zero and renormalized to
     unit trace.  ``return_raw=True`` also returns the pre-clip matrix.
     """
@@ -146,7 +143,7 @@ def process_tomography(channel, probes=None, shots=None, seed=None, return_raw=F
 
     outputs = [np.asarray(evolve(probe), dtype=np.complex128) for probe in probes]
     if shots is not None:
-        outputs = [_estimate_state(s, shots, _substream(seed, j)) for j, s in enumerate(outputs)]
+        outputs = [_estimate_state(s, shots, stream(seed, j)) for j, s in enumerate(outputs)]
     a = _process_design(probes)
     b = np.stack(outputs).reshape(-1)
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
@@ -186,7 +183,7 @@ def measurement_tomography(measurement, probes=None, shots=None, seed=None, retu
 
     Outcome probabilities over the probe set (a stack of states) determine
     each effect in the Pauli operator basis.  In shot mode the outcome counts
-    of every probe are a single multinomial draw (per-probe Philox substream
+    of every probe are a single multinomial draw (per-probe Philox stream
     of ``seed``) and each reconstructed effect is eigenvalue-clipped at zero.
     """
     effects = _effects_of(measurement)
@@ -200,7 +197,7 @@ def measurement_tomography(measurement, probes=None, shots=None, seed=None, retu
     design = np.real(np.einsum("jik,mki->jm", probes, paulis))
     freqs = np.clip(np.real(np.einsum("kil,jli->jk", effects, probes)), 0.0, None)
     if shots is not None:
-        freqs = np.stack([_substream(seed, j).multinomial(shots, p / p.sum())
+        freqs = np.stack([stream(seed, j).multinomial(shots, p / p.sum())
                           for j, p in enumerate(freqs)]) / shots
     coeffs, _, rank, _ = np.linalg.lstsq(design, freqs, rcond=None)
     if rank < npa:

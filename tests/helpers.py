@@ -120,6 +120,17 @@ def per_row_haar_triples(cfg, n, seed):
     return out
 
 
+def box_muller_sample(seed, i):
+    """Reference Ginibre sample i of stream version 2: Box-Muller on uniforms
+    [32i, 32i + 32) of Philox key [seed, 2**63 - 1], (u, u') per entry, row-major."""
+    u = np.random.Generator(np.random.Philox(key=[seed, 2**63 - 1])).random(32 * (i + 1))[32 * i:]
+    r = np.sqrt(-np.log1p(-u[0::2]))
+    theta = 2 * np.pi * u[1::2]
+    z = np.empty(16, dtype=np.complex128)
+    z.real, z.imag = r * np.cos(theta), r * np.sin(theta)
+    return z.reshape(4, 4)
+
+
 def kron_initial_state(cfg):
     """Reference initial state: the Kronecker product of the two Gibbs states."""
     return tensor(gibbs_state(cfg.qubit1, cfg.bath1), gibbs_state(cfg.qubit2, cfg.bath2))

@@ -1,4 +1,4 @@
-"""Haar stream: Philox substream discipline, seed range and the QR step."""
+"""Haar stream (version 2): layout, random access, seed range and the QR step."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,24 @@ from qmcool import (EngineConfig, HaarSampler, ValidationError, _accel, frequenc
                     haar_average_report)
 from qmcool.engine import _haar_triples
 
+from helpers import box_muller_sample
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
+@pytest.mark.parametrize("i", [0, 1, 31, 4096])
+def test_ginibre_layout_matches_box_muller_oracle(seed, i):
+    assert np.array_equal(_accel.ginibre_batch(seed, i, 1)[0], box_muller_sample(seed, i))
+
 
 def test_ginibre_substreams_are_independent_of_batching():
-    batch = _accel.ginibre_batch(99, 0, 10)
-    for i in range(10):
+    batch = _accel.ginibre_batch(99, 0, 20000)
+    for i in (0, 1, 31, 4096, 19999):
         single = _accel.ginibre_batch(99, i, 1)[0]
         assert np.array_equal(batch[i], single)
+    # the sample index lives in Philox's 256-bit counter, so the top of the range is valid
+    top = _accel.ginibre_batch(99, 2**63 - 2, 2)
+    assert np.array_equal(top[0], _accel.ginibre_batch(99, 2**63 - 2, 1)[0])
+    assert np.array_equal(top[1], _accel.ginibre_batch(99, 2**63 - 1, 1)[0])
 
 
 def test_ginibre_batch_offset():
@@ -34,8 +46,8 @@ def test_ginibre_rejects_bad_seed():
     # numpy passes Philox keys >= 2**63 through float64, which aliases seeds
     with pytest.raises(ValidationError):
         _accel.ginibre_batch(2**63, 0, 2)
-    with pytest.raises(ValidationError):
-        _accel.ginibre_batch(1, 2**63 - 1, 2)
+    # a counter past 2**63 - 1 no longer reaches a key, so it cannot alias one
+    assert _accel.ginibre_batch(1, 2**63 - 1, 2).shape == (2, 4, 4)
     assert _accel.ginibre_batch(2**63 - 1, 2**63 - 2, 2).shape == (2, 4, 4)
     # counters and counts are checked, not truncated: int() moved 1.5 to 1 and let -1 through
     for start in (1.5, -1, True, "1"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qmcool import cli
+from qmcool import _accel, cli
 from qmcool.errors import ValidationError
 
 
@@ -256,6 +256,15 @@ def test_stdout_when_no_out_flag(capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("# qmcool")
     assert "R-range" in captured.out
+    # exactly the outputs that read the Haar stream carry its version
+    for args, seeded in ((["frequency", "--seed", "1", "--samples", "5"], True),
+                         (["haar-average", "--seed", "1", "--samples", "5"], True),
+                         (["tomography", "--seed", "1", "--shots", "10"], True),
+                         (["tomography"], False), (["sweep-omega"], False),
+                         (["noise"], False), (["hologram"], False)):
+        assert cli.main(args) == 0
+        comments = [l for l in capsys.readouterr().out.splitlines() if l.startswith("#")]
+        assert ("# stream=2" in comments) is seeded, args
 
 
 def test_exit_code_three_on_invariant_violation(monkeypatch, capsys):
@@ -289,6 +298,30 @@ def test_seed_beyond_int64_is_config_error(tmp_path, command, seed, code):
     conf.write_text("omega2 = 0.18\n")
     args = command + ["--config", str(conf), "--seed", str(seed), "--out", str(tmp_path / "o")]
     assert cli.main(args) == code
+
+
+def test_tomography_haar_key_is_not_a_shot_key(monkeypatch, tmp_path):
+    # the Haar bases and the shot counts of probe i used to share Philox key [seed, i]
+    haar_keys, shot_keys, in_haar = [], [], []
+    philox, ginibre = np.random.Philox, _accel.ginibre_batch
+
+    def recording_philox(*args, key=None, **kwargs):
+        (haar_keys if in_haar else shot_keys).append(tuple(int(k) for k in key))
+        return philox(*args, key=key, **kwargs)
+
+    def recording_ginibre(*args):
+        in_haar.append(True)
+        try:
+            return ginibre(*args)
+        finally:
+            in_haar.clear()
+
+    monkeypatch.setattr(np.random, "Philox", recording_philox)
+    monkeypatch.setattr(_accel, "ginibre_batch", recording_ginibre)
+    out = tmp_path / "t.csv"
+    assert cli.main(["tomography", "--shots", "10", "--seed", "3", "--out", str(out)]) == 0
+    assert len(haar_keys) == 1
+    assert shot_keys and haar_keys[0] not in shot_keys
 
 
 def test_shots_beyond_int64_is_config_error():

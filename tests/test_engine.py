@@ -220,7 +220,7 @@ def test_cycle_energy_samples_deterministic():
     a = _haar_triples(cfgs, 64, 4)[0]
     b = _haar_triples(cfgs, 64, 4)[0]
     assert np.array_equal(a, b)
-    # sample i comes from its own substream, so a shorter draw is a prefix
+    # sample i reads its own slice of the seed's stream, so a shorter draw is a prefix
     c = _haar_triples(cfgs, 32, 4)[0]
     assert np.allclose(a[:32], c, atol=1e-14)
 
