@@ -5,7 +5,9 @@ stream of a seed is key ``[seed, HAAR_WORD]``; probe j's tomography shots use
 key ``[seed, j]``, and no probe index reaches ``HAAR_WORD``, so the two never
 share a stream.  Sample i of the Haar stream reads uniforms [32i, 32i + 32)
 (the counter set to 8i), so results are a pure function of
-``(seed, start, n)`` and independent of batching.
+``(seed, start, n)`` and independent of batching: the engine draws its Haar
+samples in fixed chunks, ``ginibre_batch(seed, start, m)`` for consecutive
+starts, and gets the samples of one whole draw.
 
 The cycle-energy kernel lives in :mod:`qmcool.engine`.  This module keeps
 its name because the benchmark harness (``perfbench/``) reads and wraps

@@ -16,7 +16,6 @@ H (heater).
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -40,6 +39,9 @@ from .qcore import two_qubit_state
 from .thermo import BathSpec, QubitSpec, gibbs_population
 
 SLACK_FLOOR = -1e-10
+# Haar samples per chunk of frequency_sweep and haar_average_report: their memory
+# is set by one chunk, whatever n_samples is
+CHUNK = 2**14
 CLASS_LABELS = ("R", "E", "A", "H")
 
 
@@ -223,24 +225,105 @@ def run_cycle(cfg, measurement=None, eps=1e-12):
     )
 
 
-def _haar_triples(cfgs, n_samples, seed):
-    """(dE1, dE2, dE) of each config over one draw of Haar bases, shape (len(cfgs), n, 3).
+def _sample_name(omega2, index):
+    return f"omega2 = {omega2!r}, Haar sample {index}"
 
-    Sample i measures in the canonical basis rotated by the i-th unitary U of
-    ``haar_unitaries(HaarSampler(seed), n)``, the same U for every config.  On the
-    diagonal Gibbs product with populations p the measurement moves only populations,
-    through the unistochastic P = |U C|^2 (C: the canonical basis vectors as columns):
-    dE_i = p^T (P P^T - I) h_i with h_i the diagonal of H_i, and dE = dE1 + dE2.
-    B = P P^T - I does not depend on the config, so it is formed once for all rows.
+
+def _chunk_bounds(n):
+    """(start, m) of the chunks that cover samples [0, n).
+
+    Chunks hold CHUNK samples, except the last.  A remainder of one sample joins
+    the chunk before it: numpy sends a one-row (1, 4) @ (4, 2) product through gemv,
+    whose rounding differs from the gemm of a longer chunk, so a lone sample would
+    move in the last bit.
     """
-    us = haar_unitaries(HaarSampler(seed), check_int(n_samples, "n_samples", 1))
-    big_p = np.abs(us @ canonical_basis().vectors.T) ** 2
-    b = big_p @ big_p.transpose(0, 2, 1) - np.eye(4)
-    out = np.empty((len(cfgs), len(b), 3))
+    start = 0
+    while start < n:
+        m = min(CHUNK, n - start)
+        if n - start - m == 1:
+            m += 1
+        yield start, m
+        start += m
+
+
+def _chunk_triples(cfgs, seed, start, m):
+    """(dE1, dE2, dE) of each config over Haar samples [start, start + m), shape (len(cfgs), m, 3).
+
+    Sample i measures in the canonical basis rotated by unitary i of the seed's Haar
+    stream, the same U for every config.  On the diagonal Gibbs product with
+    populations p the measurement moves only populations, through the unistochastic
+    P = |U C|^2 (C: the canonical basis vectors as columns): dE_i = p^T (P P^T - I) h_i
+    with h_i the diagonal of H_i, and dE = dE1 + dE2.  B = P P^T - I does not depend
+    on the config, so it is formed once for all rows.  Every sample must keep
+    beta1*dE1 + beta2*dE2 >= SLACK_FLOOR, as in :func:`run_cycle`.
+    """
+    big_p = np.abs(haar_unitaries(HaarSampler(seed, start), m) @ canonical_basis().vectors.T)
+    np.square(big_p, out=big_p)
+    b = big_p @ big_p.transpose(0, 2, 1)
+    b -= np.eye(4)
+    out = np.empty((len(cfgs), m, 3))
     for row, cfg in zip(out, cfgs):
         row[:, :2] = _populations(cfg) @ b @ np.column_stack(_joint_hamiltonian_diagonals(cfg))
         row[:, 2] = row[:, 0] + row[:, 1]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass, as in run_cycle
+            slack = cfg.bath1.beta * row[:, 0] + cfg.bath2.beta * row[:, 1]
+        bad = np.flatnonzero(slack < SLACK_FLOOR)
+        if bad.size:
+            i = bad[0]
+            raise SecondLawViolation(
+                f"{_sample_name(cfg.qubit2.omega, start + i)}: beta1*dE1 + beta2*dE2 = "
+                f"{slack[i]:.3e} below tolerance {SLACK_FLOOR:.1e}"
+            )
     return out
+
+
+def _haar_chunks(cfgs, n_samples, seed):
+    """(start, triples) for consecutive chunks of the n_samples Haar samples of
+    ``seed``; triples is :func:`_chunk_triples` of the chunk.
+
+    Sample i reads uniforms [32i, 32i + 32) of the stream whatever the chunk, so
+    the chunks concatenate to the triples of one whole draw.  n_samples is checked
+    here, before the first chunk is drawn.
+    """
+    n = check_int(n_samples, "n_samples", 1)
+    return ((start, _chunk_triples(cfgs, seed, start, m)) for start, m in _chunk_bounds(n))
+
+
+def _class_counts(triples, eps, omega2, start):
+    """Counts of R, E, A, H (in CLASS_LABELS order) over an (m, 3) stack of triples.
+
+    Each row gets the label :func:`classify` gives it: the same sum check, the
+    same weak inequalities at the same eps and the same R, E, A, H priority
+    (``np.select`` takes the first condition that holds), as numpy masks.  Errors
+    name omega2 and the sample index start + i.
+    """
+    de1, de2, de = triples.T
+    a1, a2, a = np.abs(de1), np.abs(de2), np.abs(de)
+    gap = np.abs(de - de1 - de2)
+    bad = np.flatnonzero((gap > eps) & (gap > 2.0**-52 * (a1 + a2)))
+    if bad.size:
+        i = bad[0]
+        raise ValidationError(
+            f"{_sample_name(omega2, start + i)}: inconsistent triple: "
+            f"|dE - dE1 - dE2| = {gap[i]:.3e} > {eps:.3e}"
+        )
+    up1, down1 = de1 >= -eps, de1 <= eps
+    up2, down2 = de2 >= -eps, de2 <= eps
+    up, down = de >= -eps, de <= eps
+    codes = np.select(
+        [(a1 <= eps) & (a2 <= eps) & (a <= eps), up1 & down2 & up, down1 & up2 & down,
+         down1 & up2 & up, up1 & up2 & up],
+        [3, 0, 1, 2, 3],
+        default=-1,
+    )
+    bad = np.flatnonzero(codes < 0)
+    if bad.size:
+        i = bad[0]
+        raise ValidationError(
+            f"{_sample_name(omega2, start + i)}: no operation class matches "
+            f"({de1[i]:.3e}, {de2[i]:.3e}, {de[i]:.3e}); such a triple violates the second law"
+        )
+    return np.bincount(codes, minlength=len(CLASS_LABELS))
 
 
 def frequency_sweep(cfgs, n_samples, seed, eps=1e-12):
@@ -248,16 +331,22 @@ def frequency_sweep(cfgs, n_samples, seed, eps=1e-12):
 
     Returns one dict per config in ``cfgs``, mapping each of "R", "E", "A",
     "H" to a :class:`FrequencyEstimate` (frequency, binomial standard error).
-    All configs share one draw of bases; each dict is a pure function of
+    All configs share one draw of bases, taken in chunks (:func:`_haar_chunks`)
+    so that memory does not grow with n_samples; the class counts of each chunk
+    (:func:`_class_counts`) add up.  Each dict is a pure function of
     (config, n_samples, seed).
     """
+    counts = np.zeros((len(cfgs), len(CLASS_LABELS)), dtype=np.int64)
+    n = 0
+    for start, triples in _haar_chunks(cfgs, n_samples, seed):
+        for count, cfg, rows in zip(counts, cfgs, triples):
+            count += _class_counts(rows, eps, cfg.qubit2.omega, start)
+        n += triples.shape[1]
     out = []
-    for triples in _haar_triples(cfgs, n_samples, seed):
-        counts = Counter(classify(de1, de2, de, eps) for de1, de2, de in triples.tolist())
-        n = len(triples)
+    for count in counts.tolist():
         row = {}
-        for label in CLASS_LABELS:
-            f = counts[label] / n
+        for label, c in zip(CLASS_LABELS, count):
+            f = c / n
             row[label] = FrequencyEstimate(f, math.sqrt(f * (1.0 - f) / n))
         out.append(row)
     return out
@@ -276,26 +365,45 @@ def depolarizing_prediction(cfg):
 
 
 def haar_average_report(cfgs, n_samples, seed, eps=1e-12):
-    """One :class:`HaarAverageReport` per config in ``cfgs``, over one shared draw of bases."""
+    """One :class:`HaarAverageReport` per config in ``cfgs``, over one shared draw of bases.
+
+    The draw is taken in chunks (:func:`_haar_chunks`), so memory does not grow
+    with n_samples.  Each chunk's mean and sum of squared deviations M2 are merged
+    into the running ones by the pairwise update of Chan, Golub and LeVeque (1979);
+    a draw of one chunk gives the np.mean and np.std of the whole draw exactly.
+    """
+    # reduce in units of the larger gap so that sums of huge triples stay finite;
+    # a power-of-two scale is exact
+    ks = [math.frexp(max(cfg.qubit1.omega, cfg.qubit2.omega))[1] for cfg in cfgs]
+    n, means, sqdevs = 0, np.zeros((len(cfgs), 3)), np.zeros((len(cfgs), 3))
+    for _, triples in _haar_chunks(cfgs, n_samples, seed):
+        m = triples.shape[1]
+        for k, rows, mean, sqdev in zip(ks, triples, means, sqdevs):
+            np.ldexp(rows, -k, out=rows)
+            chunk_mean = rows.sum(axis=0) / m
+            dev = rows - chunk_mean
+            chunk_m2 = (dev * dev).sum(axis=0)
+            if n:
+                delta = chunk_mean - mean
+                mean += delta * (m / (n + m))
+                sqdev += chunk_m2 + delta * delta * (n * m / (n + m))
+            else:
+                mean[:], sqdev[:] = chunk_mean, chunk_m2
+        n += m
     reports = []
-    for cfg, triples in zip(cfgs, _haar_triples(cfgs, n_samples, seed)):
-        # reduce in units of the larger gap so that sums of huge triples stay finite;
-        # a power-of-two scale is exact
-        k = math.frexp(max(cfg.qubit1.omega, cfg.qubit2.omega))[1]
-        np.ldexp(triples, -k, out=triples)
-        n = len(triples)
-        means = np.ldexp(triples.mean(axis=0), k)
+    for cfg, k, mean, sqdev in zip(cfgs, ks, means, sqdevs):
+        mean = np.ldexp(mean, k)
         if n > 1:
-            errs = np.ldexp(triples.std(axis=0, ddof=1) / math.sqrt(n), k)
+            errs = np.ldexp(np.sqrt(sqdev / (n - 1)) / math.sqrt(n), k)
         else:
             errs = np.full(3, np.nan)
         pred = depolarizing_prediction(cfg)
         # classify m1 + m2: three separate n-term means need not add up within one rounding
-        m1, m2 = float(means[0]), float(means[1])
+        m1, m2 = float(mean[0]), float(mean[1])
         reports.append(HaarAverageReport(
             mean_dE1=m1,
             mean_dE2=m2,
-            mean_dE=float(means[2]),
+            mean_dE=float(mean[2]),
             stderr_dE1=float(errs[0]),
             stderr_dE2=float(errs[1]),
             stderr_dE=float(errs[2]),

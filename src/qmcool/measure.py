@@ -103,7 +103,8 @@ def haar_unitary(sampler):
 
 
 def haar_unitaries(sampler, n):
-    """n Haar unitaries for counters [counter, counter + n)."""
+    """n Haar unitaries for counters [counter, counter + n); any split of a range
+    into consecutive calls gives the same unitaries (the engine draws in chunks)."""
     gin = _accel.ginibre_batch(sampler.seed, sampler.counter, n)
     return _accel.haar_from_ginibre(gin)
 

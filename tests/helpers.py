@@ -1,5 +1,7 @@
 """Shared fixtures-in-plain-functions for the test suite."""
 
+import math
+
 import numpy as np
 
 from qmcool import (
@@ -9,6 +11,7 @@ from qmcool import (
     energy,
     energy_changes,
     gibbs_state,
+    haar_unitaries,
     haar_unitary,
     hom_noisy_channel,
     initial_state,
@@ -17,8 +20,8 @@ from qmcool import (
     tensor,
     two_qubit_state,
 )
-from qmcool._accel import ginibre_batch, haar_from_ginibre
-from qmcool.engine import _joint_hamiltonian_diagonals, _populations
+from qmcool._accel import check_int, ginibre_batch, haar_from_ginibre
+from qmcool.engine import _haar_chunks, _joint_hamiltonian_diagonals, _populations
 
 EXPERIMENT_OMEGA2 = (0.02, 0.06, 0.14, 0.18, 0.46, 0.86, 1.10)
 
@@ -118,6 +121,34 @@ def per_row_haar_triples(cfg, n, seed):
     out[:, :2] = p @ b @ np.column_stack([h1, h2])
     out[:, 2] = out[:, 0] + out[:, 1]
     return out
+
+
+def whole_draw_haar_triples(cfgs, n_samples, seed):
+    """Reference (len(cfgs), n, 3) Haar triples: the former one-draw kernel, which
+    held every sample at once; the chunked path must match it bit for bit."""
+    us = haar_unitaries(HaarSampler(seed), check_int(n_samples, "n_samples", 1))
+    big_p = np.abs(us @ canonical_basis().vectors.T) ** 2
+    b = big_p @ big_p.transpose(0, 2, 1) - np.eye(4)
+    out = np.empty((len(cfgs), len(b), 3))
+    for row, cfg in zip(out, cfgs):
+        row[:, :2] = _populations(cfg) @ b @ np.column_stack(_joint_hamiltonian_diagonals(cfg))
+        row[:, 2] = row[:, 0] + row[:, 1]
+    return out
+
+
+def whole_draw_haar_moments(cfg, triples):
+    """Reference (means, stderrs) of one config's (n, 3) triples: the former one-draw
+    reduction, np.mean and np.std(ddof=1) in power-of-two units of the larger gap."""
+    k = math.frexp(max(cfg.qubit1.omega, cfg.qubit2.omega))[1]
+    scaled = np.ldexp(triples, -k)
+    n = len(triples)
+    errs = np.ldexp(scaled.std(axis=0, ddof=1) / math.sqrt(n), k) if n > 1 else np.full(3, np.nan)
+    return np.ldexp(scaled.mean(axis=0), k), errs
+
+
+def chunked_haar_triples(cfgs, n_samples, seed):
+    """The chunks of the Haar path, concatenated into one (len(cfgs), n, 3) array."""
+    return np.concatenate([t for _, t in _haar_chunks(cfgs, n_samples, seed)], axis=1)
 
 
 def box_muller_sample(seed, i):

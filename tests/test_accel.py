@@ -5,7 +5,7 @@ import pytest
 
 from qmcool import (EngineConfig, HaarSampler, ValidationError, _accel, frequency_sweep,
                     haar_average_report)
-from qmcool.engine import _haar_triples
+from qmcool.engine import _haar_chunks
 
 from helpers import box_muller_sample
 
@@ -60,7 +60,7 @@ def test_ginibre_rejects_bad_seed():
         HaarSampler(1, True)
     cfg = EngineConfig.from_values(1.0, 0.18, 0.4, 1.0)
     for n in (10.7, 0, True):
-        for run in (_haar_triples, haar_average_report, frequency_sweep):
+        for run in (_haar_chunks, haar_average_report, frequency_sweep):
             with pytest.raises(ValidationError):
                 run([cfg], n, 3)
 

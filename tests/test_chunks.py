@@ -1,0 +1,169 @@
+"""The chunked Haar path: bit-for-bit agreement with one whole draw, the mask
+classifier, per-sample invariant checks, eager validation and flat memory."""
+
+import functools
+import tracemalloc
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qmcool import (
+    SecondLawViolation,
+    ValidationError,
+    classify,
+    engine,
+    frequency_sweep,
+    haar_average_report,
+)
+from qmcool.engine import CHUNK, CLASS_LABELS, _class_counts, _haar_chunks
+
+from helpers import (
+    EXPERIMENT_OMEGA2,
+    chunked_haar_triples,
+    reference_config,
+    whole_draw_haar_moments,
+    whole_draw_haar_triples,
+)
+
+SEED = 19
+BOUNDARY_NS = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+CFGS = [reference_config(omega2) for omega2 in EXPERIMENT_OMEGA2]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(n):
+    return whole_draw_haar_triples(CFGS, n, SEED)
+
+
+@pytest.mark.parametrize("n", BOUNDARY_NS)
+def test_chunk_triples_match_whole_draw(n):
+    assert np.array_equal(chunked_haar_triples(CFGS, n, SEED), _oracle(n))
+
+
+@pytest.mark.parametrize("n", BOUNDARY_NS)
+def test_frequency_counts_match_whole_draw(n):
+    for est, rows in zip(frequency_sweep(CFGS, n, SEED), _oracle(n)):
+        counts = Counter(classify(*row) for row in rows.tolist())
+        assert {label: est[label].frequency for label in CLASS_LABELS} == {
+            label: counts[label] / n for label in CLASS_LABELS}
+
+
+@pytest.mark.parametrize("n", (1, 2) + BOUNDARY_NS)
+def test_haar_average_matches_whole_draw(n):
+    for cfg, rep, rows in zip(CFGS, haar_average_report(CFGS, n, SEED), _oracle(n)):
+        means, errs = whole_draw_haar_moments(cfg, rows)
+        got_means = (rep.mean_dE1, rep.mean_dE2, rep.mean_dE)
+        got_errs = (rep.stderr_dE1, rep.stderr_dE2, rep.stderr_dE)
+        if n <= CHUNK:
+            assert got_means == tuple(means) and np.array_equal(got_errs, errs, equal_nan=True)
+        else:
+            assert np.allclose(got_means, means, rtol=1e-12, atol=0)
+            assert np.allclose(got_errs, errs, rtol=1e-12, atol=0)
+
+
+def test_a_lone_last_sample_joins_the_chunk_before():
+    assert list(engine._chunk_bounds(CHUNK + 1)) == [(0, CHUNK + 1)]
+    assert list(engine._chunk_bounds(2 * CHUNK + 3)) == [(0, CHUNK), (CHUNK, CHUNK), (2 * CHUNK, 3)]
+    assert list(engine._chunk_bounds(1)) == [(0, 1)]
+
+
+def _ties(eps):
+    up = np.nextafter(eps, np.inf)
+    down = np.nextafter(eps, -np.inf)
+    return [0.0, -0.0, 5e-324, -5e-324, eps, -eps, up, -up, down, -down, 2 * eps, -2 * eps]
+
+
+@st.composite
+def tie_stacks(draw):
+    eps = draw(st.sampled_from([1e-12, 1e-3, 0.0]))
+    ties = st.one_of(st.sampled_from(_ties(eps)), st.sampled_from([1.0, -1.0, 3.0, -0.75]))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        de1, de2 = draw(ties), draw(ties)
+        how = draw(st.sampled_from(["sum", "tie", "ulps"]))
+        de = draw(ties) if how == "tie" else de1 + de2
+        if how == "ulps":  # a few ulps off the sum, around the rounding allowance of the sum check
+            to = draw(st.sampled_from([np.inf, -np.inf]))
+            for _ in range(draw(st.integers(1, 3))):
+                de = np.nextafter(de, to)
+        rows.append((de1, de2, de))
+    return eps, np.array(rows, dtype=float)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(tie_stacks())
+def test_mask_classifier_matches_scalar_on_ties(case):
+    eps, triples = case
+    labels = []
+    for row in triples:
+        try:
+            labels.append(classify(*row.tolist(), eps))
+        except ValidationError:
+            labels.append(None)
+            with pytest.raises(ValidationError):
+                _class_counts(row[None], eps, 0.18, 0)
+    if None in labels:
+        with pytest.raises(ValidationError):
+            _class_counts(triples, eps, 0.18, 0)
+    classified = [label is not None for label in labels]
+    if any(classified):
+        counts = _class_counts(triples[classified], eps, 0.18, 0)
+        expected = Counter(labels)
+        assert dict(zip(CLASS_LABELS, counts.tolist())) == {
+            label: expected[label] for label in CLASS_LABELS}
+
+
+def _one_bad_sample(monkeypatch, index):
+    """Every Haar sample becomes the identity (the canonical basis), except sample
+    ``index``, which becomes 2*I: not unitary, so its triple breaks the second law."""
+    def fake(sampler, m):
+        us = np.broadcast_to(np.eye(4, dtype=np.complex128), (m, 4, 4)).copy()
+        if sampler.counter <= index < sampler.counter + m:
+            us[index - sampler.counter] *= 2.0
+        return us
+    monkeypatch.setattr(engine, "haar_unitaries", fake)
+
+
+@pytest.mark.parametrize("run", [frequency_sweep, haar_average_report])
+def test_second_law_breach_names_row_and_sample(monkeypatch, run):
+    index = CHUNK + 5
+    _one_bad_sample(monkeypatch, index)
+    with pytest.raises(SecondLawViolation, match=rf"omega2 = 0\.18, Haar sample {index}:"):
+        run([reference_config(0.18)], 2 * CHUNK, SEED)
+
+
+def test_classless_triple_names_row_and_sample(monkeypatch):
+    index = CHUNK + 5
+    _one_bad_sample(monkeypatch, index)
+    monkeypatch.setattr(engine, "SLACK_FLOOR", -np.inf)
+    match = rf"omega2 = 0\.18, Haar sample {index}: no operation"
+    with pytest.raises(ValidationError, match=match):
+        frequency_sweep([reference_config(0.18)], 2 * CHUNK, SEED)
+
+
+def test_sample_count_is_checked_before_the_first_draw(monkeypatch):
+    def no_draw(sampler, m):
+        raise AssertionError("drew a chunk")
+    monkeypatch.setattr(engine, "haar_unitaries", no_draw)
+    cfg = reference_config()
+    for n in (10.7, 0, True, -1, "5"):
+        for run in (_haar_chunks, haar_average_report, frequency_sweep):
+            with pytest.raises(ValidationError):
+                run([cfg], n, SEED)
+    _haar_chunks([cfg], 5, SEED)  # nothing is drawn until the chunks are read
+
+
+def _peak_bytes(n):
+    tracemalloc.start()
+    try:
+        haar_average_report([reference_config()], n, SEED)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_haar_average_memory_is_flat_in_n():
+    small, large = _peak_bytes(2 * CHUNK), _peak_bytes(16 * CHUNK)
+    assert abs(large - small) <= 0.1 * small, (small, large)

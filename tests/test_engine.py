@@ -29,13 +29,13 @@ from qmcool import (
     thermalizing_channel,
     white_noise_povm,
 )
-from qmcool.engine import _haar_triples
 
 from helpers import (
     EXPECTED_CLASSES,
     EXPECTED_TRIPLES,
     EXPERIMENT_OMEGA2,
     bisect_critical_visibility,
+    chunked_haar_triples,
     closed_form_triple,
     kron_initial_state,
     partial_trace_energy_changes,
@@ -192,7 +192,7 @@ def _experiment_configs():
 @pytest.mark.parametrize("seed", [1, 7])
 def test_haar_triples_match_per_row_kernel(seed):
     cfgs = _experiment_configs()
-    triples = _haar_triples(cfgs, 2000, seed)
+    triples = chunked_haar_triples(cfgs, 2000, seed)
     assert triples.shape == (len(cfgs), 2000, 3)
     for cfg, rows in zip(cfgs, triples):
         assert np.array_equal(rows, per_row_haar_triples(cfg, 2000, seed))
@@ -200,16 +200,16 @@ def test_haar_triples_match_per_row_kernel(seed):
 
 def test_haar_triples_rows_match_one_row_calls():
     cfgs = _experiment_configs()
-    triples = _haar_triples(cfgs, 300, 5)
+    triples = chunked_haar_triples(cfgs, 300, 5)
     for cfg, rows in zip(cfgs, triples):
-        assert np.array_equal(rows, _haar_triples([cfg], 300, 5)[0])
+        assert np.array_equal(rows, chunked_haar_triples([cfg], 300, 5)[0])
 
 
 def test_closed_form_kernel_matches_channel_path():
     # 30 Haar bases, shared by the 7 omega2 rows, through the measurement channel
     cfgs = _experiment_configs()
     us = haar_unitaries(HaarSampler(2718), 30)
-    for cfg, rows in zip(cfgs, _haar_triples(cfgs, 30, 2718)):
+    for cfg, rows in zip(cfgs, chunked_haar_triples(cfgs, 30, 2718)):
         for triple, u in zip(rows, us):
             report = run_cycle(cfg, rotate_basis(u, canonical_basis()))
             assert np.allclose(triple, (report.dE1, report.dE2, report.dE), rtol=0, atol=1e-12)
@@ -217,16 +217,16 @@ def test_closed_form_kernel_matches_channel_path():
 
 def test_cycle_energy_samples_deterministic():
     cfgs = [reference_config()]
-    a = _haar_triples(cfgs, 64, 4)[0]
-    b = _haar_triples(cfgs, 64, 4)[0]
+    a = chunked_haar_triples(cfgs, 64, 4)[0]
+    b = chunked_haar_triples(cfgs, 64, 4)[0]
     assert np.array_equal(a, b)
     # sample i reads its own slice of the seed's stream, so a shorter draw is a prefix
-    c = _haar_triples(cfgs, 32, 4)[0]
+    c = chunked_haar_triples(cfgs, 32, 4)[0]
     assert np.allclose(a[:32], c, atol=1e-14)
 
 
 def test_cycle_samples_triple_additivity():
-    out = _haar_triples([reference_config()], 500, 21)[0]
+    out = chunked_haar_triples([reference_config()], 500, 21)[0]
     assert np.allclose(out[:, 2], out[:, 0] + out[:, 1], atol=1e-14)
 
 

@@ -6,12 +6,8 @@ import os
 import tempfile
 
 from hypothesis import given, settings, strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from qmcool import cli
-
-# Hypothesis caches constants read from local source files; keep them out of the checkout.
-set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "qmcool-hypothesis"))
 
 # the full range, and a moderate one so that many drawn configs get past validation
 FLOATS = st.one_of(st.floats(1e-320, 1e308), st.floats(1e-3, 1e3))
