@@ -36,7 +36,7 @@ from .measure import (
     white_noise_mixture_weights,
 )
 from .qcore import two_qubit_state
-from .thermo import BathSpec, QubitSpec, gibbs_population
+from .thermo import BathSpec, QubitSpec, thermal_populations
 
 SLACK_FLOOR = -1e-10
 # Haar samples per chunk of frequency_sweep and haar_average_report: their memory
@@ -109,9 +109,8 @@ class HaarAverageReport:
 
 def _populations(cfg):
     """The four Gibbs populations p of gibbs1 x gibbs2, in (|00>, |01>, |10>, |11>) order."""
-    p1 = gibbs_population(cfg.qubit1, cfg.bath1)
-    p2 = gibbs_population(cfg.qubit2, cfg.bath2)
-    return np.outer([p1, 1.0 - p1], [p2, 1.0 - p2]).ravel()
+    return np.outer(thermal_populations(cfg.qubit1, cfg.bath1),
+                    thermal_populations(cfg.qubit2, cfg.bath2)).ravel()
 
 
 def initial_state(cfg):
@@ -226,7 +225,7 @@ def run_cycle(cfg, measurement=None, eps=1e-12):
 
 
 def _sample_name(omega2, index):
-    return f"omega2 = {omega2!r}, Haar sample {index}"
+    return f"omega2 = {float(omega2)!r}, Haar sample {index}"
 
 
 def _chunk_bounds(n):

@@ -3,10 +3,11 @@
 A qubit with gap ``omega`` has Hamiltonian H = diag(-omega/2, +omega/2), i.e.
 |0> is the ground state.  Contact with a bath at inverse temperature ``beta``
 is modeled at the infinite-interaction-time limit: a four-operator Kraus
-channel whose output is the Gibbs state diag(p, 1-p) for *any* input, with
-ground population p = (1 + tanh(beta*omega/2))/2.
+channel whose output is the Gibbs state diag(1-q, q) for *any* input, with
+excited population q = e^(-beta*omega)/(1 + e^(-beta*omega)).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +46,28 @@ def _beta(bath):
     return bath.beta if isinstance(bath, BathSpec) else BathSpec(float(bath)).beta
 
 
+def thermal_populations(qubit, bath):
+    """(ground, excited) populations (1 - q, q) of the Gibbs state.
+
+    The excited population is computed directly, q = e^(-x)/(1 + e^(-x)) with
+    x = beta*omega > 0: it underflows quietly to 0 and never overflows, and no
+    difference of nearly equal numbers enters it.  (Taking it as 1 minus the
+    ground population (1 + tanh(x/2))/2 rounds it to exactly 0 once x > ~38.)
+    The ground population 1 - q is at least 1/2, so its rounding stays relative.
+    """
+    z = math.exp(-_beta(bath) * _omega(qubit))
+    q = z / (1.0 + z)
+    return 1.0 - q, q
+
+
 def gibbs_population(qubit, bath):
-    """Ground-state population p = (1 + tanh(beta*omega/2))/2 in (1/2, 1)."""
-    return 0.5 * (1.0 + np.tanh(0.5 * _beta(bath) * _omega(qubit)))
+    """Ground-state population 1 - q in [1/2, 1), q as in :func:`thermal_populations`."""
+    return thermal_populations(qubit, bath)[0]
 
 
 def gibbs_state(qubit, bath):
-    """Thermal state diag(p, 1-p) with p = gibbs_population(qubit, bath)."""
-    p = gibbs_population(qubit, bath)
-    return np.diag([p, 1.0 - p]).astype(np.complex128)
+    """Thermal state diag(1 - q, q), the populations of :func:`thermal_populations`."""
+    return np.diag(thermal_populations(qubit, bath)).astype(np.complex128)
 
 
 def hamiltonian(qubit):
@@ -96,12 +110,12 @@ class KrausChannel:
 def thermalizing_channel(qubit, bath):
     """Infinite-time thermalization toward gibbs_state(qubit, bath).
 
-    The four operators move and keep population with weights p and 1-p; the
-    channel's output is exactly diag(p, 1-p) regardless of the input state,
-    with all coherences erased.
+    The four operators move and keep population with weights p = 1 - q and q
+    (:func:`thermal_populations`); the channel's output is exactly diag(p, q)
+    regardless of the input state, with all coherences erased.
     """
-    p = gibbs_population(qubit, bath)
-    sp, sq = np.sqrt(p), np.sqrt(1.0 - p)
+    p, q = thermal_populations(qubit, bath)
+    sp, sq = np.sqrt(p), np.sqrt(q)
     k1 = np.array([[sp, 0], [0, 0]], dtype=np.complex128)
     k2 = np.array([[0, sp], [0, 0]], dtype=np.complex128)
     k3 = np.array([[0, 0], [0, sq]], dtype=np.complex128)

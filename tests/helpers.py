@@ -1,5 +1,6 @@
 """Shared fixtures-in-plain-functions for the test suite."""
 
+import decimal
 import math
 
 import numpy as np
@@ -52,6 +53,26 @@ def closed_form_triple(cfg):
     de1 = cfg.qubit1.omega * delta
     de2 = -cfg.qubit2.omega * delta
     return de1, de2, de1 + de2
+
+
+def decimal_canonical_triple(cfg, digits=50):
+    """Reference canonical-basis triple in ``digits``-digit decimal arithmetic.
+
+    The canonical basis mixes only |01> and |10>, so with the excited populations
+    q_i = e^(-beta_i*omega_i) / (1 + e^(-beta_i*omega_i)) the cycle moves
+    dE1 = -(omega1/2)(q1 - q2) and dE2 = (omega2/2)(q1 - q2).
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+
+        def excited(qubit, bath):
+            z = (-decimal.Decimal(bath.beta) * decimal.Decimal(qubit.omega)).exp()
+            return z / (1 + z)
+
+        gap = excited(cfg.qubit1, cfg.bath1) - excited(cfg.qubit2, cfg.bath2)
+        de1 = -decimal.Decimal(cfg.qubit1.omega) / 2 * gap
+        de2 = decimal.Decimal(cfg.qubit2.omega) / 2 * gap
+        return float(de1), float(de2), float(de1 + de2)
 
 
 def random_density(rng, dim):

@@ -54,6 +54,17 @@ def test_sweep_omega_equal_pull_is_engine_class(tmp_path):
     assert rows[0]["regime"] == "R-range"
 
 
+def test_sweep_omega_large_gaps_print_their_class(tmp_path):
+    # beta*omega = 40 and 100: the excited populations are e^-40 and e^-100, not 0
+    conf = tmp_path / "c.ini"
+    conf.write_text("beta1 = 1e-5\nbeta2 = 1e-3\nomega1 = 4e6\nomega2 = 1e5\n")
+    out = tmp_path / "o.csv"
+    assert cli.main(["sweep-omega", "--config", str(conf), "--out", str(out)]) == 0
+    _, rows = _rows(_read(out))
+    assert (rows[0]["class"], rows[0]["regime"]) == ("E", "E-range")
+    assert float(rows[0]["dE1"]) == pytest.approx(-8.4967085105e-12, rel=1e-9)
+
+
 @pytest.mark.parametrize("command", ["sweep-omega", "noise"])
 @pytest.mark.parametrize("line", ["eps=1e-320", "omega1=1e300", "omega1=1e308", "omega1=1e-320"])
 def test_extreme_scales_run_and_classify(tmp_path, command, line):

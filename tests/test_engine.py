@@ -1,7 +1,10 @@
 """Engine layer: cycle energetics, classification, regimes, Haar statistics."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmcool import (
     EngineConfig,
@@ -37,6 +40,7 @@ from helpers import (
     bisect_critical_visibility,
     chunked_haar_triples,
     closed_form_triple,
+    decimal_canonical_triple,
     kron_initial_state,
     partial_trace_energy_changes,
     per_row_haar_triples,
@@ -384,3 +388,45 @@ def test_second_law_slack_nonnegative_for_measurements():
         basis = rotate_basis(haar_unitary(HaarSampler(7000 + i)), canonical_basis())
         report = run_cycle(cfg, measurement=basis)
         assert report.second_law_slack >= -1e-10
+
+
+@st.composite
+def thermal_configs(draw):
+    """Log-uniform gaps and inverse temperatures, beta*omega in [1e-6, 700], beta1 < beta2."""
+    log_x = st.floats(-6.0, math.log10(700.0))
+    omega1 = 10.0 ** draw(st.floats(-6.0, 6.0))
+    beta1 = 10.0 ** draw(log_x) / omega1
+    beta2 = beta1 * 10.0 ** draw(st.floats(1e-3, 4.0))
+    omega2 = 10.0 ** draw(log_x) / beta2
+    return EngineConfig.from_values(omega1, omega2, beta1, beta2)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(thermal_configs())
+def test_canonical_cycle_matches_decimal_oracle(cfg):
+    eps = 1e-12
+    expected = decimal_canonical_triple(cfg)
+    report = run_cycle(cfg, eps=eps)
+    got = (report.dE1, report.dE2, report.dE)
+    # 1e-12 of the largest component, plus the rounding of x = beta*omega and of e^-x,
+    # which the difference q1 - q2 amplifies near the regime boundary, plus the
+    # absolute ulp 2**-1074 that a double keeps below the normal range
+    x1, x2 = cfg.bath1.beta * cfg.qubit1.omega, cfg.bath2.beta * cfg.qubit2.omega
+    rounding = 2.0**-50 * max(cfg.qubit1.omega, cfg.qubit2.omega) * (
+        math.exp(-x1) * (1.0 + x1) + math.exp(-x2) * (1.0 + x2))
+    tol = 1e-12 * max(map(abs, expected)) + rounding + 4 * 2.0**-1074
+    assert max(abs(g - e) for g, e in zip(got, expected)) <= tol, (got, expected)
+    margin = max(1e-9 * eps, tol)
+    if all(abs(abs(e) - eps) > margin for e in expected):
+        assert report.classification == classify(*expected, eps)
+        if all(abs(e) > eps for e in expected):
+            assert report.classification == regime(cfg).value[0]
+
+
+def test_large_gaps_keep_their_excited_populations():
+    # beta*omega = 40 and 100: (1 + tanh(beta*omega/2))/2 rounds to 1, which zeroed the triple
+    cfg = EngineConfig.from_values(4e6, 1e5, 1e-5, 1e-3)
+    report = run_cycle(cfg)
+    assert report.dE1 == pytest.approx(-8.4967085105e-12, rel=1e-9)
+    assert report.dE2 == pytest.approx(2.1241771277e-13, rel=1e-9)
+    assert report.classification == "E" and regime(cfg) is RegimeLabel.E_RANGE

@@ -1,5 +1,7 @@
 """Thermal layer: Gibbs states, qubit energies, thermalizing channels."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from qmcool import (
     hamiltonian,
     thermalizing_channel,
 )
+
+from qmcool.thermo import thermal_populations
 
 from helpers import random_density
 
@@ -31,6 +35,16 @@ def test_gibbs_population_frozen_values():
 
 def test_gibbs_population_infinite_temperature_limit():
     assert gibbs_population(QubitSpec(1.0), BathSpec(1e-14)) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [1e-3, 1.0, 38.0, 40.0, 100.0, 700.0])
+def test_excited_population_has_no_cancellation(x):
+    # 1 - (1 + tanh(x/2))/2 is exactly 0 from x ~ 38 on; e^-x/(1 + e^-x) keeps every digit
+    ground, excited = thermal_populations(QubitSpec(x / 2.0), BathSpec(2.0))
+    assert excited == pytest.approx(math.exp(-x) / (1.0 + math.exp(-x)), rel=1e-15)
+    assert excited > 0.0 and ground == 1.0 - excited
+    assert gibbs_population(QubitSpec(x / 2.0), BathSpec(2.0)) == ground
+    assert np.array_equal(gibbs_state(QubitSpec(x / 2.0), BathSpec(2.0)), np.diag([ground, excited]))
 
 
 def test_gibbs_population_monotone_in_beta_and_omega():
