@@ -56,7 +56,6 @@ from .optics import (
 from .qcore import (
     partial_trace,
     single_qubit_state,
-    state_fidelity,
     tensor,
     trace_distance,
     two_qubit_state,
@@ -71,7 +70,6 @@ from .thermo import (
     energy,
     gibbs_population,
     gibbs_state,
-    hamiltonian,
     thermalizing_channel,
 )
 from .tomo import (
@@ -80,7 +78,6 @@ from .tomo import (
     measurement_tomography,
     process_fidelity,
     process_tomography,
-    sample_counts,
 )
 
 __all__ = [
@@ -115,7 +112,6 @@ __all__ = [
     "gibbs_population",
     "gibbs_state",
     "haar_average_report",
-    "hamiltonian",
     "haar_unitaries",
     "haar_unitary",
     "hologram_channel",
@@ -131,10 +127,8 @@ __all__ = [
     "regime",
     "rotate_basis",
     "run_cycle",
-    "sample_counts",
     "single_qubit_state",
     "solve_hologram",
-    "state_fidelity",
     "tensor",
     "two_qubit_state",
     "validate_density",

@@ -195,21 +195,29 @@ def run_cycle(cfg, measurement=None, eps=1e-12):
     (default: the canonical basis), a :class:`~qmcool.measure.PovmSet`, or a
     callable ``rho -> rho'``.  The rethermalization stroke is implicit —
     the thermalizing channel restores the Gibbs product exactly.
+
+    A basis moves only populations, so its triple is the Haar path's kernel
+    :func:`_population_triples` on P = |V^T|^2 (V: the basis vectors as rows).
+    The basis checks its orthonormality on construction, which makes P doubly
+    stochastic, so no post state is built or validated.  A POVM or a callable
+    goes through its post state, validated by :func:`energy_changes`.
     """
     if measurement is None:
         measurement = canonical_basis()
-    rho = initial_state(cfg)
     if isinstance(measurement, MeasurementBasis):
-        post = measurement_channel(measurement, rho)
-    elif isinstance(measurement, PovmSet):
-        post = apply_povm(measurement, rho)
-    elif callable(measurement):
-        post = np.asarray(measurement(rho), dtype=np.complex128)
+        big_p = np.square(np.abs(measurement.vectors.T))
+        de1, de2, de = _population_triples([cfg], big_p[None])[0, 0].tolist()
     else:
-        raise ValidationError(
-            f"measurement must be a basis, a POVM, or a callable, got {type(measurement)!r}"
-        )
-    de1, de2, de = energy_changes(cfg, post)
+        rho = initial_state(cfg)
+        if isinstance(measurement, PovmSet):
+            post = apply_povm(measurement, rho)
+        elif callable(measurement):
+            post = np.asarray(measurement(rho), dtype=np.complex128)
+        else:
+            raise ValidationError(
+                f"measurement must be a basis, a POVM, or a callable, got {type(measurement)!r}"
+            )
+        de1, de2, de = energy_changes(cfg, post)
     slack = cfg.bath1.beta * de1 + cfg.bath2.beta * de2
     if slack < SLACK_FLOOR:
         raise SecondLawViolation(
@@ -222,6 +230,25 @@ def run_cycle(cfg, measurement=None, eps=1e-12):
         classification=classify(de1, de2, de, eps),
         second_law_slack=slack,
     )
+
+
+def _population_triples(cfgs, big_p):
+    """(dE1, dE2, dE) of each config for each P of the (m, 4, 4) stack ``big_p``,
+    shape (len(cfgs), m, 3).
+
+    A projective measurement in a basis {v_k} (the rows of V) moves the populations
+    p of the diagonal Gibbs product through the unistochastic P = |V^T|^2, with
+    P[r, k] = |<r|v_k>|^2; the coherences it leaves do not enter Tr(rho H_i).  So
+    dE_i = p^T (P P^T - I) h_i with h_i the diagonal of H_i, and dE = dE1 + dE2.
+    B = P P^T - I does not depend on the config, so it is formed once for all rows.
+    """
+    b = big_p @ big_p.transpose(0, 2, 1)
+    b -= np.eye(4)
+    out = np.empty((len(cfgs), len(b), 3))
+    for row, cfg in zip(out, cfgs):
+        row[:, :2] = _populations(cfg) @ b @ np.column_stack(_joint_hamiltonian_diagonals(cfg))
+        row[:, 2] = row[:, 0] + row[:, 1]
+    return out
 
 
 def _sample_name(omega2, index):
@@ -249,21 +276,14 @@ def _chunk_triples(cfgs, seed, start, m):
     """(dE1, dE2, dE) of each config over Haar samples [start, start + m), shape (len(cfgs), m, 3).
 
     Sample i measures in the canonical basis rotated by unitary i of the seed's Haar
-    stream, the same U for every config.  On the diagonal Gibbs product with
-    populations p the measurement moves only populations, through the unistochastic
-    P = |U C|^2 (C: the canonical basis vectors as columns): dE_i = p^T (P P^T - I) h_i
-    with h_i the diagonal of H_i, and dE = dE1 + dE2.  B = P P^T - I does not depend
-    on the config, so it is formed once for all rows.  Every sample must keep
-    beta1*dE1 + beta2*dE2 >= SLACK_FLOOR, as in :func:`run_cycle`.
+    stream, the same U for every config; its P = |U C|^2 (C: the canonical basis
+    vectors as columns) goes through :func:`_population_triples`.  Every sample must
+    keep beta1*dE1 + beta2*dE2 >= SLACK_FLOOR, as in :func:`run_cycle`.
     """
     big_p = np.abs(haar_unitaries(HaarSampler(seed, start), m) @ canonical_basis().vectors.T)
     np.square(big_p, out=big_p)
-    b = big_p @ big_p.transpose(0, 2, 1)
-    b -= np.eye(4)
-    out = np.empty((len(cfgs), m, 3))
+    out = _population_triples(cfgs, big_p)
     for row, cfg in zip(out, cfgs):
-        row[:, :2] = _populations(cfg) @ b @ np.column_stack(_joint_hamiltonian_diagonals(cfg))
-        row[:, 2] = row[:, 0] + row[:, 1]
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass, as in run_cycle
             slack = cfg.bath1.beta * row[:, 0] + cfg.bath2.beta * row[:, 1]
         bad = np.flatnonzero(slack < SLACK_FLOOR)

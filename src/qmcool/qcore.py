@@ -88,17 +88,6 @@ def _fidelity(a, b):
     return min(float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2), 1.0)
 
 
-def state_fidelity(a, b):
-    """Uhlmann fidelity F = (Tr sqrt(sqrt(a) b sqrt(a)))^2 of two density operators."""
-    a = as_complex(a)
-    b = as_complex(b)
-    if a.shape != b.shape:
-        raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    validate_density(a, name="first state")
-    validate_density(b, name="second state")
-    return _fidelity(a, b)
-
-
 def trace_distance(a, b):
     """Trace distance (1/2)*||a - b||_1 between two Hermitian operators."""
     diff = as_complex(a) - as_complex(b)

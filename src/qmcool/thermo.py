@@ -70,12 +70,6 @@ def gibbs_state(qubit, bath):
     return np.diag(thermal_populations(qubit, bath)).astype(np.complex128)
 
 
-def hamiltonian(qubit):
-    """H = diag(-omega/2, +omega/2)."""
-    w = _omega(qubit)
-    return np.diag([-0.5 * w, 0.5 * w]).astype(np.complex128)
-
-
 def energy(rho, qubit):
     """Mean energy Tr(rho H) of a single-qubit state."""
     arr = single_qubit_state(rho)

@@ -14,8 +14,6 @@ do not depend on the other probes and never share the seed's Haar stream.
 Exact mode performs a perfect round trip to 1e-10.
 """
 
-import itertools
-
 import numpy as np
 
 from ._accel import check_int, check_seed, stream
@@ -51,12 +49,6 @@ def _paulis_of_dim(d):
     return _PAULIS[d]
 
 
-def pauli_basis(n_qubits):
-    """(labels, stacked matrices) of the n-qubit Pauli product basis."""
-    mats = _kron_stack(_P1, n_qubits)
-    return ["".join(t) for t in itertools.product("IXYZ", repeat=n_qubits)], mats
-
-
 def default_probes(n_qubits):
     """{|0>, |1>, |+>, |+i>} for one qubit, the 16 products for two, as a stack of states."""
     return _kron_stack(_KETS1[:, :, None] * _KETS1.conj()[:, None, :], n_qubits)
@@ -79,23 +71,6 @@ def apply_chi(chi, rho):
     rho = np.asarray(rho, dtype=np.complex128)
     paulis = _paulis_of_dim(rho.shape[0])
     return np.einsum("mn,mij,jk,nkl->il", chi, paulis, rho, paulis, optimize=True)
-
-
-def sample_counts(probabilities, shots, seed):
-    """Multinomial outcome counts; deterministic per seed."""
-    seed = check_seed(seed)
-    p = np.asarray(probabilities, dtype=np.float64)
-    if np.any(p < -1e-12):
-        raise ValidationError(f"negative probability {p.min():.3e}")
-    p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValidationError(f"probabilities sum to {total:.6f}, not 1")
-    p = p / total
-    shots = check_int(shots, "shots")
-    if shots == 0:
-        return np.zeros(len(p), dtype=np.int64)
-    return stream(seed, 0).multinomial(shots, p)
 
 
 def _estimate_state(sigma, shots, rng):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmcool import engine, qcore
 from qmcool import (
     EngineConfig,
     HaarSampler,
@@ -217,6 +218,48 @@ def test_closed_form_kernel_matches_channel_path():
         for triple, u in zip(rows, us):
             report = run_cycle(cfg, rotate_basis(u, canonical_basis()))
             assert np.allclose(triple, (report.dE1, report.dE2, report.dE), rtol=0, atol=1e-12)
+
+
+def test_run_cycle_on_a_basis_matches_the_channel_oracle():
+    # 10^4 Haar bases, one omega2 row after another as in the API loop of single
+    # draws; the oracle builds the full post state and reads its diagonal
+    cfgs = _experiment_configs()
+    canonical = canonical_basis()
+    worst = 0.0
+    for i, u in enumerate(haar_unitaries(HaarSampler(31), 10**4)):
+        cfg, basis = cfgs[i % len(cfgs)], rotate_basis(u, canonical)
+        report = run_cycle(cfg, basis)
+        oracle = energy_changes(cfg, measurement_channel(basis, initial_state(cfg)))
+        worst = max(worst, np.max(np.abs(np.subtract((report.dE1, report.dE2, report.dE), oracle))))
+    assert worst <= 1e-14
+
+
+def test_run_cycle_validates_only_general_post_states(monkeypatch):
+    calls = []
+
+    def counting(rho, *args, **kwargs):
+        calls.append(1)
+        return validate(rho, *args, **kwargs)
+
+    validate = qcore.validate_density
+    monkeypatch.setattr(qcore, "validate_density", counting)
+    cfg = reference_config(0.18)
+    run_cycle(cfg)
+    run_cycle(cfg, random_rotated_basis(5))
+    assert not calls
+    run_cycle(cfg, white_noise_povm(canonical_basis(), 0.5))
+    assert calls
+    calls.clear()
+    run_cycle(cfg, lambda rho: measurement_channel(canonical_basis(), rho))
+    assert calls
+
+
+def test_run_cycle_on_a_basis_checks_the_kernel_triple(monkeypatch):
+    # heat out of both baths: beta1*dE1 + beta2*dE2 < 0 whatever the betas
+    monkeypatch.setattr(engine, "_population_triples",
+                        lambda cfgs, big_p: np.array([[[-1e-3, -1e-3, -2e-3]]]))
+    with pytest.raises(SecondLawViolation):
+        run_cycle(reference_config(0.18), canonical_basis())
 
 
 def test_cycle_energy_samples_deterministic():

@@ -227,7 +227,11 @@ def test_exports_resolve_and_omit_removed_trains():
     namespace = {}
     exec("from qmcool import *", namespace)  # raises if a name in __all__ does not resolve
     assert not {"BiasSetting", "bias_from_coefficients", "project_optically",
-                "schmidt_projector", "PathPolState", "thermalize_optically"} & set(namespace)
+                "schmidt_projector", "PathPolState", "thermalize_optically",
+                "state_fidelity", "hamiltonian", "sample_counts"} & set(namespace)
+    from qmcool import qcore, thermo, tomo
+    assert not hasattr(qcore, "state_fidelity") and not hasattr(thermo, "hamiltonian")
+    assert not {"sample_counts", "pauli_basis", "itertools"} & set(vars(tomo))
     from qmcool import optics
     assert not {"PathPolState", "thermalize_optically", "encode_qubit", "decode_qubit",
                 "rail_components", "_rail_half_separation"} & set(vars(optics))

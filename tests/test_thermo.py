@@ -13,7 +13,6 @@ from qmcool import (
     energy,
     gibbs_population,
     gibbs_state,
-    hamiltonian,
     thermalizing_channel,
 )
 
@@ -64,7 +63,10 @@ def test_gibbs_state_is_diagonal_with_population():
 
 
 def test_hamiltonian_diagonal():
-    assert np.allclose(hamiltonian(QubitSpec(0.18)), np.diag([-0.09, 0.09]), atol=1e-15)
+    # H = diag(-omega/2, +omega/2): |0> is the ground state
+    q = QubitSpec(0.18)
+    assert energy(np.diag([1.0, 0.0]), q) == pytest.approx(-0.09, abs=1e-15)
+    assert energy(np.diag([0.0, 1.0]), q) == pytest.approx(0.09, abs=1e-15)
 
 
 def test_energy_maximally_mixed_is_zero():

@@ -15,12 +15,11 @@ from qmcool import (
     measurement_tomography,
     process_fidelity,
     process_tomography,
-    sample_counts,
     thermalizing_channel,
     white_noise_povm,
 )
 from qmcool.errors import ValidationError
-from qmcool.tomo import _estimate_state, _process_design, apply_chi, effect_fidelity, pauli_basis
+from qmcool.tomo import _PAULIS, _estimate_state, _process_design, apply_chi, effect_fidelity
 
 from helpers import (
     looped_estimate_state,
@@ -43,18 +42,13 @@ def test_default_probes_counts():
 
 
 def test_pauli_basis_sizes():
-    labels1, mats1 = pauli_basis(1)
-    labels2, mats2 = pauli_basis(2)
-    assert len(labels1) == len(mats1) == 4
-    assert len(labels2) == len(mats2) == 16
-    assert labels1 == ["I", "X", "Y", "Z"]
-    assert labels2[0] == "II" and labels2[5] == "XX"
-    assert all(m.shape == (2, 2) for m in mats1)
-    assert all(m.shape == (4, 4) for m in mats2)
-    assert np.array_equal(mats1, looped_paulis(2))
-    assert np.array_equal(mats2, looped_paulis(4))
-    with pytest.raises(ValueError):
-        pauli_basis(3)
+    # the stacks built at import, by operator dimension, in I, X, Y, Z order, qubit 1 slow
+    assert _PAULIS[2].shape == (4, 2, 2)
+    assert _PAULIS[4].shape == (16, 4, 4)
+    assert np.array_equal(_PAULIS[2], looped_paulis(2))
+    assert np.array_equal(_PAULIS[4], looped_paulis(4))
+    with pytest.raises(ValidationError):
+        default_probes(3)
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2])
@@ -226,39 +220,9 @@ def test_measurement_tomography_rejects_rank_deficient_probes():
         measurement_tomography(canonical_basis(), probes=probes)
 
 
-def test_sample_counts_deterministic_distribution():
-    counts = sample_counts(np.array([1.0, 0.0, 0.0, 0.0]), shots=500, seed=3)
-    assert np.array_equal(counts, [500, 0, 0, 0])
-
-
-def test_sample_counts_zero_shots():
-    counts = sample_counts(np.array([0.25, 0.75]), shots=0, seed=3)
-    assert np.array_equal(counts, [0, 0])
-
-
-def test_sample_counts_reproducible():
-    p = np.array([0.1, 0.2, 0.3, 0.4])
-    a = sample_counts(p, shots=1000, seed=11)
-    b = sample_counts(p, shots=1000, seed=11)
-    assert np.array_equal(a, b)
-    assert a.sum() == 1000
-
-
-def test_sample_counts_rejects_negative():
-    with pytest.raises(ValueError):
-        sample_counts(np.array([-0.2, 1.2]), shots=10, seed=0)
-
-
-def test_sample_counts_concentration():
-    p = np.array([0.25, 0.25, 0.25, 0.25])
-    shots = 4000
-    sigma = np.sqrt(shots * 0.25 * 0.75)
-    bad = 0
-    for seed in range(40):
-        counts = sample_counts(p, shots=shots, seed=seed)
-        if np.any(np.abs(counts - shots * 0.25) > 3 * sigma):
-            bad += 1
-    assert bad <= 2
+def test_process_fidelity_rejects_shape_mismatch():
+    with pytest.raises(ValidationError, match="shape mismatch"):
+        process_fidelity(np.eye(4) / 4, np.eye(16) / 16)
 
 
 @pytest.mark.parametrize("seed", [2**63 - 1, 2**63, -1, 1.5, "7", None])
@@ -266,8 +230,7 @@ def test_shot_noise_seed_range(seed):
     # numpy passes Philox keys >= 2**63 through float64 (2**63 and 2**63 + 1
     # alias) and casts -1 with a warning; int() would alias 1.5 and "7"
     channel = thermalizing_channel(QubitSpec(0.18), BathSpec(1.0))
-    for run in (lambda: sample_counts(np.array([0.5, 0.5]), shots=10, seed=seed),
-                lambda: process_tomography(channel, shots=10, seed=seed),
+    for run in (lambda: process_tomography(channel, shots=10, seed=seed),
                 lambda: measurement_tomography(canonical_basis(), shots=10, seed=seed)):
         if seed == 2**63 - 1:
             run()
@@ -277,8 +240,6 @@ def test_shot_noise_seed_range(seed):
         # shot counts are checked, not truncated: 10.7 would count 10 and divide by 10.7,
         # and 0 shots made the measurement fit singular
         for shots in (10.7, -1, True, "10", 0):
-            if shots != 0:
-                pytest.raises(ValidationError, sample_counts, np.array([0.5, 0.5]), shots, seed)
             pytest.raises(ValidationError, process_tomography, channel, shots=shots, seed=seed)
             pytest.raises(ValidationError, measurement_tomography, canonical_basis(),
                           shots=shots, seed=seed)
