@@ -54,22 +54,16 @@ from .optics import (
     thermal_channel_optical,
 )
 from .qcore import (
-    partial_trace,
     single_qubit_state,
-    tensor,
     trace_distance,
     two_qubit_state,
     validate_density,
-    von_neumann_entropy,
 )
 from .thermo import (
     BathSpec,
     KrausChannel,
     QubitSpec,
     apply_channel,
-    energy,
-    gibbs_population,
-    gibbs_state,
     thermalizing_channel,
 )
 from .tomo import (
@@ -106,11 +100,8 @@ __all__ = [
     "d_of_omega",
     "default_probes",
     "depolarizing_prediction",
-    "energy",
     "energy_changes",
     "frequency_sweep",
-    "gibbs_population",
-    "gibbs_state",
     "haar_average_report",
     "haar_unitaries",
     "haar_unitary",
@@ -121,7 +112,6 @@ __all__ = [
     "measurement_tomography",
     "noise_sweep",
     "omega_of_d",
-    "partial_trace",
     "process_fidelity",
     "process_tomography",
     "regime",
@@ -129,13 +119,11 @@ __all__ = [
     "run_cycle",
     "single_qubit_state",
     "solve_hologram",
-    "tensor",
     "two_qubit_state",
     "validate_density",
     "thermal_channel_optical",
     "thermalizing_channel",
     "trace_distance",
-    "von_neumann_entropy",
     "white_noise_mixture_weights",
     "white_noise_povm",
 ]

@@ -191,33 +191,26 @@ def _energy_triple(cfg, shift):
 def run_cycle(cfg, measurement=None, eps=1e-12):
     """One full engine cycle; returns the :class:`EngineReport`.
 
-    ``measurement`` may be a :class:`~qmcool.measure.MeasurementBasis`
-    (default: the canonical basis), a :class:`~qmcool.measure.PovmSet`, or a
-    callable ``rho -> rho'``.  The rethermalization stroke is implicit —
-    the thermalizing channel restores the Gibbs product exactly.
+    ``measurement`` is a :class:`~qmcool.measure.MeasurementBasis` (default:
+    the canonical basis) or a :class:`~qmcool.measure.PovmSet`.  The
+    rethermalization stroke is implicit — the thermalizing channel restores the
+    Gibbs product exactly.
 
     A basis moves only populations, so its triple is the Haar path's kernel
     :func:`_population_triples` on P = |V^T|^2 (V: the basis vectors as rows).
     The basis checks its orthonormality on construction, which makes P doubly
-    stochastic, so no post state is built or validated.  A POVM or a callable
-    goes through its post state, validated by :func:`energy_changes`.
+    stochastic, so no post state is built or validated.  A POVM goes through its
+    post state, validated by :func:`energy_changes`.
     """
     if measurement is None:
         measurement = canonical_basis()
     if isinstance(measurement, MeasurementBasis):
         big_p = np.square(np.abs(measurement.vectors.T))
         de1, de2, de = _population_triples([cfg], big_p[None])[0, 0].tolist()
+    elif isinstance(measurement, PovmSet):
+        de1, de2, de = energy_changes(cfg, apply_povm(measurement, initial_state(cfg)))
     else:
-        rho = initial_state(cfg)
-        if isinstance(measurement, PovmSet):
-            post = apply_povm(measurement, rho)
-        elif callable(measurement):
-            post = np.asarray(measurement(rho), dtype=np.complex128)
-        else:
-            raise ValidationError(
-                f"measurement must be a basis, a POVM, or a callable, got {type(measurement)!r}"
-            )
-        de1, de2, de = energy_changes(cfg, post)
+        raise ValidationError(f"measurement must be a basis or a POVM, got {type(measurement)!r}")
     slack = cfg.bath1.beta * de1 + cfg.bath2.beta * de2
     if slack < SLACK_FLOOR:
         raise SecondLawViolation(

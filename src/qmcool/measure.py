@@ -7,7 +7,7 @@ becomes the probability-weighted mixture of the projected states,
 rho' = sum_k <psi_k|rho|psi_k> |psi_k><psi_k|.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,7 +82,7 @@ class HaarSampler:
 
     Counter i reads uniforms [32i, 32i + 32) of the seed's Haar stream (see
     :mod:`qmcool._accel`), so sample i is identical whether drawn one at a time
-    or in batches.  Advancement is explicit via :meth:`advanced`.
+    or in batches.  To move on, build a new sampler with a later counter.
     """
 
     seed: int
@@ -91,10 +91,6 @@ class HaarSampler:
     def __post_init__(self):
         _accel.check_seed(self.seed)
         _accel.check_int(self.counter, "counter")
-
-    def advanced(self, n=1):
-        """A new sampler whose counter is moved forward by n."""
-        return replace(self, counter=self.counter + _accel.check_int(n, "step"))
 
 
 def haar_unitary(sampler):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .qcore import single_qubit_state
-from .thermo import KrausChannel, _beta, _omega, apply_channel, gibbs_population
+from .thermo import KrausChannel, _beta, _omega, apply_channel, thermal_populations
 
 GRID_ROWS = 512
 Z_MAX = GRID_ROWS // 2  # rows z = -256..-1, 1..256 (no row 0)
@@ -116,7 +116,7 @@ def solve_hologram(bath):
     beta = _beta(bath)
     upper = np.empty(Z_MAX)
     for z in range(1, Z_MAX + 1):
-        p = gibbs_population(omega_of_z(z), beta)
+        p = thermal_populations(omega_of_z(z), beta)[0]
         upper[z - 1] = 2.0 * np.arcsin(np.sqrt(p))
     phases = np.concatenate([(upper - np.pi)[::-1], upper])
     return Hologram(beta=beta, phases=phases)

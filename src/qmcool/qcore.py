@@ -1,4 +1,4 @@
-"""Exact small-dimension complex linear algebra and quantum-state primitives.
+"""Density-operator validation and the distances between states.
 
 Conventions used everywhere in the package:
 
@@ -60,25 +60,6 @@ def two_qubit_state(matrix):
     return validate_density(matrix, dim=4, name="two-qubit state")
 
 
-def tensor(a, b):
-    """Kronecker product with the left factor as qubit 1 (slow index)."""
-    return np.kron(as_complex(a), as_complex(b))
-
-
-def partial_trace(rho, keep):
-    """Reduced state of one qubit of a two-qubit density operator.
-
-    ``keep`` is 1 for the slow (left) factor, 2 for the fast (right) factor.
-    """
-    arr = two_qubit_state(rho)
-    r = arr.reshape(2, 2, 2, 2)
-    if keep == 1:
-        return np.einsum("abcb->ac", r)
-    if keep == 2:
-        return np.einsum("abac->bc", r)
-    raise ValidationError(f"keep must be 1 or 2, got {keep!r}")
-
-
 def _fidelity(a, b):
     """Uhlmann fidelity of two unvalidated Hermitian unit-trace operators, capped
     at 1; tiny negative eigenvalues are clipped to zero."""
@@ -93,9 +74,3 @@ def trace_distance(a, b):
     diff = as_complex(a) - as_complex(b)
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
-
-def von_neumann_entropy(rho):
-    """Von Neumann entropy -Tr(rho log rho) in nats."""
-    w = np.linalg.eigvalsh(validate_density(rho))
-    w = w[w > 1e-15]
-    return float(-np.sum(w * np.log(w)))

@@ -1,4 +1,4 @@
-"""Gibbs states, energy functionals, and the thermalizing channel.
+"""Thermal populations and the thermalizing channel.
 
 A qubit with gap ``omega`` has Hamiltonian H = diag(-omega/2, +omega/2), i.e.
 |0> is the ground state.  Contact with a bath at inverse temperature ``beta``
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .qcore import as_complex, single_qubit_state
+from .qcore import as_complex
 
 
 @dataclass(frozen=True)
@@ -60,23 +60,6 @@ def thermal_populations(qubit, bath):
     return 1.0 - q, q
 
 
-def gibbs_population(qubit, bath):
-    """Ground-state population 1 - q in [1/2, 1), q as in :func:`thermal_populations`."""
-    return thermal_populations(qubit, bath)[0]
-
-
-def gibbs_state(qubit, bath):
-    """Thermal state diag(1 - q, q), the populations of :func:`thermal_populations`."""
-    return np.diag(thermal_populations(qubit, bath)).astype(np.complex128)
-
-
-def energy(rho, qubit):
-    """Mean energy Tr(rho H) of a single-qubit state."""
-    arr = single_qubit_state(rho)
-    w = _omega(qubit)
-    return float(0.5 * w * (arr[1, 1].real - arr[0, 0].real))
-
-
 @dataclass(frozen=True)
 class KrausChannel:
     """A finite list of same-shape Kraus operators with sum_k K†K = I."""
@@ -102,7 +85,7 @@ class KrausChannel:
 
 
 def thermalizing_channel(qubit, bath):
-    """Infinite-time thermalization toward gibbs_state(qubit, bath).
+    """Infinite-time thermalization toward the Gibbs state diag(1 - q, q).
 
     The four operators move and keep population with weights p = 1 - q and q
     (:func:`thermal_populations`); the channel's output is exactly diag(p, q)

@@ -7,11 +7,11 @@ stacks of Kronecker products with qubit 1 as the slow index; the Pauli
 stacks for d = 2 and d = 4 are built once, at import.  Output states are
 read out through Pauli expectations.  In shot mode every non-identity Pauli
 G (eigenvalues +-1, projectors (I +- G)/2) is sampled as a binomial, in
-Pauli order, and reconstructed operators are eigenvalue-clipped at zero (the
-pre-clip matrix is available for diagnostics).  Probe j draws its shots from
-its own Philox stream ``_accel.stream(seed, j)``, key (seed, j), so its counts
-do not depend on the other probes and never share the seed's Haar stream.
-Exact mode performs a perfect round trip to 1e-10.
+Pauli order, and reconstructed operators are eigenvalue-clipped at zero.
+Probe j draws its shots from its own Philox stream ``_accel.stream(seed, j)``,
+key (seed, j), so its counts do not depend on the other probes and never
+share the seed's Haar stream.  Exact mode performs a perfect round trip to
+1e-10.
 """
 
 import numpy as np
@@ -66,13 +66,6 @@ def chi_from_kraus(channel):
     return coeff.T @ coeff.conj()
 
 
-def apply_chi(chi, rho):
-    """Evaluate the channel sum_mn chi_mn P_m rho P_n on a state."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    paulis = _paulis_of_dim(rho.shape[0])
-    return np.einsum("mn,mij,jk,nkl->il", chi, paulis, rho, paulis, optimize=True)
-
-
 def _estimate_state(sigma, shots, rng):
     """Pauli-expectation state estimate from binomial sampling of each setting."""
     d = sigma.shape[0]
@@ -91,7 +84,7 @@ def _process_design(probes):
     return a.reshape(len(probes) * dim * dim, npa * npa)
 
 
-def process_tomography(channel, probes=None, shots=None, seed=None, return_raw=False):
+def process_tomography(channel, probes=None, shots=None, seed=None):
     """Chi-matrix reconstruction of a channel by linear inversion.
 
     ``channel`` is a :class:`~qmcool.thermo.KrausChannel` or any callable
@@ -99,7 +92,7 @@ def process_tomography(channel, probes=None, shots=None, seed=None, return_raw=F
     dimension).  With ``shots`` set, output states are estimated from sampled
     Pauli expectations using a per-probe Philox stream of ``seed``; the
     reconstructed chi is then eigenvalue-clipped at zero and renormalized to
-    unit trace.  ``return_raw=True`` also returns the pre-clip matrix.
+    unit trace.
     """
     if isinstance(channel, KrausChannel):
         dim = channel.dim
@@ -130,16 +123,14 @@ def process_tomography(channel, probes=None, shots=None, seed=None, return_raw=F
         resid = np.max(np.abs(a @ chi.reshape(-1) - b))
         if resid > 1e-10:
             raise ValidationError(f"exact-mode reconstruction residual {resid:.3e}")
-        return (chi, chi.copy()) if return_raw else chi
-    raw = chi
-    w, v = np.linalg.eigh(raw)
+        return chi
+    w, v = np.linalg.eigh(chi)
     w = np.clip(w, 0.0, None)
     chi = (v * w) @ v.conj().T
     tr = chi.trace().real
     if tr <= 0:
         raise ValidationError("clipped chi has non-positive trace")
-    chi = chi / tr
-    return (chi, raw) if return_raw else chi
+    return chi / tr
 
 
 def _effects_of(measurement):
@@ -147,14 +138,11 @@ def _effects_of(measurement):
         return np.stack([measurement.projector(k) for k in range(4)])
     if isinstance(measurement, PovmSet):
         return measurement.effects()
-    m = np.asarray(measurement, dtype=np.complex128)
-    if m.ndim == 3 and m.shape[1] == m.shape[2]:
-        return m
-    raise ValidationError("measurement must be a basis, a POVM, or a stack of effects")
+    raise ValidationError(f"measurement must be a basis or a POVM, got {type(measurement)!r}")
 
 
-def measurement_tomography(measurement, probes=None, shots=None, seed=None, return_raw=False):
-    """Least-squares reconstruction of measurement effects from outcome data.
+def measurement_tomography(measurement, probes=None, shots=None, seed=None):
+    """Least-squares reconstruction of the effects of a basis or a POVM from outcome data.
 
     Outcome probabilities over the probe set (a stack of states) determine
     each effect in the Pauli operator basis.  In shot mode the outcome counts
@@ -183,10 +171,9 @@ def measurement_tomography(measurement, probes=None, shots=None, seed=None, retu
         err = np.max(np.abs(recon - effects))
         if err > 1e-10:
             raise ValidationError(f"exact-mode reconstruction error {err:.3e}")
-        return (recon, recon.copy()) if return_raw else recon
+        return recon
     w, v = np.linalg.eigh(recon)
-    clipped = (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    return (clipped, recon) if return_raw else clipped
+    return (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
 def _hermitian_and_trace(m):

@@ -8,21 +8,21 @@ import numpy as np
 from qmcool import (
     EngineConfig,
     HaarSampler,
+    ValidationError,
     canonical_basis,
-    energy,
     energy_changes,
-    gibbs_state,
     haar_unitaries,
     haar_unitary,
     hom_noisy_channel,
     initial_state,
-    partial_trace,
     rotate_basis,
-    tensor,
+    single_qubit_state,
     two_qubit_state,
+    validate_density,
 )
 from qmcool._accel import check_int, ginibre_batch, haar_from_ginibre
 from qmcool.engine import _haar_chunks, _joint_hamiltonian_diagonals, _populations
+from qmcool.thermo import thermal_populations
 
 EXPERIMENT_OMEGA2 = (0.02, 0.06, 0.14, 0.18, 0.46, 0.86, 1.10)
 
@@ -183,9 +183,39 @@ def box_muller_sample(seed, i):
     return z.reshape(4, 4)
 
 
+def gibbs_state(qubit, bath):
+    """Reference thermal state diag(1 - q, q) of one qubit."""
+    return np.diag(thermal_populations(qubit, bath)).astype(np.complex128)
+
+
 def kron_initial_state(cfg):
     """Reference initial state: the Kronecker product of the two Gibbs states."""
-    return tensor(gibbs_state(cfg.qubit1, cfg.bath1), gibbs_state(cfg.qubit2, cfg.bath2))
+    return np.kron(gibbs_state(cfg.qubit1, cfg.bath1), gibbs_state(cfg.qubit2, cfg.bath2))
+
+
+def partial_trace(rho, keep):
+    """Reference reduced state of qubit ``keep`` (1: the slow, left factor; 2: the
+    fast, right one) of a validated two-qubit density operator."""
+    r = two_qubit_state(rho).reshape(2, 2, 2, 2)
+    if keep == 1:
+        return np.einsum("abcb->ac", r)
+    if keep == 2:
+        return np.einsum("abac->bc", r)
+    raise ValidationError(f"keep must be 1 or 2, got {keep!r}")
+
+
+def energy(rho, qubit):
+    """Reference mean energy Tr(rho H) of a validated single-qubit state,
+    H = diag(-omega/2, +omega/2)."""
+    arr = single_qubit_state(rho)
+    return float(0.5 * qubit.omega * (arr[1, 1].real - arr[0, 0].real))
+
+
+def von_neumann_entropy(rho):
+    """Reference von Neumann entropy -Tr(rho log rho) in nats of a validated state."""
+    w = np.linalg.eigvalsh(validate_density(rho))
+    w = w[w > 1e-15]
+    return float(-np.sum(w * np.log(w)))
 
 
 def partial_trace_energy_changes(cfg, post_state):
@@ -245,6 +275,13 @@ PAULI_1 = [
 def looped_paulis(dim):
     """Reference Pauli product basis of dimension 2 or 4 as a list, qubit 1 slow."""
     return list(PAULI_1) if dim == 2 else [np.kron(a, b) for a in PAULI_1 for b in PAULI_1]
+
+
+def apply_chi(chi, rho):
+    """Reference evaluation of the channel sum_mn chi_mn P_m rho P_n on a state."""
+    paulis = looped_paulis(len(rho))
+    return sum(chi[m, n] * (pm @ rho @ pn)
+               for m, pm in enumerate(paulis) for n, pn in enumerate(paulis))
 
 
 def looped_process_design(probes):

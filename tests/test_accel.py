@@ -53,11 +53,9 @@ def test_ginibre_rejects_bad_seed():
     for start in (1.5, -1, True, "1"):
         with pytest.raises(ValidationError):
             _accel.ginibre_batch(1, start, 2)
-    for step in (1.5, -1, True):
+    for counter in (1.5, -1, True):
         with pytest.raises(ValidationError):
-            HaarSampler(5).advanced(step)
-    with pytest.raises(ValidationError):
-        HaarSampler(1, True)
+            HaarSampler(5, counter)
     cfg = EngineConfig.from_values(1.0, 0.18, 0.4, 1.0)
     for n in (10.7, 0, True):
         for run in (_haar_chunks, haar_average_report, frequency_sweep):

@@ -10,6 +10,7 @@ from qmcool import engine, qcore
 from qmcool import (
     EngineConfig,
     HaarSampler,
+    PovmSet,
     RegimeLabel,
     SecondLawViolation,
     ValidationError,
@@ -26,6 +27,7 @@ from qmcool import (
     hom_noisy_channel,
     initial_state,
     measurement_channel,
+    measurement_tomography,
     noise_sweep,
     regime,
     rotate_basis,
@@ -249,9 +251,6 @@ def test_run_cycle_validates_only_general_post_states(monkeypatch):
     assert not calls
     run_cycle(cfg, white_noise_povm(canonical_basis(), 0.5))
     assert calls
-    calls.clear()
-    run_cycle(cfg, lambda rho: measurement_channel(canonical_basis(), rho))
-    assert calls
 
 
 def test_run_cycle_on_a_basis_checks_the_kernel_triple(monkeypatch):
@@ -408,20 +407,27 @@ def test_run_cycle_white_noise_classification_invariant():
             assert noisy.classification == ideal.classification
 
 
-def test_run_cycle_callable_measurement():
-    cfg = reference_config(0.18)
-    out = run_cycle(cfg, measurement=lambda rho: measurement_channel(canonical_basis(), rho))
-    ref = run_cycle(cfg)
-    assert out.dE1 == pytest.approx(ref.dE1, abs=1e-14)
-
-
 def test_run_cycle_raises_on_entropy_pumping_map():
-    # a map that dumps everything into the joint ground state extracts heat
-    # from both baths at once, which no unital measurement channel can do
-    ground = np.zeros((4, 4), dtype=complex)
-    ground[0, 0] = 1.0
+    # the reset POVM M_k = |00><k| dumps everything into the joint ground state; it
+    # is complete but not unital, and extracts heat from both baths at once
+    reset = np.zeros((4, 4, 4), dtype=complex)
+    reset[:, 0, :] = np.eye(4)
     with pytest.raises(SecondLawViolation):
-        run_cycle(reference_config(0.18), measurement=lambda rho: ground)
+        run_cycle(reference_config(0.18), measurement=PovmSet(reset))
+
+
+def test_run_cycle_and_measurement_tomography_take_only_bases_and_povms():
+    cfg, basis = reference_config(0.18), canonical_basis()
+    projectors = np.stack([basis.projector(k) for k in range(4)])
+    for measurement in (lambda rho: measurement_channel(basis, rho), basis.vectors, projectors):
+        with pytest.raises(ValidationError, match="basis or a POVM"):
+            run_cycle(cfg, measurement)
+    # raw effect stacks went unchecked: NaN came back as NaN effects, and a zero
+    # stack raised numpy's pvals error in shot mode
+    for effects in (projectors, np.full((4, 4, 4), np.nan), np.zeros((4, 4, 4))):
+        for shots, seed in ((None, None), (10, 1)):
+            with pytest.raises(ValidationError, match="basis or a POVM"):
+                measurement_tomography(effects, shots=shots, seed=seed)
 
 
 def test_second_law_slack_nonnegative_for_measurements():

@@ -1,42 +1,45 @@
-"""Linear-algebra layer: states, tensors, partial traces, distances."""
+"""Linear-algebra layer: states, tensor products, distances; the partial-trace
+and entropy oracles of the test suite."""
 
 import numpy as np
 import pytest
 
 from qmcool import (
-    partial_trace,
+    EngineConfig,
+    initial_state,
     single_qubit_state,
-    tensor,
     trace_distance,
     two_qubit_state,
     validate_density,
-    von_neumann_entropy,
 )
 from qmcool.qcore import _fidelity
-from qmcool.thermo import BathSpec, QubitSpec, gibbs_population, gibbs_state
+from qmcool.thermo import thermal_populations
+from qmcool.tomo import _kron_stack
 
-from helpers import random_density, random_unit_vector
+from helpers import partial_trace, random_density, random_unit_vector, von_neumann_entropy
 
 
+# the package's two-qubit tensor products (tomography's Pauli and probe stacks,
+# the Gibbs product) take qubit 1 as the slow, left Kronecker index
 def test_tensor_identity():
-    out = tensor(np.eye(2), np.eye(2))
-    assert np.array_equal(out, np.eye(4))
+    out = _kron_stack(np.eye(2)[None], 2)
+    assert np.array_equal(out, np.eye(4)[None])
 
 
 def test_tensor_pure_product():
     a = np.diag([1.0, 0.0])
     b = np.diag([0.0, 1.0])
-    out = tensor(a, b)
-    assert np.allclose(out, np.diag([0.0, 1.0, 0.0, 0.0]))
+    out = _kron_stack(np.stack([a, b]), 2)
+    assert np.allclose(out[1], np.diag([0.0, 1.0, 0.0, 0.0]))
+    assert np.allclose(out[2], np.diag([0.0, 0.0, 1.0, 0.0]))
 
 
 def test_tensor_gibbs_product_diagonal():
-    p1 = gibbs_population(QubitSpec(1.02), BathSpec(0.4))
-    p2 = gibbs_population(QubitSpec(0.18), BathSpec(1.0))
+    p1 = thermal_populations(1.02, 0.4)[0]
+    p2 = thermal_populations(0.18, 1.0)[0]
     assert p1 == pytest.approx(0.6006082195512745, abs=1e-15)
     assert p2 == pytest.approx(0.54487889237358, abs=1e-15)
-    rho = tensor(gibbs_state(QubitSpec(1.02), BathSpec(0.4)),
-                 gibbs_state(QubitSpec(0.18), BathSpec(1.0)))
+    rho = initial_state(EngineConfig.from_values(1.02, 0.18, 0.4, 1.0))
     expected = np.diag([p1 * p2, p1 * (1 - p2), (1 - p1) * p2, (1 - p1) * (1 - p2)])
     assert np.allclose(rho, expected, atol=1e-15)
 
@@ -46,7 +49,7 @@ def test_partial_trace_recovers_product_factors():
     for _ in range(25):
         a = random_density(rng, 2)
         b = random_density(rng, 2)
-        joint = tensor(a, b)
+        joint = np.kron(a, b)
         assert np.allclose(partial_trace(joint, keep=1), a, atol=1e-13)
         assert np.allclose(partial_trace(joint, keep=2), b, atol=1e-13)
 

@@ -19,9 +19,11 @@ from qmcool import (
     white_noise_povm,
 )
 from qmcool.errors import ValidationError
-from qmcool.tomo import _PAULIS, _estimate_state, _process_design, apply_chi, effect_fidelity
+from qmcool._accel import stream
+from qmcool.tomo import _PAULIS, _estimate_state, _process_design, effect_fidelity
 
 from helpers import (
+    apply_chi,
     looped_estimate_state,
     looped_paulis,
     looped_process_design,
@@ -142,11 +144,18 @@ def test_process_tomography_shots_mostly_accurate():
 
 def test_process_tomography_shots_chi_is_psd_and_raw_kept():
     ch = thermalizing_channel(QubitSpec(0.18), BathSpec(1.0))
-    chi, raw = process_tomography(ch, shots=200, seed=1, return_raw=True)
+    chi = process_tomography(ch, shots=200, seed=1)
     evals = np.linalg.eigvalsh(chi)
     assert evals.min() > -1e-12
     assert chi.trace().real == pytest.approx(1.0, abs=1e-10)
-    # the clipped result is exactly the eigenvalue-floored, renormalized raw
+    # the clipped result is exactly the eigenvalue-floored, renormalized pre-clip
+    # fit, rebuilt from the looped design and estimates on the same probe streams
+    probes = default_probes(1)
+    outputs = [looped_estimate_state(apply_channel(ch, probe), 200, stream(1, j))
+               for j, probe in enumerate(probes)]
+    raw = np.linalg.lstsq(looped_process_design(probes), np.stack(outputs).reshape(-1),
+                          rcond=None)[0].reshape(4, 4)
+    raw = 0.5 * (raw + raw.conj().T)
     w, v = np.linalg.eigh(raw)
     rebuilt = (v * np.clip(w, 0.0, None)) @ v.conj().T
     rebuilt = rebuilt / rebuilt.trace().real
@@ -207,11 +216,23 @@ def test_effect_fidelity_of_zero_effect():
 
 
 def test_measurement_tomography_shots_raw_kept():
-    effects, raw = measurement_tomography(
-        canonical_basis(), shots=300, seed=5, return_raw=True)
-    assert effects.shape == raw.shape == (4, 4, 4)
+    basis = canonical_basis()
+    effects = measurement_tomography(basis, shots=300, seed=5)
+    assert effects.shape == (4, 4, 4)
     for k in range(4):
         assert np.linalg.eigvalsh(effects[k]).min() > -1e-12
+    # each effect is its pre-clip least-squares fit floored at zero, the fit
+    # rebuilt here from the multinomial counts of the same probe streams
+    probes, paulis = default_probes(2), looped_paulis(4)
+    design = np.array([[np.trace(probe @ g).real for g in paulis] for probe in probes])
+    freqs = np.array([[np.trace(basis.projector(k) @ probe).real for k in range(4)]
+                      for probe in probes]).clip(0.0, None)
+    counts = np.stack([stream(5, j).multinomial(300, f / f.sum()) for j, f in enumerate(freqs)])
+    coeffs = np.linalg.lstsq(design, counts / 300, rcond=None)[0]
+    for k, effect in enumerate(effects):
+        raw = sum(c * g for c, g in zip(coeffs[:, k], paulis))
+        w, v = np.linalg.eigh(0.5 * (raw + raw.conj().T))
+        assert np.allclose(effect, (v * np.clip(w, 0.0, None)) @ v.conj().T, atol=1e-12)
 
 
 def test_measurement_tomography_rejects_rank_deficient_probes():
