@@ -1,4 +1,4 @@
-"""The Haar sampling stream (stream version 2): Ginibre matrices and their QR.
+"""The Haar sampling stream (stream version 3): Ginibre matrices, orthonormalized.
 
 Every Philox key of the package is built here, as ``[seed, word]``.  The Haar
 stream of a seed is key ``[seed, HAAR_WORD]``; probe j's tomography shots use
@@ -8,6 +8,13 @@ share a stream.  Sample i of the Haar stream reads uniforms [32i, 32i + 32)
 ``(seed, start, n)`` and independent of batching: the engine draws its Haar
 samples in fixed chunks, ``ginibre_batch(seed, start, m)`` for consecutive
 starts, and gets the samples of one whole draw.
+
+Version 3 keeps version 2's keys and layout and changes only the step from a
+Ginibre matrix to its unitary: a two-pass Gram-Schmidt over the columns
+replaces ``np.linalg.qr`` and its gauge fix.  Both give the same unitary in
+exact arithmetic; in floating point the unitaries agree to ~1e-14, so seeded
+values move in their last bits and a sample that sits on a class boundary can
+change class.
 
 The cycle-energy kernel lives in :mod:`qmcool.engine`.  This module keeps
 its name because the benchmark harness (``perfbench/``) reads and wraps
@@ -24,7 +31,7 @@ from .errors import ValidationError
 # Philox keys above this pass through float64 in numpy and alias other keys.
 INT64_MAX = 2**63 - 1
 HAAR_WORD = INT64_MAX  # second key word of the Haar stream
-STREAM_VERSION = 2  # printed by every command whose output reads the Haar stream
+STREAM_VERSION = 3  # printed by every command whose output reads the Haar stream
 
 
 def check_int(value, name, low=0):
@@ -71,12 +78,24 @@ def ginibre_batch(seed, start, n):
 
 
 def haar_from_ginibre(gin):
-    """QR-orthonormalize Ginibre matrices into Haar-distributed unitaries.
+    """Orthonormalize the columns of Ginibre matrices into Haar-distributed unitaries.
 
-    The gauge is fixed by rotating each column so the corresponding R-diagonal
-    entry is real positive (Mezzadri, math-ph/0609050); this makes the map from
-    Ginibre matrix to unitary single-valued and the unitaries Haar-distributed.
+    Classical Gram-Schmidt, two passes per column ("twice is enough": Giraud,
+    Langou and Rozloznik, 2005): column j loses its components along the finished
+    columns 0..j-1 twice over, then is divided by its norm.  That norm is the R
+    diagonal of the implied QR factorization, real and positive, which is the gauge
+    that makes the map from Ginibre matrix to unitary single-valued and the
+    unitaries Haar-distributed (Mezzadri, math-ph/0609050); no gauge step is needed.
     """
-    q, r = np.linalg.qr(gin)
-    d = np.einsum("...ii->...i", r)
-    return q * (d / np.abs(d))[..., None, :]
+    q = gin.swapaxes(-1, -2).copy()  # row j of q is column j of gin
+    flat = q.view(np.float64)  # row j as 8 reals
+    for j in range(4):
+        col = q[..., j:j + 1, :]
+        if j:
+            done = q[..., :j, :]
+            done_h = done.conj().swapaxes(-1, -2)
+            col -= (col @ done_h) @ done
+            col -= (col @ done_h) @ done
+        re = flat[..., j:j + 1, :]
+        re /= np.sqrt(re @ re.swapaxes(-1, -2))
+    return q.swapaxes(-1, -2)

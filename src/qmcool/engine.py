@@ -265,17 +265,31 @@ def _chunk_bounds(n):
         start += m
 
 
+def _canonical_p(us):
+    """P = |U C|^2 of each unitary U of the stack ``us``, C the canonical basis vectors
+    as columns, without the product.
+
+    C keeps columns u0 and u3 of U and turns u1, u2 into (u1 + u2)/sqrt2 and
+    (u1 - u2)/sqrt2, so the columns of P are |u0|^2, |u1 + u2|^2/2, |u1 - u2|^2/2
+    and |u3|^2: two column sums.
+    """
+    big_p = np.empty(us.shape)
+    for k, col in enumerate((us[..., 0], us[..., 1] + us[..., 2], us[..., 1] - us[..., 2],
+                             us[..., 3])):
+        np.square(np.abs(col), out=big_p[..., k])
+    big_p[..., 1:3] /= 2
+    return big_p
+
+
 def _chunk_triples(cfgs, seed, start, m):
     """(dE1, dE2, dE) of each config over Haar samples [start, start + m), shape (len(cfgs), m, 3).
 
     Sample i measures in the canonical basis rotated by unitary i of the seed's Haar
-    stream, the same U for every config; its P = |U C|^2 (C: the canonical basis
-    vectors as columns) goes through :func:`_population_triples`.  Every sample must
-    keep beta1*dE1 + beta2*dE2 >= SLACK_FLOOR, as in :func:`run_cycle`.
+    stream, the same U for every config; its P (:func:`_canonical_p`) goes through
+    :func:`_population_triples`.  Every sample must keep
+    beta1*dE1 + beta2*dE2 >= SLACK_FLOOR, as in :func:`run_cycle`.
     """
-    big_p = np.abs(haar_unitaries(HaarSampler(seed, start), m) @ canonical_basis().vectors.T)
-    np.square(big_p, out=big_p)
-    out = _population_triples(cfgs, big_p)
+    out = _population_triples(cfgs, _canonical_p(haar_unitaries(HaarSampler(seed, start), m)))
     for row, cfg in zip(out, cfgs):
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass, as in run_cycle
             slack = cfg.bath1.beta * row[:, 0] + cfg.bath2.beta * row[:, 1]

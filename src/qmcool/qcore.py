@@ -22,7 +22,7 @@ PSD_FLOOR = -1e-10
 def as_complex(matrix):
     """Return the input as a complex128 ndarray without copying when possible."""
     arr = np.asarray(matrix, dtype=np.complex128)
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():  # a complex entry is finite when both its parts are
         raise ValidationError("matrix has non-finite entries")
     return arr
 

@@ -126,6 +126,26 @@ def bisect_critical_visibility(cfg, basis=None, tol=1e-10):
     return 0.5 * (lo + hi)
 
 
+def qr_gauge_haar(gin):
+    """Reference Haar unitaries of stream version 2: QR of each Ginibre matrix, each
+    column rotated so that its R-diagonal entry is real positive (Mezzadri,
+    math-ph/0609050)."""
+    q, r = np.linalg.qr(gin)
+    d = np.einsum("...ii->...i", r)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def canonical_column_sums(us):
+    """P = |U C|^2 of a stack of unitaries, C the canonical basis vectors as columns,
+    as the Haar path forms it: |u0|^2, |u1 + u2|^2/2, |u1 - u2|^2/2 and |u3|^2."""
+    big_p = np.empty(us.shape)
+    for k, col in enumerate((us[..., 0], us[..., 1] + us[..., 2], us[..., 1] - us[..., 2],
+                             us[..., 3])):
+        big_p[..., k] = np.abs(col) ** 2
+    big_p[..., 1:3] /= 2
+    return big_p
+
+
 def per_row_haar_triples(cfg, n, seed):
     """Reference (n, 3) Haar triples of one config: the former per-row kernel.
 
@@ -135,8 +155,7 @@ def per_row_haar_triples(cfg, n, seed):
     gin = ginibre_batch(seed, 0, n)
     p = _populations(cfg)
     h1, h2 = _joint_hamiltonian_diagonals(cfg)
-    basis_cols = canonical_basis().vectors.T
-    big_p = np.abs(haar_from_ginibre(gin) @ basis_cols) ** 2
+    big_p = canonical_column_sums(haar_from_ginibre(gin))
     b = big_p @ big_p.transpose(0, 2, 1) - np.eye(4)
     out = np.empty((len(big_p), 3))
     out[:, :2] = p @ b @ np.column_stack([h1, h2])
@@ -148,7 +167,7 @@ def whole_draw_haar_triples(cfgs, n_samples, seed):
     """Reference (len(cfgs), n, 3) Haar triples: the former one-draw kernel, which
     held every sample at once; the chunked path must match it bit for bit."""
     us = haar_unitaries(HaarSampler(seed), check_int(n_samples, "n_samples", 1))
-    big_p = np.abs(us @ canonical_basis().vectors.T) ** 2
+    big_p = canonical_column_sums(us)
     b = big_p @ big_p.transpose(0, 2, 1) - np.eye(4)
     out = np.empty((len(cfgs), len(b), 3))
     for row, cfg in zip(out, cfgs):
@@ -173,7 +192,7 @@ def chunked_haar_triples(cfgs, n_samples, seed):
 
 
 def box_muller_sample(seed, i):
-    """Reference Ginibre sample i of stream version 2: Box-Muller on uniforms
+    """Reference Ginibre sample i of stream versions 2 and 3: Box-Muller on uniforms
     [32i, 32i + 32) of Philox key [seed, 2**63 - 1], (u, u') per entry, row-major."""
     u = np.random.Generator(np.random.Philox(key=[seed, 2**63 - 1])).random(32 * (i + 1))[32 * i:]
     r = np.sqrt(-np.log1p(-u[0::2]))

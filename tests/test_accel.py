@@ -1,4 +1,4 @@
-"""Haar stream (version 2): layout, random access, seed range and the QR step."""
+"""Haar stream (version 3): layout, random access, seed range and the Gram-Schmidt step."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from qmcool import (EngineConfig, HaarSampler, ValidationError, _accel, frequenc
                     haar_average_report)
 from qmcool.engine import _haar_chunks
 
-from helpers import box_muller_sample
+from helpers import box_muller_sample, qr_gauge_haar
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
@@ -67,4 +67,23 @@ def test_haar_from_ginibre_unitary():
     gin = _accel.ginibre_batch(17, 0, 50)
     us = _accel.haar_from_ginibre(gin)
     eye = np.broadcast_to(np.eye(4), us.shape)
-    assert np.allclose(us @ us.conj().transpose(0, 2, 1), eye, atol=1e-10)
+    assert np.allclose(us @ us.conj().transpose(0, 2, 1), eye, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 17, 2**63 - 1])
+def test_haar_from_ginibre_matches_the_qr_gauge_oracle(seed):
+    gin = _accel.ginibre_batch(seed, 0, 4096)
+    assert np.max(np.abs(_accel.haar_from_ginibre(gin) - qr_gauge_haar(gin))) <= 1e-12
+    # one matrix, as haar_unitary draws it, takes the same path
+    assert np.max(np.abs(_accel.haar_from_ginibre(gin[:1]) - qr_gauge_haar(gin[:1]))) <= 1e-12
+
+
+def test_second_pass_keeps_an_ill_conditioned_draw_unitary():
+    # column 3 is column 2 plus 1e-8 of noise: one Gram-Schmidt pass leaves ~1e-8
+    # of column 2 in column 3, the second pass removes it
+    gin = _accel.ginibre_batch(23, 0, 4096)
+    rng = np.random.default_rng(23)
+    noise = rng.standard_normal((4096, 4)) + 1j * rng.standard_normal((4096, 4))
+    gin[..., 3] = gin[..., 2] + 1e-8 * noise
+    us = _accel.haar_from_ginibre(gin)
+    assert np.max(np.abs(us.conj().transpose(0, 2, 1) @ us - np.eye(4))) <= 1e-12

@@ -205,6 +205,12 @@ def test_haar_triples_match_per_row_kernel(seed):
         assert np.array_equal(rows, per_row_haar_triples(cfg, 2000, seed))
 
 
+def test_column_sums_equal_the_rotated_canonical_basis_product():
+    us = haar_unitaries(HaarSampler(37), 2**14)
+    big_p = engine._canonical_p(us)
+    assert np.max(np.abs(big_p - np.abs(us @ canonical_basis().vectors.T) ** 2)) <= 1e-15
+
+
 def test_haar_triples_rows_match_one_row_calls():
     cfgs = _experiment_configs()
     triples = chunked_haar_triples(cfgs, 300, 5)

@@ -6,13 +6,14 @@ import pytest
 
 from qmcool import (
     EngineConfig,
+    ValidationError,
     initial_state,
     single_qubit_state,
     trace_distance,
     two_qubit_state,
     validate_density,
 )
-from qmcool.qcore import _fidelity
+from qmcool.qcore import _fidelity, as_complex
 from qmcool.thermo import thermal_populations
 from qmcool.tomo import _kron_stack
 
@@ -152,3 +153,17 @@ def test_pure_state_fidelity_is_overlap():
         b = np.outer(v, v.conj())
         # sqrt of a rank-1 projector amplifies eigensolver noise to ~sqrt(eps)
         assert _fidelity(a, b) == pytest.approx(abs(np.vdot(u, v)) ** 2, abs=1e-7)
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0),
+                                 complex(0.0, np.inf), complex(-np.inf, 1.0), complex(1.0, -np.inf),
+                                 1j * np.inf])
+def test_as_complex_rejects_a_non_finite_real_or_imaginary_part(bad):
+    m = np.eye(4, dtype=np.complex128)
+    m[2, 1] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        as_complex(m)
+    with pytest.raises(ValidationError, match="non-finite"):
+        as_complex(m.tolist())
+    m[2, 1] = complex(1e308, -1e308)
+    assert as_complex(m)[2, 1] == complex(1e308, -1e308)
