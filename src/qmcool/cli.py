@@ -201,8 +201,6 @@ def _fmt(value):
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, float) and np.isnan(value):
-        return "nan"
     return format(float(value), ".12g")
 
 
@@ -227,7 +225,7 @@ def _emit(cfg, command, comments, header, rows):
     lines.extend(f"# {c}" for c in comments)
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
+        lines.append(",".join(format(c, ".12g") if type(c) is float else _fmt(c) for c in row))
     text = "\n".join(lines) + "\n"
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -297,7 +295,10 @@ def _label_or_none(de1, de2, de, eps):
 def cmd_noise(cfg):
     rows = []
     for w2 in cfg.omega2:
-        sweep, nu_c = noise_sweep(cfg.engine_config(w2), cfg.nu_values)
+        try:
+            sweep, nu_c = noise_sweep(cfg.engine_config(w2), cfg.nu_values)
+        except ValidationError as exc:
+            raise ValidationError(f"omega2 = {w2!r}: {exc}") from exc
         nu_c = float("nan") if nu_c is None else nu_c
         for nu, white, interf in sweep:
             rows.append(

@@ -177,12 +177,7 @@ def energy_changes(cfg, post_state):
     Both H_i are diagonal, so dE_i = (diag(post) - p) . h_i with p the Gibbs
     populations; ``post_state`` is e.g. G = measurement_channel of the product.
     """
-    post = two_qubit_state(post_state)
-    return _energy_triple(cfg, np.diagonal(post).real - _populations(cfg))
-
-
-def _energy_triple(cfg, shift):
-    """(dE1, dE2, dE) of a population shift diag(post) - p."""
+    shift = np.diagonal(two_qubit_state(post_state)).real - _populations(cfg)
     h1, h2 = _joint_hamiltonian_diagonals(cfg)
     de1, de2 = float(shift @ h1), float(shift @ h2)
     return de1, de2, de1 + de2
@@ -448,10 +443,11 @@ def noise_sweep(cfg, nu_values, basis=None):
     Returns ``(rows, nu_c)``: one ``(nu, white, interf)`` row of (dE1, dE2, dE)
     triples per noise weight, and ``nu_c`` as in :func:`critical_visibility`.
     Both models act on rho = diag(p) through G = measurement_channel(basis, rho)
-    and the distinguishable-photon sum D, so only g = diag(G), d = diag(D) enter:
-    the white-noise post state c1*G + c2*rho shifts the populations by
-    c1*(g - p), the interference post state (nu*G + (1-nu)*D) / Tr(...) by
-    (nu*g + (1-nu)*d) / sum(nu*g + (1-nu)*d) - p.
+    and the distinguishable-photon sum D, so only g = diag(G), d = diag(D) enter,
+    and all rows of a config are one array pass over the column of nu: the white
+    shifts c1(nu)*(g - p) and the interference shifts
+    (nu*g + (1-nu)*d) / sum(nu*g + (1-nu)*d) - p stack into one (2n, 4) array,
+    and one matmul with the columns (h1, h2) gives dE1 and dE2.
 
     Every row's post state is a convex mixture of rho, G and D/TrD (weights
     c1, c2 for white noise; lambda = nu/(nu + (1-nu)*TrD) on G for
@@ -470,13 +466,15 @@ def noise_sweep(cfg, nu_values, basis=None):
     if tr_d <= 1e-15:
         raise ValidationError("zero total detection probability")
     two_qubit_state(big_d / tr_d)
-    rows = []
-    for nu in nu_values:
-        c1, _ = white_noise_mixture_weights(nu)
-        detected = nu * g + (1.0 - nu) * d
-        rows.append((nu, _energy_triple(cfg, c1 * (g - p)),
-                     _energy_triple(cfg, detected / detected.sum() - p)))
-    _, h2 = _joint_hamiltonian_diagonals(cfg)
+    h1, h2 = _joint_hamiltonian_diagonals(cfg)
+    nu = np.array(nu_values, dtype=float).reshape(-1, 1)
+    detected = nu * g + (1.0 - nu) * d
+    shifts = np.concatenate([white_noise_mixture_weights(nu)[0] * (g - p),
+                             detected / detected.sum(axis=1, keepdims=True) - p])
+    # + 0.0: gemm can sum underflowed products to -0.0, where a dot product gives +0.0
+    de = shifts @ np.column_stack((h1, h2)) + 0.0
+    white, interf = np.column_stack([de, de[:, 0] + de[:, 1]]).reshape(2, -1, 3).tolist()
+    rows = [(v, tuple(w), tuple(i)) for v, w, i in zip(nu.ravel().tolist(), white, interf)]
     e, e2_g, e2_d = float(p @ h2), float(g @ h2), float(d @ h2)
     den = e2_g - e2_d - e * (tr_g - tr_d)
     if den == 0.0:

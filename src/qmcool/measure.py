@@ -147,10 +147,11 @@ def white_noise_povm(basis, nu):
 
 
 def white_noise_mixture_weights(nu):
-    """(c1, c2) with post-state = c1*rho' + c2*rho; c1 + c2 = 1."""
-    c1 = (0.5 * (np.sqrt(1.0 + 3.0 * nu) - np.sqrt(1.0 - nu))) ** 2
+    """(c1, c2) with post-state = c1*rho' + c2*rho; c1 + c2 = 1.  Elementwise on arrays;
+    float_power rounds like C pow on both (``**`` squares an array by multiplication)."""
+    c1 = np.float_power(0.5 * (np.sqrt(1.0 + 3.0 * nu) - np.sqrt(1.0 - nu)), 2)
     c2 = 0.5 * (np.sqrt((1.0 + 3.0 * nu) * (1.0 - nu)) + (1.0 - nu))
-    return float(c1), float(c2)
+    return c1, c2
 
 
 def apply_povm(povm, rho):

@@ -15,6 +15,7 @@ from qmcool import (
     haar_unitary,
     hom_noisy_channel,
     initial_state,
+    measurement_channel,
     rotate_basis,
     single_qubit_state,
     two_qubit_state,
@@ -22,6 +23,7 @@ from qmcool import (
 )
 from qmcool._accel import check_int, ginibre_batch, haar_from_ginibre
 from qmcool.engine import _haar_chunks, _joint_hamiltonian_diagonals, _populations
+from qmcool.measure import _distinguishable, white_noise_mixture_weights
 from qmcool.thermo import thermal_populations
 
 EXPERIMENT_OMEGA2 = (0.02, 0.06, 0.14, 0.18, 0.46, 0.86, 1.10)
@@ -333,3 +335,59 @@ def looped_estimate_state(sigma, shots, rng):
         mean = (2.0 * k - shots) / shots
         est += (mean / d) * g
     return est
+
+
+def scalar_white_noise_weights(nu):
+    """Reference (c1, c2) of one noise weight: the former scalar body, as Python floats."""
+    c1 = (0.5 * (np.sqrt(1.0 + 3.0 * nu) - np.sqrt(1.0 - nu))) ** 2
+    c2 = 0.5 * (np.sqrt((1.0 + 3.0 * nu) * (1.0 - nu)) + (1.0 - nu))
+    return float(c1), float(c2)
+
+
+def _energy_triple(cfg, shift):
+    """(dE1, dE2, dE) of a population shift diag(post) - p, one dot product per qubit."""
+    h1, h2 = _joint_hamiltonian_diagonals(cfg)
+    de1, de2 = float(shift @ h1), float(shift @ h2)
+    return de1, de2, de1 + de2
+
+
+def looped_noise_rows(cfg, nu_values, basis=None):
+    """Reference ``noise_sweep``: the former per-nu loop, two energy triples per row;
+    returns (rows, nu_c).  The array pass must match it bit for bit."""
+    if any(not 0.0 <= nu <= 1.0 for nu in nu_values):
+        raise ValidationError(f"noise weights must lie in [0, 1], got {nu_values!r}")
+    basis = canonical_basis() if basis is None else basis
+    p, rho = _populations(cfg), initial_state(cfg)
+    big_g = two_qubit_state(measurement_channel(basis, rho))
+    big_d = _distinguishable(basis, rho)
+    g, d = np.diagonal(big_g).real, np.diagonal(big_d).real
+    tr_g, tr_d = g.sum(), d.sum()
+    if tr_d <= 1e-15:
+        raise ValidationError("zero total detection probability")
+    two_qubit_state(big_d / tr_d)
+    rows = []
+    for nu in nu_values:
+        c1, _ = white_noise_mixture_weights(nu)
+        detected = nu * g + (1.0 - nu) * d
+        rows.append((nu, _energy_triple(cfg, c1 * (g - p)),
+                     _energy_triple(cfg, detected / detected.sum() - p)))
+    _, h2 = _joint_hamiltonian_diagonals(cfg)
+    e, e2_g, e2_d = float(p @ h2), float(g @ h2), float(d @ h2)
+    den = e2_g - e2_d - e * (tr_g - tr_d)
+    if den == 0.0:
+        return rows, None
+    nu_c = float((e * tr_d - e2_d) / den)
+    return rows, (nu_c if 0.0 <= nu_c <= 1.0 else None)
+
+
+def fmt_cell(value):
+    """Reference CSV cell: the former ``cli._fmt`` body, with its isnan branch."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, float) and np.isnan(value):
+        return "nan"
+    return format(float(value), ".12g")

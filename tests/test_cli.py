@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from qmcool import _accel, cli
+from qmcool import _accel, cli, engine
 from qmcool.errors import ValidationError
+
+from helpers import fmt_cell, reference_config
 
 
 def _read(path):
@@ -175,6 +177,39 @@ def test_noise_no_critical_visibility_outside_r_range(tmp_path):
     assert cli.main(["noise", "--config", str(conf), "--out", str(out)]) == 0
     _, rows = _rows(_read(out))
     assert rows[0]["nu_c_interf"] == "nan"
+
+
+def test_noise_names_the_row_of_a_failed_validation(monkeypatch, tmp_path, capsys):
+    distinguishable = engine._distinguishable
+    target = engine.initial_state(reference_config(0.14))
+
+    def broken_at_target(basis, rho):
+        if np.array_equal(rho, target):
+            return np.diag([1.0, 1.0, 1.0, -0.5]).astype(np.complex128)
+        return distinguishable(basis, rho)
+
+    monkeypatch.setattr(engine, "_distinguishable", broken_at_target)
+    conf = tmp_path / "c.ini"
+    conf.write_text("omega2 = 0.06, 0.14, 0.46\n")
+    out = tmp_path / "n.csv"
+    assert cli.main(["noise", "--config", str(conf), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "omega2 = 0.14:" in err and "0.06" not in err and "0.46" not in err
+    assert not out.exists()
+
+
+def test_emit_fast_path_matches_the_former_cell_format(tmp_path):
+    cells = [0.1, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"), 5e-324,
+             1.7976931348623157e308, np.float64(0.1), np.float64("nan"), np.float64(-2.5e-7),
+             np.float32(0.1), 3, np.int64(-7), True, None, "R", ""]
+    rows = [cells, cells[::-1], [c for c in cells if isinstance(c, float)]]
+    out = tmp_path / "e.csv"
+    cfg = cli.resolve_config(cli.build_parser().parse_args(["noise", "--out", str(out)]))
+    assert cli._emit(cfg, "noise", ["note"], ("a", "b"), rows) == 0
+    data = _read(out).splitlines()[3:]
+    assert data == [",".join(fmt_cell(c) for c in row) for row in rows]
+    assert data[0].split(",")[:8] == ["0.1", "-0", "nan", "nan", "inf", "-inf",
+                                      "4.94065645841e-324", "1.79769313486e+308"]
 
 
 def test_haar_average_output(tmp_path):

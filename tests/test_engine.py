@@ -45,6 +45,7 @@ from helpers import (
     closed_form_triple,
     decimal_canonical_triple,
     kron_initial_state,
+    looped_noise_rows,
     partial_trace_energy_changes,
     per_row_haar_triples,
     random_density,
@@ -381,6 +382,43 @@ def test_noise_sweep_matches_general_path(omega2):
                 want = energy_changes(cfg, post)
                 assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
                 assert _label(got) == _label(want)
+
+
+def _noise_array(rows):
+    return np.array([(nu, *white, *interf) for nu, white, interf in rows]).reshape(-1, 7)
+
+
+def _same_bits(a, b):
+    """Equal arrays with nan where nan is, and -0.0 exactly where -0.0 is."""
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a[a == 0]),
+                                                                     np.signbit(b[b == 0]))
+
+
+def test_noise_sweep_matches_the_looped_oracle_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    grid_nus = [round(0.01 * k, 2) for k in range(101)] + rng.random(50).tolist()
+    bases = [None] + [rotate_basis(u, canonical_basis())
+                      for u in haar_unitaries(HaarSampler(7), 20)]
+    grid = (0.02, 0.06, 0.10, 0.14, 0.18, 0.26, 0.34, 0.40, 0.46, 0.60, 0.86, 1.00, 1.10, 1.40)
+    cases = [(reference_config(w2), basis) for w2 in grid for basis in bases]
+    # the edge configs of the CLI: a huge gap, two subnormal gaps, extreme temperatures
+    cases += [(EngineConfig.from_values(*v), basis) for basis in bases[:2]
+              for v in ((1.02, 1e308, 0.4, 1.0), (1e-320, 1e-320, 0.4, 1.0),
+                        (1.02, 0.18, 1e-300, 1e300))]
+    while len(cases) < len(grid) * len(bases) + 306:
+        w1, w2, b1, b2 = 10.0 ** rng.uniform(-5, 5, 4)
+        if b1 != b2:
+            cases.append((EngineConfig.from_values(w1, w2, min(b1, b2), max(b1, b2)), None))
+    for k, (cfg, basis) in enumerate(cases):
+        # the whole grid, and on every fifth case also none, one and two rows
+        short = (grid_nus[k % 151:][:1], grid_nus[k % 150:][:2], ()) if k % 5 == 0 else ()
+        for nus in (grid_nus, *short):
+            rows, nu_c = noise_sweep(cfg, nus, basis)
+            want_rows, want_nu_c = looped_noise_rows(cfg, nus, basis)
+            assert _same_bits(_noise_array(rows), _noise_array(want_rows))
+            assert [type(x) for row in rows for x in (row[0], *row[1], *row[2])] == (
+                [float] * 7 * len(nus))
+            assert nu_c == want_nu_c
 
 
 def test_noise_sweep_rejects_weight_outside_unit_interval():

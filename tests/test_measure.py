@@ -25,6 +25,7 @@ from helpers import (
     partial_trace,
     random_density,
     reference_config,
+    scalar_white_noise_weights,
     trains_hom_detected,
     von_neumann_entropy,
 )
@@ -205,6 +206,17 @@ def test_white_noise_post_state_is_mixture():
             out = apply_povm(povm, rho)
             ideal = measurement_channel(basis, rho)
             assert np.allclose(out, c1 * ideal + c2 * rho, atol=1e-10)
+
+
+def test_white_noise_weights_on_an_array_equal_the_scalar_calls():
+    nus = np.concatenate([np.linspace(0.0, 1.0, 101), np.random.default_rng(3).random(5000)])
+    c1, c2 = white_noise_mixture_weights(nus)
+    col1, col2 = white_noise_mixture_weights(nus[:, None])
+    scalar = np.array([white_noise_mixture_weights(nu) for nu in nus.tolist()])
+    former = np.array([scalar_white_noise_weights(nu) for nu in nus.tolist()])
+    for got in (np.column_stack([c1, c2]), np.column_stack([col1[:, 0], col2[:, 0]]), scalar):
+        assert np.array_equal(got, former)
+    assert all(isinstance(c, float) for c in white_noise_mixture_weights(0.3))
 
 
 def test_white_noise_povm_rejects_bad_visibility():
