@@ -33,8 +33,9 @@ import numpy as np
 from . import __version__
 from ._accel import INT64_MAX, STREAM_VERSION
 from .engine import (
+    CLASS_LABELS,
     EngineConfig,
-    classify,
+    _class_codes,
     frequency_sweep,
     haar_average_report,
     noise_sweep,
@@ -285,26 +286,22 @@ def cmd_frequency(cfg):
     return _emit(cfg, "frequency", comments, header, rows)
 
 
-def _label_or_none(de1, de2, de, eps):
-    try:
-        return classify(de1, de2, de, eps)
-    except ValidationError:
-        return "none"
-
-
 def cmd_noise(cfg):
-    rows = []
+    raw = []
     for w2 in cfg.omega2:
         try:
             sweep, nu_c = noise_sweep(cfg.engine_config(w2), cfg.nu_values)
         except ValidationError as exc:
             raise ValidationError(f"omega2 = {w2!r}: {exc}") from exc
         nu_c = float("nan") if nu_c is None else nu_c
-        for nu, white, interf in sweep:
-            rows.append(
-                (w2, nu, *white, _label_or_none(*white, cfg.eps),
-                 *interf, _label_or_none(*interf, cfg.eps), nu_c)
-            )
+        raw += [(w2, nu, white, interf, nu_c) for nu, white, interf in sweep]
+    # every white and interference triple classified in one pass; "none" where
+    # classify would raise
+    triples = np.array([white + interf for _, _, white, interf, _ in raw]).reshape(-1, 3)
+    labels = [CLASS_LABELS[c] if c >= 0 else "none" for c in _class_codes(triples, cfg.eps).tolist()]
+    rows = [(w2, nu, *white, label_w, *interf, label_i, nu_c)
+            for (w2, nu, white, interf, nu_c), label_w, label_i
+            in zip(raw, labels[0::2], labels[1::2])]
     header = (
         "omega2",
         "nu",

@@ -40,8 +40,9 @@ from .thermo import BathSpec, QubitSpec, thermal_populations
 
 SLACK_FLOOR = -1e-10
 # Haar samples per chunk of frequency_sweep and haar_average_report: their memory
-# is set by one chunk, whatever n_samples is
-CHUNK = 2**14
+# is set by one chunk, whatever n_samples is.  At 2**10 a chunk's temporaries are
+# small enough that the heap keeps them from one chunk to the next
+CHUNK = 2**10
 CLASS_LABELS = ("R", "E", "A", "H")
 
 
@@ -276,15 +277,17 @@ def _canonical_p(us):
     return big_p
 
 
-def _chunk_triples(cfgs, seed, start, m):
+def _chunk_triples(cfgs, seed, start, m, work):
     """(dE1, dE2, dE) of each config over Haar samples [start, start + m), shape (len(cfgs), m, 3).
 
     Sample i measures in the canonical basis rotated by unitary i of the seed's Haar
-    stream, the same U for every config; its P (:func:`_canonical_p`) goes through
-    :func:`_population_triples`.  Every sample must keep
-    beta1*dE1 + beta2*dE2 >= SLACK_FLOOR, as in :func:`run_cycle`.
+    stream, the same U for every config, drawn in ``work`` (see
+    :func:`~qmcool.measure.haar_unitaries`); its P (:func:`_canonical_p`) goes
+    through :func:`_population_triples`.  The triples are a fresh array.  Every
+    sample must keep beta1*dE1 + beta2*dE2 >= SLACK_FLOOR, as in :func:`run_cycle`.
     """
-    out = _population_triples(cfgs, _canonical_p(haar_unitaries(HaarSampler(seed, start), m)))
+    us = haar_unitaries(HaarSampler(seed, start), m, work)
+    out = _population_triples(cfgs, _canonical_p(us))
     for row, cfg in zip(out, cfgs):
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass, as in run_cycle
             slack = cfg.bath1.beta * row[:, 0] + cfg.bath2.beta * row[:, 1]
@@ -303,46 +306,62 @@ def _haar_chunks(cfgs, n_samples, seed):
     ``seed``; triples is :func:`_chunk_triples` of the chunk.
 
     Sample i reads uniforms [32i, 32i + 32) of the stream whatever the chunk, so
-    the chunks concatenate to the triples of one whole draw.  n_samples is checked
-    here, before the first chunk is drawn.
+    the chunks concatenate to the triples of one whole draw.  Every chunk draws
+    and orthonormalizes in the same two buffers, allocated once: a fresh ~0.5 MB
+    per chunk would be handed back to the system and faulted in again each time.
+    n_samples is checked here, before the first chunk is drawn.
     """
     n = check_int(n_samples, "n_samples", 1)
-    return ((start, _chunk_triples(cfgs, seed, start, m)) for start, m in _chunk_bounds(n))
+    work = np.empty((2, min(n, CHUNK + 1), 4, 4), dtype=np.complex128)  # see _chunk_bounds
+    return ((start, _chunk_triples(cfgs, seed, start, m, work[:, :m]))
+            for start, m in _chunk_bounds(n))
 
 
-def _class_counts(triples, eps, omega2, start):
-    """Counts of R, E, A, H (in CLASS_LABELS order) over an (m, 3) stack of triples.
+def _class_codes(triples, eps):
+    """Code of each row of an (m, 3) stack of triples: the index in CLASS_LABELS of
+    the label :func:`classify` gives it, -2 where it fails the sum check and -1 where
+    no class matches.
 
-    Each row gets the label :func:`classify` gives it: the same sum check, the
-    same weak inequalities at the same eps and the same R, E, A, H priority
-    (``np.select`` takes the first condition that holds), as numpy masks.  Errors
-    name omega2 and the sample index start + i.
+    The same sum check, the same weak inequalities at the same eps and the same
+    R, E, A, H priority (``np.select`` takes the first condition that holds), as
+    numpy masks.
     """
     de1, de2, de = triples.T
     a1, a2, a = np.abs(de1), np.abs(de2), np.abs(de)
     gap = np.abs(de - de1 - de2)
-    bad = np.flatnonzero((gap > eps) & (gap > 2.0**-52 * (a1 + a2)))
-    if bad.size:
-        i = bad[0]
-        raise ValidationError(
-            f"{_sample_name(omega2, start + i)}: inconsistent triple: "
-            f"|dE - dE1 - dE2| = {gap[i]:.3e} > {eps:.3e}"
-        )
     up1, down1 = de1 >= -eps, de1 <= eps
     up2, down2 = de2 >= -eps, de2 <= eps
     up, down = de >= -eps, de <= eps
-    codes = np.select(
-        [(a1 <= eps) & (a2 <= eps) & (a <= eps), up1 & down2 & up, down1 & up2 & down,
-         down1 & up2 & up, up1 & up2 & up],
-        [3, 0, 1, 2, 3],
+    return np.select(
+        [(gap > eps) & (gap > 2.0**-52 * (a1 + a2)), (a1 <= eps) & (a2 <= eps) & (a <= eps),
+         up1 & down2 & up, down1 & up2 & down, down1 & up2 & up, up1 & up2 & up],
+        [-2, 3, 0, 1, 2, 3],
         default=-1,
     )
-    bad = np.flatnonzero(codes < 0)
+
+
+def _class_counts(triples, eps, omega2, start):
+    """Counts of R, E, A, H (in CLASS_LABELS order) over an (m, 3) stack of triples,
+    by :func:`_class_codes`.  A row that :func:`classify` would reject raises, a
+    failed sum check before a classless triple; errors name omega2 and the sample
+    index start + i.
+    """
+    codes = _class_codes(triples, eps)
+    bad = np.flatnonzero(codes == -2)
     if bad.size:
         i = bad[0]
+        de1, de2, de = triples[i].tolist()
+        raise ValidationError(
+            f"{_sample_name(omega2, start + i)}: inconsistent triple: "
+            f"|dE - dE1 - dE2| = {abs(de - de1 - de2):.3e} > {eps:.3e}"
+        )
+    bad = np.flatnonzero(codes == -1)
+    if bad.size:
+        i = bad[0]
+        de1, de2, de = triples[i].tolist()
         raise ValidationError(
             f"{_sample_name(omega2, start + i)}: no operation class matches "
-            f"({de1[i]:.3e}, {de2[i]:.3e}, {de[i]:.3e}); such a triple violates the second law"
+            f"({de1:.3e}, {de2:.3e}, {de:.3e}); such a triple violates the second law"
         )
     return np.bincount(codes, minlength=len(CLASS_LABELS))
 

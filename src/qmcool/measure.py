@@ -98,11 +98,18 @@ def haar_unitary(sampler):
     return haar_unitaries(sampler, 1)[0]
 
 
-def haar_unitaries(sampler, n):
+def haar_unitaries(sampler, n, work=None):
     """n Haar unitaries for counters [counter, counter + n); any split of a range
-    into consecutive calls gives the same unitaries (the engine draws in chunks)."""
-    gin = _accel.ginibre_batch(sampler.seed, sampler.counter, n)
-    return _accel.haar_from_ginibre(gin)
+    into consecutive calls gives the same unitaries (the engine draws in chunks).
+
+    ``work``, a C-contiguous complex (2, n, 4, 4) array, takes the Ginibre draw in
+    ``work[0]`` and Gram-Schmidt in ``work[1]``, and the unitaries are a view of
+    ``work[1]``; a caller that draws many batches reuses one.  By default both
+    are fresh arrays.
+    """
+    gin, q = (None, None) if work is None else work
+    gin = _accel.ginibre_batch(sampler.seed, sampler.counter, n, gin)
+    return _accel.haar_from_ginibre(gin, q)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmcool import (EngineConfig, HaarSampler, ValidationError, _accel, frequency_sweep,
-                    haar_average_report)
+                    haar_average_report, haar_unitaries)
 from qmcool.engine import _haar_chunks
 
 from helpers import box_muller_sample, qr_gauge_haar
@@ -73,9 +73,30 @@ def test_haar_from_ginibre_unitary():
 @pytest.mark.parametrize("seed", [0, 17, 2**63 - 1])
 def test_haar_from_ginibre_matches_the_qr_gauge_oracle(seed):
     gin = _accel.ginibre_batch(seed, 0, 4096)
-    assert np.max(np.abs(_accel.haar_from_ginibre(gin) - qr_gauge_haar(gin))) <= 1e-12
+    # haar_from_ginibre overwrites its input, so it gets a copy
+    assert np.max(np.abs(_accel.haar_from_ginibre(gin.copy()) - qr_gauge_haar(gin))) <= 1e-12
     # one matrix, as haar_unitary draws it, takes the same path
-    assert np.max(np.abs(_accel.haar_from_ginibre(gin[:1]) - qr_gauge_haar(gin[:1]))) <= 1e-12
+    assert np.max(np.abs(_accel.haar_from_ginibre(gin[:1].copy()) - qr_gauge_haar(gin[:1]))) <= 1e-12
+
+
+def test_a_reused_buffer_draws_what_a_fresh_call_draws():
+    # each call finds the buffer dirty from the call before, as the engine's chunks do
+    work = np.empty((2, 64, 4, 4), dtype=np.complex128)
+    for start, n in ((0, 64), (64, 64), (5, 1), (3, 17)):
+        gin = _accel.ginibre_batch(41, start, n, work[0, :n])
+        fresh = _accel.ginibre_batch(41, start, n)
+        assert np.shares_memory(gin, work[0]) and np.array_equal(gin, fresh)
+        us = _accel.haar_from_ginibre(gin, work[1, :n])
+        assert np.shares_memory(us, work[1])
+        assert np.array_equal(us, _accel.haar_from_ginibre(fresh))
+        assert np.array_equal(haar_unitaries(HaarSampler(41, start), n, work[:, :n]),
+                              haar_unitaries(HaarSampler(41, start), n))
+    for out in (np.empty((3, 4, 4), dtype=np.complex128), np.empty((4, 4, 4)),
+                np.empty((4, 4, 4), dtype=np.complex128).swapaxes(-1, -2)):
+        with pytest.raises(ValidationError):
+            _accel.ginibre_batch(41, 0, 4, out)
+        with pytest.raises(ValidationError):
+            _accel.haar_from_ginibre(_accel.ginibre_batch(41, 0, 4), out)
 
 
 def test_second_pass_keeps_an_ill_conditioned_draw_unitary():

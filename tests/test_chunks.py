@@ -17,7 +17,7 @@ from qmcool import (
     frequency_sweep,
     haar_average_report,
 )
-from qmcool.engine import CHUNK, CLASS_LABELS, _class_counts, _haar_chunks
+from qmcool.engine import CHUNK, CLASS_LABELS, _class_codes, _class_counts, _haar_chunks
 
 from helpers import (
     EXPERIMENT_OMEGA2,
@@ -28,7 +28,9 @@ from helpers import (
 )
 
 SEED = 19
-BOUNDARY_NS = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+# chunk boundaries at the start of the draw and many chunks into it
+BOUNDARY_NS = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3,
+               16 * CHUNK - 1, 16 * CHUNK, 16 * CHUNK + 1, 32 * CHUNK + 3)
 CFGS = [reference_config(omega2) for omega2 in EXPERIMENT_OMEGA2]
 
 
@@ -61,6 +63,15 @@ def test_haar_average_matches_whole_draw(n):
         else:
             assert np.allclose(got_means, means, rtol=1e-12, atol=0)
             assert np.allclose(got_errs, errs, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("chunk", [3, 64, CHUNK])
+def test_chunk_size_changes_no_result(monkeypatch, chunk):
+    n = 2 * CHUNK + 3
+    expected = frequency_sweep(CFGS, n, SEED)
+    monkeypatch.setattr(engine, "CHUNK", chunk)
+    assert np.array_equal(chunked_haar_triples(CFGS, n, SEED), _oracle(n))
+    assert frequency_sweep(CFGS, n, SEED) == expected
 
 
 def test_a_lone_last_sample_joins_the_chunk_before():
@@ -96,14 +107,18 @@ def tie_stacks(draw):
 @given(tie_stacks())
 def test_mask_classifier_matches_scalar_on_ties(case):
     eps, triples = case
-    labels = []
+    labels, codes = [], []
     for row in triples:
         try:
             labels.append(classify(*row.tolist(), eps))
-        except ValidationError:
+            codes.append(CLASS_LABELS.index(labels[-1]))
+        except ValidationError as exc:
             labels.append(None)
-            with pytest.raises(ValidationError):
+            kind = "inconsistent triple" if str(exc).startswith("inconsistent") else "no operation"
+            codes.append(-2 if kind == "inconsistent triple" else -1)
+            with pytest.raises(ValidationError, match=f"Haar sample 0: {kind}"):
                 _class_counts(row[None], eps, 0.18, 0)
+    assert _class_codes(triples, eps).tolist() == codes
     if None in labels:
         with pytest.raises(ValidationError):
             _class_counts(triples, eps, 0.18, 0)
@@ -117,8 +132,9 @@ def test_mask_classifier_matches_scalar_on_ties(case):
 
 def _one_bad_sample(monkeypatch, index):
     """Every Haar sample becomes the identity (the canonical basis), except sample
-    ``index``, which becomes 2*I: not unitary, so its triple breaks the second law."""
-    def fake(sampler, m):
+    ``index``, which becomes 2*I: not unitary, so its triple breaks the second law.
+    The chunk's work buffers are not touched."""
+    def fake(sampler, m, work=None):
         us = np.broadcast_to(np.eye(4, dtype=np.complex128), (m, 4, 4)).copy()
         if sampler.counter <= index < sampler.counter + m:
             us[index - sampler.counter] *= 2.0
@@ -144,7 +160,7 @@ def test_classless_triple_names_row_and_sample(monkeypatch):
 
 
 def test_sample_count_is_checked_before_the_first_draw(monkeypatch):
-    def no_draw(sampler, m):
+    def no_draw(sampler, m, work=None):
         raise AssertionError("drew a chunk")
     monkeypatch.setattr(engine, "haar_unitaries", no_draw)
     cfg = reference_config()

@@ -85,6 +85,31 @@ def test_extreme_scales_run_and_classify(tmp_path, command, line):
         assert "none" not in {r["class_white"] for r in rows}
 
 
+def test_noise_labels_are_the_scalar_labels_with_none(tmp_path):
+    # near infinite temperature with a huge gap, rounding leaves some triples
+    # classless; noise prints them as none
+    values = dict(omega1=1.0313361251569146e-297, omega2=1.4545426489429465e+77,
+                  beta1=7.122192255240355e-260, beta2=2.6892083747718e-131)
+    nus = (0.0, 0.2, 0.5, 0.8, 1.0)
+    conf = tmp_path / "c.ini"
+    conf.write_text("".join(f"{k} = {v!r}\n" for k, v in values.items())
+                    + f"nu_values = {', '.join(map(str, nus))}\n")
+    out = tmp_path / "o.csv"
+    assert cli.main(["noise", "--config", str(conf), "--out", str(out)]) == 0
+    _, rows = _rows(_read(out))
+
+    def label(triple):
+        try:
+            return engine.classify(*triple)
+        except ValidationError:
+            return "none"
+
+    sweep, _ = engine.noise_sweep(engine.EngineConfig.from_values(**values), nus)
+    expected = [(label(white), label(interf)) for _, white, interf in sweep]
+    assert [(r["class_white"], r["class_interf"]) for r in rows] == expected
+    assert ("none", "none") in expected and ("none", "A") in expected
+
+
 def test_frequency_requires_seed():
     assert cli.main(["frequency"]) == 2
 
