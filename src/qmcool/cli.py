@@ -287,21 +287,14 @@ def cmd_frequency(cfg):
 
 
 def cmd_noise(cfg):
-    raw = []
-    for w2 in cfg.omega2:
-        try:
-            sweep, nu_c = noise_sweep(cfg.engine_config(w2), cfg.nu_values)
-        except ValidationError as exc:
-            raise ValidationError(f"omega2 = {w2!r}: {exc}") from exc
-        nu_c = float("nan") if nu_c is None else nu_c
-        raw += [(w2, nu, white, interf, nu_c) for nu, white, interf in sweep]
+    triples, nu_cs = noise_sweep([cfg.engine_config(w2) for w2 in cfg.omega2], cfg.nu_values)
     # every white and interference triple classified in one pass; "none" where
-    # classify would raise
-    triples = np.array([white + interf for _, _, white, interf, _ in raw]).reshape(-1, 3)
-    labels = [CLASS_LABELS[c] if c >= 0 else "none" for c in _class_codes(triples, cfg.eps).tolist()]
-    rows = [(w2, nu, *white, label_w, *interf, label_i, nu_c)
-            for (w2, nu, white, interf, nu_c), label_w, label_i
-            in zip(raw, labels[0::2], labels[1::2])]
+    # classify would raise (codes -2 and -1 index the two "none"s)
+    codes = _class_codes(triples.reshape(-1, 3), cfg.eps).reshape(triples.shape[:3])
+    labels = np.array([*CLASS_LABELS, "none", "none"])[codes].tolist()
+    rows = [(w2, nu, *white, label_w, *interf, label_i, math.nan if nu_c is None else nu_c)
+            for w2, nu_c, w2_rows, w2_labels in zip(cfg.omega2, nu_cs, triples.tolist(), labels)
+            for nu, (white, interf), (label_w, label_i) in zip(cfg.nu_values, w2_rows, w2_labels)]
     header = (
         "omega2",
         "nu",

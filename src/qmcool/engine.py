@@ -28,11 +28,10 @@ from .measure import (
     HaarSampler,
     MeasurementBasis,
     PovmSet,
-    _distinguishable,
+    _distinguishable_map,
     apply_povm,
     canonical_basis,
     haar_unitaries,
-    measurement_channel,
     white_noise_mixture_weights,
 )
 from .qcore import two_qubit_state
@@ -201,8 +200,7 @@ def run_cycle(cfg, measurement=None, eps=1e-12):
     if measurement is None:
         measurement = canonical_basis()
     if isinstance(measurement, MeasurementBasis):
-        big_p = np.square(np.abs(measurement.vectors.T))
-        de1, de2, de = _population_triples([cfg], big_p[None])[0, 0].tolist()
+        de1, de2, de = _population_triples([cfg], _unistochastic(measurement)[None])[0, 0].tolist()
     elif isinstance(measurement, PovmSet):
         de1, de2, de = energy_changes(cfg, apply_povm(measurement, initial_state(cfg)))
     else:
@@ -219,6 +217,11 @@ def run_cycle(cfg, measurement=None, eps=1e-12):
         classification=classify(de1, de2, de, eps),
         second_law_slack=slack,
     )
+
+
+def _unistochastic(basis):
+    """P = |V^T|^2 of a basis whose vectors are the rows of V: P[r, k] = |<r|v_k>|^2."""
+    return np.square(np.abs(basis.vectors.T))
 
 
 def _population_triples(cfgs, big_p):
@@ -456,65 +459,62 @@ def haar_average_report(cfgs, n_samples, seed, eps=1e-12):
     return reports
 
 
-def noise_sweep(cfg, nu_values, basis=None):
-    """Energy triples under both detector-noise models, and the critical visibility.
+def noise_sweep(cfgs, nu_values, basis=None):
+    """Energy triples and critical visibilities of each config under both noise models.
 
-    Returns ``(rows, nu_c)``: one ``(nu, white, interf)`` row of (dE1, dE2, dE)
-    triples per noise weight, and ``nu_c`` as in :func:`critical_visibility`.
-    Both models act on rho = diag(p) through G = measurement_channel(basis, rho)
-    and the distinguishable-photon sum D, so only g = diag(G), d = diag(D) enter,
-    and all rows of a config are one array pass over the column of nu: the white
-    shifts c1(nu)*(g - p) and the interference shifts
-    (nu*g + (1-nu)*d) / sum(nu*g + (1-nu)*d) - p stack into one (2n, 4) array,
-    and one matmul with the columns (h1, h2) gives dE1 and dE2.
+    Returns ``(triples, nu_c)``: triples of shape (len(cfgs), len(nu_values), 2, 3)
+    hold (dE1, dE2, dE) under white and interference noise; nu_c holds one
+    :func:`critical_visibility` per config.  Both models act on rho = diag(p) and
+    move populations only, through two 4x4 maps of the basis: G has diagonal
+    g = M p with M = P P^T (P as in :func:`run_cycle`), and the distinguishable-photon
+    sum D has d = Q p (:func:`~qmcool.measure._distinguishable_map`).  A white row is
+    c1(nu) times the projective triple of :func:`_population_triples`; an
+    interference row shifts p by (nu*g + (1-nu)*d) / sum(nu*g + (1-nu)*d) - p.
 
-    Every row's post state is a convex mixture of rho, G and D/TrD (weights
-    c1, c2 for white noise; lambda = nu/(nu + (1-nu)*TrD) on G for
-    interference).  Convex mixtures keep Hermiticity, unit trace and the
-    eigenvalue floor, so validating rho (inside measurement_channel), G and
-    D/TrD once, with TrD above the zero-detection floor, certifies every row.
+    No density matrix is built or validated: orthonormality (checked by the basis)
+    makes M doubly stochastic, Q >= 0 by construction, and p is thermal, so every
+    post state is a state once Tr D = 1^T Q p clears the zero-detection floor.
+    That is checked per config, and its error names omega2.
     """
     if any(not 0.0 <= nu <= 1.0 for nu in nu_values):
         raise ValidationError(f"noise weights must lie in [0, 1], got {nu_values!r}")
     basis = canonical_basis() if basis is None else basis
-    p, rho = _populations(cfg), initial_state(cfg)
-    big_g = two_qubit_state(measurement_channel(basis, rho))
-    big_d = _distinguishable(basis, rho)
-    g, d = np.diagonal(big_g).real, np.diagonal(big_d).real
-    tr_g, tr_d = g.sum(), d.sum()
-    if tr_d <= 1e-15:
-        raise ValidationError("zero total detection probability")
-    two_qubit_state(big_d / tr_d)
-    h1, h2 = _joint_hamiltonian_diagonals(cfg)
+    big_p = _unistochastic(basis)
+    p = np.array([_populations(cfg) for cfg in cfgs])
+    g, d = p @ (big_p @ big_p.T).T, p @ _distinguishable_map(basis).T
+    tr_d = d.sum(axis=1)
+    if np.any(tr_d <= 1e-15):
+        w2 = float(cfgs[np.argmax(tr_d <= 1e-15)].qubit2.omega)
+        raise ValidationError(f"omega2 = {w2!r}: zero total detection probability")
     nu = np.array(nu_values, dtype=float).reshape(-1, 1)
-    detected = nu * g + (1.0 - nu) * d
-    shifts = np.concatenate([white_noise_mixture_weights(nu)[0] * (g - p),
-                             detected / detected.sum(axis=1, keepdims=True) - p])
+    h = np.array([np.column_stack(_joint_hamiltonian_diagonals(cfg)) for cfg in cfgs])
+    c1 = white_noise_mixture_weights(nu)[0]
+    out = np.empty((len(cfgs), len(nu), 2, 3))
+    # + 0.0: c1(0) = 0 times a negative triple is -0.0
+    out[:, :, 0] = c1 * _population_triples(cfgs, big_p[None]) + 0.0
+    detected = nu * g[:, None] + (1.0 - nu) * d[:, None]
+    shift = detected / detected.sum(axis=2, keepdims=True) - p[:, None]
     # + 0.0: gemm can sum underflowed products to -0.0, where a dot product gives +0.0
-    de = shifts @ np.column_stack((h1, h2)) + 0.0
-    white, interf = np.column_stack([de, de[:, 0] + de[:, 1]]).reshape(2, -1, 3).tolist()
-    rows = [(v, tuple(w), tuple(i)) for v, w, i in zip(nu.ravel().tolist(), white, interf)]
-    e, e2_g, e2_d = float(p @ h2), float(g @ h2), float(d @ h2)
-    den = e2_g - e2_d - e * (tr_g - tr_d)
-    if den == 0.0:
-        return rows, None
-    nu_c = float((e * tr_d - e2_d) / den)
-    return rows, (nu_c if 0.0 <= nu_c <= 1.0 else None)
+    out[:, :, 1, :2] = shift @ h + 0.0
+    out[:, :, 1, 2] = out[:, :, 1, 0] + out[:, :, 1, 1]
+    e, e2_g, e2_d = (np.einsum("cr,cr->c", x, h[:, :, 1]) for x in (p, g, d))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # a zero denominator gives inf or nan, which the range test turns into None
+        roots = (e * tr_d - e2_d) / (e2_g - e2_d - e * (g.sum(axis=1) - tr_d))
+    return out, [r if 0.0 <= r <= 1.0 else None for r in roots.tolist()]
 
 
 def critical_visibility(cfg, basis=None):
     """Interference visibility nu_c at which dE2 changes sign, in closed form.
 
-    Under the imperfect-interference measurement model, qubit 2 stops being
-    cooled below some visibility nu_c.  Before renormalization the model's
-    output is nu*G + (1-nu)*D (G = measurement_channel, D the
-    distinguishable-photon trains), so with e2(X) = Tr(X H2) and e the initial
-    energy of qubit 2, dE2(nu) = 0 is linear in nu and has the single root
+    Before renormalization the interference model's output is nu*G + (1-nu)*D, so
+    with e2(X) = Tr(X H2) and e the initial energy of qubit 2, dE2(nu) = 0 is
+    linear in nu and has the single root
 
-        nu_c = (e*Tr D - e2(D)) / (e2(G) - e2(D) - e*(Tr G - Tr D)).
+        nu_c = (e*Tr D - e2(D)) / (e2(G) - e2(D) - e*(Tr G - Tr D)),
 
-    Returns None when the denominator vanishes or the root lies outside
-    [0, 1] (the configuration never refrigerates, so no critical visibility
-    exists).
+    taken on the diagonals g and d of :func:`noise_sweep`.  None when the
+    denominator vanishes or the root lies outside [0, 1] (the configuration never
+    refrigerates, so no critical visibility exists).
     """
-    return noise_sweep(cfg, (), basis)[1]
+    return noise_sweep([cfg], (), basis)[1][0]

@@ -180,6 +180,12 @@ def _distinguishable(basis, rho):
     return out
 
 
+def _distinguishable_map(basis):
+    """Q with diag(D) = Q p for rho = diag(p), D = :func:`_distinguishable`: column s is
+    diag(D) at rho = |s><s|, so Q_rs = sum_k |A_k,rs|^2 + |(A_k - V_k)_rs|^2 >= 0."""
+    return np.column_stack([_distinguishable(basis, np.diag(e)).diagonal().real for e in np.eye(4)])
+
+
 def hom_noisy_channel(basis, visibility, rho):
     """Non-selective measurement through an imperfect two-photon interferometer.
 

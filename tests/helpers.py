@@ -352,8 +352,8 @@ def _energy_triple(cfg, shift):
 
 
 def looped_noise_rows(cfg, nu_values, basis=None):
-    """Reference ``noise_sweep``: the former per-nu loop, two energy triples per row;
-    returns (rows, nu_c).  The array pass must match it bit for bit."""
+    """Reference ``noise_sweep`` of one config: the former per-nu loop on the density
+    matrices rho, G and D, two energy triples per row; returns (rows, nu_c)."""
     if any(not 0.0 <= nu <= 1.0 for nu in nu_values):
         raise ValidationError(f"noise weights must lie in [0, 1], got {nu_values!r}")
     basis = canonical_basis() if basis is None else basis

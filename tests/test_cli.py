@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from qmcool import _accel, cli, engine
+from qmcool import _accel, cli, engine, measure, qcore
 from qmcool.errors import ValidationError
 
-from helpers import fmt_cell, reference_config
+from helpers import fmt_cell
 
 
 def _read(path):
@@ -104,10 +104,12 @@ def test_noise_labels_are_the_scalar_labels_with_none(tmp_path):
         except ValidationError:
             return "none"
 
-    sweep, _ = engine.noise_sweep(engine.EngineConfig.from_values(**values), nus)
-    expected = [(label(white), label(interf)) for _, white, interf in sweep]
+    triples, _ = engine.noise_sweep([engine.EngineConfig.from_values(**values)], nus)
+    expected = [(label(white), label(interf)) for white, interf in triples[0].tolist()]
     assert [(r["class_white"], r["class_interf"]) for r in rows] == expected
-    assert ("none", "none") in expected and ("none", "A") in expected
+    # the white rows are c1 times the canonical-basis triple, whose rounding cancels
+    # exactly here; the interference rows keep classless ones
+    assert ("H", "none") in expected and ("H", "A") in expected
 
 
 def test_frequency_requires_seed():
@@ -205,15 +207,13 @@ def test_noise_no_critical_visibility_outside_r_range(tmp_path):
 
 
 def test_noise_names_the_row_of_a_failed_validation(monkeypatch, tmp_path, capsys):
-    distinguishable = engine._distinguishable
-    target = engine.initial_state(reference_config(0.14))
+    populations = engine._populations
 
-    def broken_at_target(basis, rho):
-        if np.array_equal(rho, target):
-            return np.diag([1.0, 1.0, 1.0, -0.5]).astype(np.complex128)
-        return distinguishable(basis, rho)
+    def dark_at_target(cfg):
+        # zero populations make Tr D = 1^T Q p = 0, below the zero-detection floor
+        return 0.0 * populations(cfg) if cfg.qubit2.omega == 0.14 else populations(cfg)
 
-    monkeypatch.setattr(engine, "_distinguishable", broken_at_target)
+    monkeypatch.setattr(engine, "_populations", dark_at_target)
     conf = tmp_path / "c.ini"
     conf.write_text("omega2 = 0.06, 0.14, 0.46\n")
     out = tmp_path / "n.csv"
@@ -221,6 +221,42 @@ def test_noise_names_the_row_of_a_failed_validation(monkeypatch, tmp_path, capsy
     err = capsys.readouterr().err
     assert "omega2 = 0.14:" in err and "0.06" not in err and "0.46" not in err
     assert not out.exists()
+
+
+def test_noise_from_zero_weight_prints_no_negative_zero(tmp_path):
+    # c1(0) = 0 times a negative white triple is -0.0 unless the rows add +0.0
+    conf = tmp_path / "c.ini"
+    conf.write_text("nu_values = " + ", ".join(str(round(0.01 * k, 2)) for k in range(101)))
+    out = tmp_path / "n.csv"
+    assert cli.main(["noise", "--config", str(conf), "--out", str(out)]) == 0
+    _, rows = _rows(_read(out))
+    assert len(rows) == 7 * 101 and rows[0]["nu"] == "0"
+    assert "-0" not in {cell for row in rows for cell in row.values()}
+
+
+def test_noise_builds_the_basis_maps_once_per_command(monkeypatch, tmp_path):
+    # one noise_sweep call, Q from four _distinguishable calls whatever the number
+    # of omega2, and no density matrix validated
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((cli, "noise_sweep"), (measure, "_distinguishable"),
+                         (qcore, "validate_density")):
+        count(module, name)
+    conf = tmp_path / "c.ini"
+    for omega2 in ("0.18", "0.02, 0.06, 0.10, 0.14, 0.18, 0.26, 0.34, 0.40, 0.46, 0.60, 0.86"):
+        conf.write_text(f"omega2 = {omega2}\n")
+        calls.clear()
+        assert cli.main(["noise", "--config", str(conf), "--out", str(tmp_path / "n.csv")]) == 0
+        assert calls == {"noise_sweep": 1, "_distinguishable": 4}
 
 
 def test_emit_fast_path_matches_the_former_cell_format(tmp_path):

@@ -30,7 +30,7 @@ from helpers import (
     von_neumann_entropy,
 )
 from qmcool.engine import initial_state
-from qmcool.measure import _distinguishable
+from qmcool.measure import _distinguishable, _distinguishable_map
 
 
 def test_canonical_basis_orthonormal():
@@ -253,6 +253,18 @@ def test_hom_channel_preserves_trace():
 def test_hom_channel_rejects_bad_visibility():
     with pytest.raises(ValueError):
         hom_noisy_channel(canonical_basis(), 1.2, np.eye(4) / 4)
+
+
+def test_distinguishable_map_gives_the_diagonal_of_the_sum():
+    # d = Q p must be diag(D) for every diagonal input, and Q must be nonnegative
+    rng = np.random.default_rng(19)
+    for u in haar_unitaries(HaarSampler(61), 200):
+        basis = rotate_basis(u, canonical_basis())
+        q = _distinguishable_map(basis)
+        assert np.all(q >= 0.0)
+        for p in rng.dirichlet(np.ones(4), 5):
+            want = np.diagonal(_distinguishable(basis, np.diag(p))).real
+            assert np.max(np.abs(q @ p - want)) <= 1e-15
 
 
 def test_hom_closed_form_matches_optical_trains():
