@@ -29,12 +29,11 @@ from .measure import (
     MeasurementBasis,
     PovmSet,
     _distinguishable_map,
-    apply_povm,
     canonical_basis,
     haar_unitaries,
     white_noise_mixture_weights,
 )
-from .qcore import two_qubit_state
+from .qcore import TRACE_TOL, two_qubit_state
 from .thermo import BathSpec, QubitSpec, thermal_populations
 
 SLACK_FLOOR = -1e-10
@@ -191,20 +190,15 @@ def run_cycle(cfg, measurement=None, eps=1e-12):
     rethermalization stroke is implicit — the thermalizing channel restores the
     Gibbs product exactly.
 
-    A basis moves only populations, so its triple is the Haar path's kernel
-    :func:`_population_triples` on P = |V^T|^2 (V: the basis vectors as rows).
-    The basis checks its orthonormality on construction, which makes P doubly
-    stochastic, so no post state is built or validated.  A POVM goes through its
-    post state, validated by :func:`energy_changes`.
+    Either kind of measurement moves only the populations of the diagonal Gibbs
+    product, so its triple is the Haar path's kernel :func:`_population_triples` on
+    its population map (:func:`_population_map`).  No post state is built or
+    validated: the basis checks its orthonormality and the POVM its completeness on
+    construction, and the map checks that it keeps the trace.
     """
     if measurement is None:
         measurement = canonical_basis()
-    if isinstance(measurement, MeasurementBasis):
-        de1, de2, de = _population_triples([cfg], _unistochastic(measurement)[None])[0, 0].tolist()
-    elif isinstance(measurement, PovmSet):
-        de1, de2, de = energy_changes(cfg, apply_povm(measurement, initial_state(cfg)))
-    else:
-        raise ValidationError(f"measurement must be a basis or a POVM, got {type(measurement)!r}")
+    de1, de2, de = _population_triples([cfg], _population_map(measurement)[None])[0, 0].tolist()
     slack = cfg.bath1.beta * de1 + cfg.bath2.beta * de2
     if slack < SLACK_FLOOR:
         raise SecondLawViolation(
@@ -219,49 +213,51 @@ def run_cycle(cfg, measurement=None, eps=1e-12):
     )
 
 
-def _unistochastic(basis):
-    """P = |V^T|^2 of a basis whose vectors are the rows of V: P[r, k] = |<r|v_k>|^2."""
-    return np.square(np.abs(basis.vectors.T))
+def _population_map(measurement):
+    """The 4x4 map A that takes the populations p of a diagonal state to those of the
+    post state, p^T A: A[s, r] is the probability that |s> ends in |r>.
 
-
-def _population_triples(cfgs, big_p):
-    """(dE1, dE2, dE) of each config for each P of the (m, 4, 4) stack ``big_p``,
-    shape (len(cfgs), m, 3).
-
-    A projective measurement in a basis {v_k} (the rows of V) moves the populations
-    p of the diagonal Gibbs product through the unistochastic P = |V^T|^2, with
-    P[r, k] = |<r|v_k>|^2; the coherences it leaves do not enter Tr(rho H_i).  So
-    dE_i = p^T (P P^T - I) h_i with h_i the diagonal of H_i, and dE = dE1 + dE2.
-    B = P P^T - I does not depend on the config, so it is formed once for all rows.
+    A basis {v_k} (the rows of V) gives A = P P^T with the unistochastic
+    P = |V^T|^2, P[r, k] = |<r|v_k>|^2.  A POVM {M_k} gives A[s, r] =
+    sum_k |M_k[r, s]|^2, whose row sums are the diagonal of sum_k M_k^dag M_k; each
+    must be 1 within TRACE_TOL, the trace tolerance of a density matrix, which is
+    tighter than the POVM's own completeness check.
     """
-    b = big_p @ big_p.transpose(0, 2, 1)
-    b -= np.eye(4)
+    if isinstance(measurement, MeasurementBasis):
+        big_p = np.square(np.abs(measurement.vectors.T))
+        return big_p @ big_p.T
+    if isinstance(measurement, PovmSet):
+        ops = measurement.operators
+        a = (ops * ops.conj()).real.sum(axis=0).T
+        err = np.max(np.abs(a.sum(axis=1) - 1.0))
+        if err > TRACE_TOL:
+            raise ValidationError(f"POVM does not keep the trace (deviation {err:.3e})")
+        return a
+    raise ValidationError(f"measurement must be a basis or a POVM, got {type(measurement)!r}")
+
+
+def _population_triples(cfgs, maps):
+    """(dE1, dE2, dE) of each config for each population map A (:func:`_population_map`)
+    of the (m, 4, 4) stack ``maps``, shape (len(cfgs), m, 3).
+
+    The measurement takes the populations p of the diagonal Gibbs product to p^T A,
+    and the coherences it leaves do not enter Tr(rho H_i), so dE_i = p^T (A - I) h_i
+    (h_i: the diagonal of H_i) and dE = dE1 + dE2.  A - I is formed once for all
+    configs, as a fresh array.  Both contractions are einsums, whose loops round a
+    map alike alone or in a stack of any length; a matmul would not (numpy sends a
+    one-row product through gemv and a longer one through gemm).
+    """
+    b = maps - np.eye(4)
     out = np.empty((len(cfgs), len(b), 3))
     for row, cfg in zip(out, cfgs):
-        row[:, :2] = _populations(cfg) @ b @ np.column_stack(_joint_hamiltonian_diagonals(cfg))
+        x = np.einsum("r,mrs->ms", _populations(cfg), b)
+        row[:, :2] = np.einsum("ms,is->mi", x, np.array(_joint_hamiltonian_diagonals(cfg)))
         row[:, 2] = row[:, 0] + row[:, 1]
     return out
 
 
 def _sample_name(omega2, index):
     return f"omega2 = {float(omega2)!r}, Haar sample {index}"
-
-
-def _chunk_bounds(n):
-    """(start, m) of the chunks that cover samples [0, n).
-
-    Chunks hold CHUNK samples, except the last.  A remainder of one sample joins
-    the chunk before it: numpy sends a one-row (1, 4) @ (4, 2) product through gemv,
-    whose rounding differs from the gemm of a longer chunk, so a lone sample would
-    move in the last bit.
-    """
-    start = 0
-    while start < n:
-        m = min(CHUNK, n - start)
-        if n - start - m == 1:
-            m += 1
-        yield start, m
-        start += m
 
 
 def _canonical_p(us):
@@ -285,12 +281,13 @@ def _chunk_triples(cfgs, seed, start, m, work):
 
     Sample i measures in the canonical basis rotated by unitary i of the seed's Haar
     stream, the same U for every config, drawn in ``work`` (see
-    :func:`~qmcool.measure.haar_unitaries`); its P (:func:`_canonical_p`) goes
-    through :func:`_population_triples`.  The triples are a fresh array.  Every
-    sample must keep beta1*dE1 + beta2*dE2 >= SLACK_FLOOR, as in :func:`run_cycle`.
+    :func:`~qmcool.measure.haar_unitaries`); its map P P^T, with P of
+    :func:`_canonical_p`, goes through :func:`_population_triples`.  The triples are
+    a fresh array.  Every sample must keep beta1*dE1 + beta2*dE2 >= SLACK_FLOOR, as
+    in :func:`run_cycle`.
     """
-    us = haar_unitaries(HaarSampler(seed, start), m, work)
-    out = _population_triples(cfgs, _canonical_p(us))
+    big_p = _canonical_p(haar_unitaries(HaarSampler(seed, start), m, work))
+    out = _population_triples(cfgs, big_p @ big_p.transpose(0, 2, 1))
     for row, cfg in zip(out, cfgs):
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass, as in run_cycle
             slack = cfg.bath1.beta * row[:, 0] + cfg.bath2.beta * row[:, 1]
@@ -308,16 +305,18 @@ def _haar_chunks(cfgs, n_samples, seed):
     """(start, triples) for consecutive chunks of the n_samples Haar samples of
     ``seed``; triples is :func:`_chunk_triples` of the chunk.
 
-    Sample i reads uniforms [32i, 32i + 32) of the stream whatever the chunk, so
-    the chunks concatenate to the triples of one whole draw.  Every chunk draws
-    and orthonormalizes in the same two buffers, allocated once: a fresh ~0.5 MB
-    per chunk would be handed back to the system and faulted in again each time.
-    n_samples is checked here, before the first chunk is drawn.
+    Chunks hold CHUNK samples, except the last, which holds the rest, however few.
+    Sample i reads uniforms [32i, 32i + 32) of the stream whatever the chunk, and
+    the kernel rounds a sample alike in any chunk, so the chunks concatenate to the
+    triples of one whole draw.  Every chunk draws and orthonormalizes in the same
+    two buffers, allocated once: a fresh ~0.5 MB per chunk would be handed back to
+    the system and faulted in again each time.  n_samples is checked here, before
+    the first chunk is drawn.
     """
     n = check_int(n_samples, "n_samples", 1)
-    work = np.empty((2, min(n, CHUNK + 1), 4, 4), dtype=np.complex128)  # see _chunk_bounds
-    return ((start, _chunk_triples(cfgs, seed, start, m, work[:, :m]))
-            for start, m in _chunk_bounds(n))
+    work = np.empty((2, min(n, CHUNK), 4, 4), dtype=np.complex128)
+    return ((start, _chunk_triples(cfgs, seed, start, min(CHUNK, n - start), work[:, :n - start]))
+            for start in range(0, n, CHUNK))
 
 
 def _class_codes(triples, eps):
@@ -466,10 +465,10 @@ def noise_sweep(cfgs, nu_values, basis=None):
     hold (dE1, dE2, dE) under white and interference noise; nu_c holds one
     :func:`critical_visibility` per config.  Both models act on rho = diag(p) and
     move populations only, through two 4x4 maps of the basis: G has diagonal
-    g = M p with M = P P^T (P as in :func:`run_cycle`), and the distinguishable-photon
-    sum D has d = Q p (:func:`~qmcool.measure._distinguishable_map`).  A white row is
-    c1(nu) times the projective triple of :func:`_population_triples`; an
-    interference row shifts p by (nu*g + (1-nu)*d) / sum(nu*g + (1-nu)*d) - p.
+    g = M p with M = P P^T, the basis's :func:`_population_map`, formed once, and the
+    distinguishable-photon sum D has d = Q p (:func:`~qmcool.measure._distinguishable_map`).
+    A white row is c1(nu) times the projective triple, :func:`_population_triples` on
+    M; an interference row shifts p by (nu*g + (1-nu)*d) / sum(nu*g + (1-nu)*d) - p.
 
     No density matrix is built or validated: orthonormality (checked by the basis)
     makes M doubly stochastic, Q >= 0 by construction, and p is thermal, so every
@@ -479,9 +478,9 @@ def noise_sweep(cfgs, nu_values, basis=None):
     if any(not 0.0 <= nu <= 1.0 for nu in nu_values):
         raise ValidationError(f"noise weights must lie in [0, 1], got {nu_values!r}")
     basis = canonical_basis() if basis is None else basis
-    big_p = _unistochastic(basis)
+    big_m = _population_map(basis)
     p = np.array([_populations(cfg) for cfg in cfgs])
-    g, d = p @ (big_p @ big_p.T).T, p @ _distinguishable_map(basis).T
+    g, d = p @ big_m.T, p @ _distinguishable_map(basis).T
     tr_d = d.sum(axis=1)
     if np.any(tr_d <= 1e-15):
         w2 = float(cfgs[np.argmax(tr_d <= 1e-15)].qubit2.omega)
@@ -491,7 +490,7 @@ def noise_sweep(cfgs, nu_values, basis=None):
     c1 = white_noise_mixture_weights(nu)[0]
     out = np.empty((len(cfgs), len(nu), 2, 3))
     # + 0.0: c1(0) = 0 times a negative triple is -0.0
-    out[:, :, 0] = c1 * _population_triples(cfgs, big_p[None]) + 0.0
+    out[:, :, 0] = c1 * _population_triples(cfgs, big_m[None]) + 0.0
     detected = nu * g[:, None] + (1.0 - nu) * d[:, None]
     shift = detected / detected.sum(axis=2, keepdims=True) - p[:, None]
     # + 0.0: gemm can sum underflowed products to -0.0, where a dot product gives +0.0

@@ -152,7 +152,8 @@ def per_row_haar_triples(cfg, n, seed):
     """Reference (n, 3) Haar triples of one config: the former per-row kernel.
 
     Draws its own Ginibre batch for the one config; the lines after the
-    inputs are the body of the kernel that each row used to call.
+    inputs are the body of the kernel that each row used to call, with the
+    engine's contractions (einsums, which round alike for any number of rows).
     """
     gin = ginibre_batch(seed, 0, n)
     p = _populations(cfg)
@@ -160,20 +161,22 @@ def per_row_haar_triples(cfg, n, seed):
     big_p = canonical_column_sums(haar_from_ginibre(gin))
     b = big_p @ big_p.transpose(0, 2, 1) - np.eye(4)
     out = np.empty((len(big_p), 3))
-    out[:, :2] = p @ b @ np.column_stack([h1, h2])
+    out[:, :2] = np.einsum("ms,is->mi", np.einsum("r,mrs->ms", p, b), np.array([h1, h2]))
     out[:, 2] = out[:, 0] + out[:, 1]
     return out
 
 
 def whole_draw_haar_triples(cfgs, n_samples, seed):
     """Reference (len(cfgs), n, 3) Haar triples: the former one-draw kernel, which
-    held every sample at once; the chunked path must match it bit for bit."""
+    held every sample at once, with the engine's contractions (einsums); the
+    chunked path must match it bit for bit."""
     us = haar_unitaries(HaarSampler(seed), check_int(n_samples, "n_samples", 1))
     big_p = canonical_column_sums(us)
     b = big_p @ big_p.transpose(0, 2, 1) - np.eye(4)
     out = np.empty((len(cfgs), len(b), 3))
     for row, cfg in zip(out, cfgs):
-        row[:, :2] = _populations(cfg) @ b @ np.column_stack(_joint_hamiltonian_diagonals(cfg))
+        x = np.einsum("r,mrs->ms", _populations(cfg), b)
+        row[:, :2] = np.einsum("ms,is->mi", x, np.array(_joint_hamiltonian_diagonals(cfg)))
         row[:, 2] = row[:, 0] + row[:, 1]
     return out
 

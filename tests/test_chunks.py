@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmcool import (
+    HaarSampler,
     SecondLawViolation,
     ValidationError,
     classify,
     engine,
     frequency_sweep,
     haar_average_report,
+    haar_unitaries,
 )
 from qmcool.engine import CHUNK, CLASS_LABELS, _class_codes, _class_counts, _haar_chunks
 
@@ -74,10 +76,16 @@ def test_chunk_size_changes_no_result(monkeypatch, chunk):
     assert frequency_sweep(CFGS, n, SEED) == expected
 
 
-def test_a_lone_last_sample_joins_the_chunk_before():
-    assert list(engine._chunk_bounds(CHUNK + 1)) == [(0, CHUNK + 1)]
-    assert list(engine._chunk_bounds(2 * CHUNK + 3)) == [(0, CHUNK), (CHUNK, CHUNK), (2 * CHUNK, 3)]
-    assert list(engine._chunk_bounds(1)) == [(0, 1)]
+def test_a_lone_map_gets_the_triple_of_its_row_in_the_stack():
+    # a one-map stack must round as a long one, so a last chunk of one sample
+    # matches the whole draw without a rule of its own
+    big_p = engine._canonical_p(haar_unitaries(HaarSampler(SEED), 1024))
+    maps = big_p @ big_p.transpose(0, 2, 1)
+    whole = engine._population_triples(CFGS, maps)
+    for i in range(len(maps)):
+        assert np.array_equal(engine._population_triples(CFGS, maps[i:i + 1]), whole[:, i:i + 1])
+    chunks = [(start, t.shape[1]) for start, t in _haar_chunks(CFGS[:1], CHUNK + 1, SEED)]
+    assert chunks == [(0, CHUNK), (CHUNK, 1)]
 
 
 def _ties(eps):

@@ -243,7 +243,7 @@ def test_run_cycle_on_a_basis_matches_the_channel_oracle():
     assert worst <= 1e-14
 
 
-def test_run_cycle_validates_only_general_post_states(monkeypatch):
+def test_run_cycle_validates_no_density(monkeypatch):
     calls = []
 
     def counting(rho, *args, **kwargs):
@@ -255,9 +255,45 @@ def test_run_cycle_validates_only_general_post_states(monkeypatch):
     cfg = reference_config(0.18)
     run_cycle(cfg)
     run_cycle(cfg, random_rotated_basis(5))
-    assert not calls
     run_cycle(cfg, white_noise_povm(canonical_basis(), 0.5))
-    assert calls
+    assert not calls
+
+
+def _random_povm(rng):
+    """Four operators stacked from a random 16x4 isometry W: sum_k M_k^dag M_k = W^dag W = I."""
+    w, _ = np.linalg.qr(rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4)))
+    return PovmSet(w.reshape(4, 4, 4))
+
+
+def test_run_cycle_on_a_povm_matches_the_density_oracle():
+    # the oracle builds the full post state sum_k M_k rho M_k^dag and reads its diagonal
+    rng = np.random.default_rng(61)
+    bases = [canonical_basis()] + [rotate_basis(u, canonical_basis())
+                                   for u in haar_unitaries(HaarSampler(67), 20)]
+    povms = [white_noise_povm(basis, nu) for basis in bases for nu in (0.0, 0.3, 0.7, 1.0)]
+    povms += [_random_povm(rng) for _ in range(50)]
+    worst, breaches = 0.0, 0
+    for povm in povms:
+        for cfg in _experiment_configs():
+            de1, de2, de = energy_changes(cfg, apply_povm(povm, initial_state(cfg)))
+            if cfg.bath1.beta * de1 + cfg.bath2.beta * de2 < engine.SLACK_FLOOR:
+                breaches += 1
+                with pytest.raises(SecondLawViolation):
+                    run_cycle(cfg, povm)
+                continue
+            report = run_cycle(cfg, povm)
+            worst = max(worst, np.max(np.abs(np.subtract((report.dE1, report.dE2, report.dE),
+                                                         (de1, de2, de)))))
+    assert worst <= 1e-14
+    assert 0 < breaches < 7 * len(povms)
+
+
+def test_run_cycle_rejects_a_povm_that_loses_trace():
+    # complete to 1e-11, within the POVM's own check, but a post state's trace must
+    # hold to 1e-12
+    povm = PovmSet(white_noise_povm(canonical_basis(), 0.5).operators * np.sqrt(1.0 + 1e-11))
+    with pytest.raises(ValidationError, match="trace"):
+        run_cycle(reference_config(0.18), povm)
 
 
 def test_run_cycle_on_a_basis_checks_the_kernel_triple(monkeypatch):
