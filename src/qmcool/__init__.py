@@ -68,7 +68,6 @@ from .thermo import (
 )
 from .tomo import (
     chi_from_kraus,
-    default_probes,
     measurement_tomography,
     process_fidelity,
     process_tomography,
@@ -98,7 +97,6 @@ __all__ = [
     "classify",
     "critical_visibility",
     "d_of_omega",
-    "default_probes",
     "depolarizing_prediction",
     "energy_changes",
     "frequency_sweep",

@@ -478,6 +478,10 @@ def noise_sweep(cfgs, nu_values, basis=None):
     if any(not 0.0 <= nu <= 1.0 for nu in nu_values):
         raise ValidationError(f"noise weights must lie in [0, 1], got {nu_values!r}")
     basis = canonical_basis() if basis is None else basis
+    if not isinstance(basis, MeasurementBasis):
+        raise ValidationError(f"noise models act on a measurement basis, got {type(basis)!r}")
+    if len(cfgs) == 0:
+        return np.empty((0, len(nu_values), 2, 3)), []
     big_m = _population_map(basis)
     p = np.array([_populations(cfg) for cfg in cfgs])
     g, d = p @ big_m.T, p @ _distinguishable_map(basis).T

@@ -1,17 +1,18 @@
-"""Process and measurement tomography with an optional shot-noise layer.
+"""Single-qubit process tomography and two-qubit effect tomography, with an
+optional shot-noise layer.
 
-Reconstruction is plain linear inversion on stacked tensors.  The Pauli
-product basis and the probe states (the informationally complete
-single-qubit set {|0>, |1>, |+>, |+i>} and its two-qubit products) are
-stacks of Kronecker products with qubit 1 as the slow index; the Pauli
-stacks for d = 2 and d = 4 are built once, at import.  Output states are
-read out through Pauli expectations.  In shot mode every non-identity Pauli
-G (eigenvalues +-1, projectors (I +- G)/2) is sampled as a binomial, in
-Pauli order, and reconstructed operators are eigenvalue-clipped at zero.
-Probe j draws its shots from its own Philox stream ``_accel.stream(seed, j)``,
-key (seed, j), so its counts do not depend on the other probes and never
-share the seed's Haar stream.  Exact mode performs a perfect round trip to
-1e-10.
+Reconstruction is plain linear inversion on one fixed, informationally
+complete probe set per kind: process tomography feeds the single-qubit
+channel the four states {|0>, |1>, |+>, |+i>}, effect tomography measures
+their 16 two-qubit products.  The Pauli product stacks, the probe stacks
+(Kronecker products with qubit 1 as the slow index) and both square design
+matrices are built once, at import.  Output states are read out through
+Pauli expectations.  In shot mode every non-identity Pauli G (eigenvalues
++-1, projectors (I +- G)/2) is sampled as a binomial, in Pauli order, and
+reconstructed operators are eigenvalue-clipped at zero.  Probe j draws its
+shots from its own Philox stream ``_accel.stream(seed, j)``, key (seed, j),
+so its counts do not depend on the other probes and never share the seed's
+Haar stream.  Exact mode performs a perfect round trip to 1e-10.
 """
 
 import numpy as np
@@ -28,35 +29,29 @@ _P1 = np.array(
 )
 _KETS1 = np.array([[1, 0], [0, 1], [1, 1], [1, 1j]], dtype=np.complex128)
 _KETS1 /= np.sqrt([[1], [1], [2], [2]])
+_RHO1 = _KETS1[:, :, None] * _KETS1.conj()[:, None, :]
 
 
-def _kron_stack(singles, n_qubits):
-    """All n-fold Kronecker products of a stack of 2x2 matrices; qubit 1 is the slow index."""
-    if n_qubits == 1:
-        return singles.copy()
-    if n_qubits == 2:
-        products = singles[:, None, :, None, :, None] * singles[None, :, None, :, None, :]
-        return products.reshape(len(singles) ** 2, 4, 4)
-    raise ValidationError(f"only 1 or 2 qubits supported, got {n_qubits}")
+def _kron_pairs(singles):
+    """All Kronecker products a (x) b of a stack of 2x2 matrices; qubit 1 (a) is the slow index."""
+    products = singles[:, None, :, None, :, None] * singles[None, :, None, :, None, :]
+    return products.reshape(len(singles) ** 2, 4, 4)
 
 
-_PAULIS = {2: _kron_stack(_P1, 1), 4: _kron_stack(_P1, 2)}  # by operator dimension
+# Pauli products and probe states by operator dimension: {|0>, |1>, |+>, |+i>}
+# for one qubit, their 16 products for two.
+_PAULIS = {2: _P1, 4: _kron_pairs(_P1)}
+_PROBES = {2: _RHO1, 4: _kron_pairs(_RHO1)}
+# Rows (probe j, output entry ad), columns (m, n): (P_m probe_j P_n)_ad.
+_PROCESS_DESIGN = np.einsum("mab,jbc,ncd->jadmn", _P1, _PROBES[2], _P1).reshape(16, 16)
+# Rows probe j, columns m: Tr(probe_j P_m).
+_EFFECT_DESIGN = np.real(np.einsum("jik,mki->jm", _PROBES[4], _PAULIS[4]))
 
 
 def _paulis_of_dim(d):
     if d not in _PAULIS:
         raise ValidationError(f"unsupported operator dimension {d}")
     return _PAULIS[d]
-
-
-def default_probes(n_qubits):
-    """{|0>, |1>, |+>, |+i>} for one qubit, the 16 products for two, as a stack of states."""
-    return _kron_stack(_KETS1[:, :, None] * _KETS1.conj()[:, None, :], n_qubits)
-
-
-def _probes_or_default(probes, dim):
-    """The probe stack, or the default probes of one (d = 2) or two (d = 4) qubits."""
-    return default_probes(dim // 2) if probes is None else np.asarray(probes)
 
 
 def chi_from_kraus(channel):
@@ -76,52 +71,36 @@ def _estimate_state(sigma, shots, rng):
     return np.einsum("g,gij->ij", mean / d, paulis)
 
 
-def _process_design(probes):
-    """Rows (probe j, output entry ab), columns (m, n): (P_m probe_j P_n)_ab."""
-    paulis = _paulis_of_dim(probes.shape[1])
-    npa, dim = paulis.shape[:2]
-    a = np.einsum("mab,jbc,ncd->jadmn", paulis, probes, paulis)
-    return a.reshape(len(probes) * dim * dim, npa * npa)
+def process_tomography(channel, shots=None, seed=None):
+    """Chi-matrix reconstruction of a single-qubit channel by linear inversion.
 
-
-def process_tomography(channel, probes=None, shots=None, seed=None):
-    """Chi-matrix reconstruction of a channel by linear inversion.
-
-    ``channel`` is a :class:`~qmcool.thermo.KrausChannel` or any callable
-    rho -> rho' (callables require ``probes``, a stack of states, to fix the
-    dimension).  With ``shots`` set, output states are estimated from sampled
-    Pauli expectations using a per-probe Philox stream of ``seed``; the
-    reconstructed chi is then eigenvalue-clipped at zero and renormalized to
-    unit trace.
+    ``channel`` is a 2x2 :class:`~qmcool.thermo.KrausChannel` or any callable
+    rho -> rho' on 2x2 states; it is evaluated on the four probes.  With
+    ``shots`` set, output states are estimated from sampled Pauli expectations
+    using a per-probe Philox stream of ``seed``; the reconstructed chi is then
+    eigenvalue-clipped at zero and renormalized to unit trace.
     """
     if isinstance(channel, KrausChannel):
-        dim = channel.dim
+        if channel.dim != 2:
+            raise ValidationError(f"process tomography takes a single-qubit channel, "
+                                  f"got dimension {channel.dim}")
         evolve = lambda r: apply_channel(channel, r)
     elif callable(channel):
-        if probes is None:
-            raise ValidationError("callable channels need an explicit probe set")
-        dim = np.shape(probes)[1]
         evolve = channel
     else:
         raise ValidationError(f"channel must be a KrausChannel or callable, got {type(channel)!r}")
-    npa = len(_paulis_of_dim(dim))
-    probes = _probes_or_default(probes, dim)
     if shots is not None:
         seed, shots = check_seed(seed), check_int(shots, "shots", 1)
 
-    outputs = [np.asarray(evolve(probe), dtype=np.complex128) for probe in probes]
+    outputs = [np.asarray(evolve(probe), dtype=np.complex128) for probe in _PROBES[2]]
     if shots is not None:
         outputs = [_estimate_state(s, shots, stream(seed, j)) for j, s in enumerate(outputs)]
-    a = _process_design(probes)
     b = np.stack(outputs).reshape(-1)
-    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < npa * npa:
-        raise ValidationError(f"rank-deficient probe set (rank {rank} < {npa * npa})")
-    chi = x.reshape(npa, npa)
+    chi = np.linalg.lstsq(_PROCESS_DESIGN, b, rcond=None)[0].reshape(4, 4)
     chi = 0.5 * (chi + chi.conj().T)
     if shots is None:
-        resid = np.max(np.abs(a @ chi.reshape(-1) - b))
-        if resid > 1e-10:
+        resid = np.max(np.abs(_PROCESS_DESIGN @ chi.reshape(-1) - b))
+        if not resid <= 1e-10:  # NaN fails too
             raise ValidationError(f"exact-mode reconstruction residual {resid:.3e}")
         return chi
     w, v = np.linalg.eigh(chi)
@@ -141,35 +120,28 @@ def _effects_of(measurement):
     raise ValidationError(f"measurement must be a basis or a POVM, got {type(measurement)!r}")
 
 
-def measurement_tomography(measurement, probes=None, shots=None, seed=None):
-    """Least-squares reconstruction of the effects of a basis or a POVM from outcome data.
+def measurement_tomography(measurement, shots=None, seed=None):
+    """Least-squares reconstruction of the effects of a two-qubit basis or POVM from outcome data.
 
-    Outcome probabilities over the probe set (a stack of states) determine
-    each effect in the Pauli operator basis.  In shot mode the outcome counts
-    of every probe are a single multinomial draw (per-probe Philox stream
-    of ``seed``) and each reconstructed effect is eigenvalue-clipped at zero.
+    Outcome probabilities over the 16 probes determine each effect in the
+    Pauli operator basis.  In shot mode the outcome counts of every probe are
+    a single multinomial draw (per-probe Philox stream of ``seed``) and each
+    reconstructed effect is eigenvalue-clipped at zero.
     """
     effects = _effects_of(measurement)
-    dim = effects.shape[1]
-    paulis = _paulis_of_dim(dim)
-    npa = len(paulis)
-    probes = _probes_or_default(probes, dim)
     if shots is not None:
         seed, shots = check_seed(seed), check_int(shots, "shots", 1)
 
-    design = np.real(np.einsum("jik,mki->jm", probes, paulis))
-    freqs = np.clip(np.real(np.einsum("kil,jli->jk", effects, probes)), 0.0, None)
+    freqs = np.clip(np.real(np.einsum("kil,jli->jk", effects, _PROBES[4])), 0.0, None)
     if shots is not None:
         freqs = np.stack([stream(seed, j).multinomial(shots, p / p.sum())
                           for j, p in enumerate(freqs)]) / shots
-    coeffs, _, rank, _ = np.linalg.lstsq(design, freqs, rcond=None)
-    if rank < npa:
-        raise ValidationError(f"rank-deficient probe set (rank {rank} < {npa})")
-    recon = np.einsum("mk,mij->kij", coeffs, paulis)
+    coeffs = np.linalg.lstsq(_EFFECT_DESIGN, freqs, rcond=None)[0]
+    recon = np.einsum("mk,mij->kij", coeffs, _PAULIS[4])
     recon = 0.5 * (recon + recon.conj().transpose(0, 2, 1))
     if shots is None:
         err = np.max(np.abs(recon - effects))
-        if err > 1e-10:
+        if not err <= 1e-10:
             raise ValidationError(f"exact-mode reconstruction error {err:.3e}")
         return recon
     w, v = np.linalg.eigh(recon)

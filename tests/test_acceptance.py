@@ -40,7 +40,6 @@ from qmcool import (
     white_noise_povm,
 )
 from qmcool.cli import HOM_MODEL_NOTE
-from qmcool.tomo import default_probes
 
 from helpers import (
     EXPECTED_CLASSES,
@@ -190,8 +189,7 @@ def test_criterion_6_optical_abstract_equivalence(capsys):
     for omega in (0.02, 0.18, 0.46, 0.86, 1.02, 1.28):
         for beta in (0.4, 1.0, 2.5):
             q, b = QubitSpec(omega), BathSpec(beta)
-            chi_opt = process_tomography(
-                lambda rho: thermal_channel_optical(rho, q, b), probes=default_probes(1))
+            chi_opt = process_tomography(lambda rho: thermal_channel_optical(rho, q, b))
             worst_fid = min(worst_fid, process_fidelity(
                 chi_opt, chi_from_kraus(thermalizing_channel(q, b))))
     ok = max_td <= 1e-9 and worst_fid >= 1.0 - 1e-9

@@ -480,6 +480,23 @@ def test_noise_sweep_rejects_weight_outside_unit_interval():
             noise_sweep([reference_config(0.18)], nus)
 
 
+def test_noise_sweep_takes_only_a_basis():
+    # a POVM passed the population map and then failed on its missing basis vectors
+    cfg = reference_config(0.18)
+    for basis in (white_noise_povm(canonical_basis(), 0.5), canonical_basis().vectors):
+        with pytest.raises(ValidationError, match="measurement basis"):
+            noise_sweep([cfg], [0.5], basis)
+        with pytest.raises(ValidationError, match="measurement basis"):
+            critical_visibility(cfg, basis)
+
+
+def test_noise_sweep_of_no_configs_is_empty():
+    # like frequency_sweep and haar_average_report, rather than a matmul shape error
+    triples, nu_c = noise_sweep([], [0.5, 1.0])
+    assert triples.shape == (0, 2, 2, 3) and nu_c == []
+    assert noise_sweep([], ())[0].shape == (0, 0, 2, 3)
+
+
 def test_initial_state_matches_kron_of_gibbs_states():
     rng = np.random.default_rng(37)
     configs = [random_engine_config(rng) for _ in range(200)]

@@ -240,13 +240,13 @@ def test_exports_resolve_and_omit_removed_trains():
     # the oracles among these live in tests/helpers.py
     removed = {qcore: {"tensor", "partial_trace", "von_neumann_entropy"},
                thermo: {"gibbs_state", "energy", "gibbs_population"},
-               tomo: {"apply_chi"}}
+               tomo: {"apply_chi", "default_probes", "_probes_or_default", "_process_design"}}
     for module, names in removed.items():
         assert not names & set(namespace) and not names & set(vars(module))
     from qmcool import measure
     assert not hasattr(measure.HaarSampler, "advanced") and not hasattr(measure, "replace")
     for func in (tomo.process_tomography, tomo.measurement_tomography):
-        assert "return_raw" not in inspect.signature(func).parameters
+        assert list(inspect.signature(func).parameters)[1:] == ["shots", "seed"]
 
 
 def test_every_export_has_a_caller():

@@ -15,7 +15,7 @@ from qmcool import (
 )
 from qmcool.qcore import _fidelity, as_complex
 from qmcool.thermo import thermal_populations
-from qmcool.tomo import _kron_stack
+from qmcool.tomo import _kron_pairs
 
 from helpers import partial_trace, random_density, random_unit_vector, von_neumann_entropy
 
@@ -23,14 +23,14 @@ from helpers import partial_trace, random_density, random_unit_vector, von_neuma
 # the package's two-qubit tensor products (tomography's Pauli and probe stacks,
 # the Gibbs product) take qubit 1 as the slow, left Kronecker index
 def test_tensor_identity():
-    out = _kron_stack(np.eye(2)[None], 2)
+    out = _kron_pairs(np.eye(2)[None])
     assert np.array_equal(out, np.eye(4)[None])
 
 
 def test_tensor_pure_product():
     a = np.diag([1.0, 0.0])
     b = np.diag([0.0, 1.0])
-    out = _kron_stack(np.stack([a, b]), 2)
+    out = _kron_pairs(np.stack([a, b]))
     assert np.allclose(out[1], np.diag([0.0, 1.0, 0.0, 0.0]))
     assert np.allclose(out[2], np.diag([0.0, 0.0, 1.0, 0.0]))
 
