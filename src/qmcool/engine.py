@@ -33,7 +33,7 @@ from .measure import (
     haar_unitaries,
     white_noise_mixture_weights,
 )
-from .qcore import TRACE_TOL, two_qubit_state
+from .qcore import TRACE_TOL
 from .thermo import BathSpec, QubitSpec, thermal_populations
 
 SLACK_FLOOR = -1e-10
@@ -112,11 +112,6 @@ def _populations(cfg):
                     thermal_populations(cfg.qubit2, cfg.bath2)).ravel()
 
 
-def initial_state(cfg):
-    """The working substance before the measurement stroke: gibbs1 x gibbs2 = diag(p)."""
-    return np.diag(_populations(cfg)).astype(np.complex128)
-
-
 def _joint_hamiltonian_diagonals(cfg):
     w1, w2 = cfg.qubit1.omega, cfg.qubit2.omega
     h1 = np.array([-0.5 * w1, -0.5 * w1, 0.5 * w1, 0.5 * w1])
@@ -168,18 +163,6 @@ def regime(cfg):
     if ratio <= 1.0:
         return RegimeLabel.E_RANGE
     return RegimeLabel.A_RANGE
-
-
-def energy_changes(cfg, post_state):
-    """(dE1, dE2, dE) from the initial Gibbs product to ``post_state``.
-
-    Both H_i are diagonal, so dE_i = (diag(post) - p) . h_i with p the Gibbs
-    populations; ``post_state`` is e.g. G = measurement_channel of the product.
-    """
-    shift = np.diagonal(two_qubit_state(post_state)).real - _populations(cfg)
-    h1, h2 = _joint_hamiltonian_diagonals(cfg)
-    de1, de2 = float(shift @ h1), float(shift @ h2)
-    return de1, de2, de1 + de2
 
 
 def run_cycle(cfg, measurement=None, eps=1e-12):

@@ -1,10 +1,10 @@
-"""Measurement bases, the non-selective measurement channel, Haar sampling,
-and the two detector-noise models (white-noise POVM and imperfect two-photon
-interference).
+"""Measurement bases, Haar sampling, and the two detector-noise models
+(white-noise POVM and imperfect two-photon interference).
 
 The measurement stroke is non-selective: outcomes are discarded and the state
 becomes the probability-weighted mixture of the projected states,
-rho' = sum_k <psi_k|rho|psi_k> |psi_k><psi_k|.
+rho' = sum_k <psi_k|rho|psi_k> |psi_k><psi_k|.  On the diagonal Gibbs product it
+moves populations only, so the engine reads it as a 4x4 population map.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _accel
 from .errors import ValidationError
-from .qcore import as_complex, two_qubit_state
+from .qcore import as_complex
 
 ORTHO_TOL = 1e-10
 
@@ -55,14 +55,6 @@ def canonical_basis():
         dtype=np.complex128,
     )
     return MeasurementBasis(vectors)
-
-
-def measurement_channel(basis, rho):
-    """Non-selective projective measurement of ``rho`` in ``basis``."""
-    arr = two_qubit_state(rho)
-    v = basis.vectors
-    w = np.einsum("kr,rt,kt->k", v.conj(), arr, v).real
-    return np.einsum("k,kr,kt->rt", w, v, v.conj())
 
 
 def rotate_basis(u, basis):
@@ -161,56 +153,19 @@ def white_noise_mixture_weights(nu):
     return c1, c2
 
 
-def apply_povm(povm, rho):
-    """Non-selective generalized measurement sum_k M_k rho M_k†."""
-    arr = two_qubit_state(rho)
-    return np.einsum("kij,jl,kml->im", povm.operators, arr, povm.operators.conj())
-
-
-def _distinguishable(basis, rho):
-    """D = sum_k A_k rho A_k + (A_k-V_k) rho (A_k-V_k) of :func:`hom_noisy_channel`;
-    ``rho`` is not validated here."""
-    arr = as_complex(rho)
-    out = np.zeros((4, 4), dtype=np.complex128)
-    for v in basis.vectors:
-        c = v.reshape(2, 2)
-        a = np.kron(c @ c.conj().T, np.eye(2))
-        r = a - np.outer(v, v.conj())
-        out += a @ arr @ a + r @ arr @ r
-    return out
-
-
 def _distinguishable_map(basis):
-    """Q with diag(D) = Q p for rho = diag(p), D = :func:`_distinguishable`: column s is
-    diag(D) at rho = |s><s|, so Q_rs = sum_k |A_k,rs|^2 + |(A_k - V_k)_rs|^2 >= 0."""
-    return np.column_stack([_distinguishable(basis, np.diag(e)).diagonal().real for e in np.eye(4)])
+    """Q with d = Q p the diagonal of the distinguishable-photon sum
+    D = sum_k A_k rho A_k + (A_k - V_k) rho (A_k - V_k) at rho = diag(p), where
+    V_k = |v_k><v_k| and A_k = Tr_2(V_k) x I = (C_k C_k^dag) x I, C_k the 2x2 reshape
+    of v_k: Q_rs = sum_k |A_k,rs|^2 + |(A_k - V_k)_rs|^2 >= 0.
 
-
-def hom_noisy_channel(basis, visibility, rho):
-    """Non-selective measurement through an imperfect two-photon interferometer.
-
-    Each projector k is realized optically as local unitaries and bias filters
-    around a polarization-singlet projection performed by two-photon
-    interference.  With interference visibility ``nu``, a detected coincidence
-    is the ideal interfering event with weight nu, or one of the two
-    distinguishable-photon events — both photons transmitted, or both
-    reflected (exchanged) — each with weight (1-nu)/4.  Per the detection
-    bookkeeping, every projector branch is scaled by 1/eta_k^2 (its bias
-    efficiency enters twice, once per photon arm).
-
-    With V_k = |v_k><v_k| and A_k = Tr_2(V_k) x I, the singlet projection
-    (I - SWAP)/2 makes the transmit and reflect trains 2*eta_k*A_k and
-    2*eta_k*(A_k - V_k), so the weights cancel: the detected output is
-    nu*G + (1-nu)*D with G = measurement_channel and D = :func:`_distinguishable`.
-    It is renormalized by the total detected weight, so at nu = 1 this reduces
-    exactly to :func:`measurement_channel`.  The tests check it against the
-    trains themselves, built from any Schmidt decomposition of each v_k.
+    The interference model detects nu*G + (1-nu)*D, G the ideal measurement: the
+    singlet projection (I - SWAP)/2 makes the transmit and reflect trains of
+    projector k 2*eta_k*A_k and 2*eta_k*(A_k - V_k), and the weights (1-nu)/4 and
+    1/eta_k^2 cancel.  The tests check D against the trains themselves.
     """
-    if not (0.0 <= visibility <= 1.0):
-        raise ValidationError(f"visibility must lie in [0, 1], got {visibility!r}")
-    ideal = measurement_channel(basis, rho)
-    out = visibility * ideal + (1.0 - visibility) * _distinguishable(basis, rho)
-    total = out.trace().real
-    if total <= 1e-15:
-        raise ValidationError("zero total detection probability")
-    return out / total
+    v = basis.vectors
+    c = v.reshape(4, 2, 2)
+    a = np.einsum("kij,klj,mn->kimln", c, c.conj(), np.eye(2)).reshape(4, 4, 4)
+    r = a - v[:, :, None] * v.conj()[:, None, :]
+    return (a * a.conj() + r * r.conj()).real.sum(axis=0)

@@ -16,9 +16,10 @@ its four Kraus operators off the phases of the two rails, and it reproduces
 the abstract thermalizing channel exactly.
 
 The measurement half of the hardware (local unitaries and bias filters around
-a two-photon singlet projection) is not simulated here:
-:func:`~qmcool.measure.hom_noisy_channel` evaluates its trains in closed form,
-and the test suite rebuilds the trains as an independent check.
+a two-photon singlet projection) is not simulated here: the engine takes its
+distinguishable-photon trains in closed form
+(:func:`~qmcool.measure._distinguishable_map`), and the test suite rebuilds the
+trains as an independent check.
 """
 
 from dataclasses import dataclass
@@ -26,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .qcore import single_qubit_state
-from .thermo import KrausChannel, _beta, _omega, apply_channel, thermal_populations
+from .thermo import KrausChannel, _beta, thermal_populations
 
 GRID_ROWS = 512
 Z_MAX = GRID_ROWS // 2  # rows z = -256..-1, 1..256 (no row 0)
@@ -147,13 +147,3 @@ def hologram_channel(holo, d):
         np.array([[0, 0], [-s_lo, 0]]),
     ))
 
-
-def thermal_channel_optical(rho, qubit, bath):
-    """The thermalizing channel evaluated through the optics layer.
-
-    Solves the hologram for the bath, reads the channel off the rails that
-    encode the qubit's gap and applies it to ``rho``.  Equals
-    apply_channel(thermalizing_channel) up to floating-point rounding.
-    """
-    d = d_of_omega(_omega(qubit))
-    return apply_channel(hologram_channel(solve_hologram(bath), d), single_qubit_state(rho))

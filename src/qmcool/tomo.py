@@ -74,25 +74,21 @@ def _estimate_state(sigma, shots, rng):
 def process_tomography(channel, shots=None, seed=None):
     """Chi-matrix reconstruction of a single-qubit channel by linear inversion.
 
-    ``channel`` is a 2x2 :class:`~qmcool.thermo.KrausChannel` or any callable
-    rho -> rho' on 2x2 states; it is evaluated on the four probes.  With
-    ``shots`` set, output states are estimated from sampled Pauli expectations
-    using a per-probe Philox stream of ``seed``; the reconstructed chi is then
-    eigenvalue-clipped at zero and renormalized to unit trace.
+    ``channel`` is a 2x2 :class:`~qmcool.thermo.KrausChannel`; it is evaluated on
+    the four probes.  With ``shots`` set, output states are estimated from sampled
+    Pauli expectations using a per-probe Philox stream of ``seed``; the
+    reconstructed chi is then eigenvalue-clipped at zero and renormalized to unit
+    trace.
     """
-    if isinstance(channel, KrausChannel):
-        if channel.dim != 2:
-            raise ValidationError(f"process tomography takes a single-qubit channel, "
-                                  f"got dimension {channel.dim}")
-        evolve = lambda r: apply_channel(channel, r)
-    elif callable(channel):
-        evolve = channel
-    else:
-        raise ValidationError(f"channel must be a KrausChannel or callable, got {type(channel)!r}")
+    if not isinstance(channel, KrausChannel):
+        raise ValidationError(f"channel must be a KrausChannel, got {type(channel)!r}")
+    if channel.dim != 2:
+        raise ValidationError(f"process tomography takes a single-qubit channel, "
+                              f"got dimension {channel.dim}")
     if shots is not None:
         seed, shots = check_seed(seed), check_int(shots, "shots", 1)
 
-    outputs = [np.asarray(evolve(probe), dtype=np.complex128) for probe in _PROBES[2]]
+    outputs = [apply_channel(channel, probe) for probe in _PROBES[2]]
     if shots is not None:
         outputs = [_estimate_state(s, shots, stream(seed, j)) for j, s in enumerate(outputs)]
     b = np.stack(outputs).reshape(-1)

@@ -1,6 +1,7 @@
 """Shared fixtures-in-plain-functions for the test suite."""
 
 import decimal
+import functools
 import math
 
 import numpy as np
@@ -9,22 +10,20 @@ from qmcool import (
     EngineConfig,
     HaarSampler,
     ValidationError,
+    apply_channel,
     canonical_basis,
-    energy_changes,
+    d_of_omega,
     haar_unitaries,
     haar_unitary,
-    hom_noisy_channel,
-    initial_state,
-    measurement_channel,
+    hologram_channel,
     rotate_basis,
-    single_qubit_state,
-    two_qubit_state,
-    validate_density,
+    solve_hologram,
 )
 from qmcool._accel import check_int, ginibre_batch, haar_from_ginibre
 from qmcool.engine import _haar_chunks, _joint_hamiltonian_diagonals, _populations
-from qmcool.measure import _distinguishable, white_noise_mixture_weights
-from qmcool.thermo import thermal_populations
+from qmcool.measure import white_noise_mixture_weights
+from qmcool.qcore import TRACE_TOL, as_complex
+from qmcool.thermo import _omega, thermal_populations
 
 EXPERIMENT_OMEGA2 = (0.02, 0.06, 0.14, 0.18, 0.46, 0.86, 1.10)
 
@@ -215,6 +214,88 @@ def gibbs_state(qubit, bath):
 def kron_initial_state(cfg):
     """Reference initial state: the Kronecker product of the two Gibbs states."""
     return np.kron(gibbs_state(cfg.qubit1, cfg.bath1), gibbs_state(cfg.qubit2, cfg.bath2))
+
+
+# The density-matrix layer that the package's population maps replace, as oracles.
+# A state is Hermitian and of unit trace to 1e-12, with eigenvalues >= PSD_FLOOR.
+HERM_TOL = 1e-12
+PSD_FLOOR = -1e-10
+
+
+def validate_density(rho, dim=None, name="state"):
+    """Reference validation of a density operator, returned as a complex ndarray."""
+    arr = as_complex(rho)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or dim not in (None, arr.shape[0]):
+        raise ValidationError(f"{name} must be a square {dim or 'n'}-dimensional matrix, "
+                              f"got shape {arr.shape}")
+    herm_err = np.max(np.abs(arr - arr.conj().T))
+    if herm_err > HERM_TOL:
+        raise ValidationError(f"{name} is not Hermitian (max deviation {herm_err:.3e})")
+    trace_err = abs(arr.trace() - 1.0)
+    if trace_err > TRACE_TOL:
+        raise ValidationError(f"{name} trace deviates from 1 by {trace_err:.3e}")
+    min_eig = np.linalg.eigvalsh(arr).min()
+    if min_eig < PSD_FLOOR:
+        raise ValidationError(f"{name} has negative eigenvalue {min_eig:.3e}")
+    return arr
+
+
+single_qubit_state = functools.partial(validate_density, dim=2, name="single-qubit state")
+two_qubit_state = functools.partial(validate_density, dim=4, name="two-qubit state")
+
+
+def trace_distance(a, b):
+    """Reference trace distance (1/2)*||a - b||_1 between two Hermitian operators."""
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(as_complex(a) - as_complex(b)))))
+
+
+def initial_state(cfg):
+    """Reference state before the measurement stroke: diag(p) of the engine's populations."""
+    return np.diag(_populations(cfg)).astype(np.complex128)
+
+
+def energy_changes(cfg, post_state):
+    """Reference (dE1, dE2, dE) from diag(p) to a validated ``post_state``."""
+    return _energy_triple(cfg, np.diagonal(two_qubit_state(post_state)).real - _populations(cfg))
+
+
+def measurement_channel(basis, rho):
+    """Reference non-selective projective measurement of a validated ``rho`` in ``basis``."""
+    v = basis.vectors
+    w = np.einsum("kr,rt,kt->k", v.conj(), two_qubit_state(rho), v).real
+    return np.einsum("k,kr,kt->rt", w, v, v.conj())
+
+
+def apply_povm(povm, rho):
+    """Reference non-selective generalized measurement sum_k M_k rho M_k^dag."""
+    m = povm.operators
+    return np.einsum("kij,jl,kml->im", m, two_qubit_state(rho), m.conj())
+
+
+def _distinguishable(basis, rho):
+    """Reference D = sum_k A_k rho A_k + (A_k-V_k) rho (A_k-V_k), V_k = |v_k><v_k| and
+    A_k = Tr_2(V_k) x I: the distinguishable-photon trains in closed form."""
+    arr = as_complex(rho)
+    out = np.zeros((4, 4), dtype=np.complex128)
+    for v in basis.vectors:
+        c = v.reshape(2, 2)
+        a = np.kron(c @ c.conj().T, np.eye(2))
+        r = a - np.outer(v, v.conj())
+        out += a @ arr @ a + r @ arr @ r
+    return out
+
+
+def hom_noisy_channel(basis, visibility, rho):
+    """Reference interference-noise measurement: the optical trains' detected output,
+    renormalized by its total detected weight."""
+    out = trains_hom_detected(basis, visibility, rho)
+    return out / out.trace().real
+
+
+def thermal_channel_optical(rho, qubit, bath):
+    """Reference thermalizing step of the hologram solved for ``bath``, on the qubit's rails."""
+    channel = hologram_channel(solve_hologram(bath), d_of_omega(_omega(qubit)))
+    return apply_channel(channel, single_qubit_state(rho))
 
 
 def partial_trace(rho, keep):

@@ -8,43 +8,42 @@ the complete scoreboard even when a criterion fails.
 import time
 
 import numpy as np
-import pytest
 
 from qmcool import (
     BathSpec,
     HaarSampler,
     QubitSpec,
-    apply_channel,
-    apply_povm,
     canonical_basis,
     chi_from_kraus,
     critical_visibility,
+    d_of_omega,
     depolarizing_prediction,
-    energy_changes,
     frequency_sweep,
     haar_average_report,
     haar_unitaries,
     haar_unitary,
-    hom_noisy_channel,
-    initial_state,
-    measurement_channel,
+    hologram_channel,
     measurement_tomography,
+    noise_sweep,
     process_fidelity,
     process_tomography,
     rotate_basis,
     run_cycle,
-    thermal_channel_optical,
+    solve_hologram,
     thermalizing_channel,
-    trace_distance,
     white_noise_mixture_weights,
     white_noise_povm,
 )
 from qmcool.cli import HOM_MODEL_NOTE
+from qmcool.engine import _population_map, _populations
 
 from helpers import (
     EXPECTED_CLASSES,
     EXPECTED_TRIPLES,
     EXPERIMENT_OMEGA2,
+    apply_povm,
+    hom_noisy_channel,
+    measurement_channel,
     random_density,
     random_engine_config,
     reference_config,
@@ -130,20 +129,23 @@ def test_criterion_3_haar_average_depolarizing(capsys):
 
 
 def test_criterion_4_white_noise_robustness(capsys):
+    # the noise command's white rows and run_cycle on the white-noise POVM, each
+    # against c1(nu) times the ideal cycle
     basis = canonical_basis()
+    nus = np.arange(0.1, 1.01, 0.1)
+    cfgs = [reference_config(omega2) for omega2 in EXPERIMENT_OMEGA2]
+    white_rows = noise_sweep(cfgs, nus, basis)[0][:, :, 0]
     max_dev = 0.0
     invariant = True
-    for omega2 in EXPERIMENT_OMEGA2:
-        cfg = reference_config(omega2)
-        rho = initial_state(cfg)
-        ideal = energy_changes(cfg, measurement_channel(basis, rho))
-        ideal_class = run_cycle(cfg).classification
-        for nu in np.arange(0.1, 1.01, 0.1):
+    for cfg, rows in zip(cfgs, white_rows):
+        report = run_cycle(cfg)
+        ideal = (report.dE1, report.dE2, report.dE)
+        for nu, row in zip(nus, rows):
             c1, _ = white_noise_mixture_weights(nu)
-            noisy = energy_changes(cfg, apply_povm(white_noise_povm(basis, nu), rho))
-            max_dev = max(max_dev, max(abs(m - c1 * i) for m, i in zip(noisy, ideal)))
-            invariant &= run_cycle(cfg, measurement=white_noise_povm(basis, nu)
-                                   ).classification == ideal_class
+            noisy = run_cycle(cfg, measurement=white_noise_povm(basis, nu))
+            for got in (row, (noisy.dE1, noisy.dE2, noisy.dE)):
+                max_dev = max(max_dev, max(abs(m - c1 * i) for m, i in zip(got, ideal)))
+            invariant &= noisy.classification == report.classification
     ok = invariant and max_dev <= 1e-10
     line = _report(capsys, 4, ok, f"classification nu-invariant={invariant} "
                           f"(nu in 0.1..1.0, all 7 omega2), max |dE - c1(nu)*dE_ideal|"
@@ -156,9 +158,7 @@ def test_criterion_5_interference_noise_critical_visibility(capsys):
     cfg = reference_config(0.18)
     nu_c = critical_visibility(cfg, basis=basis)
     in_window = nu_c is not None and abs(nu_c - 0.44) <= 0.05
-    rho = initial_state(cfg)
-    de2 = [energy_changes(cfg, hom_noisy_channel(basis, nu, rho))[1]
-           for nu in np.linspace(0.0, 1.0, 21)]
+    de2 = noise_sweep([cfg], np.linspace(0.0, 1.0, 21), basis)[0][0, :, 1, 1]
     monotone = all(b < a for a, b in zip(de2, de2[1:]))
     nu_cs = [critical_visibility(reference_config(w), basis=basis)
              for w in (0.18, 0.14, 0.06, 0.02)]
@@ -182,18 +182,19 @@ def test_criterion_6_optical_abstract_equivalence(capsys):
     max_td = 0.0
     for i in range(50):
         basis = rotate_basis(haar_unitary(HaarSampler(SEED, i)), base)
-        for rho in (initial_state(reference_config(0.18)), random_density(rng, 4)):
-            max_td = max(max_td, trace_distance(trains_hom_detected(basis, 1.0, rho),
-                                                measurement_channel(basis, rho)))
+        # the ideal optical trains on diag(p) against the basis's population map
+        for p in (_populations(reference_config(0.18)), np.diagonal(random_density(rng, 4)).real):
+            optical = np.diagonal(trains_hom_detected(basis, 1.0, np.diag(p))).real
+            max_td = max(max_td, 0.5 * float(np.sum(np.abs(optical - p @ _population_map(basis)))))
     worst_fid = 1.0
     for omega in (0.02, 0.18, 0.46, 0.86, 1.02, 1.28):
         for beta in (0.4, 1.0, 2.5):
             q, b = QubitSpec(omega), BathSpec(beta)
-            chi_opt = process_tomography(lambda rho: thermal_channel_optical(rho, q, b))
+            chi_opt = process_tomography(hologram_channel(solve_hologram(b), d_of_omega(omega)))
             worst_fid = min(worst_fid, process_fidelity(
                 chi_opt, chi_from_kraus(thermalizing_channel(q, b))))
     ok = max_td <= 1e-9 and worst_fid >= 1.0 - 1e-9
-    line = _report(capsys, 6, ok, f"max trace distance over 50 Haar bases={max_td:.3e} "
+    line = _report(capsys, 6, ok, f"max population distance over 50 Haar bases={max_td:.3e} "
                           f"(tol 1e-9), min optical-vs-abstract process fidelity "
                           f"over 18 (omega, beta) points={worst_fid:.12f} "
                           f"(floor 1 - 1e-9)")
@@ -211,14 +212,15 @@ def test_criterion_7_property_suites(capsys):
         basis = rotate_basis(haar_unitary(HaarSampler(SEED + 1, i)), base)
         report = run_cycle(cfg, measurement=basis)
         min_slack = min(min_slack, report.second_law_slack)
+        max_trace_drift = max(max_trace_drift, np.max(np.abs(_population_map(basis).sum(1) - 1.0)))
         rho = random_density(rng, 4)
         out = measurement_channel(basis, rho)
         max_trace_drift = max(max_trace_drift, abs(out.trace().real - 1.0))
         max_idem = max(max_idem, np.max(np.abs(measurement_channel(basis, out) - out)))
     for nu in (0.2, 0.7):
-        rho = random_density(rng, 4)
-        for out in (apply_povm(white_noise_povm(base, nu), rho),
-                    hom_noisy_channel(base, nu, rho)):
+        rho, povm = random_density(rng, 4), white_noise_povm(base, nu)
+        max_trace_drift = max(max_trace_drift, np.max(np.abs(_population_map(povm).sum(1) - 1.0)))
+        for out in (apply_povm(povm, rho), hom_noisy_channel(base, nu, rho)):
             max_trace_drift = max(max_trace_drift, abs(out.trace().real - 1.0))
     us = haar_unitaries(HaarSampler(SEED + 2), 100000)
     a2 = np.abs(us) ** 2

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qmcool import _accel, cli, engine, measure, qcore
+from qmcool import _accel, cli, engine
 from qmcool.errors import ValidationError
 
 from helpers import fmt_cell
@@ -235,8 +235,8 @@ def test_noise_from_zero_weight_prints_no_negative_zero(tmp_path):
 
 
 def test_noise_builds_the_basis_maps_once_per_command(monkeypatch, tmp_path):
-    # one noise_sweep call, Q from four _distinguishable calls whatever the number
-    # of omega2, and no density matrix validated
+    # one noise_sweep call and one Q (engine imports _distinguishable_map by name),
+    # whatever the number of omega2
     calls = {}
 
     def count(module, name):
@@ -248,15 +248,14 @@ def test_noise_builds_the_basis_maps_once_per_command(monkeypatch, tmp_path):
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((cli, "noise_sweep"), (measure, "_distinguishable"),
-                         (qcore, "validate_density")):
+    for module, name in ((cli, "noise_sweep"), (engine, "_distinguishable_map")):
         count(module, name)
     conf = tmp_path / "c.ini"
     for omega2 in ("0.18", "0.02, 0.06, 0.10, 0.14, 0.18, 0.26, 0.34, 0.40, 0.46, 0.60, 0.86"):
         conf.write_text(f"omega2 = {omega2}\n")
         calls.clear()
         assert cli.main(["noise", "--config", str(conf), "--out", str(tmp_path / "n.csv")]) == 0
-        assert calls == {"noise_sweep": 1, "_distinguishable": 4}
+        assert calls == {"noise_sweep": 1, "_distinguishable_map": 1}
 
 
 def test_emit_fast_path_matches_the_former_cell_format(tmp_path):

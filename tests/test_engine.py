@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmcool import engine, qcore
+from qmcool import engine
 from qmcool import (
     EngineConfig,
     HaarSampler,
@@ -14,19 +14,14 @@ from qmcool import (
     RegimeLabel,
     SecondLawViolation,
     ValidationError,
-    apply_povm,
     canonical_basis,
     classify,
     critical_visibility,
     depolarizing_prediction,
-    energy_changes,
     frequency_sweep,
     haar_average_report,
     haar_unitaries,
     haar_unitary,
-    hom_noisy_channel,
-    initial_state,
-    measurement_channel,
     measurement_tomography,
     noise_sweep,
     regime,
@@ -40,12 +35,17 @@ from helpers import (
     EXPECTED_CLASSES,
     EXPECTED_TRIPLES,
     EXPERIMENT_OMEGA2,
+    apply_povm,
     bisect_critical_visibility,
     chunked_haar_triples,
     closed_form_triple,
     decimal_canonical_triple,
+    energy_changes,
+    hom_noisy_channel,
+    initial_state,
     kron_initial_state,
     looped_noise_rows,
+    measurement_channel,
     partial_trace_energy_changes,
     per_row_haar_triples,
     random_density,
@@ -241,22 +241,6 @@ def test_run_cycle_on_a_basis_matches_the_channel_oracle():
         oracle = energy_changes(cfg, measurement_channel(basis, initial_state(cfg)))
         worst = max(worst, np.max(np.abs(np.subtract((report.dE1, report.dE2, report.dE), oracle))))
     assert worst <= 1e-14
-
-
-def test_run_cycle_validates_no_density(monkeypatch):
-    calls = []
-
-    def counting(rho, *args, **kwargs):
-        calls.append(1)
-        return validate(rho, *args, **kwargs)
-
-    validate = qcore.validate_density
-    monkeypatch.setattr(qcore, "validate_density", counting)
-    cfg = reference_config(0.18)
-    run_cycle(cfg)
-    run_cycle(cfg, random_rotated_basis(5))
-    run_cycle(cfg, white_noise_povm(canonical_basis(), 0.5))
-    assert not calls
 
 
 def _random_povm(rng):

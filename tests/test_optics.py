@@ -9,22 +9,25 @@ import pytest
 
 from qmcool import (
     BathSpec,
+    HaarSampler,
     Hologram,
     QubitSpec,
     apply_channel,
     canonical_basis,
     d_of_omega,
+    haar_unitary,
     hologram_channel,
-    measurement_channel,
     omega_of_d,
+    rotate_basis,
     solve_hologram,
-    thermal_channel_optical,
     thermalizing_channel,
 )
 from qmcool.optics import GRID_ROWS, omega_of_z
 from qmcool.thermo import thermal_populations
 
-from helpers import gibbs_state, optical_trains, partial_trace, random_density, trains_hom_detected
+from helpers import (gibbs_state, initial_state, measurement_channel, optical_trains, partial_trace,
+                     random_density, reference_config, thermal_channel_optical, trace_distance,
+                     trains_hom_detected)
 
 
 def test_omega_of_d_grid():
@@ -215,6 +218,17 @@ def test_project_optically_matches_measurement_channel():
                            measurement_channel(basis, rho), atol=1e-12)
 
 
+def test_ideal_trains_match_the_measurement_channel_on_general_states():
+    # the full-matrix comparison the release gate made before it checked the
+    # package's population maps: 50 Haar bases, a Gibbs product and a random state each
+    rng = np.random.default_rng(2025)
+    for i in range(50):
+        basis = rotate_basis(haar_unitary(HaarSampler(2025, i)), canonical_basis())
+        for rho in (initial_state(reference_config(0.18)), random_density(rng, 4)):
+            assert trace_distance(trains_hom_detected(basis, 1.0, rho),
+                                  measurement_channel(basis, rho)) <= 1e-9
+
+
 def test_project_optically_rotated_basis():
     from helpers import random_rotated_basis
     rng = np.random.default_rng(67)
@@ -247,6 +261,19 @@ def test_exports_resolve_and_omit_removed_trains():
     assert not hasattr(measure.HaarSampler, "advanced") and not hasattr(measure, "replace")
     for func in (tomo.process_tomography, tomo.measurement_tomography):
         assert list(inspect.signature(func).parameters)[1:] == ["shots", "seed"]
+
+
+def test_density_layer_lives_in_the_tests():
+    # no command runs the density-matrix channels or their validation; they are
+    # oracles in tests/helpers.py
+    import qmcool
+    from qmcool import _accel, cli, engine, errors, measure, optics, qcore, thermo, tomo
+    gone = {"initial_state", "energy_changes", "measurement_channel", "apply_povm",
+            "hom_noisy_channel", "_distinguishable", "validate_density", "single_qubit_state",
+            "two_qubit_state", "trace_distance", "thermal_channel_optical", "HERM_TOL",
+            "PSD_FLOOR"}
+    modules = (qmcool, _accel, cli, engine, errors, measure, optics, qcore, thermo, tomo)
+    assert sorted((m.__name__, name) for m in modules for name in gone if hasattr(m, name)) == []
 
 
 def test_every_export_has_a_caller():

@@ -4,20 +4,14 @@ and entropy oracles of the test suite."""
 import numpy as np
 import pytest
 
-from qmcool import (
-    EngineConfig,
-    ValidationError,
-    initial_state,
-    single_qubit_state,
-    trace_distance,
-    two_qubit_state,
-    validate_density,
-)
+from qmcool import EngineConfig, ValidationError
 from qmcool.qcore import _fidelity, as_complex
 from qmcool.thermo import thermal_populations
 from qmcool.tomo import _kron_pairs
 
-from helpers import partial_trace, random_density, random_unit_vector, von_neumann_entropy
+from helpers import (initial_state, partial_trace, random_density, random_unit_vector,
+                     single_qubit_state, trace_distance, two_qubit_state, validate_density,
+                     von_neumann_entropy)
 
 
 # the package's two-qubit tensor products (tomography's Pauli and probe stacks,
