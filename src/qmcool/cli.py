@@ -245,7 +245,10 @@ def cmd_sweep_omega(cfg):
     rows = []
     for w2 in cfg.omega2:
         econf = cfg.engine_config(w2)
-        report = run_cycle(econf, eps=cfg.eps)
+        try:
+            report = run_cycle(econf, eps=cfg.eps)
+        except (ValidationError, SecondLawViolation) as exc:
+            raise type(exc)(f"omega2 = {w2!r}: {exc}") from exc
         rows.append(
             (
                 w2,
@@ -290,7 +293,7 @@ def cmd_noise(cfg):
     triples, nu_cs = noise_sweep([cfg.engine_config(w2) for w2 in cfg.omega2], cfg.nu_values)
     # every white and interference triple classified in one pass; "none" where
     # classify would raise (codes -2 and -1 index the two "none"s)
-    codes = _class_codes(triples.reshape(-1, 3), cfg.eps).reshape(triples.shape[:3])
+    codes = _class_codes(*np.moveaxis(triples, -1, 0), cfg.eps)
     labels = np.array([*CLASS_LABELS, "none", "none"])[codes].tolist()
     rows = [(w2, nu, *white, label_w, *interf, label_i, math.nan if nu_c is None else nu_c)
             for w2, nu_c, w2_rows, w2_labels in zip(cfg.omega2, nu_cs, triples.tolist(), labels)

@@ -42,6 +42,13 @@ SLACK_FLOOR = -1e-10
 # small enough that the heap keeps them from one chunk to the next
 CHUNK = 2**10
 CLASS_LABELS = ("R", "E", "A", "H")
+# the six pairs r < s of the populations (|00>, |01>, |10>, |11>): the order of the
+# pairwise entries of a population map and of the coefficients that weigh them
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# flat indices of A_rs and A_sr in a 4x4 map, and of s, pair by pair
+_UPPER = np.array([4 * r + s for r, s in _PAIRS])
+_LOWER = np.array([4 * s + r for r, s in _PAIRS])
+_SECOND = _UPPER % 4
 
 
 class RegimeLabel(Enum):
@@ -112,13 +119,6 @@ def _populations(cfg):
                     thermal_populations(cfg.qubit2, cfg.bath2)).ravel()
 
 
-def _joint_hamiltonian_diagonals(cfg):
-    w1, w2 = cfg.qubit1.omega, cfg.qubit2.omega
-    h1 = np.array([-0.5 * w1, -0.5 * w1, 0.5 * w1, 0.5 * w1])
-    h2 = np.array([-0.5 * w2, 0.5 * w2, -0.5 * w2, 0.5 * w2])
-    return h1, h2
-
-
 def classify(de1, de2, de, eps=1e-12):
     """Operation label for one energy triple.
 
@@ -173,15 +173,13 @@ def run_cycle(cfg, measurement=None, eps=1e-12):
     rethermalization stroke is implicit — the thermalizing channel restores the
     Gibbs product exactly.
 
-    Either kind of measurement moves only the populations of the diagonal Gibbs
-    product, so its triple is the Haar path's kernel :func:`_population_triples` on
-    its population map (:func:`_population_map`).  No post state is built or
-    validated: the basis checks its orthonormality and the POVM its completeness on
-    construction, and the map checks that it keeps the trace.
+    Its triple is :func:`_measurement_triple`.  No post state is built or validated:
+    the basis checks its orthonormality and the POVM its completeness on
+    construction, and the population map checks that it keeps the trace.
     """
     if measurement is None:
         measurement = canonical_basis()
-    de1, de2, de = _population_triples([cfg], _population_map(measurement)[None])[0, 0].tolist()
+    de1, de2, de = _measurement_triple(cfg, measurement)
     slack = cfg.bath1.beta * de1 + cfg.bath2.beta * de2
     if slack < SLACK_FLOOR:
         raise SecondLawViolation(
@@ -194,6 +192,25 @@ def run_cycle(cfg, measurement=None, eps=1e-12):
         classification=classify(de1, de2, de, eps),
         second_law_slack=slack,
     )
+
+
+def _measurement_triple(cfg, measurement):
+    """(dE1, dE2, dE) of one cycle measured by a basis or a POVM, as Python floats.
+
+    Either kind of measurement moves only the populations of the diagonal Gibbs
+    product, so its triple is the Haar path's kernel :func:`_pair_triples` on the six
+    pairwise entries A_rs (r < s) of its population map A (:func:`_population_map`).
+    A POVM's map keeps its row sums but need not be symmetric, and
+    dE_i = sum_{r<s} (p_r A_rs - p_s A_sr)(h_i,s - h_i,r) exactly; the bracket is
+    A_rs (p_r - p_s) + p_s (A_rs - A_sr), so for a POVM the kernel also takes the six
+    asymmetries A_rs - A_sr, with weights p_s.  They vanish for a basis.
+    """
+    big_a = _population_map(measurement)
+    coef, entries = _pair_coefficients(cfg), big_a.take(_UPPER)
+    if isinstance(measurement, PovmSet):
+        coef = np.hstack((coef, _pair_matrix(cfg, _populations(cfg).take(_SECOND).tolist())))
+        entries = np.concatenate((entries, entries - big_a.take(_LOWER)))
+    return _pair_triples(coef[None], entries[:, None])[0, :, 0].tolist()
 
 
 def _population_map(measurement):
@@ -219,23 +236,59 @@ def _population_map(measurement):
     raise ValidationError(f"measurement must be a basis or a POVM, got {type(measurement)!r}")
 
 
-def _population_triples(cfgs, maps):
-    """(dE1, dE2, dE) of each config for each population map A (:func:`_population_map`)
-    of the (m, 4, 4) stack ``maps``, shape (len(cfgs), m, 3).
+def _pair_matrix(cfg, weights):
+    """The (2, 6) matrix W with (W x)_i = sum_{r<s} weights_rs (h_i,s - h_i,r) x_rs, one
+    weight per pair of _PAIRS.  h1 steps by omega1 across the four pairs that flip qubit
+    1 and is flat across the other two; h2 likewise for qubit 2."""
+    w01, w02, w03, w12, w13, w23 = weights
+    w1, w2 = cfg.qubit1.omega, cfg.qubit2.omega
+    return np.array([(0.0, w1 * w02, w1 * w03, w1 * w12, w1 * w13, 0.0),
+                     (w2 * w01, 0.0, w2 * w03, -w2 * w12, 0.0, w2 * w23)])
 
-    The measurement takes the populations p of the diagonal Gibbs product to p^T A,
-    and the coherences it leaves do not enter Tr(rho H_i), so dE_i = p^T (A - I) h_i
-    (h_i: the diagonal of H_i) and dE = dE1 + dE2.  A - I is formed once for all
-    configs, as a fresh array.  Both contractions are einsums, whose loops round a
-    map alike alone or in a stack of any length; a matmul would not (numpy sends a
-    one-row product through gemv and a longer one through gemm).
+
+def _gibbs_terms(cfg):
+    """((1 - q1, q1, t1), (1 - q2, q2, t2)): each qubit's ground and excited Gibbs
+    populations (:func:`~qmcool.thermo.thermal_populations`) and t_i = tanh(x_i/2) =
+    1 - 2q_i, x_i = beta_i*omega_i, each to full relative precision."""
+    (g1, q1), (g2, q2) = (thermal_populations(cfg.qubit1, cfg.bath1),
+                          thermal_populations(cfg.qubit2, cfg.bath2))
+    return ((g1, q1, math.tanh(0.5 * (cfg.bath1.beta * cfg.qubit1.omega))),
+            (g2, q2, math.tanh(0.5 * (cfg.bath2.beta * cfg.qubit2.omega))))
+
+
+def _pair_coefficients(cfg):
+    """The (2, 6) coefficients C of the cycle energies on the six pairwise entries m of a
+    population map A (m_rs = A_rs, r < s, in _PAIRS order): dE_i = (C m)_i.
+
+    A map whose rows and columns sum to 1 (a basis's P P^T) and that is symmetric
+    moves dE_i = sum_{r<s} A_rs (p_r - p_s)(h_i,s - h_i,r), so C is :func:`_pair_matrix`
+    of the six population gaps p_r - p_s.  Near infinite temperature those gaps lie
+    below the rounding of p itself, so each is built from q_i (the excited population)
+    and t_i = tanh(x_i/2) = 1 - 2q_i, x_i = beta_i*omega_i, never from p:
+    p00 - p01 = (1 - q1) t2, p10 - p11 = q1 t2, p00 - p10 = (1 - q2) t1,
+    p01 - p11 = q2 t1, p00 - p11 = (t1 + t2)/2, and p01 - p10 = (t1 - t2)/2 while both
+    t_i < 1/2, q2 - q1 otherwise.  Each cancels only where x1 ~ x2.
     """
-    b = maps - np.eye(4)
-    out = np.empty((len(cfgs), len(b), 3))
-    for row, cfg in zip(out, cfgs):
-        x = np.einsum("r,mrs->ms", _populations(cfg), b)
-        row[:, :2] = np.einsum("ms,is->mi", x, np.array(_joint_hamiltonian_diagonals(cfg)))
-        row[:, 2] = row[:, 0] + row[:, 1]
+    (g1, q1, t1), (g2, q2, t2) = _gibbs_terms(cfg)
+    d12 = 0.5 * (t1 - t2) if t1 < 0.5 and t2 < 0.5 else q2 - q1
+    return _pair_matrix(cfg, (g1 * t2, g2 * t1, 0.5 * (t1 + t2), d12, q2 * t1, q1 * t2))
+
+
+def _pair_triples(coef, entries):
+    """Planes of (dE1, dE2, dE), shape (configs, 3, maps): config c's coefficients
+    ``coef[c]`` (2, k) on the k entries of each map, the columns of ``entries`` (k, maps).
+
+    One einsum for every config and map.  Along a stack it adds the products of each
+    map in entry order, so a map rounds alike in a stack of any length; a matmul would
+    not (numpy sends a one-column product through gemv and a longer one through gemm).
+    A lone map goes in twice: alone, einsum sums its entries with a SIMD dot product,
+    which adds them in another order.
+    """
+    if entries.shape[1] == 1:
+        return _pair_triples(coef, np.repeat(entries, 2, axis=1))[:, :, :1]
+    out = np.empty((len(coef), 3, entries.shape[1]))
+    np.einsum("cie,em->cim", coef, entries, out=out[:, :2])
+    np.add(out[:, 0], out[:, 1], out=out[:, 2])
     return out
 
 
@@ -245,48 +298,64 @@ def _sample_name(omega2, index):
 
 def _canonical_p(us):
     """P = |U C|^2 of each unitary U of the stack ``us``, C the canonical basis vectors
-    as columns, without the product.
+    as columns, without the product, as planes: ``big_p[k, r]`` holds P[r, k] of every
+    sample, shape (4, 4, len(us)).
 
     C keeps columns u0 and u3 of U and turns u1, u2 into (u1 + u2)/sqrt2 and
     (u1 - u2)/sqrt2, so the columns of P are |u0|^2, |u1 + u2|^2/2, |u1 - u2|^2/2
     and |u3|^2: two column sums.
     """
-    big_p = np.empty(us.shape)
+    big_p = np.empty((4, 4, len(us)))
     for k, col in enumerate((us[..., 0], us[..., 1] + us[..., 2], us[..., 1] - us[..., 2],
                              us[..., 3])):
-        np.square(np.abs(col), out=big_p[..., k])
-    big_p[..., 1:3] /= 2
+        np.square(np.abs(col), out=big_p[k].T)
+    big_p[1:3] /= 2
     return big_p
 
 
-def _chunk_triples(cfgs, seed, start, m, work):
-    """(dE1, dE2, dE) of each config over Haar samples [start, start + m), shape (len(cfgs), m, 3).
-
-    Sample i measures in the canonical basis rotated by unitary i of the seed's Haar
-    stream, the same U for every config, drawn in ``work`` (see
-    :func:`~qmcool.measure.haar_unitaries`); its map P P^T, with P of
-    :func:`_canonical_p`, goes through :func:`_population_triples`.  The triples are
-    a fresh array.  Every sample must keep beta1*dE1 + beta2*dE2 >= SLACK_FLOOR, as
-    in :func:`run_cycle`.
-    """
-    big_p = _canonical_p(haar_unitaries(HaarSampler(seed, start), m, work))
-    out = _population_triples(cfgs, big_p @ big_p.transpose(0, 2, 1))
-    for row, cfg in zip(out, cfgs):
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass, as in run_cycle
-            slack = cfg.bath1.beta * row[:, 0] + cfg.bath2.beta * row[:, 1]
-        bad = np.flatnonzero(slack < SLACK_FLOOR)
-        if bad.size:
-            i = bad[0]
-            raise SecondLawViolation(
-                f"{_sample_name(cfg.qubit2.omega, start + i)}: beta1*dE1 + beta2*dE2 = "
-                f"{slack[i]:.3e} below tolerance {SLACK_FLOOR:.1e}"
-            )
+def _pair_entries(big_p):
+    """The six pairwise entries m_rs = sum_k P_rk P_sk of P P^T (r < s, in _PAIRS order)
+    of every sample of the planes ``big_p`` (:func:`_canonical_p`), shape (6, samples).
+    Elementwise, with the four products of each entry added in k order."""
+    prod = np.empty((4, 6, big_p.shape[2]))
+    for r, e in ((0, 0), (1, 3), (2, 5)):
+        np.multiply(big_p[:, r, None], big_p[:, r + 1:], out=prod[:, e:e + 3 - r])
+    out = np.add(prod[0], prod[1])
+    out += prod[2]
+    out += prod[3]
     return out
 
 
+def _chunk_triples(cfgs, coef, seed, start, m, work):
+    """Planes of (dE1, dE2, dE) of each config over Haar samples [start, start + m),
+    shape (len(cfgs), 3, m), a fresh array; ``coef`` holds the configs'
+    :func:`_pair_coefficients`.
+
+    Sample i measures in the canonical basis rotated by unitary i of the seed's Haar
+    stream, the same U for every config, drawn in ``work`` (see
+    :func:`~qmcool.measure.haar_unitaries`); the six pairwise entries of its map P P^T
+    (:func:`_pair_entries`) go through :func:`_pair_triples`.  Every sample of every
+    config must keep beta1*dE1 + beta2*dE2 >= SLACK_FLOOR, as in :func:`run_cycle`;
+    the first breach, in config order, raises.
+    """
+    entries = _pair_entries(_canonical_p(haar_unitaries(HaarSampler(seed, start), m, work)))
+    planes = _pair_triples(coef, entries)
+    betas = np.array([(cfg.bath1.beta, cfg.bath2.beta) for cfg in cfgs]).reshape(-1, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass, as in run_cycle
+        slack = betas[:, 0] * planes[:, 0] + betas[:, 1] * planes[:, 1]
+    bad = slack < SLACK_FLOOR
+    if bad.any():
+        c, i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise SecondLawViolation(
+            f"{_sample_name(cfgs[c].qubit2.omega, start + i)}: beta1*dE1 + beta2*dE2 = "
+            f"{slack[c, i]:.3e} below tolerance {SLACK_FLOOR:.1e}"
+        )
+    return planes
+
+
 def _haar_chunks(cfgs, n_samples, seed):
-    """(start, triples) for consecutive chunks of the n_samples Haar samples of
-    ``seed``; triples is :func:`_chunk_triples` of the chunk.
+    """(start, planes) for consecutive chunks of the n_samples Haar samples of
+    ``seed``; planes is :func:`_chunk_triples` of the chunk.
 
     Chunks hold CHUNK samples, except the last, which holds the rest, however few.
     Sample i reads uniforms [32i, 32i + 32) of the stream whatever the chunk, and
@@ -294,24 +363,25 @@ def _haar_chunks(cfgs, n_samples, seed):
     triples of one whole draw.  Every chunk draws and orthonormalizes in the same
     two buffers, allocated once: a fresh ~0.5 MB per chunk would be handed back to
     the system and faulted in again each time.  n_samples is checked here, before
-    the first chunk is drawn.
+    the first chunk is drawn, and the configs' coefficients are built once.
     """
     n = check_int(n_samples, "n_samples", 1)
+    coef = np.array([_pair_coefficients(cfg) for cfg in cfgs]).reshape(-1, 2, 6)
     work = np.empty((2, min(n, CHUNK), 4, 4), dtype=np.complex128)
-    return ((start, _chunk_triples(cfgs, seed, start, min(CHUNK, n - start), work[:, :n - start]))
+    return ((start, _chunk_triples(cfgs, coef, seed, start, min(CHUNK, n - start),
+                                   work[:, :n - start]))
             for start in range(0, n, CHUNK))
 
 
-def _class_codes(triples, eps):
-    """Code of each row of an (m, 3) stack of triples: the index in CLASS_LABELS of
-    the label :func:`classify` gives it, -2 where it fails the sum check and -1 where
-    no class matches.
+def _class_codes(de1, de2, de, eps):
+    """Code of each triple (dE1, dE2, dE) of three same-shape arrays: the index in
+    CLASS_LABELS of the label :func:`classify` gives it, -2 where it fails the sum
+    check and -1 where no class matches.
 
     The same sum check, the same weak inequalities at the same eps and the same
     R, E, A, H priority (``np.select`` takes the first condition that holds), as
     numpy masks.
     """
-    de1, de2, de = triples.T
     a1, a2, a = np.abs(de1), np.abs(de2), np.abs(de)
     gap = np.abs(de - de1 - de2)
     up1, down1 = de1 >= -eps, de1 <= eps
@@ -325,30 +395,30 @@ def _class_codes(triples, eps):
     )
 
 
-def _class_counts(triples, eps, omega2, start):
-    """Counts of R, E, A, H (in CLASS_LABELS order) over an (m, 3) stack of triples,
-    by :func:`_class_codes`.  A row that :func:`classify` would reject raises, a
-    failed sum check before a classless triple; errors name omega2 and the sample
-    index start + i.
+def _class_counts(planes, eps, omega2s, start):
+    """Counts of R, E, A, H (in CLASS_LABELS order) of each config, shape
+    (len(planes), 4), over the triple planes (configs, 3, m) of one chunk, in one
+    :func:`_class_codes` pass.  A triple that :func:`classify` would reject raises:
+    the first config with one, and in it a failed sum check before a classless
+    triple; errors name that config's omega2 and the sample index start + i.
     """
-    codes = _class_codes(triples, eps)
-    bad = np.flatnonzero(codes == -2)
-    if bad.size:
-        i = bad[0]
-        de1, de2, de = triples[i].tolist()
-        raise ValidationError(
-            f"{_sample_name(omega2, start + i)}: inconsistent triple: "
-            f"|dE - dE1 - dE2| = {abs(de - de1 - de2):.3e} > {eps:.3e}"
-        )
-    bad = np.flatnonzero(codes == -1)
-    if bad.size:
-        i = bad[0]
-        de1, de2, de = triples[i].tolist()
-        raise ValidationError(
-            f"{_sample_name(omega2, start + i)}: no operation class matches "
-            f"({de1:.3e}, {de2:.3e}, {de:.3e}); such a triple violates the second law"
-        )
-    return np.bincount(codes, minlength=len(CLASS_LABELS))
+    codes = _class_codes(planes[:, 0], planes[:, 1], planes[:, 2], eps)
+    bad = codes < 0
+    if bad.any():
+        c = np.argmax(bad.any(axis=1))
+        row = codes[c]
+        i = np.argmax(row == -2) if np.any(row == -2) else np.argmax(row == -1)
+        de1, de2, de = planes[c, :, i].tolist()
+        name = _sample_name(omega2s[c], start + i)
+        if row[i] == -2:
+            raise ValidationError(f"{name}: inconsistent triple: "
+                                  f"|dE - dE1 - dE2| = {abs(de - de1 - de2):.3e} > {eps:.3e}")
+        raise ValidationError(f"{name}: no operation class matches "
+                              f"({de1:.3e}, {de2:.3e}, {de:.3e}); such a triple violates the "
+                              "second law")
+    k = len(CLASS_LABELS)
+    offsets = k * np.arange(len(codes))[:, None]
+    return np.bincount((codes + offsets).ravel(), minlength=k * len(codes)).reshape(-1, k)
 
 
 def frequency_sweep(cfgs, n_samples, seed, eps=1e-12):
@@ -358,15 +428,15 @@ def frequency_sweep(cfgs, n_samples, seed, eps=1e-12):
     "H" to a :class:`FrequencyEstimate` (frequency, binomial standard error).
     All configs share one draw of bases, taken in chunks (:func:`_haar_chunks`)
     so that memory does not grow with n_samples; the class counts of each chunk
-    (:func:`_class_counts`) add up.  Each dict is a pure function of
-    (config, n_samples, seed).
+    (:func:`_class_counts`, every config at once) add up.  Each dict is a pure
+    function of (config, n_samples, seed).
     """
     counts = np.zeros((len(cfgs), len(CLASS_LABELS)), dtype=np.int64)
+    omega2s = [cfg.qubit2.omega for cfg in cfgs]
     n = 0
-    for start, triples in _haar_chunks(cfgs, n_samples, seed):
-        for count, cfg, rows in zip(counts, cfgs, triples):
-            count += _class_counts(rows, eps, cfg.qubit2.omega, start)
-        n += triples.shape[1]
+    for start, planes in _haar_chunks(cfgs, n_samples, seed):
+        counts += _class_counts(planes, eps, omega2s, start)
+        n += planes.shape[2]
     out = []
     for count in counts.tolist():
         row = {}
@@ -393,27 +463,28 @@ def haar_average_report(cfgs, n_samples, seed, eps=1e-12):
     """One :class:`HaarAverageReport` per config in ``cfgs``, over one shared draw of bases.
 
     The draw is taken in chunks (:func:`_haar_chunks`), so memory does not grow
-    with n_samples.  Each chunk's mean and sum of squared deviations M2 are merged
-    into the running ones by the pairwise update of Chan, Golub and LeVeque (1979);
-    a draw of one chunk gives the np.mean and np.std of the whole draw exactly.
+    with n_samples.  Each chunk's mean and sum of squared deviations M2, along the
+    samples of every config's planes at once, are merged into the running ones by the
+    pairwise update of Chan, Golub and LeVeque (1979); a draw of one chunk gives the
+    np.mean and np.std of the whole draw's planes exactly.
     """
     # reduce in units of the larger gap so that sums of huge triples stay finite;
     # a power-of-two scale is exact
     ks = [math.frexp(max(cfg.qubit1.omega, cfg.qubit2.omega))[1] for cfg in cfgs]
+    shifts = np.array(ks, dtype=np.int64).reshape(-1, 1, 1)
     n, means, sqdevs = 0, np.zeros((len(cfgs), 3)), np.zeros((len(cfgs), 3))
-    for _, triples in _haar_chunks(cfgs, n_samples, seed):
-        m = triples.shape[1]
-        for k, rows, mean, sqdev in zip(ks, triples, means, sqdevs):
-            np.ldexp(rows, -k, out=rows)
-            chunk_mean = rows.sum(axis=0) / m
-            dev = rows - chunk_mean
-            chunk_m2 = (dev * dev).sum(axis=0)
-            if n:
-                delta = chunk_mean - mean
-                mean += delta * (m / (n + m))
-                sqdev += chunk_m2 + delta * delta * (n * m / (n + m))
-            else:
-                mean[:], sqdev[:] = chunk_mean, chunk_m2
+    for _, planes in _haar_chunks(cfgs, n_samples, seed):
+        m = planes.shape[2]
+        np.ldexp(planes, -shifts, out=planes)
+        chunk_mean = planes.sum(axis=2) / m
+        dev = planes - chunk_mean[:, :, None]
+        chunk_m2 = (dev * dev).sum(axis=2)
+        if n:
+            delta = chunk_mean - means
+            means += delta * (m / (n + m))
+            sqdevs += chunk_m2 + delta * delta * (n * m / (n + m))
+        else:
+            means, sqdevs = chunk_mean, chunk_m2
         n += m
     reports = []
     for cfg, k, mean, sqdev in zip(cfgs, ks, means, sqdevs):
@@ -447,11 +518,18 @@ def noise_sweep(cfgs, nu_values, basis=None):
     Returns ``(triples, nu_c)``: triples of shape (len(cfgs), len(nu_values), 2, 3)
     hold (dE1, dE2, dE) under white and interference noise; nu_c holds one
     :func:`critical_visibility` per config.  Both models act on rho = diag(p) and
-    move populations only, through two 4x4 maps of the basis: G has diagonal
-    g = M p with M = P P^T, the basis's :func:`_population_map`, formed once, and the
-    distinguishable-photon sum D has d = Q p (:func:`~qmcool.measure._distinguishable_map`).
-    A white row is c1(nu) times the projective triple, :func:`_population_triples` on
-    M; an interference row shifts p by (nu*g + (1-nu)*d) / sum(nu*g + (1-nu)*d) - p.
+    move populations only, through two 4x4 maps of the basis, each formed once: the
+    population map M (:func:`_population_map`) and the distinguishable-photon map Q
+    (:func:`~qmcool.measure._distinguishable_map`), d = Q p.  A white row is c1(nu)
+    times the projective triple W, the kernel :func:`_pair_triples` on M's entries.
+
+    An interference row is the energy of N p / 1^T N p - p, N = nu*M + (1-nu)*Q, with
+    p subtracted inside the numerator so that no gap of rounded populations is taken:
+    the numerator is the kernel on N's entries (M and Q are symmetric) plus
+    sum_r c_r p_r (h_i,r - p^T h_i), c the column sums of N, which only Q's enter
+    (M's are 1); p_r (h_1,r - p^T h_1) = omega1 q1 (1 - q1) (-(1 - q2), -q2, 1 - q2, q2),
+    likewise for qubit 2.  So dE_i = (nu W_i + (1-nu) K_i) / (nu + (1-nu) Tr D), K the
+    Q terms, and nu_c = K_2 / (K_2 - W_2).
 
     No density matrix is built or validated: orthonormality (checked by the basis)
     makes M doubly stochastic, Q >= 0 by construction, and p is thermal, so every
@@ -465,28 +543,39 @@ def noise_sweep(cfgs, nu_values, basis=None):
         raise ValidationError(f"noise models act on a measurement basis, got {type(basis)!r}")
     if len(cfgs) == 0:
         return np.empty((0, len(nu_values), 2, 3)), []
-    big_m = _population_map(basis)
-    p = np.array([_populations(cfg) for cfg in cfgs])
-    g, d = p @ big_m.T, p @ _distinguishable_map(basis).T
-    tr_d = d.sum(axis=1)
+    big_q = _distinguishable_map(basis)
+    cols = big_q.sum(axis=0)
+    tr_d = np.array([_populations(cfg) for cfg in cfgs]) @ cols
     if np.any(tr_d <= 1e-15):
         w2 = float(cfgs[np.argmax(tr_d <= 1e-15)].qubit2.omega)
         raise ValidationError(f"omega2 = {w2!r}: zero total detection probability")
+    coef = np.array([_pair_coefficients(cfg) for cfg in cfgs])
+    # column M: the projective triple; column Q: the kernel on Q's entries
+    both = _pair_triples(coef, np.column_stack((_population_map(basis).take(_UPPER),
+                                                big_q.take(_LOWER))))
+    # the column-sum terms: c2 - c0 and c3 - c1 weigh qubit 1, c1 - c0 and c3 - c2
+    # qubit 2; each pair is recombined as (their sum) q + (the first) t, which keeps
+    # t's digits where q ~ 1/2 and the sum vanishes, as on the canonical basis
+    c20, c31, c10, c32 = (cols[2] - cols[0], cols[3] - cols[1], cols[1] - cols[0],
+                          cols[3] - cols[2])
+    sums = []
+    for cfg in cfgs:
+        (g1, q1, t1), (g2, q2, t2) = _gibbs_terms(cfg)
+        sums.append((cfg.qubit1.omega * q1 * g1 * ((c20 + c31) * q2 + c20 * t2),
+                     cfg.qubit2.omega * q2 * g2 * ((c10 + c32) * q1 + c10 * t1)))
     nu = np.array(nu_values, dtype=float).reshape(-1, 1)
-    h = np.array([np.column_stack(_joint_hamiltonian_diagonals(cfg)) for cfg in cfgs])
     c1 = white_noise_mixture_weights(nu)[0]
     out = np.empty((len(cfgs), len(nu), 2, 3))
     # + 0.0: c1(0) = 0 times a negative triple is -0.0
-    out[:, :, 0] = c1 * _population_triples(cfgs, big_m[None]) + 0.0
-    detected = nu * g[:, None] + (1.0 - nu) * d[:, None]
-    shift = detected / detected.sum(axis=2, keepdims=True) - p[:, None]
-    # + 0.0: gemm can sum underflowed products to -0.0, where a dot product gives +0.0
-    out[:, :, 1, :2] = shift @ h + 0.0
+    out[:, :, 0] = c1 * both[:, None, :, 0] + 0.0
+    proj, dist = both[:, :2, 0], both[:, :2, 1] + np.array(sums)
+    den = nu + (1.0 - nu) * tr_d[:, None, None]
+    # + 0.0: 0 times a negative energy is -0.0
+    out[:, :, 1, :2] = (nu * proj[:, None] + (1.0 - nu) * dist[:, None]) / den + 0.0
     out[:, :, 1, 2] = out[:, :, 1, 0] + out[:, :, 1, 1]
-    e, e2_g, e2_d = (np.einsum("cr,cr->c", x, h[:, :, 1]) for x in (p, g, d))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # a zero denominator gives inf or nan, which the range test turns into None
-        roots = (e * tr_d - e2_d) / (e2_g - e2_d - e * (g.sum(axis=1) - tr_d))
+        roots = dist[:, 1] / (dist[:, 1] - proj[:, 1])
     return out, [r if 0.0 <= r <= 1.0 else None for r in roots.tolist()]
 
 
@@ -499,8 +588,8 @@ def critical_visibility(cfg, basis=None):
 
         nu_c = (e*Tr D - e2(D)) / (e2(G) - e2(D) - e*(Tr G - Tr D)),
 
-    taken on the diagonals g and d of :func:`noise_sweep`.  None when the
-    denominator vanishes or the root lies outside [0, 1] (the configuration never
-    refrigerates, so no critical visibility exists).
+    taken as K_2 / (K_2 - W_2) on the pairwise terms of :func:`noise_sweep`.  None
+    when the denominator vanishes or the root lies outside [0, 1] (the configuration
+    never refrigerates, so no critical visibility exists).
     """
     return noise_sweep([cfg], (), basis)[1][0]

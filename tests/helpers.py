@@ -20,7 +20,7 @@ from qmcool import (
     solve_hologram,
 )
 from qmcool._accel import check_int, ginibre_batch, haar_from_ginibre
-from qmcool.engine import _haar_chunks, _joint_hamiltonian_diagonals, _populations
+from qmcool.engine import _haar_chunks, _pair_coefficients, _populations
 from qmcool.measure import white_noise_mixture_weights
 from qmcool.qcore import TRACE_TOL, as_complex
 from qmcool.thermo import _omega, thermal_populations
@@ -44,6 +44,14 @@ EXPECTED_CLASSES = ("R", "R", "R", "R", "E", "E", "A")
 
 def reference_config(omega2=0.18):
     return EngineConfig.from_values(1.02, omega2, 0.4, 1.0)
+
+
+def joint_hamiltonian_diagonals(cfg):
+    """Reference diagonals (h1, h2) of H1 x I and I x H2, in (|00>, |01>, |10>, |11>) order."""
+    w1, w2 = cfg.qubit1.omega, cfg.qubit2.omega
+    h1 = np.array([-0.5 * w1, -0.5 * w1, 0.5 * w1, 0.5 * w1])
+    h2 = np.array([-0.5 * w2, 0.5 * w2, -0.5 * w2, 0.5 * w2])
+    return h1, h2
 
 
 def closed_form_triple(cfg):
@@ -74,6 +82,53 @@ def decimal_canonical_triple(cfg, digits=50):
         de1 = -decimal.Decimal(cfg.qubit1.omega) / 2 * gap
         de2 = decimal.Decimal(cfg.qubit2.omega) / 2 * gap
         return float(de1), float(de2), float(de1 + de2)
+
+
+def decimal_canonical_noise(cfg, nu_values=(), digits=50):
+    """Reference interference rows and nu_c on the canonical basis, in ``digits``-digit
+    decimal arithmetic.
+
+    The populations come from q_i = e^(-x_i) / (1 + e^(-x_i)); the canonical basis's
+    population map M and distinguishable-photon map Q are exact rationals,
+    M = diag(1, 1/2, 1/2, 1) + 1/2 at (|01>, |10>) and Q = diag(2, 5/2, 5/2, 2) + 1/2
+    there.  A row is dE_i = h_i^T (N p / 1^T N p - p) with N = nu*M + (1-nu)*Q, and
+    nu_c is the root of dE2's numerator, which is affine in nu.  Returns (rows, nu_c):
+    (dE1, dE2, dE) per nu as floats, and nu_c as a float, or None where it lies
+    outside [0, 1] or dE2 is the same at every nu.
+    """
+    dec = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+
+        def populations(qubit, bath):
+            z = (-dec(bath.beta) * dec(qubit.omega)).exp()
+            return 1 - z / (1 + z), z / (1 + z)
+
+        (g1, q1), (g2, q2) = populations(cfg.qubit1, cfg.bath1), populations(cfg.qubit2, cfg.bath2)
+        p = (g1 * g2, g1 * q2, q1 * g2, q1 * q2)
+        w1, w2 = dec(cfg.qubit1.omega) / 2, dec(cfg.qubit2.omega) / 2
+        hs = ((-w1, -w1, w1, w1), (-w2, w2, -w2, w2))
+        half = dec(1) / 2
+
+        def numerators(diag):
+            # the energies h_i^T N p - e_i 1^T N p and the weight 1^T N p of one map
+            out = [x * y for x, y in zip(diag, p)]
+            out[1], out[2] = out[1] + half * p[2], out[2] + half * p[1]
+            total = sum(out)
+            return [sum(x * h for x, h in zip(out, hi)) - total * sum(x * h for x, h in zip(p, hi))
+                    for hi in hs], total
+
+        (num_m, tr_m), (num_q, tr_q) = numerators((1, half, half, 1)), numerators((2, 5 * half,
+                                                                                  5 * half, 2))
+        rows = []
+        for nu in map(dec, nu_values):
+            den = nu * tr_m + (1 - nu) * tr_q
+            de1, de2 = ((nu * a + (1 - nu) * b) / den for a, b in zip(num_m, num_q))
+            rows.append((float(de1), float(de2), float(de1 + de2)))
+        if num_q[1] == num_m[1]:
+            return rows, None
+        nu_c = num_q[1] / (num_q[1] - num_m[1])
+        return rows, float(nu_c) if 0 <= nu_c <= 1 else None
 
 
 def random_density(rng, dim):
@@ -147,52 +202,69 @@ def canonical_column_sums(us):
     return big_p
 
 
-def per_row_haar_triples(cfg, n, seed):
-    """Reference (n, 3) Haar triples of one config: the former per-row kernel.
+def pair_entries(big_p):
+    """Reference (6, n) pairwise entries sum_k P_rk P_sk of P P^T, r < s in the order
+    01, 02, 03, 12, 13, 23, of an (n, 4, 4) stack of P, the four products added in k order."""
+    return np.array([sum((big_p[:, r, k] * big_p[:, s, k] for k in range(1, 4)),
+                         big_p[:, r, 0] * big_p[:, s, 0])
+                     for r, s in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))])
 
-    Draws its own Ginibre batch for the one config; the lines after the
-    inputs are the body of the kernel that each row used to call, with the
-    engine's contractions (einsums, which round alike for any number of rows).
-    """
-    gin = ginibre_batch(seed, 0, n)
-    p = _populations(cfg)
-    h1, h2 = _joint_hamiltonian_diagonals(cfg)
-    big_p = canonical_column_sums(haar_from_ginibre(gin))
-    b = big_p @ big_p.transpose(0, 2, 1) - np.eye(4)
-    out = np.empty((len(big_p), 3))
-    out[:, :2] = np.einsum("ms,is->mi", np.einsum("r,mrs->ms", p, b), np.array([h1, h2]))
+
+def pair_kernel_rows(cfg, entries):
+    """Reference (n, 3) triples of one config on (6, n) pairwise entries: the engine's
+    coefficients C, each energy the sum of C_e m_e in entry order, and dE = dE1 + dE2."""
+    coef = _pair_coefficients(cfg)
+    out = np.empty((entries.shape[1], 3))
+    for i in range(2):
+        out[:, i] = sum((coef[i, e] * entries[e] for e in range(1, 6)), coef[i, 0] * entries[0])
     out[:, 2] = out[:, 0] + out[:, 1]
     return out
 
 
+def per_row_haar_triples(cfg, n, seed):
+    """Reference (n, 3) Haar triples of one config: the pairwise kernel row by row.
+
+    Draws its own Ginibre batch for the one config; P P^T enters through its six
+    pairwise entries only, as in the engine's kernel.
+    """
+    big_p = canonical_column_sums(haar_from_ginibre(ginibre_batch(seed, 0, n)))
+    return pair_kernel_rows(cfg, pair_entries(big_p))
+
+
 def whole_draw_haar_triples(cfgs, n_samples, seed):
-    """Reference (len(cfgs), n, 3) Haar triples: the former one-draw kernel, which
-    held every sample at once, with the engine's contractions (einsums); the
-    chunked path must match it bit for bit."""
+    """Reference (len(cfgs), n, 3) Haar triples: one draw holding every sample at
+    once, through the pairwise kernel; the chunked path must match it bit for bit."""
     us = haar_unitaries(HaarSampler(seed), check_int(n_samples, "n_samples", 1))
-    big_p = canonical_column_sums(us)
-    b = big_p @ big_p.transpose(0, 2, 1) - np.eye(4)
-    out = np.empty((len(cfgs), len(b), 3))
-    for row, cfg in zip(out, cfgs):
-        x = np.einsum("r,mrs->ms", _populations(cfg), b)
-        row[:, :2] = np.einsum("ms,is->mi", x, np.array(_joint_hamiltonian_diagonals(cfg)))
-        row[:, 2] = row[:, 0] + row[:, 1]
+    entries = pair_entries(canonical_column_sums(us))
+    return np.array([pair_kernel_rows(cfg, entries) for cfg in cfgs]).reshape(-1, len(us), 3)
+
+
+def general_population_triples(cfg, maps):
+    """Reference (m, 3) triples of one config for an (m, 4, 4) stack of population
+    maps A: the general form p^T (A - I) h_i, with no assumption on A's row or column
+    sums or its symmetry."""
+    x = np.einsum("r,mrs->ms", _populations(cfg), maps - np.eye(4))
+    out = np.empty((len(maps), 3))
+    out[:, :2] = x @ np.array(joint_hamiltonian_diagonals(cfg)).T
+    out[:, 2] = out[:, 0] + out[:, 1]
     return out
 
 
 def whole_draw_haar_moments(cfg, triples):
-    """Reference (means, stderrs) of one config's (n, 3) triples: the former one-draw
-    reduction, np.mean and np.std(ddof=1) in power-of-two units of the larger gap."""
+    """Reference (means, stderrs) of one config's (n, 3) triples: the one-draw
+    reduction, np.mean and np.std(ddof=1) along the samples of each energy's
+    contiguous plane, in power-of-two units of the larger gap."""
     k = math.frexp(max(cfg.qubit1.omega, cfg.qubit2.omega))[1]
-    scaled = np.ldexp(triples, -k)
+    scaled = np.ldexp(np.ascontiguousarray(triples.T), -k)
     n = len(triples)
-    errs = np.ldexp(scaled.std(axis=0, ddof=1) / math.sqrt(n), k) if n > 1 else np.full(3, np.nan)
-    return np.ldexp(scaled.mean(axis=0), k), errs
+    errs = np.ldexp(scaled.std(axis=1, ddof=1) / math.sqrt(n), k) if n > 1 else np.full(3, np.nan)
+    return np.ldexp(scaled.mean(axis=1), k), errs
 
 
 def chunked_haar_triples(cfgs, n_samples, seed):
     """The chunks of the Haar path, concatenated into one (len(cfgs), n, 3) array."""
-    return np.concatenate([t for _, t in _haar_chunks(cfgs, n_samples, seed)], axis=1)
+    planes = np.concatenate([t for _, t in _haar_chunks(cfgs, n_samples, seed)], axis=2)
+    return np.ascontiguousarray(planes.transpose(0, 2, 1))
 
 
 def box_muller_sample(seed, i):
@@ -430,7 +502,7 @@ def scalar_white_noise_weights(nu):
 
 def _energy_triple(cfg, shift):
     """(dE1, dE2, dE) of a population shift diag(post) - p, one dot product per qubit."""
-    h1, h2 = _joint_hamiltonian_diagonals(cfg)
+    h1, h2 = joint_hamiltonian_diagonals(cfg)
     de1, de2 = float(shift @ h1), float(shift @ h2)
     return de1, de2, de1 + de2
 
@@ -455,7 +527,7 @@ def looped_noise_rows(cfg, nu_values, basis=None):
         detected = nu * g + (1.0 - nu) * d
         rows.append((nu, _energy_triple(cfg, c1 * (g - p)),
                      _energy_triple(cfg, detected / detected.sum() - p)))
-    _, h2 = _joint_hamiltonian_diagonals(cfg)
+    _, h2 = joint_hamiltonian_diagonals(cfg)
     e, e2_g, e2_d = float(p @ h2), float(g @ h2), float(d @ h2)
     den = e2_g - e2_d - e * (tr_g - tr_d)
     if den == 0.0:

@@ -80,11 +80,14 @@ def test_a_lone_map_gets_the_triple_of_its_row_in_the_stack():
     # a one-map stack must round as a long one, so a last chunk of one sample
     # matches the whole draw without a rule of its own
     big_p = engine._canonical_p(haar_unitaries(HaarSampler(SEED), 1024))
-    maps = big_p @ big_p.transpose(0, 2, 1)
-    whole = engine._population_triples(CFGS, maps)
-    for i in range(len(maps)):
-        assert np.array_equal(engine._population_triples(CFGS, maps[i:i + 1]), whole[:, i:i + 1])
-    chunks = [(start, t.shape[1]) for start, t in _haar_chunks(CFGS[:1], CHUNK + 1, SEED)]
+    entries = engine._pair_entries(big_p)
+    coef = np.array([engine._pair_coefficients(cfg) for cfg in CFGS])
+    whole = engine._pair_triples(coef, entries)
+    for i in range(entries.shape[1]):
+        lone = engine._pair_entries(np.ascontiguousarray(big_p[..., i:i + 1]))
+        assert np.array_equal(lone[:, 0], entries[:, i])
+        assert np.array_equal(engine._pair_triples(coef, lone), whole[..., i:i + 1])
+    chunks = [(start, t.shape[2]) for start, t in _haar_chunks(CFGS[:1], CHUNK + 1, SEED)]
     assert chunks == [(0, CHUNK), (CHUNK, 1)]
 
 
@@ -115,8 +118,9 @@ def tie_stacks(draw):
 @given(tie_stacks())
 def test_mask_classifier_matches_scalar_on_ties(case):
     eps, triples = case
+    planes = triples.T[None]  # one config's (3, m) planes
     labels, codes = [], []
-    for row in triples:
+    for i, row in enumerate(triples):
         try:
             labels.append(classify(*row.tolist(), eps))
             codes.append(CLASS_LABELS.index(labels[-1]))
@@ -125,29 +129,56 @@ def test_mask_classifier_matches_scalar_on_ties(case):
             kind = "inconsistent triple" if str(exc).startswith("inconsistent") else "no operation"
             codes.append(-2 if kind == "inconsistent triple" else -1)
             with pytest.raises(ValidationError, match=f"Haar sample 0: {kind}"):
-                _class_counts(row[None], eps, 0.18, 0)
-    assert _class_codes(triples, eps).tolist() == codes
+                _class_counts(planes[..., i:i + 1], eps, [0.18], 0)
+    assert _class_codes(*triples.T, eps).tolist() == codes
     if None in labels:
         with pytest.raises(ValidationError):
-            _class_counts(triples, eps, 0.18, 0)
+            _class_counts(planes, eps, [0.18], 0)
     classified = [label is not None for label in labels]
     if any(classified):
-        counts = _class_counts(triples[classified], eps, 0.18, 0)
+        counts = _class_counts(planes[..., classified], eps, [0.18], 0)
         expected = Counter(labels)
-        assert dict(zip(CLASS_LABELS, counts.tolist())) == {
+        assert dict(zip(CLASS_LABELS, counts[0].tolist())) == {
             label: expected[label] for label in CLASS_LABELS}
 
 
+def test_class_counts_raise_in_config_order():
+    # a classless triple of the first config is named before an inconsistent one of
+    # the second, and within a config an inconsistent triple before a classless one
+    planes = np.zeros((3, 3, 4))
+    planes[0, :, 2] = (-1.0, -1.0, -2.0)
+    planes[1, :, 1] = (1.0, 1.0, 5.0)
+    planes[1, :, 3] = (-1.0, -1.0, -2.0)
+    planes[2, :, 0] = (-1.0, -1.0, -2.0)
+    planes[2, :, 3] = (1.0, 1.0, 5.0)
+    with pytest.raises(ValidationError, match=r"omega2 = 0\.1, Haar sample 9: no operation"):
+        _class_counts(planes, 1e-12, [0.1, 0.2, 0.3], 7)
+    with pytest.raises(ValidationError, match=r"omega2 = 0\.2, Haar sample 8: inconsistent"):
+        _class_counts(planes[1:], 1e-12, [0.2, 0.3], 7)
+    with pytest.raises(ValidationError, match=r"omega2 = 0\.3, Haar sample 10: inconsistent"):
+        _class_counts(planes[2:], 1e-12, [0.3], 7)
+    assert _class_counts(planes[:2, :, :1], 1e-12, [0.1, 0.2], 0).tolist() == [[0, 0, 0, 1]] * 2
+
+
 def _one_bad_sample(monkeypatch, index):
-    """Every Haar sample becomes the identity (the canonical basis), except sample
-    ``index``, which becomes 2*I: not unitary, so its triple breaks the second law.
-    The chunk's work buffers are not touched."""
-    def fake(sampler, m, work=None):
-        us = np.broadcast_to(np.eye(4, dtype=np.complex128), (m, 4, 4)).copy()
-        if sampler.counter <= index < sampler.counter + m:
-            us[index - sampler.counter] *= 2.0
-        return us
-    monkeypatch.setattr(engine, "haar_unitaries", fake)
+    """The six pairwise entries of Haar sample ``index`` become -1, for every config:
+    no population map has them, and the kernel then moves heat out of both baths at
+    once, which breaks the second law and matches no class.  (Each pairwise term of a
+    real map keeps the second law by itself, so no real basis breaks it.)"""
+    draw, entries = engine.haar_unitaries, engine._pair_entries
+    starts = []
+
+    def drawn(sampler, m, work=None):
+        starts.append(sampler.counter)
+        return draw(sampler, m, work)
+
+    def corrupted(big_p):
+        out = entries(big_p)
+        if 0 <= index - starts[-1] < out.shape[1]:
+            out[:, index - starts[-1]] = -1.0
+        return out
+    monkeypatch.setattr(engine, "haar_unitaries", drawn)
+    monkeypatch.setattr(engine, "_pair_entries", corrupted)
 
 
 @pytest.mark.parametrize("run", [frequency_sweep, haar_average_report])
@@ -156,6 +187,17 @@ def test_second_law_breach_names_row_and_sample(monkeypatch, run):
     _one_bad_sample(monkeypatch, index)
     with pytest.raises(SecondLawViolation, match=rf"omega2 = 0\.18, Haar sample {index}:"):
         run([reference_config(0.18)], 2 * CHUNK, SEED)
+
+
+def test_second_law_breach_comes_before_a_classless_triple(monkeypatch):
+    # every config of the chunk is checked for the second law before any is classified
+    _one_bad_sample(monkeypatch, 5)
+    monkeypatch.setattr(engine, "SLACK_FLOOR", -np.inf)
+    with pytest.raises(ValidationError, match=r"omega2 = 0\.02, Haar sample 5: no operation"):
+        frequency_sweep(CFGS, CHUNK, SEED)
+    monkeypatch.setattr(engine, "SLACK_FLOOR", -1e-10)
+    with pytest.raises(SecondLawViolation, match=r"omega2 = 0\.02, Haar sample 5:"):
+        frequency_sweep(CFGS, CHUNK, SEED)
 
 
 def test_classless_triple_names_row_and_sample(monkeypatch):

@@ -86,8 +86,8 @@ def test_extreme_scales_run_and_classify(tmp_path, command, line):
 
 
 def test_noise_labels_are_the_scalar_labels_with_none(tmp_path):
-    # near infinite temperature with a huge gap, rounding leaves some triples
-    # classless; noise prints them as none
+    # near infinite temperature with a huge gap: noise prints a classless triple as
+    # none, and here the population gaps lie below the rounding of p
     values = dict(omega1=1.0313361251569146e-297, omega2=1.4545426489429465e+77,
                   beta1=7.122192255240355e-260, beta2=2.6892083747718e-131)
     nus = (0.0, 0.2, 0.5, 0.8, 1.0)
@@ -107,9 +107,10 @@ def test_noise_labels_are_the_scalar_labels_with_none(tmp_path):
     triples, _ = engine.noise_sweep([engine.EngineConfig.from_values(**values)], nus)
     expected = [(label(white), label(interf)) for white, interf in triples[0].tolist()]
     assert [(r["class_white"], r["class_interf"]) for r in rows] == expected
-    # the white rows are c1 times the canonical-basis triple, whose rounding cancels
-    # exactly here; the interference rows keep classless ones
-    assert ("H", "none") in expected and ("H", "A") in expected
+    # the pairwise kernel keeps those gaps: every row has a class (the interference
+    # rows printed none here before it), and the white rows are not all H
+    assert "none" not in {label for pair in expected for label in pair}
+    assert ("A", "A") in expected
 
 
 def test_frequency_requires_seed():
@@ -439,3 +440,19 @@ def test_shots_beyond_int64_is_config_error():
 def test_samples_beyond_int64_is_config_error(command, samples):
     # 2**63 used to reach the sampler's own check and exit 3
     assert cli.main([command, "--seed", "1", "--samples", str(samples)]) == 2
+
+
+def test_sweep_omega_names_the_row_on_exit_three(tmp_path, monkeypatch, capsys):
+    # coefficients of the opposite sign move heat out of both baths on one row only
+    coefficients = engine._pair_coefficients
+    monkeypatch.setattr(engine, "_pair_coefficients",
+                        lambda cfg: -coefficients(cfg) if cfg.qubit2.omega == 0.14
+                        else coefficients(cfg))
+    conf = tmp_path / "c.ini"
+    conf.write_text("omega2 = 0.06, 0.14, 0.46\n")
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep-omega", "--config", str(conf), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "omega2 = 0.14: beta1*dE1 + beta2*dE2" in err
+    assert "0.06" not in err and "0.46" not in err
+    assert not out.exists()
