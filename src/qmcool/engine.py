@@ -326,10 +326,11 @@ def _pair_entries(big_p):
     return out
 
 
-def _chunk_triples(cfgs, coef, seed, start, m, work):
+def _chunk_triples(cfgs, coef, betas, seed, start, m, work):
     """Planes of (dE1, dE2, dE) of each config over Haar samples [start, start + m),
     shape (len(cfgs), 3, m), a fresh array; ``coef`` holds the configs'
-    :func:`_pair_coefficients`.
+    :func:`_pair_coefficients` and ``betas`` their (beta1, beta2), shape
+    (len(cfgs), 2, 1).
 
     Sample i measures in the canonical basis rotated by unitary i of the seed's Haar
     stream, the same U for every config, drawn in ``work`` (see
@@ -340,7 +341,6 @@ def _chunk_triples(cfgs, coef, seed, start, m, work):
     """
     entries = _pair_entries(_canonical_p(haar_unitaries(HaarSampler(seed, start), m, work)))
     planes = _pair_triples(coef, entries)
-    betas = np.array([(cfg.bath1.beta, cfg.bath2.beta) for cfg in cfgs]).reshape(-1, 2, 1)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass, as in run_cycle
         slack = betas[:, 0] * planes[:, 0] + betas[:, 1] * planes[:, 1]
     bad = slack < SLACK_FLOOR
@@ -363,12 +363,14 @@ def _haar_chunks(cfgs, n_samples, seed):
     triples of one whole draw.  Every chunk draws and orthonormalizes in the same
     two buffers, allocated once: a fresh ~0.5 MB per chunk would be handed back to
     the system and faulted in again each time.  n_samples is checked here, before
-    the first chunk is drawn, and the configs' coefficients are built once.
+    the first chunk is drawn, and the configs' coefficients and inverse temperatures
+    are gathered once.
     """
     n = check_int(n_samples, "n_samples", 1)
     coef = np.array([_pair_coefficients(cfg) for cfg in cfgs]).reshape(-1, 2, 6)
+    betas = np.array([(cfg.bath1.beta, cfg.bath2.beta) for cfg in cfgs]).reshape(-1, 2, 1)
     work = np.empty((2, min(n, CHUNK), 4, 4), dtype=np.complex128)
-    return ((start, _chunk_triples(cfgs, coef, seed, start, min(CHUNK, n - start),
+    return ((start, _chunk_triples(cfgs, coef, betas, seed, start, min(CHUNK, n - start),
                                    work[:, :n - start]))
             for start in range(0, n, CHUNK))
 
@@ -590,6 +592,8 @@ def critical_visibility(cfg, basis=None):
 
     taken as K_2 / (K_2 - W_2) on the pairwise terms of :func:`noise_sweep`.  None
     when the denominator vanishes or the root lies outside [0, 1] (the configuration
-    never refrigerates, so no critical visibility exists).
+    never refrigerates, so no critical visibility exists).  On the canonical basis it
+    is None also where both excited populations underflow (beta_i*omega_i > 708.4):
+    K_2 and W_2 are then both 0, though the root can lie in [1/2, 1].
     """
     return noise_sweep([cfg], (), basis)[1][0]

@@ -131,6 +131,36 @@ def decimal_canonical_noise(cfg, nu_values=(), digits=50):
         return rows, float(nu_c) if 0 <= nu_c <= 1 else None
 
 
+def decimal_canonical_nu_c(cfg, digits=50):
+    """nu_c on the canonical basis from its closed form, in ``digits``-digit decimal
+    arithmetic with the widest exponent range, so that it also runs where the excited
+    populations lie below the double range.
+
+    With the maps of :func:`decimal_canonical_noise`, dE2's numerator is
+    (omega2/2)(nu (q1 - q2) + (1-nu) t2 S), t_i = 1 - 2q_i and S = g1 q2 + q1 g2 the
+    population that the distinguishable photons move, so nu_c = t2 S / (t2 S + q2 - q1).
+    Near infinite temperature t2 and q2 - q1 need |log10 x_i| + 30 digits, as in
+    :func:`decimal_canonical_triple`; unlike :func:`decimal_canonical_noise` nothing of
+    order q_i is taken from numbers of order 1, so low temperatures need no more.  None
+    where the denominator vanishes or the root lies outside [0, 1].
+    """
+    dec = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emin, ctx.Emax = digits, decimal.MIN_EMIN, decimal.MAX_EMAX
+
+        def populations(qubit, bath):
+            z = (-dec(bath.beta) * dec(qubit.omega)).exp()
+            return 1 / (1 + z), z / (1 + z), (1 - z) / (1 + z)
+
+        (g1, q1, _), (g2, q2, t2) = (populations(cfg.qubit1, cfg.bath1),
+                                     populations(cfg.qubit2, cfg.bath2))
+        k2 = t2 * (g1 * q2 + q1 * g2)
+        if k2 + q2 - q1 == 0:
+            return None
+        nu_c = k2 / (k2 + q2 - q1)
+        return float(nu_c) if 0 <= nu_c <= 1 else None
+
+
 def random_density(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T

@@ -86,8 +86,8 @@ def test_extreme_scales_run_and_classify(tmp_path, command, line):
 
 
 def test_noise_labels_are_the_scalar_labels_with_none(tmp_path):
-    # near infinite temperature with a huge gap: noise prints a classless triple as
-    # none, and here the population gaps lie below the rounding of p
+    # near infinite temperature with a huge gap, where the population gaps lie below
+    # the rounding of p: the labels are classify's, none where it would raise
     values = dict(omega1=1.0313361251569146e-297, omega2=1.4545426489429465e+77,
                   beta1=7.122192255240355e-260, beta2=2.6892083747718e-131)
     nus = (0.0, 0.2, 0.5, 0.8, 1.0)
@@ -111,6 +111,29 @@ def test_noise_labels_are_the_scalar_labels_with_none(tmp_path):
     # rows printed none here before it), and the white rows are not all H
     assert "none" not in {label for pair in expected for label in pair}
     assert ("A", "A") in expected
+
+
+def test_noise_prints_none_for_a_rejected_triple(tmp_path, monkeypatch):
+    # a classless triple (heat out of both baths) and one that fails the sum check
+    # both print none, and leave the other cells and the exit code alone
+    sweep = cli.noise_sweep
+
+    def rejected_cells(cfgs, nu_values):
+        triples, nu_c = sweep(cfgs, nu_values)
+        triples[0, 0, 1] = (-1e-3, -1e-3, -2e-3)
+        triples[0, 1, 0] = (1e-3, 1e-3, 5e-3)
+        return triples, nu_c
+
+    monkeypatch.setattr(cli, "noise_sweep", rejected_cells)
+    conf = tmp_path / "c.ini"
+    conf.write_text("omega2 = 0.18\nnu_values = 0.0, 1.0\n")
+    out = tmp_path / "o.csv"
+    assert cli.main(["noise", "--config", str(conf), "--out", str(out)]) == 0
+    _, rows = _rows(_read(out))
+    # the white row at nu = 0 is no noise-free measurement at all: c1(0) = 0, so H
+    assert [(r["class_white"], r["class_interf"]) for r in rows] == [("H", "none"),
+                                                                     ("none", "R")]
+    assert float(rows[0]["dE1_interf"]) == -1e-3 and float(rows[1]["dE_white"]) == 5e-3
 
 
 def test_frequency_requires_seed():

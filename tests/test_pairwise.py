@@ -4,6 +4,7 @@ log-uniform configs that must never exit 3."""
 
 import decimal
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from qmcool import (
 from helpers import (
     EXPERIMENT_OMEGA2,
     chunked_haar_triples,
+    decimal_canonical_noise,
     decimal_canonical_triple,
     general_population_triples,
     joint_hamiltonian_diagonals,
@@ -124,13 +126,30 @@ def test_search_configs_never_exit_three():
             run_cycle(cfg)
 
 
-def test_search_noise_rows_all_have_a_class():
-    # the interference rows printed none on 293 cells of the search with the former
-    # shift (nu g + (1-nu) d) / sum - p; the white rows on 224 before that
+def test_search_noise_labels_against_the_decimal_reference():
+    # The white rows all have a class.  The interference labels are compared with those
+    # of decimal_canonical_noise wherever it runs: both x_i in the normal double range
+    # and <= 700, 4530 cells.  Measured: 62 differ, all at nu = 0, where the row is the
+    # distinguishable-photon term alone, whose pairwise and column-sum parts cancel
+    # where t1 >> t2 or t2 >> t1 (1395 with the shift (nu g + (1-nu) d) / sum - p).
+    # A known defect: the count may only fall.
     nus = (0.0, 0.2, 0.5, 0.8, 1.0)
-    triples, _ = noise_sweep(search_configs(), nus)
+    cfgs = search_configs()
+    triples, _ = noise_sweep(cfgs, nus)
     codes = engine._class_codes(*np.moveaxis(triples, -1, 0), 1e-12)
-    assert not np.any(codes < 0)
+    assert not np.any(codes[:, :, 0] < 0)
+    checked = wrong = 0
+    for cfg, got in zip(cfgs, codes[:, :, 1]):
+        xs = (cfg.bath1.beta * cfg.qubit1.omega, cfg.bath2.beta * cfg.qubit2.omega)
+        if not TINY <= min(xs) <= max(xs) <= 700:
+            continue
+        digits = 40 + int(max(abs(math.log10(x)) for x in xs) + 0.4343 * max(xs))
+        rows, _ = decimal_canonical_noise(cfg, nus, digits)
+        want = engine._class_codes(*np.moveaxis(np.array(rows), -1, 0), 1e-12)
+        checked += len(nus)
+        wrong += int(np.sum(got != want))
+    assert checked == 4530
+    assert wrong <= 62
 
 
 @pytest.mark.parametrize("omega2", EXPERIMENT_OMEGA2)
