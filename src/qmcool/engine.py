@@ -28,9 +28,10 @@ from .measure import (
     HaarSampler,
     MeasurementBasis,
     PovmSet,
+    WORK_WORDS,
     _distinguishable_map,
     canonical_basis,
-    haar_unitaries,
+    haar_planes,
     white_noise_mixture_weights,
 )
 from .qcore import TRACE_TOL
@@ -296,34 +297,43 @@ def _sample_name(omega2, index):
     return f"omega2 = {float(omega2)!r}, Haar sample {index}"
 
 
-def _canonical_p(us):
-    """P = |U C|^2 of each unitary U of the stack ``us``, C the canonical basis vectors
-    as columns, without the product, as planes: ``big_p[k, r]`` holds P[r, k] of every
-    sample, shape (4, 4, len(us)).
+def _canonical_p(q, out=None):
+    """P = |U C|^2 of each unitary U of the planes ``q`` (4, 2, 4, samples) of
+    :func:`~qmcool.measure.haar_planes`, C the canonical basis vectors as columns,
+    without the product, as planes: ``big_p[k, r]`` holds P[r, k] of every sample,
+    shape (4, 4, samples).
 
     C keeps columns u0 and u3 of U and turns u1, u2 into (u1 + u2)/sqrt2 and
     (u1 - u2)/sqrt2, so the columns of P are |u0|^2, |u1 + u2|^2/2, |u1 - u2|^2/2
-    and |u3|^2: two column sums.
+    and |u3|^2: two column sums of the contiguous column planes, each |z|^2 taken
+    as re^2 + im^2.  ``out``, a float array of q's shape (by default a fresh one),
+    takes the squared parts, and P is returned as a view of it.
     """
-    big_p = np.empty((4, 4, len(us)))
-    for k, col in enumerate((us[..., 0], us[..., 1] + us[..., 2], us[..., 1] - us[..., 2],
-                             us[..., 3])):
-        np.square(np.abs(col), out=big_p[k].T)
+    cols = np.empty(q.shape) if out is None else out
+    np.square(q[::3], out=cols[::3])
+    np.add(q[1], q[2], out=cols[1])
+    np.subtract(q[1], q[2], out=cols[2])
+    np.square(cols[1:3], out=cols[1:3])
+    big_p = np.add(cols[:, 0], cols[:, 1], out=cols[:, 0])
     big_p[1:3] /= 2
     return big_p
 
 
-def _pair_entries(big_p):
+def _pair_entries(big_p, out=None):
     """The six pairwise entries m_rs = sum_k P_rk P_sk of P P^T (r < s, in _PAIRS order)
     of every sample of the planes ``big_p`` (:func:`_canonical_p`), shape (6, samples).
-    Elementwise, with the four products of each entry added in k order."""
-    prod = np.empty((4, 6, big_p.shape[2]))
+    Elementwise, with the four products of each entry added in k order.  ``out``, a
+    flat float array of at least 30 words per sample (by default a fresh one), holds
+    the products and then the entries, which are returned as a view of it."""
+    m = big_p.shape[2]
+    buf = np.empty(30 * m) if out is None else out
+    prod = buf[:24 * m].reshape(4, 6, m)
     for r, e in ((0, 0), (1, 3), (2, 5)):
         np.multiply(big_p[:, r, None], big_p[:, r + 1:], out=prod[:, e:e + 3 - r])
-    out = np.add(prod[0], prod[1])
-    out += prod[2]
-    out += prod[3]
-    return out
+    entries = np.add(prod[0], prod[1], out=buf[24 * m:30 * m].reshape(6, m))
+    entries += prod[2]
+    entries += prod[3]
+    return entries
 
 
 def _chunk_triples(cfgs, coef, betas, seed, start, m, work):
@@ -333,13 +343,17 @@ def _chunk_triples(cfgs, coef, betas, seed, start, m, work):
     (len(cfgs), 2, 1).
 
     Sample i measures in the canonical basis rotated by unitary i of the seed's Haar
-    stream, the same U for every config, drawn in ``work`` (see
-    :func:`~qmcool.measure.haar_unitaries`); the six pairwise entries of its map P P^T
+    stream, the same U for every config, drawn as planes in ``work`` (see
+    :func:`~qmcool.measure.haar_planes`); the six pairwise entries of its map P P^T
     (:func:`_pair_entries`) go through :func:`_pair_triples`.  Every sample of every
     config must keep beta1*dE1 + beta2*dE2 >= SLACK_FLOOR, as in :func:`run_cycle`;
     the first breach, in config order, raises.
     """
-    entries = _pair_entries(_canonical_p(haar_unitaries(HaarSampler(seed, start), m, work)))
+    q = haar_planes(HaarSampler(seed, start), m, work)
+    # the planes are work's second half; its first half, the Ginibre draw, is free
+    # once they are orthonormalized, and the second once P is formed
+    half = len(work) // 2
+    entries = _pair_entries(_canonical_p(q, work[:half].reshape(q.shape)), work[half:])
     planes = _pair_triples(coef, entries)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass, as in run_cycle
         slack = betas[:, 0] * planes[:, 0] + betas[:, 1] * planes[:, 1]
@@ -360,18 +374,19 @@ def _haar_chunks(cfgs, n_samples, seed):
     Chunks hold CHUNK samples, except the last, which holds the rest, however few.
     Sample i reads uniforms [32i, 32i + 32) of the stream whatever the chunk, and
     the kernel rounds a sample alike in any chunk, so the chunks concatenate to the
-    triples of one whole draw.  Every chunk draws and orthonormalizes in the same
-    two buffers, allocated once: a fresh ~0.5 MB per chunk would be handed back to
-    the system and faulted in again each time.  n_samples is checked here, before
+    triples of one whole draw.  Every chunk draws, orthonormalizes and forms P and
+    its pairwise entries in the same memory (WORK_WORDS per sample, 0.5 MB),
+    allocated once: a fresh 0.5 MB per chunk would be handed back to the system and
+    faulted in again each time.  n_samples is checked here, before
     the first chunk is drawn, and the configs' coefficients and inverse temperatures
     are gathered once.
     """
     n = check_int(n_samples, "n_samples", 1)
     coef = np.array([_pair_coefficients(cfg) for cfg in cfgs]).reshape(-1, 2, 6)
     betas = np.array([(cfg.bath1.beta, cfg.bath2.beta) for cfg in cfgs]).reshape(-1, 2, 1)
-    work = np.empty((2, min(n, CHUNK), 4, 4), dtype=np.complex128)
+    work = np.empty(WORK_WORDS * min(n, CHUNK))
     return ((start, _chunk_triples(cfgs, coef, betas, seed, start, min(CHUNK, n - start),
-                                   work[:, :n - start]))
+                                   work[:WORK_WORDS * (n - start)]))
             for start in range(0, n, CHUNK))
 
 

@@ -16,6 +16,7 @@ from .errors import ValidationError
 from .qcore import as_complex
 
 ORTHO_TOL = 1e-10
+WORK_WORDS = 64  # float64 words per sample of a Haar draw's memory (haar_planes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,18 +91,34 @@ def haar_unitary(sampler):
     return haar_unitaries(sampler, 1)[0]
 
 
-def haar_unitaries(sampler, n, work=None):
-    """n Haar unitaries for counters [counter, counter + n); any split of a range
-    into consecutive calls gives the same unitaries (the engine draws in chunks).
+def haar_unitaries(sampler, n):
+    """n Haar unitaries for counters [counter, counter + n), a complex (n, 4, 4) array;
+    any split of a range into consecutive calls gives the same unitaries.  They are
+    :func:`haar_planes`, the draw the engine reads in chunks, as complex matrices."""
+    pairs = haar_planes(sampler, n).transpose(3, 2, 0, 1)  # (sample, row, column, re/im)
+    return np.ascontiguousarray(pairs).view(np.complex128)[..., 0]
 
-    ``work``, a C-contiguous complex (2, n, 4, 4) array, takes the Ginibre draw in
-    ``work[0]`` and Gram-Schmidt in ``work[1]``, and the unitaries are a view of
-    ``work[1]``; a caller that draws many batches reuses one.  By default both
-    are fresh arrays.
+
+def haar_planes(sampler, n, work=None):
+    """The n Haar unitaries for counters [counter, counter + n) as real planes, a float
+    (4, 2, 4, n) array: ``[j, c, r, i]`` is part c (0 real, 1 imaginary) of entry (r, j)
+    of unitary i, so column j of every unitary is the block ``[j]``.
+
+    ``work``, a C-contiguous float64 array of WORK_WORDS * n words (by default a fresh
+    one), holds the whole draw.  Its first half takes the Ginibre matrices
+    (:func:`~qmcool._accel.ginibre_batch`) and then serves as Gram-Schmidt's scratch;
+    its second half takes Box-Muller's cosines and then the planes
+    (:func:`~qmcool._accel.haar_from_ginibre`), which are returned as a view of it.
+    A caller that draws many batches reuses one; which memory is used changes no bit.
     """
-    gin, q = (None, None) if work is None else work
-    gin = _accel.ginibre_batch(sampler.seed, sampler.counter, n, gin)
-    return _accel.haar_from_ginibre(gin, q)
+    n = _accel.check_int(n, "n")
+    words = WORK_WORDS * n
+    work = _accel._buffer(work, (words,), np.float64, "work")
+    gin = work[:words // 2].view(np.complex128).reshape(n, 4, 4)
+    planes = work[words // 2:].reshape(4, 2, 4, n)
+    _accel.ginibre_batch(sampler.seed, sampler.counter, n, gin, planes[:2].reshape(n, 4, 4))
+    _accel.haar_from_ginibre(gin, planes)
+    return planes
 
 
 @dataclass(frozen=True, eq=False)

@@ -223,13 +223,20 @@ def qr_gauge_haar(gin):
 
 def canonical_column_sums(us):
     """P = |U C|^2 of a stack of unitaries, C the canonical basis vectors as columns,
-    as the Haar path forms it: |u0|^2, |u1 + u2|^2/2, |u1 - u2|^2/2 and |u3|^2."""
+    as the Haar path forms it: |u0|^2, |u1 + u2|^2/2, |u1 - u2|^2/2 and |u3|^2, each
+    |z|^2 as re^2 + im^2 (np.abs(z)**2 goes through hypot and rounds differently)."""
     big_p = np.empty(us.shape)
     for k, col in enumerate((us[..., 0], us[..., 1] + us[..., 2], us[..., 1] - us[..., 2],
                              us[..., 3])):
-        big_p[..., k] = np.abs(col) ** 2
+        big_p[..., k] = col.real**2 + col.imag**2
     big_p[..., 1:3] /= 2
     return big_p
+
+
+def complex_unitaries(pairs):
+    """The complex (n, 4, 4) unitaries of the (n, 4, 4, 2) real and imaginary parts that
+    ``haar_from_ginibre`` returns, bit for bit."""
+    return np.ascontiguousarray(pairs).view(np.complex128)[..., 0]
 
 
 def pair_entries(big_p):
@@ -257,8 +264,8 @@ def per_row_haar_triples(cfg, n, seed):
     Draws its own Ginibre batch for the one config; P P^T enters through its six
     pairwise entries only, as in the engine's kernel.
     """
-    big_p = canonical_column_sums(haar_from_ginibre(ginibre_batch(seed, 0, n)))
-    return pair_kernel_rows(cfg, pair_entries(big_p))
+    us = complex_unitaries(haar_from_ginibre(ginibre_batch(seed, 0, n)))
+    return pair_kernel_rows(cfg, pair_entries(canonical_column_sums(us)))
 
 
 def whole_draw_haar_triples(cfgs, n_samples, seed):

@@ -1,4 +1,4 @@
-"""Haar stream (version 3): layout, random access, seed range and the Gram-Schmidt step."""
+"""Haar stream (version 4): layout, random access, seed range and the Gram-Schmidt step."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,9 @@ import pytest
 from qmcool import (EngineConfig, HaarSampler, ValidationError, _accel, frequency_sweep,
                     haar_average_report, haar_unitaries)
 from qmcool.engine import _haar_chunks
+from qmcool.measure import WORK_WORDS, haar_planes
 
-from helpers import box_muller_sample, qr_gauge_haar
+from helpers import box_muller_sample, complex_unitaries, qr_gauge_haar
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
@@ -65,7 +66,7 @@ def test_ginibre_rejects_bad_seed():
 
 def test_haar_from_ginibre_unitary():
     gin = _accel.ginibre_batch(17, 0, 50)
-    us = _accel.haar_from_ginibre(gin)
+    us = complex_unitaries(_accel.haar_from_ginibre(gin))
     eye = np.broadcast_to(np.eye(4), us.shape)
     assert np.allclose(us @ us.conj().transpose(0, 2, 1), eye, atol=1e-12)
 
@@ -73,30 +74,48 @@ def test_haar_from_ginibre_unitary():
 @pytest.mark.parametrize("seed", [0, 17, 2**63 - 1])
 def test_haar_from_ginibre_matches_the_qr_gauge_oracle(seed):
     gin = _accel.ginibre_batch(seed, 0, 4096)
-    # haar_from_ginibre overwrites its input, so it gets a copy
-    assert np.max(np.abs(_accel.haar_from_ginibre(gin.copy()) - qr_gauge_haar(gin))) <= 1e-12
-    # one matrix, as haar_unitary draws it, takes the same path
-    assert np.max(np.abs(_accel.haar_from_ginibre(gin[:1].copy()) - qr_gauge_haar(gin[:1]))) <= 1e-12
+    # haar_from_ginibre overwrites its input, so it gets a copy; the planar path
+    planar = complex_unitaries(_accel.haar_from_ginibre(gin.copy()))
+    assert np.max(np.abs(planar - qr_gauge_haar(gin))) <= 1e-12
+    # and the one-matrix path, as haar_unitary draws it
+    for i in (0, 1, 4095):
+        single = complex_unitaries(_accel.haar_from_ginibre(gin[i:i + 1].copy()))
+        assert np.max(np.abs(single - qr_gauge_haar(gin[i:i + 1]))) <= 1e-12
 
 
 def test_a_reused_buffer_draws_what_a_fresh_call_draws():
-    # each call finds the buffer dirty from the call before, as the engine's chunks do
-    work = np.empty((2, 64, 4, 4), dtype=np.complex128)
+    # each call finds the memory dirty from the call before, as the engine's chunks do
+    work = np.empty(WORK_WORDS * 64)
+    gin_buf, cos_buf = np.empty((64, 4, 4), dtype=np.complex128), np.empty(16 * 64)
+    q_buf = np.empty(32 * 64)
     for start, n in ((0, 64), (64, 64), (5, 1), (3, 17)):
-        gin = _accel.ginibre_batch(41, start, n, work[0, :n])
+        gin = _accel.ginibre_batch(41, start, n, gin_buf[:n], cos_buf[:16 * n].reshape(n, 4, 4))
         fresh = _accel.ginibre_batch(41, start, n)
-        assert np.shares_memory(gin, work[0]) and np.array_equal(gin, fresh)
-        us = _accel.haar_from_ginibre(gin, work[1, :n])
-        assert np.shares_memory(us, work[1])
+        assert np.shares_memory(gin, gin_buf) and np.array_equal(gin, fresh)
+        us = _accel.haar_from_ginibre(gin, q_buf[:32 * n].reshape(4, 2, 4, n))
+        assert np.shares_memory(us, q_buf) and us.shape == (n, 4, 4, 2)
         assert np.array_equal(us, _accel.haar_from_ginibre(fresh))
-        assert np.array_equal(haar_unitaries(HaarSampler(41, start), n, work[:, :n]),
-                              haar_unitaries(HaarSampler(41, start), n))
+        planes = haar_planes(HaarSampler(41, start), n, work[:WORK_WORDS * n])
+        assert np.shares_memory(planes, work)
+        assert np.array_equal(planes, haar_planes(HaarSampler(41, start), n))
+        assert np.array_equal(planes, us.transpose(2, 3, 1, 0))
+        assert np.array_equal(haar_unitaries(HaarSampler(41, start), n), complex_unitaries(us))
+    wrong = np.empty((4, 4, 4), dtype=np.complex128)
     for out in (np.empty((3, 4, 4), dtype=np.complex128), np.empty((4, 4, 4)),
-                np.empty((4, 4, 4), dtype=np.complex128).swapaxes(-1, -2)):
+                wrong.swapaxes(-1, -2)):
         with pytest.raises(ValidationError):
             _accel.ginibre_batch(41, 0, 4, out)
+    for cos in (np.empty((3, 4, 4)), wrong, np.empty((4, 4, 4)).swapaxes(-1, -2)):
+        with pytest.raises(ValidationError):
+            _accel.ginibre_batch(41, 0, 4, None, cos)
+    for out in (np.empty((4, 2, 4, 3)), np.empty((4, 2, 4, 4), dtype=np.complex128),
+                np.empty((4, 4, 2, 4)).swapaxes(-1, -3), wrong):
         with pytest.raises(ValidationError):
             _accel.haar_from_ginibre(_accel.ginibre_batch(41, 0, 4), out)
+    for work in (np.empty(WORK_WORDS * 4 - 1), np.empty(WORK_WORDS * 4, dtype=np.complex128),
+                 np.empty(2 * WORK_WORDS * 4)[::2], np.empty((WORK_WORDS, 4))):
+        with pytest.raises(ValidationError):
+            haar_planes(HaarSampler(41), 4, work)
 
 
 def test_second_pass_keeps_an_ill_conditioned_draw_unitary():
@@ -106,5 +125,5 @@ def test_second_pass_keeps_an_ill_conditioned_draw_unitary():
     rng = np.random.default_rng(23)
     noise = rng.standard_normal((4096, 4)) + 1j * rng.standard_normal((4096, 4))
     gin[..., 3] = gin[..., 2] + 1e-8 * noise
-    us = _accel.haar_from_ginibre(gin)
+    us = complex_unitaries(_accel.haar_from_ginibre(gin))
     assert np.max(np.abs(us.conj().transpose(0, 2, 1) @ us - np.eye(4))) <= 1e-12

@@ -17,9 +17,9 @@ from qmcool import (
     engine,
     frequency_sweep,
     haar_average_report,
-    haar_unitaries,
 )
 from qmcool.engine import CHUNK, CLASS_LABELS, _class_codes, _class_counts, _haar_chunks
+from qmcool.measure import haar_planes
 
 from helpers import (
     EXPERIMENT_OMEGA2,
@@ -79,7 +79,7 @@ def test_chunk_size_changes_no_result(monkeypatch, chunk):
 def test_a_lone_map_gets_the_triple_of_its_row_in_the_stack():
     # a one-map stack must round as a long one, so a last chunk of one sample
     # matches the whole draw without a rule of its own
-    big_p = engine._canonical_p(haar_unitaries(HaarSampler(SEED), 1024))
+    big_p = engine._canonical_p(haar_planes(HaarSampler(SEED), 1024))
     entries = engine._pair_entries(big_p)
     coef = np.array([engine._pair_coefficients(cfg) for cfg in CFGS])
     whole = engine._pair_triples(coef, entries)
@@ -165,19 +165,19 @@ def _one_bad_sample(monkeypatch, index):
     no population map has them, and the kernel then moves heat out of both baths at
     once, which breaks the second law and matches no class.  (Each pairwise term of a
     real map keeps the second law by itself, so no real basis breaks it.)"""
-    draw, entries = engine.haar_unitaries, engine._pair_entries
+    draw, entries = engine.haar_planes, engine._pair_entries
     starts = []
 
     def drawn(sampler, m, work=None):
         starts.append(sampler.counter)
         return draw(sampler, m, work)
 
-    def corrupted(big_p):
-        out = entries(big_p)
-        if 0 <= index - starts[-1] < out.shape[1]:
-            out[:, index - starts[-1]] = -1.0
-        return out
-    monkeypatch.setattr(engine, "haar_unitaries", drawn)
+    def corrupted(big_p, out=None):
+        got = entries(big_p, out)
+        if 0 <= index - starts[-1] < got.shape[1]:
+            got[:, index - starts[-1]] = -1.0
+        return got
+    monkeypatch.setattr(engine, "haar_planes", drawn)
     monkeypatch.setattr(engine, "_pair_entries", corrupted)
 
 
@@ -212,7 +212,7 @@ def test_classless_triple_names_row_and_sample(monkeypatch):
 def test_sample_count_is_checked_before_the_first_draw(monkeypatch):
     def no_draw(sampler, m, work=None):
         raise AssertionError("drew a chunk")
-    monkeypatch.setattr(engine, "haar_unitaries", no_draw)
+    monkeypatch.setattr(engine, "haar_planes", no_draw)
     cfg = reference_config()
     for n in (10.7, 0, True, -1, "5"):
         for run in (_haar_chunks, haar_average_report, frequency_sweep):

@@ -30,6 +30,7 @@ from qmcool import (
     thermalizing_channel,
     white_noise_povm,
 )
+from qmcool.measure import haar_planes
 
 from helpers import (
     EXPECTED_CLASSES,
@@ -210,8 +211,9 @@ def test_haar_triples_match_per_row_kernel(seed):
 
 def test_column_sums_equal_the_rotated_canonical_basis_product():
     us = haar_unitaries(HaarSampler(37), 2**14)
-    big_p = engine._canonical_p(us).transpose(2, 1, 0)  # planes to (sample, r, k)
-    assert np.max(np.abs(big_p - np.abs(us @ canonical_basis().vectors.T) ** 2)) <= 1e-15
+    big_p = engine._canonical_p(haar_planes(HaarSampler(37), 2**14))
+    want = np.abs(us @ canonical_basis().vectors.T) ** 2
+    assert np.max(np.abs(big_p.transpose(2, 1, 0) - want)) <= 1e-15  # planes to (sample, r, k)
 
 
 def test_haar_triples_rows_match_one_row_calls():

@@ -31,7 +31,7 @@ from helpers import (
     trains_hom_detected,
     von_neumann_entropy,
 )
-from qmcool.engine import _population_map
+from qmcool.engine import CHUNK, _population_map
 from qmcool.measure import _distinguishable_map
 
 
@@ -136,11 +136,15 @@ def test_haar_unitary_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_haar_batch_matches_advanced_singles():
-    batch = haar_unitaries(HaarSampler(31), 8)
-    for i in range(8):
-        single = haar_unitary(HaarSampler(31, i))
-        assert np.allclose(batch[i], single, atol=1e-14)
+@pytest.mark.parametrize("seed", [31, 2**63 - 1])
+@pytest.mark.parametrize("n", [2, 5, CHUNK - 1, CHUNK + 1])
+def test_haar_batch_matches_advanced_singles(n, seed):
+    # a batch takes the planar Gram-Schmidt and a single draw the scalar one: the same
+    # operations in the same order, so the same bits, sample by sample
+    start = 1000
+    batch = haar_unitaries(HaarSampler(seed, start), n)
+    for i in range(n):
+        assert np.array_equal(batch[i], haar_unitary(HaarSampler(seed, start + i)))
 
 
 def test_haar_moments():

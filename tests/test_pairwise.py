@@ -23,6 +23,7 @@ from qmcool import (
     run_cycle,
     white_noise_povm,
 )
+from qmcool.measure import haar_planes
 
 from helpers import (
     EXPERIMENT_OMEGA2,
@@ -57,8 +58,7 @@ def test_haar_kernel_matches_the_general_form():
     # 2**10 Haar samples x the seven omega2 of the paper, each row of samples to
     # 1e-12 of its largest |dE|
     cfgs = [reference_config(w2) for w2 in EXPERIMENT_OMEGA2]
-    us = haar_unitaries(HaarSampler(3), 2**10)
-    big_p = engine._canonical_p(us).transpose(2, 1, 0)  # (sample, r, k)
+    big_p = engine._canonical_p(haar_planes(HaarSampler(3), 2**10)).transpose(2, 1, 0)
     maps = big_p @ big_p.transpose(0, 2, 1)
     for cfg, rows in zip(cfgs, chunked_haar_triples(cfgs, 2**10, 3)):
         want = general_population_triples(cfg, maps)
