@@ -56,6 +56,7 @@ from .tomo import (
 
 DEFAULT_OMEGA2 = (0.02, 0.06, 0.14, 0.18, 0.46, 0.86, 1.10)
 DEFAULT_NU = tuple(round(0.05 * k, 2) for k in range(1, 21))
+DEFAULT_SAMPLES = 10000  # Haar samples of frequency and haar-average
 
 HOM_MODEL_NOTE = (
     "interference model: per projector, weight nu on the ideal interfering train "
@@ -266,7 +267,7 @@ def cmd_sweep_omega(cfg):
 
 def cmd_frequency(cfg):
     _require_seed(cfg, "frequency")
-    samples = cfg.samples if cfg.samples is not None else 10000
+    samples = cfg.samples if cfg.samples is not None else DEFAULT_SAMPLES
     engines = [cfg.engine_config(w2) for w2 in cfg.omega2]
     rows = []
     for w2, freqs in zip(cfg.omega2, frequency_sweep(engines, samples, cfg.seed, eps=cfg.eps)):
@@ -316,7 +317,7 @@ def cmd_noise(cfg):
 
 def cmd_haar_average(cfg):
     _require_seed(cfg, "haar-average")
-    samples = cfg.samples if cfg.samples is not None else 10000
+    samples = cfg.samples if cfg.samples is not None else DEFAULT_SAMPLES
     engines = [cfg.engine_config(w2) for w2 in cfg.omega2]
     rows = []
     for w2, rep in zip(cfg.omega2, haar_average_report(engines, samples, cfg.seed, eps=cfg.eps)):

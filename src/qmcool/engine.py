@@ -34,15 +34,17 @@ from .measure import (
     haar_planes,
     white_noise_mixture_weights,
 )
-from .qcore import TRACE_TOL
 from .thermo import BathSpec, QubitSpec, thermal_populations
 
 SLACK_FLOOR = -1e-10
+TRACE_TOL = 1e-12  # how far a population map's row sums may stray from 1
 # Haar samples per chunk of frequency_sweep and haar_average_report: their memory
 # is set by one chunk, whatever n_samples is.  At 2**10 a chunk's temporaries are
 # small enough that the heap keeps them from one chunk to the next
 CHUNK = 2**10
 CLASS_LABELS = ("R", "E", "A", "H")
+# the code of each test of _class_rules: -2 a failed sum check, else an index in CLASS_LABELS
+_CLASS_CODES = (-2, 3, 0, 1, 2, 3)
 # the six pairs r < s of the populations (|00>, |01>, |10>, |11>): the order of the
 # pairwise entries of a population map and of the coefficients that weigh them
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -121,32 +123,45 @@ def _populations(cfg):
 
 
 def classify(de1, de2, de, eps=1e-12):
-    """Operation label for one energy triple.
+    """Operation label of one energy triple: the first of :func:`_class_rules` that
+    holds.  A triple that fails the sum check or matches no class raises."""
+    for code, holds in zip(_CLASS_CODES, _class_rules(de1, de2, de, eps)):
+        if holds:
+            break
+    else:
+        code = -1
+    if code < 0:
+        raise ValidationError(_class_error(code, de1, de2, de, eps))
+    return CLASS_LABELS[code]
 
-    The all-zero triple (within eps) is H by convention — a non-invasive
-    measurement heats nothing, and H is the only label that degenerates
-    gracefully to a no-op.  Otherwise the four sign patterns are tested with
-    weak inequalities at tolerance eps, in priority order R, E, A, H, which
-    makes the function total and deterministic on boundary ties.  The sum
-    check also allows the rounding of one addition, 2^-52*(|dE1| + |dE2|).
+
+def _class_rules(de1, de2, de, eps):
+    """The six tests of the taxonomy on (dE1, dE2, dE), in priority order, coded by
+    _CLASS_CODES.
+
+    First the sum check, which fails beyond eps and the rounding of one addition,
+    2^-52*(|dE1| + |dE2|).  The all-zero triple (within eps) is H by convention — a
+    non-invasive measurement heats nothing, and H is the only label that degenerates
+    gracefully to a no-op.  Then the four sign patterns, as weak inequalities at
+    tolerance eps in priority order R, E, A, H, which makes the taxonomy total and
+    deterministic on boundary ties.  Only abs, comparisons and & are used, so the
+    triple may be three floats or three same-shape arrays, and a test a bool or a mask.
     """
-    gap = abs(de - de1 - de2)
-    if gap > eps and gap > 2.0**-52 * (abs(de1) + abs(de2)):
-        raise ValidationError(f"inconsistent triple: |dE - dE1 - dE2| = {gap:.3e} > {eps:.3e}")
-    if abs(de1) <= eps and abs(de2) <= eps and abs(de) <= eps:
-        return "H"
-    if de1 >= -eps and de2 <= eps and de >= -eps:
-        return "R"
-    if de1 <= eps and de2 >= -eps and de <= eps:
-        return "E"
-    if de1 <= eps and de2 >= -eps and de >= -eps:
-        return "A"
-    if de1 >= -eps and de2 >= -eps and de >= -eps:
-        return "H"
-    raise ValidationError(
-        f"no operation class matches ({de1:.3e}, {de2:.3e}, {de:.3e}); "
-        "such a triple violates the second law"
-    )
+    a1, a2, gap = abs(de1), abs(de2), abs(de - de1 - de2)
+    up1, down1, up2, down2 = de1 >= -eps, de1 <= eps, de2 >= -eps, de2 <= eps
+    up, down = de >= -eps, de <= eps
+    return [(gap > eps) & (gap > 2.0**-52 * (a1 + a2)),
+            (a1 <= eps) & (a2 <= eps) & (abs(de) <= eps),
+            up1 & down2 & up, down1 & up2 & down, down1 & up2 & up, up1 & up2 & up]
+
+
+def _class_error(code, de1, de2, de, eps):
+    """Why :func:`classify` rejects a triple: code -2 fails the sum check, -1 matches
+    no class."""
+    if code == -2:
+        return f"inconsistent triple: |dE - dE1 - dE2| = {abs(de - de1 - de2):.3e} > {eps:.3e}"
+    return (f"no operation class matches ({de1:.3e}, {de2:.3e}, {de:.3e}); "
+            "such a triple violates the second law")
 
 
 def regime(cfg):
@@ -183,9 +198,7 @@ def run_cycle(cfg, measurement=None, eps=1e-12):
     de1, de2, de = _measurement_triple(cfg, measurement)
     slack = cfg.bath1.beta * de1 + cfg.bath2.beta * de2
     if slack < SLACK_FLOOR:
-        raise SecondLawViolation(
-            f"beta1*dE1 + beta2*dE2 = {slack:.3e} below tolerance {SLACK_FLOOR:.1e}"
-        )
+        raise SecondLawViolation(_second_law_breach(slack))
     return EngineReport(
         dE1=de1,
         dE2=de2,
@@ -193,6 +206,11 @@ def run_cycle(cfg, measurement=None, eps=1e-12):
         classification=classify(de1, de2, de, eps),
         second_law_slack=slack,
     )
+
+
+def _second_law_breach(slack):
+    """Why a cycle with slack beta1*dE1 + beta2*dE2 below SLACK_FLOOR is rejected."""
+    return f"beta1*dE1 + beta2*dE2 = {slack:.3e} below tolerance {SLACK_FLOOR:.1e}"
 
 
 def _measurement_triple(cfg, measurement):
@@ -336,80 +354,58 @@ def _pair_entries(big_p, out=None):
     return entries
 
 
-def _chunk_triples(cfgs, coef, betas, seed, start, m, work):
-    """Planes of (dE1, dE2, dE) of each config over Haar samples [start, start + m),
-    shape (len(cfgs), 3, m), a fresh array; ``coef`` holds the configs'
-    :func:`_pair_coefficients` and ``betas`` their (beta1, beta2), shape
-    (len(cfgs), 2, 1).
+def _haar_chunks(cfgs, n_samples, seed):
+    """(start, planes) for consecutive chunks of the n_samples Haar samples of
+    ``seed``; planes, a fresh (len(cfgs), 3, m) array, holds each config's
+    (dE1, dE2, dE) over samples [start, start + m).
 
     Sample i measures in the canonical basis rotated by unitary i of the seed's Haar
-    stream, the same U for every config, drawn as planes in ``work`` (see
-    :func:`~qmcool.measure.haar_planes`); the six pairwise entries of its map P P^T
+    stream, the same U for every config; the six pairwise entries of its map P P^T
     (:func:`_pair_entries`) go through :func:`_pair_triples`.  Every sample of every
     config must keep beta1*dE1 + beta2*dE2 >= SLACK_FLOOR, as in :func:`run_cycle`;
     the first breach, in config order, raises.
-    """
-    q = haar_planes(HaarSampler(seed, start), m, work)
-    # the planes are work's second half; its first half, the Ginibre draw, is free
-    # once they are orthonormalized, and the second once P is formed
-    half = len(work) // 2
-    entries = _pair_entries(_canonical_p(q, work[:half].reshape(q.shape)), work[half:])
-    planes = _pair_triples(coef, entries)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass, as in run_cycle
-        slack = betas[:, 0] * planes[:, 0] + betas[:, 1] * planes[:, 1]
-    bad = slack < SLACK_FLOOR
-    if bad.any():
-        c, i = np.unravel_index(np.argmax(bad), bad.shape)
-        raise SecondLawViolation(
-            f"{_sample_name(cfgs[c].qubit2.omega, start + i)}: beta1*dE1 + beta2*dE2 = "
-            f"{slack[c, i]:.3e} below tolerance {SLACK_FLOOR:.1e}"
-        )
-    return planes
 
-
-def _haar_chunks(cfgs, n_samples, seed):
-    """(start, planes) for consecutive chunks of the n_samples Haar samples of
-    ``seed``; planes is :func:`_chunk_triples` of the chunk.
-
-    Chunks hold CHUNK samples, except the last, which holds the rest, however few.
-    Sample i reads uniforms [32i, 32i + 32) of the stream whatever the chunk, and
-    the kernel rounds a sample alike in any chunk, so the chunks concatenate to the
-    triples of one whole draw.  Every chunk draws, orthonormalizes and forms P and
-    its pairwise entries in the same memory (WORK_WORDS per sample, 0.5 MB),
-    allocated once: a fresh 0.5 MB per chunk would be handed back to the system and
-    faulted in again each time.  n_samples is checked here, before
-    the first chunk is drawn, and the configs' coefficients and inverse temperatures
-    are gathered once.
+    Chunks hold CHUNK samples, the last the rest, however few.  Sample i reads
+    uniforms [32i, 32i + 32) of the stream whatever the chunk, and the kernel rounds a
+    sample alike in any chunk, so the chunks concatenate to the triples of one whole
+    draw.  Every chunk draws, orthonormalizes and forms P and its pairwise entries in
+    the same memory (WORK_WORDS per sample, 0.5 MB), allocated once: a fresh 0.5 MB
+    per chunk would be handed back to the system and faulted in again each time.
+    n_samples is checked, and the configs' coefficients and inverse temperatures
+    gathered, before the first chunk is drawn.
     """
     n = check_int(n_samples, "n_samples", 1)
     coef = np.array([_pair_coefficients(cfg) for cfg in cfgs]).reshape(-1, 2, 6)
     betas = np.array([(cfg.bath1.beta, cfg.bath2.beta) for cfg in cfgs]).reshape(-1, 2, 1)
     work = np.empty(WORK_WORDS * min(n, CHUNK))
-    return ((start, _chunk_triples(cfgs, coef, betas, seed, start, min(CHUNK, n - start),
-                                   work[:WORK_WORDS * (n - start)]))
-            for start in range(0, n, CHUNK))
+
+    def chunks():
+        for start in range(0, n, CHUNK):
+            chunk = work[:WORK_WORDS * (n - start)]
+            q = haar_planes(HaarSampler(seed, start), min(CHUNK, n - start), chunk)
+            # the planes are the chunk's second half; its first half, the Ginibre draw, is
+            # free once they are orthonormalized, and the second once P is formed
+            half = len(chunk) // 2
+            entries = _pair_entries(_canonical_p(q, chunk[:half].reshape(q.shape)), chunk[half:])
+            planes = _pair_triples(coef, entries)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass, as in run_cycle
+                slack = betas[:, 0] * planes[:, 0] + betas[:, 1] * planes[:, 1]
+            bad = slack < SLACK_FLOOR
+            if bad.any():
+                c, i = np.unravel_index(np.argmax(bad), bad.shape)
+                raise SecondLawViolation(f"{_sample_name(cfgs[c].qubit2.omega, start + i)}: "
+                                         f"{_second_law_breach(slack[c, i])}")
+            yield start, planes
+
+    return chunks()
 
 
 def _class_codes(de1, de2, de, eps):
     """Code of each triple (dE1, dE2, dE) of three same-shape arrays: the index in
     CLASS_LABELS of the label :func:`classify` gives it, -2 where it fails the sum
-    check and -1 where no class matches.
-
-    The same sum check, the same weak inequalities at the same eps and the same
-    R, E, A, H priority (``np.select`` takes the first condition that holds), as
-    numpy masks.
-    """
-    a1, a2, a = np.abs(de1), np.abs(de2), np.abs(de)
-    gap = np.abs(de - de1 - de2)
-    up1, down1 = de1 >= -eps, de1 <= eps
-    up2, down2 = de2 >= -eps, de2 <= eps
-    up, down = de >= -eps, de <= eps
-    return np.select(
-        [(gap > eps) & (gap > 2.0**-52 * (a1 + a2)), (a1 <= eps) & (a2 <= eps) & (a <= eps),
-         up1 & down2 & up, down1 & up2 & down, down1 & up2 & up, up1 & up2 & up],
-        [-2, 3, 0, 1, 2, 3],
-        default=-1,
-    )
+    check and -1 where no class matches; ``np.select`` takes the first of
+    :func:`_class_rules` that holds."""
+    return np.select(_class_rules(de1, de2, de, eps), _CLASS_CODES, default=-1)
 
 
 def _class_counts(planes, eps, omega2s, start):
@@ -425,14 +421,8 @@ def _class_counts(planes, eps, omega2s, start):
         c = np.argmax(bad.any(axis=1))
         row = codes[c]
         i = np.argmax(row == -2) if np.any(row == -2) else np.argmax(row == -1)
-        de1, de2, de = planes[c, :, i].tolist()
-        name = _sample_name(omega2s[c], start + i)
-        if row[i] == -2:
-            raise ValidationError(f"{name}: inconsistent triple: "
-                                  f"|dE - dE1 - dE2| = {abs(de - de1 - de2):.3e} > {eps:.3e}")
-        raise ValidationError(f"{name}: no operation class matches "
-                              f"({de1:.3e}, {de2:.3e}, {de:.3e}); such a triple violates the "
-                              "second law")
+        raise ValidationError(f"{_sample_name(omega2s[c], start + i)}: "
+                              f"{_class_error(row[i], *planes[c, :, i].tolist(), eps)}")
     k = len(CLASS_LABELS)
     offsets = k * np.arange(len(codes))[:, None]
     return np.bincount((codes + offsets).ravel(), minlength=k * len(codes)).reshape(-1, k)

@@ -5,6 +5,8 @@ The measurement stroke is non-selective: outcomes are discarded and the state
 becomes the probability-weighted mixture of the projected states,
 rho' = sum_k <psi_k|rho|psi_k> |psi_k><psi_k|.  On the diagonal Gibbs product it
 moves populations only, so the engine reads it as a 4x4 population map.
+Two-qubit basis order is (|00>, |01>, |10>, |11>) with qubit 1 as the slow (left
+Kronecker) index.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ import numpy as np
 
 from . import _accel
 from .errors import ValidationError
-from .qcore import as_complex
+from .thermo import as_complex
 
 ORTHO_TOL = 1e-10
 WORK_WORDS = 64  # float64 words per sample of a Haar draw's memory (haar_planes)

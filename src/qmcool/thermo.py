@@ -4,7 +4,8 @@ A qubit with gap ``omega`` has Hamiltonian H = diag(-omega/2, +omega/2), i.e.
 |0> is the ground state.  Contact with a bath at inverse temperature ``beta``
 is modeled at the infinite-interaction-time limit: a four-operator Kraus
 channel whose output is the Gibbs state diag(1-q, q) for *any* input, with
-excited population q = e^(-beta*omega)/(1 + e^(-beta*omega)).
+excited population q = e^(-beta*omega)/(1 + e^(-beta*omega)).  Matrices enter
+as complex128 ndarrays with finite entries (:func:`as_complex`).
 """
 
 import math
@@ -13,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .qcore import as_complex
+
+
+def as_complex(matrix):
+    """Return the input as a complex128 ndarray without copying when possible."""
+    arr = np.asarray(matrix, dtype=np.complex128)
+    if not np.isfinite(arr).all():  # a complex entry is finite when both its parts are
+        raise ValidationError("matrix has non-finite entries")
+    return arr
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ import numpy as np
 from ._accel import check_int, check_seed, stream
 from .errors import ValidationError
 from .measure import MeasurementBasis, PovmSet
-from .qcore import _fidelity
 from .thermo import KrausChannel, apply_channel
 
 _P1 = np.array(
@@ -149,6 +148,15 @@ def _hermitian_and_trace(m):
     m = np.asarray(m, dtype=np.complex128)
     m = 0.5 * (m + m.conj().T)
     return m, m.trace().real
+
+
+def _fidelity(a, b):
+    """Uhlmann fidelity of two unvalidated Hermitian unit-trace operators, capped
+    at 1; tiny negative eigenvalues are clipped to zero."""
+    w, v = np.linalg.eigh(a)
+    sa = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    w = np.linalg.eigvalsh(sa @ b @ sa)
+    return min(float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2), 1.0)
 
 
 def process_fidelity(chi_a, chi_b):

@@ -20,10 +20,9 @@ from qmcool import (
     solve_hologram,
 )
 from qmcool._accel import check_int, ginibre_batch, haar_from_ginibre
-from qmcool.engine import _haar_chunks, _pair_coefficients, _populations
+from qmcool.engine import TRACE_TOL, _haar_chunks, _pair_coefficients, _populations
 from qmcool.measure import white_noise_mixture_weights
-from qmcool.qcore import TRACE_TOL, as_complex
-from qmcool.thermo import _omega, thermal_populations
+from qmcool.thermo import _omega, as_complex, thermal_populations
 
 EXPERIMENT_OMEGA2 = (0.02, 0.06, 0.14, 0.18, 0.46, 0.86, 1.10)
 

@@ -100,7 +100,9 @@ def _ties(eps):
 @st.composite
 def tie_stacks(draw):
     eps = draw(st.sampled_from([1e-12, 1e-3, 0.0]))
-    ties = st.one_of(st.sampled_from(_ties(eps)), st.sampled_from([1.0, -1.0, 3.0, -0.75]))
+    # non-finite and signed-zero entries: the rules use abs and & on floats and on arrays
+    ties = st.one_of(st.sampled_from(_ties(eps)), st.sampled_from([1.0, -1.0, 3.0, -0.75]),
+                     st.sampled_from([np.nan, np.inf, -np.inf, -0.0]))
     rows = []
     for _ in range(draw(st.integers(1, 12))):
         de1, de2 = draw(ties), draw(ties)
@@ -114,6 +116,8 @@ def tie_stacks(draw):
     return eps, np.array(rows, dtype=float)
 
 
+# inf - inf, in a sum or in the sum check, is nan, as it is in classify
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(tie_stacks())
 def test_mask_classifier_matches_scalar_on_ties(case):
@@ -128,8 +132,9 @@ def test_mask_classifier_matches_scalar_on_ties(case):
             labels.append(None)
             kind = "inconsistent triple" if str(exc).startswith("inconsistent") else "no operation"
             codes.append(-2 if kind == "inconsistent triple" else -1)
-            with pytest.raises(ValidationError, match=f"Haar sample 0: {kind}"):
+            with pytest.raises(ValidationError, match=f"Haar sample 0: {kind}") as info:
                 _class_counts(planes[..., i:i + 1], eps, [0.18], 0)
+            assert str(info.value).endswith(f"Haar sample 0: {exc}")
     assert _class_codes(*triples.T, eps).tolist() == codes
     if None in labels:
         with pytest.raises(ValidationError):
@@ -140,6 +145,30 @@ def test_mask_classifier_matches_scalar_on_ties(case):
         expected = Counter(labels)
         assert dict(zip(CLASS_LABELS, counts[0].tolist())) == {
             label: expected[label] for label in CLASS_LABELS}
+
+
+def test_every_classifier_follows_the_one_set_of_rules(monkeypatch):
+    # classify, the mask codes and the chunk counts all read _class_rules, so a change
+    # to the rules reaches all three
+    def always_a(de1, de2, de, eps):
+        yes, no = abs(de1) >= 0, abs(de1) < 0
+        return [no, no, no, no, yes, no]
+
+    planes = np.array([[[0.0, 1.0, -1.0], [0.0, -1.0, -1.0], [0.0, 0.0, -2.0]]])
+    monkeypatch.setattr(engine, "_class_rules", always_a)
+    assert [classify(*row) for row in planes[0].T.tolist()] == ["A"] * 3
+    assert _class_codes(*planes[0], 1e-12).tolist() == [2] * 3
+    assert _class_counts(planes, 1e-12, [0.18], 0).tolist() == [[0, 0, 3, 0]]
+
+    def never(de1, de2, de, eps):
+        return [abs(de1) < 0] * 6
+
+    monkeypatch.setattr(engine, "_class_rules", never)
+    with pytest.raises(ValidationError, match="no operation class matches"):
+        classify(0.0, 0.0, 0.0)
+    assert _class_codes(*planes[0], 1e-12).tolist() == [-1] * 3
+    with pytest.raises(ValidationError, match="Haar sample 5: no operation class matches"):
+        _class_counts(planes, 1e-12, [0.18], 5)
 
 
 def test_class_counts_raise_in_config_order():

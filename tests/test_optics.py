@@ -244,16 +244,16 @@ def test_exports_resolve_and_omit_removed_trains():
     exec("from qmcool import *", namespace)  # raises if a name in __all__ does not resolve
     assert not {"BiasSetting", "bias_from_coefficients", "project_optically",
                 "schmidt_projector", "PathPolState", "thermalize_optically",
-                "state_fidelity", "hamiltonian", "sample_counts"} & set(namespace)
-    from qmcool import qcore, thermo, tomo
-    assert not hasattr(qcore, "state_fidelity") and not hasattr(thermo, "hamiltonian")
+                "state_fidelity", "hamiltonian", "sample_counts", "tensor", "partial_trace",
+                "von_neumann_entropy"} & set(namespace)
+    from qmcool import thermo, tomo
+    assert not hasattr(thermo, "hamiltonian")
     assert not {"sample_counts", "pauli_basis", "itertools"} & set(vars(tomo))
     from qmcool import optics
     assert not {"PathPolState", "thermalize_optically", "encode_qubit", "decode_qubit",
                 "rail_components", "_rail_half_separation"} & set(vars(optics))
     # the oracles among these live in tests/helpers.py
-    removed = {qcore: {"tensor", "partial_trace", "von_neumann_entropy"},
-               thermo: {"gibbs_state", "energy", "gibbs_population"},
+    removed = {thermo: {"gibbs_state", "energy", "gibbs_population"},
                tomo: {"apply_chi", "default_probes", "_probes_or_default", "_process_design"}}
     for module, names in removed.items():
         assert not names & set(namespace) and not names & set(vars(module))
@@ -267,12 +267,15 @@ def test_density_layer_lives_in_the_tests():
     # no command runs the density-matrix channels or their validation; they are
     # oracles in tests/helpers.py
     import qmcool
-    from qmcool import _accel, cli, engine, errors, measure, optics, qcore, thermo, tomo
+    from qmcool import _accel, cli, engine, errors, measure, optics, thermo, tomo
     gone = {"initial_state", "energy_changes", "measurement_channel", "apply_povm",
             "hom_noisy_channel", "_distinguishable", "validate_density", "single_qubit_state",
             "two_qubit_state", "trace_distance", "thermal_channel_optical", "HERM_TOL",
             "PSD_FLOOR"}
-    modules = (qmcool, _accel, cli, engine, errors, measure, optics, qcore, thermo, tomo)
+    modules = (qmcool, _accel, cli, engine, errors, measure, optics, thermo, tomo)
+    # every module of the package is checked
+    files = {f"qmcool.{f.stem}" for f in Path(qmcool.__file__).parent.glob("*.py")}
+    assert files - {"qmcool.__init__"} == {m.__name__ for m in modules[1:]}
     assert sorted((m.__name__, name) for m in modules for name in gone if hasattr(m, name)) == []
 
 

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from qmcool import EngineConfig, ValidationError
-from qmcool.qcore import _fidelity, as_complex
-from qmcool.thermo import thermal_populations
-from qmcool.tomo import _kron_pairs
+from qmcool.thermo import as_complex, thermal_populations
+from qmcool.tomo import _fidelity, _kron_pairs
 
 from helpers import (initial_state, partial_trace, random_density, random_unit_vector,
                      single_qubit_state, trace_distance, two_qubit_state, validate_density,
