@@ -52,7 +52,6 @@ from .thermo import (
     BathSpec,
     KrausChannel,
     QubitSpec,
-    apply_channel,
     thermalizing_channel,
 )
 from .tomo import (
@@ -79,7 +78,6 @@ __all__ = [
     "RegimeLabel",
     "SecondLawViolation",
     "ValidationError",
-    "apply_channel",
     "canonical_basis",
     "chi_from_kraus",
     "classify",

@@ -42,6 +42,7 @@ from .errors import ValidationError
 INT64_MAX = 2**63 - 1
 HAAR_WORD = INT64_MAX  # second key word of the Haar stream
 STREAM_VERSION = 4  # printed by every command whose output reads the Haar stream
+PLANAR_MIN = 8  # haar_from_ginibre's smallest batch for the planar Gram-Schmidt
 
 
 def check_int(value, name, low=0):
@@ -107,10 +108,11 @@ def haar_from_ginibre(gin, out=None):
     ``out[j, c, r, i]`` is part c (0 real, 1 imaginary) of entry (r, j) of matrix i,
     so column j of every matrix is the contiguous (2, 4, n) block ``out[j]``.  It
     is orthonormalized in place by :func:`_orthonormalize_planes`, and ``gin``,
-    once copied, is its scratch, so it is overwritten.  One matrix takes
-    :func:`_orthonormalize_one` instead: the same operations in the same order on
-    Python floats, which give the same bits in a tenth of the time that the ~150
-    numpy calls of the planar path take on one sample.
+    once copied, is its scratch, so it is overwritten.  Fewer than PLANAR_MIN
+    matrices take :func:`_orthonormalize_one` instead, one by one: the same
+    operations in the same order on Python floats, which give the same bits.  It
+    costs ~25-30 us per matrix against ~200-300 us for the ~150 numpy calls of the
+    planar path at any small n, so the two tie near n = 8 (timeit, 2-vCPU Xeon VM).
 
     Returns the unitaries as the sample-leading view ``out.transpose(3, 2, 0, 1)``,
     shape (n, 4, 4, 2): the real and imaginary parts of entry (r, j) of unitary i
@@ -119,8 +121,9 @@ def haar_from_ginibre(gin, out=None):
     n = len(gin)
     q = _buffer(out, (4, 2, 4, n), np.float64, "out")
     np.copyto(q, gin.view(np.float64).reshape(n, 4, 4, 2).transpose(2, 3, 1, 0))
-    if n == 1:
-        q[..., 0] = _orthonormalize_one(q[..., 0].tolist())
+    if n < PLANAR_MIN:
+        for i in range(n):
+            q[..., i] = _orthonormalize_one(q[..., i].tolist())
     else:
         _orthonormalize_planes(q, gin.view(np.float64).reshape(-1))
     return q.transpose(3, 2, 0, 1)

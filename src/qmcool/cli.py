@@ -23,6 +23,7 @@ samples, shots, seed, eps, out, nu_values (comma list), hologram_beta.
 """
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -47,11 +48,13 @@ from .measure import HaarSampler, canonical_basis, haar_unitaries, rotate_basis
 from .optics import solve_hologram
 from .thermo import BathSpec, QubitSpec, thermalizing_channel
 from .tomo import (
-    chi_from_kraus,
-    effect_fidelity,
-    measurement_tomography,
-    process_fidelity,
-    process_tomography,
+    _chis_from_kraus,
+    _effect_fidelities,
+    _effects_of,
+    _fidelities,
+    _measurement_tomographies,
+    _probe_streams,
+    _process_tomographies,
 )
 
 DEFAULT_OMEGA2 = (0.02, 0.06, 0.14, 0.18, 0.46, 0.86, 1.10)
@@ -206,6 +209,14 @@ def _fmt(value):
     return format(float(value), ".12g")
 
 
+@functools.lru_cache(maxsize=None)
+def _row_format(types):
+    """The ``%`` format of a row with cells of these types, and the cells to pass through
+    _fmt first: ``%.12g`` (CPython's ``format(c, ".12g")``) for a float, else ``%s``."""
+    fmt = ",".join("%.12g" if t is float else "%s" for t in types)
+    return fmt, tuple(i for i, t in enumerate(types) if t is not float and t is not str)
+
+
 def _config_hash(cfg, command):
     parts = [f"command={command}"]
     for key in sorted(_CONFIG_KEYS):
@@ -227,7 +238,12 @@ def _emit(cfg, command, comments, header, rows):
     lines.extend(f"# {c}" for c in comments)
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(format(c, ".12g") if type(c) is float else _fmt(c) for c in row))
+        fmt, others = _row_format(tuple(map(type, row)))
+        if others:
+            row = list(row)
+            for i in others:
+                row[i] = _fmt(row[i])
+        lines.append(fmt % tuple(row))
     text = "\n".join(lines) + "\n"
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -250,17 +266,8 @@ def cmd_sweep_omega(cfg):
             report = run_cycle(econf, eps=cfg.eps)
         except (ValidationError, SecondLawViolation) as exc:
             raise type(exc)(f"omega2 = {w2!r}: {exc}") from exc
-        rows.append(
-            (
-                w2,
-                w2 / cfg.omega1,
-                report.dE1,
-                report.dE2,
-                report.dE,
-                report.classification,
-                regime(econf).value,
-            )
-        )
+        rows.append((w2, w2 / cfg.omega1, report.dE1, report.dE2, report.dE,
+                     report.classification, regime(econf).value))
     header = ("omega2", "ratio", "dE1", "dE2", "dE", "class", "regime")
     return _emit(cfg, "sweep-omega", [], header, rows)
 
@@ -269,23 +276,10 @@ def cmd_frequency(cfg):
     _require_seed(cfg, "frequency")
     samples = cfg.samples if cfg.samples is not None else DEFAULT_SAMPLES
     engines = [cfg.engine_config(w2) for w2 in cfg.omega2]
-    rows = []
-    for w2, freqs in zip(cfg.omega2, frequency_sweep(engines, samples, cfg.seed, eps=cfg.eps)):
-        row = [w2]
-        for label in ("R", "E", "A", "H"):
-            row.extend([freqs[label].frequency, freqs[label].stderr])
-        rows.append(tuple(row))
-    header = (
-        "omega2",
-        "freq_R",
-        "se_R",
-        "freq_E",
-        "se_E",
-        "freq_A",
-        "se_A",
-        "freq_H",
-        "se_H",
-    )
+    sweep = frequency_sweep(engines, samples, cfg.seed, eps=cfg.eps)
+    rows = [(w2, *(v for label in "REAH" for v in (freqs[label].frequency, freqs[label].stderr)))
+            for w2, freqs in zip(cfg.omega2, sweep)]
+    header = ("omega2", *(f"{stat}_{label}" for label in "REAH" for stat in ("freq", "se")))
     comments = [f"samples={samples} per omega2, same seed shared across rows", _STREAM]
     return _emit(cfg, "frequency", comments, header, rows)
 
@@ -299,19 +293,8 @@ def cmd_noise(cfg):
     rows = [(w2, nu, *white, label_w, *interf, label_i, math.nan if nu_c is None else nu_c)
             for w2, nu_c, w2_rows, w2_labels in zip(cfg.omega2, nu_cs, triples.tolist(), labels)
             for nu, (white, interf), (label_w, label_i) in zip(cfg.nu_values, w2_rows, w2_labels)]
-    header = (
-        "omega2",
-        "nu",
-        "dE1_white",
-        "dE2_white",
-        "dE_white",
-        "class_white",
-        "dE1_interf",
-        "dE2_interf",
-        "dE_interf",
-        "class_interf",
-        "nu_c_interf",
-    )
+    header = ("omega2", "nu", "dE1_white", "dE2_white", "dE_white", "class_white",
+              "dE1_interf", "dE2_interf", "dE_interf", "class_interf", "nu_c_interf")
     return _emit(cfg, "noise", [HOM_MODEL_NOTE, "nu_c closed form"], header, rows)
 
 
@@ -319,83 +302,50 @@ def cmd_haar_average(cfg):
     _require_seed(cfg, "haar-average")
     samples = cfg.samples if cfg.samples is not None else DEFAULT_SAMPLES
     engines = [cfg.engine_config(w2) for w2 in cfg.omega2]
-    rows = []
-    for w2, rep in zip(cfg.omega2, haar_average_report(engines, samples, cfg.seed, eps=cfg.eps)):
-        rows.append(
-            (
-                w2,
-                rep.mean_dE1,
-                rep.stderr_dE1,
-                rep.mean_dE2,
-                rep.stderr_dE2,
-                rep.mean_dE,
-                rep.stderr_dE,
-                rep.predicted_dE1,
-                rep.predicted_dE2,
-                rep.predicted_dE,
-                rep.classification,
-            )
-        )
-    header = (
-        "omega2",
-        "mean_dE1",
-        "se_dE1",
-        "mean_dE2",
-        "se_dE2",
-        "mean_dE",
-        "se_dE",
-        "pred_dE1",
-        "pred_dE2",
-        "pred_dE",
-        "class_of_mean",
-    )
+    reports = haar_average_report(engines, samples, cfg.seed, eps=cfg.eps)
+    rows = [(w2, rep.mean_dE1, rep.stderr_dE1, rep.mean_dE2, rep.stderr_dE2, rep.mean_dE,
+             rep.stderr_dE, rep.predicted_dE1, rep.predicted_dE2, rep.predicted_dE,
+             rep.classification)
+            for w2, rep in zip(cfg.omega2, reports)]
+    header = ("omega2", "mean_dE1", "se_dE1", "mean_dE2", "se_dE2", "mean_dE", "se_dE",
+              "pred_dE1", "pred_dE2", "pred_dE", "class_of_mean")
     comments = [f"samples={samples} per omega2, same seed shared across rows", _STREAM]
     return _emit(cfg, "haar-average", comments, header, rows)
-
-
-def _mean_effect_fidelity(effects, basis):
-    return float(np.mean([effect_fidelity(e, basis.projector(k)) for k, e in enumerate(effects)]))
 
 
 def cmd_tomography(cfg):
     if cfg.shots is not None and cfg.seed is None:
         raise ConfigError("tomography with --shots needs --seed")
     targets = [(cfg.omega1, cfg.beta1)] + [(w2, cfg.beta2) for w2 in cfg.omega2]
-    rows, exact_chis = [], []
-    for w, beta in targets:
-        channel = thermalizing_channel(QubitSpec(w), BathSpec(beta))
-        analytic = chi_from_kraus(channel)
-        chi = process_tomography(channel)
-        exact_chis.append(chi)
-        rows.append(
-            ("process_exact", f"thermal(omega={_fmt(w)} beta={_fmt(beta)})", "", "", "", "",
-             "", "", process_fidelity(chi, analytic))
-        )
-        if cfg.shots is not None:
-            chi_s = process_tomography(channel, shots=cfg.shots, seed=cfg.seed)
-            rows.append(
-                ("process_shots", f"thermal(omega={_fmt(w)} beta={_fmt(beta)})", "", "", "", "",
-                 cfg.shots, cfg.seed, process_fidelity(chi_s, analytic))
-            )
+    labels = [f"thermal(omega={_fmt(w)} beta={_fmt(beta)})" for w, beta in targets]
+    channels = [thermalizing_channel(QubitSpec(w), BathSpec(beta)) for w, beta in targets]
+    analytic = _chis_from_kraus(np.stack([channel.operators for channel in channels]))
     basis = canonical_basis()
-    fid = _mean_effect_fidelity(measurement_tomography(basis), basis)
-    rows.append(("measurement_exact", "canonical", "", "", "", "", "", "", fid))
+    bases = [("canonical", basis)]
+    modes = [("exact", None, None)]
     if cfg.shots is not None:
         haar = haar_unitaries(HaarSampler(cfg.seed), 5)
-        bases = [("canonical", basis)] + [(f"haar_{i}", rotate_basis(u, basis))
-                                          for i, u in enumerate(haar)]
-        for label, bas in bases:
-            est = measurement_tomography(bas, shots=cfg.shots, seed=cfg.seed)
-            fid = _mean_effect_fidelity(est, bas)
-            rows.append(("measurement_shots", label, "", "", "", "", cfg.shots, cfg.seed, fid))
-    # operator entries of the first exact chi for regression snapshots
-    chi = exact_chis[0]
-    for r in range(chi.shape[0]):
-        for c in range(chi.shape[1]):
-            rows.append(
-                ("chi_entry", f"thermal(omega={_fmt(targets[0][0])} beta={_fmt(targets[0][1])})",
-                 r, c, chi[r, c].real, chi[r, c].imag, "", "", "")
-            )
+        bases += [(f"haar_{i}", rotate_basis(u, basis)) for i, u in enumerate(haar)]
+        # every target rewinds the same probe streams, built once per command
+        modes.append(("shots", cfg.shots, _probe_streams(cfg.seed, 16)))
+    process, measurement = [], []
+    for mode, shots, streams in modes:
+        cells = ("", "") if shots is None else (shots, cfg.seed)
+        chis = _process_tomographies(channels, labels, shots, streams)
+        if shots is None:
+            chi = chis[0]  # the first exact chi, printed entry by entry
+        process.append([(f"process_{mode}", label, "", "", "", "", *cells, fid)
+                        for label, fid in zip(labels, _fidelities(chis, analytic, "chi"))])
+        measured = bases[:1] if shots is None else bases
+        names = [name for name, _ in measured]
+        projectors = np.stack([_effects_of(bas) for _, bas in measured])
+        est = _measurement_tomographies(projectors, names, shots, streams)
+        fids = _effect_fidelities(est.reshape(-1, 4, 4), projectors.reshape(-1, 4, 4))
+        measurement += [(f"measurement_{mode}", name, "", "", "", "", *cells, fid) for name, fid
+                        in zip(names, np.mean(np.reshape(fids, (-1, 4)), axis=1).tolist())]
+    rows = [row for target in zip(*process) for row in target] + measurement
+    rows.extend(("chi_entry", labels[0], r, c, chi[r, c].real, chi[r, c].imag, "", "", "")
+                for r in range(4) for c in range(4))
     header = ("record", "label", "row", "col", "re", "im", "shots", "seed", "fidelity")
     return _emit(cfg, "tomography", [] if cfg.shots is None else [_STREAM], header, rows)
 

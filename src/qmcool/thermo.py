@@ -107,18 +107,3 @@ def thermalizing_channel(qubit, bath):
     k4 = np.array([[0, 0], [sq, 0]], dtype=np.complex128)
     return KrausChannel((k1, k2, k3, k4))
 
-
-def apply_channel(channel, rho):
-    """Kraus-sum evaluation sum_k K rho K†; trace is preserved to 1e-10."""
-    arr = as_complex(rho)
-    if arr.shape != (channel.dim, channel.dim):
-        raise ValidationError(
-            f"state dimension {arr.shape} does not match channel dimension {channel.dim}"
-        )
-    out = np.zeros_like(arr)
-    for k in channel.operators:
-        out += k @ arr @ k.conj().T
-    drift = abs(out.trace() - arr.trace())
-    if drift > 1e-10:
-        raise ValidationError(f"channel failed to preserve trace (drift {drift:.3e})")
-    return out

@@ -13,6 +13,11 @@ reconstructed operators are eigenvalue-clipped at zero.  Probe j draws its
 shots from its own Philox stream ``_accel.stream(seed, j)``, key (seed, j),
 so its counts do not depend on the other probes and never share the seed's
 Haar stream.  Exact mode performs a perfect round trip to 1e-10.
+
+Each kind is one pass over a stack of targets: one matmul over the probes, one
+``lstsq`` with a column per target, stacked clipping and fidelities.  A probe's
+stream is built once and rewound to counter 0 for each target, so it draws what
+a fresh stream would.  The public functions are the one-target case.
 """
 
 import numpy as np
@@ -20,7 +25,7 @@ import numpy as np
 from ._accel import check_int, check_seed, stream
 from .errors import ValidationError
 from .measure import MeasurementBasis, PovmSet
-from .thermo import KrausChannel, apply_channel
+from .thermo import KrausChannel
 
 _P1 = np.array(
     [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
@@ -53,21 +58,61 @@ def _paulis_of_dim(d):
     return _PAULIS[d]
 
 
+def _dagger(m):
+    return m.conj().swapaxes(-1, -2)
+
+
+def _check(ok, labels, message, values):
+    """Raise ValidationError naming the first target (leading row) where ``ok`` fails,
+    with the largest of its ``values`` in ``message``."""
+    bad = ~ok.reshape(len(labels), -1).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(f"{labels[i]}: {message.format(np.max(values[i]))}")
+
+
 def chi_from_kraus(channel):
     """Analytic chi matrix of a Kraus channel in the Pauli product basis."""
-    d = channel.dim
-    coeff = np.einsum("mij,kji->km", _paulis_of_dim(d), np.stack(channel.operators)) / d
-    return coeff.T @ coeff.conj()
+    return _chis_from_kraus(np.stack(channel.operators)[None])[0]
 
 
-def _estimate_state(sigma, shots, rng):
-    """Pauli-expectation state estimate from binomial sampling of each setting."""
-    d = sigma.shape[0]
+def _chis_from_kraus(kraus):
+    d = kraus.shape[-1]
+    coeff = np.einsum("mij,tkji->tkm", _paulis_of_dim(d), kraus) / d
+    return coeff.swapaxes(-1, -2) @ coeff.conj()
+
+
+def _probe_streams(seed, count):
+    """Probe j's stream ``stream(seed, j)`` for j < count, with its state at counter 0."""
+    seed = check_seed(seed)
+    return [(gen, gen.bit_generator.state) for gen in (stream(seed, j) for j in range(count))]
+
+
+def _rewound(streams, j):
+    """Probe j's stream put back to counter 0, where a freshly built one starts."""
+    gen, start = streams[j]
+    gen.bit_generator.state = start
+    return gen
+
+
+def _shot_streams(shots, seed, count):
+    """(checked shots, probe streams) of a one-target call; (None, None) in exact mode."""
+    if shots is None:
+        return None, None
+    streams = _probe_streams(seed, count)
+    return check_int(shots, "shots", 1), streams
+
+
+def _estimate_states(sigmas, shots, streams):
+    """Pauli-expectation estimates of a (t, j, d, d) stack of states from binomial
+    sampling of each setting; state (t, j) draws from probe j's rewound stream."""
+    d = sigmas.shape[-1]
     paulis = _paulis_of_dim(d)
-    p_plus = np.real(np.einsum("ik,gki->g", sigma, np.eye(d) + paulis[1:])) / 2.0
-    k = rng.binomial(shots, np.clip(p_plus, 0.0, 1.0))
-    mean = np.concatenate([[1.0], (2.0 * k - shots) / shots])
-    return np.einsum("g,gij->ij", mean / d, paulis)
+    p_plus = np.real(np.einsum("tjik,gki->tjg", sigmas, np.eye(d) + paulis[1:])) / 2.0
+    k = np.array([[_rewound(streams, j).binomial(shots, p) for j, p in enumerate(row)]
+                  for row in np.clip(p_plus, 0.0, 1.0)])
+    mean = np.concatenate([np.ones(k.shape[:-1] + (1,)), (2.0 * k - shots) / shots], axis=-1)
+    return np.einsum("tjg,gab->tjab", mean / d, paulis)
 
 
 def process_tomography(channel, shots=None, seed=None):
@@ -79,32 +124,38 @@ def process_tomography(channel, shots=None, seed=None):
     reconstructed chi is then eigenvalue-clipped at zero and renormalized to unit
     trace.
     """
-    if not isinstance(channel, KrausChannel):
-        raise ValidationError(f"channel must be a KrausChannel, got {type(channel)!r}")
-    if channel.dim != 2:
-        raise ValidationError(f"process tomography takes a single-qubit channel, "
-                              f"got dimension {channel.dim}")
-    if shots is not None:
-        seed, shots = check_seed(seed), check_int(shots, "shots", 1)
+    return _process_tomographies([channel], ["channel"], *_shot_streams(shots, seed, 4))[0]
 
-    outputs = [apply_channel(channel, probe) for probe in _PROBES[2]]
+
+def _process_tomographies(channels, labels, shots=None, streams=None):
+    """:func:`process_tomography` of channels with equally many Kraus operators, a
+    (t, 4, 4) stack; ``labels`` name them in errors, ``streams`` is from _probe_streams."""
+    for channel in channels:
+        if not isinstance(channel, KrausChannel):
+            raise ValidationError(f"channel must be a KrausChannel, got {type(channel)!r}")
+        if channel.dim != 2:
+            raise ValidationError(f"process tomography takes a single-qubit channel, "
+                                  f"got dimension {channel.dim}")
+    kraus = np.stack([channel.operators for channel in channels])[:, :, None]  # (t, r, 1, 2, 2)
+    outputs = np.zeros((len(channels), 4, 2, 2), dtype=np.complex128)  # (t, probe, 2, 2)
+    for k in kraus.swapaxes(0, 1):
+        outputs += k @ _PROBES[2] @ _dagger(k)
+    drift = np.abs(np.trace(outputs, axis1=2, axis2=3) - np.trace(_PROBES[2], axis1=1, axis2=2))
+    _check(~(drift > 1e-10), labels, "channel failed to preserve trace (drift {:.3e})", drift)
     if shots is not None:
-        outputs = [_estimate_state(s, shots, stream(seed, j)) for j, s in enumerate(outputs)]
-    b = np.stack(outputs).reshape(-1)
-    chi = np.linalg.lstsq(_PROCESS_DESIGN, b, rcond=None)[0].reshape(4, 4)
-    chi = 0.5 * (chi + chi.conj().T)
+        outputs = _estimate_states(outputs, shots, streams)
+    b = outputs.reshape(len(channels), 16).T
+    chi = np.linalg.lstsq(_PROCESS_DESIGN, b, rcond=None)[0].T.reshape(-1, 4, 4)
+    chi = 0.5 * (chi + _dagger(chi))
     if shots is None:
-        resid = np.max(np.abs(_PROCESS_DESIGN @ chi.reshape(-1) - b))
-        if not resid <= 1e-10:  # NaN fails too
-            raise ValidationError(f"exact-mode reconstruction residual {resid:.3e}")
+        resid = np.max(np.abs(_PROCESS_DESIGN @ chi.reshape(-1, 16).T - b), axis=0)
+        _check(resid <= 1e-10, labels, "exact-mode reconstruction residual {:.3e}", resid)
         return chi
     w, v = np.linalg.eigh(chi)
-    w = np.clip(w, 0.0, None)
-    chi = (v * w) @ v.conj().T
-    tr = chi.trace().real
-    if tr <= 0:
-        raise ValidationError("clipped chi has non-positive trace")
-    return chi / tr
+    chi = (v * np.clip(w, 0.0, None)[:, None, :]) @ _dagger(v)
+    tr = np.trace(chi, axis1=1, axis2=2).real
+    _check(~(tr <= 0), labels, "clipped chi has non-positive trace ({:.3e})", tr)
+    return chi / tr[:, None, None]
 
 
 def _effects_of(measurement):
@@ -123,56 +174,64 @@ def measurement_tomography(measurement, shots=None, seed=None):
     a single multinomial draw (per-probe Philox stream of ``seed``) and each
     reconstructed effect is eigenvalue-clipped at zero.
     """
-    effects = _effects_of(measurement)
-    if shots is not None:
-        seed, shots = check_seed(seed), check_int(shots, "shots", 1)
+    effects = _effects_of(measurement)[None]
+    return _measurement_tomographies(effects, ["measurement"], *_shot_streams(shots, seed, 16))[0]
 
-    freqs = np.clip(np.real(np.einsum("kil,jli->jk", effects, _PROBES[4])), 0.0, None)
+
+def _measurement_tomographies(effects, labels, shots=None, streams=None):
+    """:func:`measurement_tomography` of a (b, 4, 4, 4) stack of measurements' effects,
+    with labels and streams as in :func:`_process_tomographies`."""
+    freqs = np.clip(np.real(np.einsum("bkil,jli->bjk", effects, _PROBES[4])), 0.0, None)
     if shots is not None:
-        freqs = np.stack([stream(seed, j).multinomial(shots, p / p.sum())
-                          for j, p in enumerate(freqs)]) / shots
-    coeffs = np.linalg.lstsq(_EFFECT_DESIGN, freqs, rcond=None)[0]
-    recon = np.einsum("mk,mij->kij", coeffs, _PAULIS[4])
-    recon = 0.5 * (recon + recon.conj().transpose(0, 2, 1))
+        freqs = np.array([[_rewound(streams, j).multinomial(shots, p / p.sum())
+                           for j, p in enumerate(probes)] for probes in freqs]) / shots
+    coeffs = np.linalg.lstsq(_EFFECT_DESIGN, freqs.transpose(1, 0, 2).reshape(16, -1),
+                             rcond=None)[0]
+    # complex coefficients, or einsum casts them through a buffer that grows with the stack
+    recon = np.einsum("mk,mij->kij", coeffs.astype(np.complex128), _PAULIS[4])
+    recon = 0.5 * (recon + _dagger(recon))
     if shots is None:
-        err = np.max(np.abs(recon - effects))
-        if not err <= 1e-10:
-            raise ValidationError(f"exact-mode reconstruction error {err:.3e}")
-        return recon
+        err = np.max(np.abs(recon.reshape(effects.shape) - effects), axis=(1, 2, 3))
+        _check(err <= 1e-10, labels, "exact-mode reconstruction error {:.3e}", err)
+        return recon.reshape(effects.shape)
     w, v = np.linalg.eigh(recon)
-    return (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    return ((v * np.clip(w, 0.0, None)[:, None, :]) @ _dagger(v)).reshape(effects.shape)
 
 
-def _hermitian_and_trace(m):
-    """The Hermitian part of m and its real trace, the step both fidelities normalize by."""
-    m = np.asarray(m, dtype=np.complex128)
-    m = 0.5 * (m + m.conj().T)
-    return m, m.trace().real
-
-
-def _fidelity(a, b):
-    """Uhlmann fidelity of two unvalidated Hermitian unit-trace operators, capped
-    at 1; tiny negative eigenvalues are clipped to zero."""
-    w, v = np.linalg.eigh(a)
-    sa = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    w = np.linalg.eigvalsh(sa @ b @ sa)
-    return min(float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2), 1.0)
+def _fidelities(a, b, kind):
+    """Uhlmann fidelities of two stacks of operators, pair by pair, each made Hermitian
+    and divided by its trace, as floats capped at 1; tiny negative eigenvalues are
+    clipped to zero.  The stacks are made C-contiguous first: numpy sums the diagonal
+    of otherwise strided matrices in another order."""
+    if np.shape(a) != np.shape(b):
+        raise ValidationError(f"{kind} shape mismatch: {np.shape(a)[1:]} vs {np.shape(b)[1:]}")
+    units = []
+    for m in (a, b):
+        m = np.ascontiguousarray(m, dtype=np.complex128)
+        m = 0.5 * (m + _dagger(m))
+        tr = np.trace(m, axis1=1, axis2=2).real
+        if np.any(tr <= 0):
+            raise ValidationError(f"{kind} must have positive trace")
+        units.append(m / tr[:, None, None])
+    w, v = np.linalg.eigh(units[0])
+    sa = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ _dagger(v)
+    w = np.linalg.eigvalsh(sa @ units[1] @ sa)
+    return [min(s ** 2, 1.0) for s in np.sum(np.sqrt(np.clip(w, 0.0, None)), axis=-1).tolist()]
 
 
 def process_fidelity(chi_a, chi_b):
     """Uhlmann fidelity between two chi matrices (normalized to unit trace)."""
-    if np.shape(chi_a) != np.shape(chi_b):
-        raise ValidationError(f"chi shape mismatch: {np.shape(chi_a)} vs {np.shape(chi_b)}")
-    (a, ta), (b, tb) = _hermitian_and_trace(chi_a), _hermitian_and_trace(chi_b)
-    return _fidelity(a / ta, b / tb)
+    return _fidelities(np.asarray(chi_a)[None], np.asarray(chi_b)[None], "chi")[0]
 
 
 def effect_fidelity(effect_a, effect_b):
     """Uhlmann fidelity between two effects, each normalized to unit trace; 0 if
     either is the zero effect (a shot-mode estimate clipped to nothing)."""
-    if not (np.any(effect_a) and np.any(effect_b)):
-        return 0.0
-    (a, ta), (b, tb) = _hermitian_and_trace(effect_a), _hermitian_and_trace(effect_b)
-    if ta <= 0 or tb <= 0:
-        raise ValidationError("effects must have positive trace")
-    return _fidelity(a / ta, b / tb)
+    return _effect_fidelities(np.asarray(effect_a)[None], np.asarray(effect_b)[None])[0]
+
+
+def _effect_fidelities(effects_a, effects_b):
+    keep = (effects_a.reshape(len(effects_a), -1).any(axis=1)
+            & effects_b.reshape(len(effects_b), -1).any(axis=1))
+    fids = iter(_fidelities(effects_a[keep], effects_b[keep], "effects"))
+    return [next(fids) if k else 0.0 for k in keep.tolist()]

@@ -7,10 +7,11 @@ import math
 import numpy as np
 
 from qmcool import (
+    BathSpec,
     EngineConfig,
     HaarSampler,
+    QubitSpec,
     ValidationError,
-    apply_channel,
     canonical_basis,
     d_of_omega,
     haar_unitaries,
@@ -18,11 +19,13 @@ from qmcool import (
     hologram_channel,
     rotate_basis,
     solve_hologram,
+    thermalizing_channel,
 )
-from qmcool._accel import check_int, ginibre_batch, haar_from_ginibre
+from qmcool._accel import check_int, ginibre_batch, haar_from_ginibre, stream
 from qmcool.engine import TRACE_TOL, _haar_chunks, _pair_coefficients, _populations
 from qmcool.measure import white_noise_mixture_weights
 from qmcool.thermo import _omega, as_complex, thermal_populations
+from qmcool.tomo import _EFFECT_DESIGN, _PAULIS, _PROBES, _PROCESS_DESIGN
 
 EXPERIMENT_OMEGA2 = (0.02, 0.06, 0.14, 0.18, 0.46, 0.86, 1.10)
 
@@ -400,6 +403,23 @@ def hom_noisy_channel(basis, visibility, rho):
     return out / out.trace().real
 
 
+def apply_channel(channel, rho):
+    """Reference Kraus-sum evaluation sum_k K rho K† of a channel on a state, with the
+    former package check that the trace is preserved to 1e-10."""
+    arr = as_complex(rho)
+    if arr.shape != (channel.dim, channel.dim):
+        raise ValidationError(
+            f"state dimension {arr.shape} does not match channel dimension {channel.dim}"
+        )
+    out = np.zeros_like(arr)
+    for k in channel.operators:
+        out += k @ arr @ k.conj().T
+    drift = abs(out.trace() - arr.trace())
+    if drift > 1e-10:
+        raise ValidationError(f"channel failed to preserve trace (drift {drift:.3e})")
+    return out
+
+
 def thermal_channel_optical(rho, qubit, bath):
     """Reference thermalizing step of the hologram solved for ``bath``, on the qubit's rails."""
     channel = hologram_channel(solve_hologram(bath), d_of_omega(_omega(qubit)))
@@ -583,3 +603,97 @@ def fmt_cell(value):
     if isinstance(value, float) and np.isnan(value):
         return "nan"
     return format(float(value), ".12g")
+
+
+def looped_chi_from_kraus(channel):
+    """Reference analytic chi matrix of one Kraus channel: the former one-channel body."""
+    d = channel.dim
+    coeff = np.einsum("mij,kji->km", looped_paulis(d), np.stack(channel.operators)) / d
+    return coeff.T @ coeff.conj()
+
+
+def looped_process_tomography(channel, shots=None, seed=None):
+    """Reference chi of one single-qubit channel: the former one-channel body, a Kraus
+    sum per probe, a freshly built stream per probe and a one-column solve (no checks)."""
+    outputs = [apply_channel(channel, probe) for probe in _PROBES[2]]
+    if shots is not None:
+        outputs = [looped_estimate_state(s, shots, stream(seed, j)) for j, s in enumerate(outputs)]
+    b = np.stack(outputs).reshape(-1)
+    chi = np.linalg.lstsq(_PROCESS_DESIGN, b, rcond=None)[0].reshape(4, 4)
+    chi = 0.5 * (chi + chi.conj().T)
+    if shots is None:
+        return chi
+    w, v = np.linalg.eigh(chi)
+    chi = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    return chi / chi.trace().real
+
+
+def looped_measurement_tomography(effects, shots=None, seed=None):
+    """Reference effect estimates of one measurement from its (4, 4, 4) effects: the
+    former one-measurement body, a freshly built stream per probe (no checks)."""
+    freqs = np.clip(np.real(np.einsum("kil,jli->jk", effects, _PROBES[4])), 0.0, None)
+    if shots is not None:
+        freqs = np.stack([stream(seed, j).multinomial(shots, p / p.sum())
+                          for j, p in enumerate(freqs)]) / shots
+    coeffs = np.linalg.lstsq(_EFFECT_DESIGN, freqs, rcond=None)[0]
+    recon = np.einsum("mk,mij->kij", coeffs, _PAULIS[4])
+    recon = 0.5 * (recon + recon.conj().transpose(0, 2, 1))
+    if shots is None:
+        return recon
+    w, v = np.linalg.eigh(recon)
+    return (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+
+def looped_fidelity(a, b):
+    """Reference Uhlmann fidelity of two operators, each made Hermitian and divided by
+    its trace, capped at 1; 0 if either is zero.  The former one-pair body."""
+    if not (np.any(a) and np.any(b)):
+        return 0.0
+    a, b = (0.5 * (m + m.conj().T) for m in (a, b))
+    a, b = a / a.trace().real, b / b.trace().real
+    w, v = np.linalg.eigh(a)
+    sa = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    w = np.linalg.eigvalsh(sa @ b @ sa)
+    return min(float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2), 1.0)
+
+
+def looped_tomography_rows(cfg):
+    """Reference rows of the ``tomography`` command: its former per-target loop, one
+    channel, basis and fidelity at a time, on the looped tomography above."""
+    targets = [(cfg.omega1, cfg.beta1)] + [(w2, cfg.beta2) for w2 in cfg.omega2]
+    labels = [f"thermal(omega={fmt_cell(w)} beta={fmt_cell(beta)})" for w, beta in targets]
+    rows, exact_chis = [], []
+    for label, (w, beta) in zip(labels, targets):
+        channel = thermalizing_channel(QubitSpec(w), BathSpec(beta))
+        analytic = looped_chi_from_kraus(channel)
+        chi = looped_process_tomography(channel)
+        exact_chis.append(chi)
+        rows.append(("process_exact", label, "", "", "", "", "", "", looped_fidelity(chi, analytic)))
+        if cfg.shots is not None:
+            chi_s = looped_process_tomography(channel, cfg.shots, cfg.seed)
+            rows.append(("process_shots", label, "", "", "", "", cfg.shots, cfg.seed,
+                         looped_fidelity(chi_s, analytic)))
+
+    def mean_fidelity(estimates, basis):
+        return float(np.mean([looped_fidelity(e, basis.projector(k))
+                              for k, e in enumerate(estimates)]))
+
+    def projectors(basis):
+        return np.stack([basis.projector(k) for k in range(4)])
+
+    basis = canonical_basis()
+    fid = mean_fidelity(looped_measurement_tomography(projectors(basis)), basis)
+    rows.append(("measurement_exact", "canonical", "", "", "", "", "", "", fid))
+    if cfg.shots is not None:
+        haar = haar_unitaries(HaarSampler(cfg.seed), 5)
+        bases = [("canonical", basis)] + [(f"haar_{i}", rotate_basis(u, basis))
+                                          for i, u in enumerate(haar)]
+        for label, bas in bases:
+            est = looped_measurement_tomography(projectors(bas), cfg.shots, cfg.seed)
+            rows.append(("measurement_shots", label, "", "", "", "", cfg.shots, cfg.seed,
+                         mean_fidelity(est, bas)))
+    chi = exact_chis[0]
+    for r in range(4):
+        for c in range(4):
+            rows.append(("chi_entry", labels[0], r, c, chi[r, c].real, chi[r, c].imag, "", "", ""))
+    return rows

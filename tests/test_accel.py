@@ -5,7 +5,7 @@ import pytest
 
 from qmcool import (EngineConfig, HaarSampler, ValidationError, _accel, frequency_sweep,
                     haar_average_report, haar_unitaries)
-from qmcool.engine import _haar_chunks
+from qmcool.engine import CHUNK, _haar_chunks
 from qmcool.measure import WORK_WORDS, haar_planes
 
 from helpers import box_muller_sample, complex_unitaries, qr_gauge_haar
@@ -127,3 +127,18 @@ def test_second_pass_keeps_an_ill_conditioned_draw_unitary():
     gin[..., 3] = gin[..., 2] + 1e-8 * noise
     us = complex_unitaries(_accel.haar_from_ginibre(gin))
     assert np.max(np.abs(us.conj().transpose(0, 2, 1) @ us - np.eye(4))) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [31, 2**63 - 1])
+@pytest.mark.parametrize("n", [2, 5, _accel.PLANAR_MIN - 1, _accel.PLANAR_MIN,
+                               _accel.PLANAR_MIN + 1, CHUNK - 1, CHUNK + 1])
+def test_planar_gram_schmidt_matches_the_scalar_one(n, seed):
+    # haar_from_ginibre takes the scalar path below PLANAR_MIN samples and the planar one
+    # from there on; called directly, the planar one gives the scalar bits at any n
+    gin = _accel.ginibre_batch(seed, 1000, n)
+    q = np.ascontiguousarray(gin.view(np.float64).reshape(n, 4, 4, 2).transpose(2, 3, 1, 0))
+    singles = [_accel._orthonormalize_one(q[..., i].tolist()) for i in range(n)]
+    _accel._orthonormalize_planes(q, gin.view(np.float64).reshape(-1))
+    assert np.array_equal(np.moveaxis(q, -1, 0), np.array(singles))
+    assert np.array_equal(_accel.haar_from_ginibre(_accel.ginibre_batch(seed, 1000, n)),
+                          q.transpose(3, 2, 0, 1))

@@ -1,12 +1,19 @@
 """Command-line interface: subcommands, config handling, exit codes, output."""
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qmcool import _accel, cli, engine
 from qmcool.errors import ValidationError
 
-from helpers import fmt_cell
+from helpers import fmt_cell, looped_tomography_rows
+
+GRID_14 = ("omega2 = 0.02, 0.06, 0.10, 0.14, 0.18, 0.26, 0.34, 0.40, 0.46, 0.60, 0.86, 1.00, "
+           "1.10, 1.40\n")
 
 
 def _read(path):
@@ -294,6 +301,133 @@ def test_emit_fast_path_matches_the_former_cell_format(tmp_path):
     assert data == [",".join(fmt_cell(c) for c in row) for row in rows]
     assert data[0].split(",")[:8] == ["0.1", "-0", "nan", "nan", "inf", "-inf",
                                       "4.94065645841e-324", "1.79769313486e+308"]
+
+
+# every float the row format must print as format(c, ".12g") does: NaN, infinities,
+# signed zeros, the subnormal range and the largest double among them
+CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), -float("nan"), float("inf"), -float("inf"), 0.0, -0.0,
+                     5e-324, 2.2250738585072004e-308, 1e-310, 1.7976931348623157e308]),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.none(),
+    st.text(),
+)
+
+
+@given(st.lists(st.lists(CELLS, max_size=12).map(tuple), max_size=6))
+def test_emit_row_formats_print_what_format_prints(rows):
+    cfg = cli.resolve_config(cli.build_parser().parse_args(["noise"]))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli._emit(cfg, "noise", [], ("a", "b"), rows) == 0
+    # the first two lines are the provenance comment and the header
+    assert out.getvalue().split("\n", 2)[2] == "".join(
+        ",".join(fmt_cell(c) for c in row) + "\n" for row in rows)
+
+
+def _tomography_rows(monkeypatch, argv):
+    """(resolved config, rows) of one tomography run, caught on their way to _emit."""
+    seen = []
+    monkeypatch.setattr(cli, "_emit", lambda cfg, command, comments, header, rows:
+                        seen.append((cfg, list(rows))) or 0)
+    assert cli.main(argv) == 0
+    return seen[0]
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["default", "grid14"])
+@pytest.mark.parametrize("shots", [None, 10000], ids=["exact", "shots"])
+@pytest.mark.parametrize("seed", [1, 3])
+def test_tomography_rows_equal_the_looped_oracle(monkeypatch, tmp_path, grid, shots, seed):
+    # the stacked pass gives every cell of the former per-target loop, bit for bit
+    argv = ["tomography", "--seed", str(seed)]
+    if shots is not None:
+        argv += ["--shots", str(shots)]
+    if grid:
+        conf = tmp_path / "g.cfg"
+        conf.write_text(GRID_14)
+        argv += ["--config", str(conf)]
+    cfg, rows = _tomography_rows(monkeypatch, argv)
+    assert len(rows) == (len(cfg.omega2) + 1) * (2 if shots else 1) + (7 if shots else 1) + 16
+    assert [tuple(map(repr, r)) for r in rows] == [tuple(map(repr, r))
+                                                   for r in looped_tomography_rows(cfg)]
+
+
+def test_tomography_shots_builds_each_probe_stream_once(monkeypatch, tmp_path):
+    # 16 probe streams and the Haar stream, against one stream per (target, probe)
+    # and 37 solves before
+    keys, solves = [], []
+    philox, lstsq = np.random.Philox, np.linalg.lstsq
+    monkeypatch.setattr(np.random, "Philox", lambda *args, key=None, **kwargs:
+                        keys.append(tuple(int(k) for k in key)) or philox(*args, key=key, **kwargs))
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs:
+                        solves.append(args[1].shape) or lstsq(*args, **kwargs))
+    conf = tmp_path / "g.cfg"
+    conf.write_text(GRID_14)
+    out = tmp_path / "t.csv"
+    assert cli.main(["tomography", "--config", str(conf), "--shots", "100", "--seed", "1",
+                     "--out", str(out)]) == 0
+    assert len(keys) <= 17 and len(set(keys)) == len(keys)
+    assert sorted(keys) == [(1, j) for j in range(16)] + [(1, 2**63 - 1)]
+    assert solves == [(16, 15), (16, 4), (16, 15), (16, 24)]
+
+
+def _lossy_solve(call, column, value):
+    """np.linalg.lstsq, with one column of the solution of its ``call``-th call replaced."""
+    lstsq, calls = np.linalg.lstsq, []
+
+    def solve(a, b, rcond=None):
+        x = lstsq(a, b, rcond=rcond)
+        calls.append(1)
+        if len(calls) == call:
+            x[0][:, column] = value
+        return x
+    return solve
+
+
+def _leaky_at(omega):
+    """cli.thermalizing_channel, except that the channel at gap ``omega`` doubles the trace."""
+    thermalizing = cli.thermalizing_channel
+
+    def channel(qubit, bath):
+        out = thermalizing(qubit, bath)
+        if qubit.omega == omega:  # past the completeness check of KrausChannel
+            object.__setattr__(out, "operators", tuple(np.sqrt(2.0) * k for k in out.operators))
+        return out
+    return channel
+
+
+@pytest.mark.parametrize("breach, label, message", [
+    ("drift", "thermal(omega=0.14 beta=1)", "channel failed to preserve trace"),
+    ("residual", "thermal(omega=0.14 beta=1)", "exact-mode reconstruction residual"),
+    ("trace", "thermal(omega=0.14 beta=1)", "clipped chi has non-positive trace"),
+    ("error", "canonical", "exact-mode reconstruction error"),
+])
+def test_tomography_names_the_target_on_exit_three(monkeypatch, tmp_path, capsys, breach, label,
+                                                   message):
+    # targets: (omega1, beta1), then omega2 = 0.06, 0.14 and 0.46 at beta2; column 2 is 0.14.
+    # The solves run in order: process exact, measurement exact, process shots.
+    if breach == "drift":
+        monkeypatch.setattr(cli, "thermalizing_channel", _leaky_at(0.14))
+    elif breach == "residual":
+        monkeypatch.setattr(np.linalg, "lstsq", _lossy_solve(1, 2, 0.5))
+    elif breach == "trace":
+        monkeypatch.setattr(np.linalg, "lstsq", _lossy_solve(3, 2, -np.eye(4).reshape(-1)))
+    else:
+        monkeypatch.setattr(np.linalg, "lstsq", _lossy_solve(2, 1, 0.5))
+    conf = tmp_path / "c.ini"
+    conf.write_text("omega2 = 0.06, 0.14, 0.46\n")
+    out = tmp_path / "t.csv"
+    assert cli.main(["tomography", "--config", str(conf), "--seed", "1", "--shots", "100",
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"{label}: {message}" in err
+    assert "0.06" not in err and "0.46" not in err
+    assert not out.exists()
 
 
 def test_haar_average_output(tmp_path):

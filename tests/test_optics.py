@@ -12,7 +12,6 @@ from qmcool import (
     HaarSampler,
     Hologram,
     QubitSpec,
-    apply_channel,
     canonical_basis,
     d_of_omega,
     haar_unitary,
@@ -25,9 +24,9 @@ from qmcool import (
 from qmcool.optics import GRID_ROWS, omega_of_z
 from qmcool.thermo import thermal_populations
 
-from helpers import (gibbs_state, initial_state, measurement_channel, optical_trains, partial_trace,
-                     random_density, reference_config, thermal_channel_optical, trace_distance,
-                     trains_hom_detected)
+from helpers import (apply_channel, gibbs_state, initial_state, measurement_channel,
+                     optical_trains, partial_trace, random_density, reference_config,
+                     thermal_channel_optical, trace_distance, trains_hom_detected)
 
 
 def test_omega_of_d_grid():
@@ -253,7 +252,7 @@ def test_exports_resolve_and_omit_removed_trains():
     assert not {"PathPolState", "thermalize_optically", "encode_qubit", "decode_qubit",
                 "rail_components", "_rail_half_separation"} & set(vars(optics))
     # the oracles among these live in tests/helpers.py
-    removed = {thermo: {"gibbs_state", "energy", "gibbs_population"},
+    removed = {thermo: {"gibbs_state", "energy", "gibbs_population", "apply_channel"},
                tomo: {"apply_chi", "default_probes", "_probes_or_default", "_process_design"}}
     for module, names in removed.items():
         assert not names & set(namespace) and not names & set(vars(module))

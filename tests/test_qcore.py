@@ -6,11 +6,16 @@ import pytest
 
 from qmcool import EngineConfig, ValidationError
 from qmcool.thermo import as_complex, thermal_populations
-from qmcool.tomo import _fidelity, _kron_pairs
+from qmcool.tomo import _fidelities, _kron_pairs
 
 from helpers import (initial_state, partial_trace, random_density, random_unit_vector,
                      single_qubit_state, trace_distance, two_qubit_state, validate_density,
                      von_neumann_entropy)
+
+
+def _fidelity(a, b):
+    """The package's Uhlmann fidelity of one pair, as the one-element case of its stacks."""
+    return _fidelities(np.asarray(a)[None], np.asarray(b)[None], "states")[0]
 
 
 # the package's two-qubit tensor products (tomography's Pauli and probe stacks,

@@ -9,13 +9,12 @@ from qmcool import (
     BathSpec,
     KrausChannel,
     QubitSpec,
-    apply_channel,
     thermalizing_channel,
 )
 
 from qmcool.thermo import thermal_populations
 
-from helpers import energy, gibbs_state, random_density
+from helpers import apply_channel, energy, gibbs_state, random_density
 
 
 def test_gibbs_population_frozen_values():

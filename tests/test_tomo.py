@@ -7,7 +7,6 @@ from qmcool import (
     BathSpec,
     KrausChannel,
     QubitSpec,
-    apply_channel,
     canonical_basis,
     chi_from_kraus,
     measurement_tomography,
@@ -16,7 +15,6 @@ from qmcool import (
     thermalizing_channel,
     white_noise_povm,
 )
-from qmcool import tomo
 from qmcool.errors import ValidationError
 from qmcool._accel import stream
 from qmcool.tomo import (
@@ -24,11 +22,12 @@ from qmcool.tomo import (
     _PAULIS,
     _PROBES,
     _PROCESS_DESIGN,
-    _estimate_state,
+    _estimate_states,
     effect_fidelity,
 )
 
 from helpers import (
+    apply_channel,
     apply_chi,
     looped_estimate_state,
     looped_paulis,
@@ -74,12 +73,18 @@ def test_designs_are_square_and_full_rank():
 @pytest.mark.parametrize("dim", [2, 4])
 @pytest.mark.parametrize("seed", [1, 3, 7])
 def test_estimate_state_matches_looped_reference(dim, seed):
-    sigma = random_density(np.random.default_rng(seed), dim)
+    # a (target, probe) stack: every target rewinds probe j's one stream to counter 0,
+    # and so draws what a freshly built stream of the same key draws
+    rng = np.random.default_rng(seed)
+    sigmas = np.array([[random_density(rng, dim) for _ in range(2)] for _ in range(3)])
     for shots in (1, 100, 10000):
-        key = [seed, shots]
-        got = _estimate_state(sigma, shots, np.random.Generator(np.random.Philox(key=key)))
-        want = looped_estimate_state(sigma, shots, np.random.Generator(np.random.Philox(key=key)))
-        assert np.array_equal(got, want)
+        keys = [[seed, shots + j] for j in range(2)]
+        gens = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
+        got = _estimate_states(sigmas, shots, [(gen, gen.bit_generator.state) for gen in gens])
+        for t, j in np.ndindex(3, 2):
+            want = looped_estimate_state(sigmas[t, j], shots,
+                                         np.random.Generator(np.random.Philox(key=keys[j])))
+            assert np.array_equal(got[t, j], want)
 
 
 def test_chi_of_identity_channel():
@@ -129,9 +134,11 @@ def test_process_tomography_rejects_two_qubit_channel(monkeypatch):
     # a callable's 4x4 output reached lstsq as numpy's LinAlgError
     with pytest.raises(ValidationError, match="KrausChannel"):
         process_tomography(lambda r: np.eye(4) / 4)
-    # a NaN residual used to pass the exact-mode check and return a NaN chi
-    monkeypatch.setattr(tomo, "apply_channel", lambda channel, r: np.full((2, 2), np.nan))
-    with pytest.raises(ValidationError, match="residual nan"):
+    # a NaN residual used to pass the exact-mode check and return a NaN chi; here the
+    # solve itself returns NaN
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda a, b, rcond=None: (np.full(b.shape, np.nan, dtype=complex),))
+    with pytest.raises(ValidationError, match="channel: exact-mode reconstruction residual nan"):
         process_tomography(thermalizing_channel(QubitSpec(0.18), BathSpec(1.0)))
 
 
