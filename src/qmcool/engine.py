@@ -29,7 +29,6 @@ from .measure import (
     MeasurementBasis,
     PovmSet,
     WORK_WORDS,
-    _distinguishable_map,
     canonical_basis,
     haar_planes,
     white_noise_mixture_weights,
@@ -38,6 +37,7 @@ from .thermo import BathSpec, QubitSpec, thermal_populations
 
 SLACK_FLOOR = -1e-10
 TRACE_TOL = 1e-12  # how far a population map's row sums may stray from 1
+_NORMAL_MIN = 2.0**-1022  # the least normal double
 # Haar samples per chunk of frequency_sweep and haar_average_report: their memory
 # is set by one chunk, whatever n_samples is.  At 2**10 a chunk's temporaries are
 # small enough that the heap keeps them from one chunk to the next
@@ -266,13 +266,15 @@ def _pair_matrix(cfg, weights):
 
 
 def _gibbs_terms(cfg):
-    """((1 - q1, q1, t1), (1 - q2, q2, t2)): each qubit's ground and excited Gibbs
-    populations (:func:`~qmcool.thermo.thermal_populations`) and t_i = tanh(x_i/2) =
-    1 - 2q_i, x_i = beta_i*omega_i, each to full relative precision."""
+    """((1 - q1, q1, t1), (1 - q2, q2, t2), d): each qubit's ground and excited Gibbs
+    populations (:func:`~qmcool.thermo.thermal_populations`), t_i = tanh(x_i/2) =
+    1 - 2q_i, x_i = beta_i*omega_i, and d = p01 - p10 = q2 - q1, each to full relative
+    precision: d is (t1 - t2)/2 while both t_i < 1/2, and cancels only where x1 ~ x2."""
     (g1, q1), (g2, q2) = (thermal_populations(cfg.qubit1, cfg.bath1),
                           thermal_populations(cfg.qubit2, cfg.bath2))
-    return ((g1, q1, math.tanh(0.5 * (cfg.bath1.beta * cfg.qubit1.omega))),
-            (g2, q2, math.tanh(0.5 * (cfg.bath2.beta * cfg.qubit2.omega))))
+    t1 = math.tanh(0.5 * (cfg.bath1.beta * cfg.qubit1.omega))
+    t2 = math.tanh(0.5 * (cfg.bath2.beta * cfg.qubit2.omega))
+    return (g1, q1, t1), (g2, q2, t2), (0.5 * (t1 - t2) if t1 < 0.5 and t2 < 0.5 else q2 - q1)
 
 
 def _pair_coefficients(cfg):
@@ -285,12 +287,11 @@ def _pair_coefficients(cfg):
     below the rounding of p itself, so each is built from q_i (the excited population)
     and t_i = tanh(x_i/2) = 1 - 2q_i, x_i = beta_i*omega_i, never from p:
     p00 - p01 = (1 - q1) t2, p10 - p11 = q1 t2, p00 - p10 = (1 - q2) t1,
-    p01 - p11 = q2 t1, p00 - p11 = (t1 + t2)/2, and p01 - p10 = (t1 - t2)/2 while both
-    t_i < 1/2, q2 - q1 otherwise.  Each cancels only where x1 ~ x2.
+    p01 - p11 = q2 t1, p00 - p11 = (t1 + t2)/2, and p01 - p10 = d of :func:`_gibbs_terms`.
+    Each cancels only where x1 ~ x2.
     """
-    (g1, q1, t1), (g2, q2, t2) = _gibbs_terms(cfg)
-    d12 = 0.5 * (t1 - t2) if t1 < 0.5 and t2 < 0.5 else q2 - q1
-    return _pair_matrix(cfg, (g1 * t2, g2 * t1, 0.5 * (t1 + t2), d12, q2 * t1, q1 * t2))
+    (g1, q1, t1), (g2, q2, t2), d = _gibbs_terms(cfg)
+    return _pair_matrix(cfg, (g1 * t2, g2 * t1, 0.5 * (t1 + t2), d, q2 * t1, q1 * t2))
 
 
 def _pair_triples(coef, entries):
@@ -520,85 +521,97 @@ def haar_average_report(cfgs, n_samples, seed, eps=1e-12):
 
 
 def noise_sweep(cfgs, nu_values, basis=None):
-    """Energy triples and critical visibilities of each config under both noise models.
+    """Energy triples and critical visibilities of each config under both noise models,
+    measured in the canonical basis: ``basis`` is None or a basis whose vectors are
+    :func:`~qmcool.measure.canonical_basis`'s, and any other raises.
 
     Returns ``(triples, nu_c)``: triples of shape (len(cfgs), len(nu_values), 2, 3)
     hold (dE1, dE2, dE) under white and interference noise; nu_c holds one
-    :func:`critical_visibility` per config.  Both models act on rho = diag(p) and
-    move populations only, through two 4x4 maps of the basis, each formed once: the
-    population map M (:func:`_population_map`) and the distinguishable-photon map Q
-    (:func:`~qmcool.measure._distinguishable_map`), d = Q p.  A white row is c1(nu)
-    times the projective triple W, the kernel :func:`_pair_triples` on M's entries.
+    :func:`critical_visibility` per config.  A white row is c1(nu) times the projective
+    triple, the kernel :func:`_pair_triples` on the population map M's entries.
 
-    An interference row is the energy of N p / 1^T N p - p, N = nu*M + (1-nu)*Q, with
-    p subtracted inside the numerator so that no gap of rounded populations is taken:
-    the numerator is the kernel on N's entries (M and Q are symmetric) plus
-    sum_r c_r p_r (h_i,r - p^T h_i), c the column sums of N, which only Q's enter
-    (M's are 1); p_r (h_1,r - p^T h_1) = omega1 q1 (1 - q1) (-(1 - q2), -q2, 1 - q2, q2),
-    likewise for qubit 2.  So dE_i = (nu W_i + (1-nu) K_i) / (nu + (1-nu) Tr D), K the
-    Q terms, and nu_c = K_2 / (K_2 - W_2).
+    An interference row is the energy of N p / 1^T N p - p, N = nu*M + (1-nu)*Q with Q the
+    distinguishable-photon map.  On the canonical basis M = diag(1, 1/2, 1/2, 1) and
+    Q = diag(2, 5/2, 5/2, 2), each plus 1/2 at (|01>, |10>).  With the terms of
+    :func:`_gibbs_terms` and S = g1 q2 + q1 g2, the population the distinguishable
+    photons move, the row is
 
-    No density matrix is built or validated: orthonormality (checked by the basis)
-    makes M doubly stochastic, Q >= 0 by construction, and p is thermal, so every
-    post state is a state once Tr D = 1^T Q p clears the zero-detection floor.
-    That is checked per config, and its error names omega2.
+        dE_i = (nu N_M,i + (1-nu) N_Q,i) / (nu + (1-nu)(2 + S)),
+        N_M = ((omega1/2) d, -(omega2/2) d),  N_Q = ((omega1/2) t1 S, (omega2/2) t2 S),
+
+    2 + S = 1^T Q p >= 2.  Each factor but d is a product, so no term cancels.
     """
     if any(not 0.0 <= nu <= 1.0 for nu in nu_values):
         raise ValidationError(f"noise weights must lie in [0, 1], got {nu_values!r}")
-    basis = canonical_basis() if basis is None else basis
-    if not isinstance(basis, MeasurementBasis):
-        raise ValidationError(f"noise models act on a measurement basis, got {type(basis)!r}")
-    if len(cfgs) == 0:
-        return np.empty((0, len(nu_values), 2, 3)), []
-    big_q = _distinguishable_map(basis)
-    cols = big_q.sum(axis=0)
-    tr_d = np.array([_populations(cfg) for cfg in cfgs]) @ cols
-    if np.any(tr_d <= 1e-15):
-        w2 = float(cfgs[np.argmax(tr_d <= 1e-15)].qubit2.omega)
-        raise ValidationError(f"omega2 = {w2!r}: zero total detection probability")
-    coef = np.array([_pair_coefficients(cfg) for cfg in cfgs])
-    # column M: the projective triple; column Q: the kernel on Q's entries
-    both = _pair_triples(coef, np.column_stack((_population_map(basis).take(_UPPER),
-                                                big_q.take(_LOWER))))
-    # the column-sum terms: c2 - c0 and c3 - c1 weigh qubit 1, c1 - c0 and c3 - c2
-    # qubit 2; each pair is recombined as (their sum) q + (the first) t, which keeps
-    # t's digits where q ~ 1/2 and the sum vanishes, as on the canonical basis
-    c20, c31, c10, c32 = (cols[2] - cols[0], cols[3] - cols[1], cols[1] - cols[0],
-                          cols[3] - cols[2])
-    sums = []
+    canonical = canonical_basis()
+    if basis is not None and not (isinstance(basis, MeasurementBasis)
+                                  and np.array_equal(basis.vectors, canonical.vectors)):
+        raise ValidationError("noise models act on the canonical measurement basis, "
+                              f"got {type(basis).__name__}")
+    coef = np.array([_pair_coefficients(cfg) for cfg in cfgs]).reshape(-1, 2, 6)
+    proj = _pair_triples(coef, _population_map(canonical).take(_UPPER)[:, None])[:, :, 0]
+    terms, roots = [], []
     for cfg in cfgs:
-        (g1, q1, t1), (g2, q2, t2) = _gibbs_terms(cfg)
-        sums.append((cfg.qubit1.omega * q1 * g1 * ((c20 + c31) * q2 + c20 * t2),
-                     cfg.qubit2.omega * q2 * g2 * ((c10 + c32) * q1 + c10 * t1)))
+        (g1, q1, t1), (g2, q2, t2), d = _gibbs_terms(cfg)
+        s, h1, h2 = g1 * q2 + q1 * g2, 0.5 * cfg.qubit1.omega, 0.5 * cfg.qubit2.omega
+        terms.append((h1 * d, -h2 * d, h1 * t1 * s, h2 * t2 * s, 2.0 + s))
+        roots.append(_critical_root(cfg, q2, t2 * s, d))
+    terms = np.array(terms).reshape(-1, 1, 5)
     nu = np.array(nu_values, dtype=float).reshape(-1, 1)
     c1 = white_noise_mixture_weights(nu)[0]
     out = np.empty((len(cfgs), len(nu), 2, 3))
     # + 0.0: c1(0) = 0 times a negative triple is -0.0
-    out[:, :, 0] = c1 * both[:, None, :, 0] + 0.0
-    proj, dist = both[:, :2, 0], both[:, :2, 1] + np.array(sums)
-    den = nu + (1.0 - nu) * tr_d[:, None, None]
+    out[:, :, 0] = c1 * proj[:, None] + 0.0
+    den = nu + (1.0 - nu) * terms[:, :, 4:]
     # + 0.0: 0 times a negative energy is -0.0
-    out[:, :, 1, :2] = (nu * proj[:, None] + (1.0 - nu) * dist[:, None]) / den + 0.0
+    out[:, :, 1, :2] = (nu * terms[:, :, :2] + (1.0 - nu) * terms[:, :, 2:4]) / den + 0.0
     out[:, :, 1, 2] = out[:, :, 1, 0] + out[:, :, 1, 1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # a zero denominator gives inf or nan, which the range test turns into None
-        roots = dist[:, 1] / (dist[:, 1] - proj[:, 1])
-    return out, [r if 0.0 <= r <= 1.0 else None for r in roots.tolist()]
+    return out, roots
+
+
+def _critical_root(cfg, q2, t2s, d):
+    """nu_c = t2 S / (t2 S + d) of :func:`critical_visibility`, or None outside [0, 1].
+
+    The denominator is 2 q2 t1 g2 > 0, and rounds to <= 0 only where the root is far
+    above 1.  Where q2 lies below the normal range, q1/q2 = e^(-D) g1/g2, D = x1 - x2,
+    makes the root (t2 g1 / (t1 g2)) (1 + e^(-D))/2: (1 + e^(-D))/2 for D >= 0, where
+    g_i = t_i = 1, and above 1 for D < 0.  e^(-D) would amplify the rounding of the
+    products x_i, ~1e-16 x_i, so D is :func:`_exact_gap`.
+    """
+    if q2 >= _NORMAL_MIN:
+        den = t2s + d
+        root = t2s / den if den > 0.0 else math.inf
+    else:
+        gap = _exact_gap(cfg)
+        root = 0.5 * (1.0 + math.exp(-gap)) if gap >= 0.0 else math.inf
+    return root if root <= 1.0 else None
+
+
+def _exact_gap(cfg):
+    """x1 - x2, x_i = beta_i*omega_i, from the exact products (:func:`_exact_product`),
+    rounded at most twice; past 2^1020 it saturates, as e^(-x) is then 0 or inf alike."""
+    (p1, e1, k1), (p2, e2, k2) = (_exact_product(cfg.bath1.beta, cfg.qubit1.omega),
+                                  _exact_product(cfg.bath2.beta, cfg.qubit2.omega))
+    k = max(k1, k2)
+    p1, e1, p2, e2 = (math.ldexp(v, j - k) for v, j in ((p1, k1), (e1, k1), (p2, k2), (e2, k2)))
+    return math.ldexp((p1 - p2) + (e1 - e2), min(k, 1020))
+
+
+def _exact_product(a, b):
+    """(p, e, k) with a*b = (p + e) 2^k exactly for positive finite a, b: Dekker's
+    two-product (1971) on their mantissas, which keeps every part in range."""
+    (ma, ka), (mb, kb) = math.frexp(a), math.frexp(b)
+    ah, bh = 134217729.0 * ma, 134217729.0 * mb  # Veltkamp's split by 2^27 + 1
+    ah, bh = ah - (ah - ma), bh - (bh - mb)
+    al, bl, p = ma - ah, mb - bh, ma * mb
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl), ka + kb
 
 
 def critical_visibility(cfg, basis=None):
-    """Interference visibility nu_c at which dE2 changes sign, in closed form.
-
-    Before renormalization the interference model's output is nu*G + (1-nu)*D, so
-    with e2(X) = Tr(X H2) and e the initial energy of qubit 2, dE2(nu) = 0 is
-    linear in nu and has the single root
-
-        nu_c = (e*Tr D - e2(D)) / (e2(G) - e2(D) - e*(Tr G - Tr D)),
-
-    taken as K_2 / (K_2 - W_2) on the pairwise terms of :func:`noise_sweep`.  None
-    when the denominator vanishes or the root lies outside [0, 1] (the configuration
-    never refrigerates, so no critical visibility exists).  On the canonical basis it
-    is None also where both excited populations underflow (beta_i*omega_i > 708.4):
-    K_2 and W_2 are then both 0, though the root can lie in [1/2, 1].
+    """Interference visibility nu_c at which dE2 changes sign, measured in the canonical
+    basis (``basis`` as in :func:`noise_sweep`).  dE2's numerator there,
+    (omega2/2)((1-nu) t2 S - nu d), is affine in nu, with the single root
+    nu_c = t2 S / (t2 S + d) (:func:`_critical_root`).  None where it lies outside
+    [0, 1]: the configuration never refrigerates, so no critical visibility exists.
     """
     return noise_sweep([cfg], (), basis)[1][0]

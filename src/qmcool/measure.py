@@ -1,5 +1,5 @@
-"""Measurement bases, Haar sampling, and the two detector-noise models
-(white-noise POVM and imperfect two-photon interference).
+"""Measurement bases, Haar sampling, and the white-noise detector model; the
+interference-noise model is the engine's closed form (:func:`~qmcool.engine.noise_sweep`).
 
 The measurement stroke is non-selective: outcomes are discarded and the state
 becomes the probability-weighted mixture of the projected states,
@@ -171,20 +171,3 @@ def white_noise_mixture_weights(nu):
     c2 = 0.5 * (np.sqrt((1.0 + 3.0 * nu) * (1.0 - nu)) + (1.0 - nu))
     return c1, c2
 
-
-def _distinguishable_map(basis):
-    """Q with d = Q p the diagonal of the distinguishable-photon sum
-    D = sum_k A_k rho A_k + (A_k - V_k) rho (A_k - V_k) at rho = diag(p), where
-    V_k = |v_k><v_k| and A_k = Tr_2(V_k) x I = (C_k C_k^dag) x I, C_k the 2x2 reshape
-    of v_k: Q_rs = sum_k |A_k,rs|^2 + |(A_k - V_k)_rs|^2 >= 0.
-
-    The interference model detects nu*G + (1-nu)*D, G the ideal measurement: the
-    singlet projection (I - SWAP)/2 makes the transmit and reflect trains of
-    projector k 2*eta_k*A_k and 2*eta_k*(A_k - V_k), and the weights (1-nu)/4 and
-    1/eta_k^2 cancel.  The tests check D against the trains themselves.
-    """
-    v = basis.vectors
-    c = v.reshape(4, 2, 2)
-    a = np.einsum("kij,klj,mn->kimln", c, c.conj(), np.eye(2)).reshape(4, 4, 4)
-    r = a - v[:, :, None] * v.conj()[:, None, :]
-    return (a * a.conj() + r * r.conj()).real.sum(axis=0)

@@ -17,9 +17,9 @@ the abstract thermalizing channel exactly.
 
 The measurement half of the hardware (local unitaries and bias filters around
 a two-photon singlet projection) is not simulated here: the engine takes its
-distinguishable-photon trains in closed form
-(:func:`~qmcool.measure._distinguishable_map`), and the test suite rebuilds the
-trains as an independent check.
+distinguishable-photon trains in closed form on the canonical basis
+(:func:`~qmcool.engine.noise_sweep`), and the test suite rebuilds the trains as
+an independent check.
 """
 
 from dataclasses import dataclass

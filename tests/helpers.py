@@ -396,6 +396,24 @@ def _distinguishable(basis, rho):
     return out
 
 
+def _distinguishable_map(basis):
+    """Reference Q with d = Q p the diagonal of :func:`_distinguishable` at rho = diag(p),
+    V_k = |v_k><v_k| and A_k = Tr_2(V_k) x I = (C_k C_k^dag) x I, C_k the 2x2 reshape of
+    v_k: Q_rs = sum_k |A_k,rs|^2 + |(A_k - V_k)_rs|^2 >= 0.
+
+    The interference model detects nu*G + (1-nu)*D, G the ideal measurement: the
+    singlet projection (I - SWAP)/2 makes the transmit and reflect trains of
+    projector k 2*eta_k*A_k and 2*eta_k*(A_k - V_k), and the weights (1-nu)/4 and
+    1/eta_k^2 cancel.  On the canonical basis Q is diag(2, 5/2, 5/2, 2) plus 1/2 at
+    (|01>, |10>), the map of the engine's closed-form interference rows.
+    """
+    v = basis.vectors
+    c = v.reshape(4, 2, 2)
+    a = np.einsum("kij,klj,mn->kimln", c, c.conj(), np.eye(2)).reshape(4, 4, 4)
+    r = a - v[:, :, None] * v.conj()[:, None, :]
+    return (a * a.conj() + r * r.conj()).real.sum(axis=0)
+
+
 def hom_noisy_channel(basis, visibility, rho):
     """Reference interference-noise measurement: the optical trains' detected output,
     renormalized by its total detected weight."""

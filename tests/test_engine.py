@@ -1,6 +1,7 @@
 """Engine layer: cycle energetics, classification, regimes, Haar statistics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qmcool import engine
 from qmcool import (
     EngineConfig,
     HaarSampler,
+    MeasurementBasis,
     PovmSet,
     RegimeLabel,
     SecondLawViolation,
@@ -392,20 +394,19 @@ def _label(triple):
 
 @pytest.mark.parametrize("omega2", EXPERIMENT_OMEGA2)
 def test_noise_sweep_matches_general_path(omega2):
+    # both rows of the canonical basis against the density-matrix oracles: the white-noise
+    # POVM and the interference model's optical trains
     cfg = reference_config(omega2)
-    rho = initial_state(cfg)
+    rho, basis = initial_state(cfg), canonical_basis()
     nus = (0.0, 0.01, 0.37, 0.5, 1.0)
-    bases = [canonical_basis()]
-    bases += [rotate_basis(u, canonical_basis()) for u in haar_unitaries(HaarSampler(43), 20)]
-    for basis in bases:
-        triples, _ = noise_sweep([cfg], nus, basis)
-        assert triples.shape == (1, len(nus), 2, 3)
-        for nu, (white, interf) in zip(nus, triples[0]):
-            for got, post in ((white, apply_povm(white_noise_povm(basis, nu), rho)),
-                              (interf, hom_noisy_channel(basis, nu, rho))):
-                want = energy_changes(cfg, post)
-                assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
-                assert _label(got) == _label(want)
+    triples, _ = noise_sweep([cfg], nus, basis)
+    assert triples.shape == (1, len(nus), 2, 3)
+    for nu, (white, interf) in zip(nus, triples[0]):
+        for got, post in ((white, apply_povm(white_noise_povm(basis, nu), rho)),
+                          (interf, hom_noisy_channel(basis, nu, rho))):
+            want = energy_changes(cfg, post)
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+            assert _label(got) == _label(want)
 
 
 # the omega2 of the benchmark's noise grid: eight R-range values, four E and two A
@@ -413,37 +414,33 @@ NOISE_GRID = (0.02, 0.06, 0.10, 0.14, 0.18, 0.26, 0.34, 0.40, 0.46, 0.60, 0.86, 
 
 
 def test_noise_sweep_matches_the_looped_oracle():
-    # The population maps round differently from the former density matrices per
-    # omega2.  Measured on these cases: |got - want| <= 1.7e-16 * (omega1 + omega2)
-    # everywhere (the populations round at ~1e-16, and each energy is a population
-    # shift times h_i), <= 4.2e-15 of the largest |dE| on the reference configs, and
-    # each nu_c zeroes the oracle's dE2 to within 1.7e-16 * omega2 on the Haar bases and
-    # on the reference configs.  On the canonical basis nu_c is checked against the
-    # decimal references instead: the oracle takes it from rounded populations, and
-    # where an excited population lies below the rounding of 1 (e^-x < 1e-16) it gave 0
-    # or a root 1.6e-7 off, and 0 where both underflow.  Not checked: the canonical
-    # cases whose excited populations both lie below the double range (28 of 317),
-    # where noise_sweep returns None and the root can lie in [1/2, 1].
+    # The closed form and the density-matrix oracle round differently.  Measured on these
+    # cases: |got - want| <= 2.0e-16 * (omega1 + omega2) everywhere (the populations round
+    # at ~1e-16, and each energy is a population shift times h_i), <= 3.6e-15 of the
+    # largest |dE| on the reference configs, and each nu_c zeroes the oracle's dE2 to
+    # within 3.8e-17 * omega2 on the reference configs.  nu_c is
+    # checked against the decimal references on every case, the 28 whose excited
+    # populations both lie below the double range included: the oracle takes it from
+    # rounded populations, and where an excited population lies below the rounding of 1
+    # (e^-x < 1e-16) it gave 0 or a root 1.6e-7 off, and 0 where both underflow.
     rng = np.random.default_rng(2024)
     grid_nus = [round(0.01 * k, 2) for k in range(101)] + rng.random(50).tolist()
-    bases = [None] + [rotate_basis(u, canonical_basis())
-                      for u in haar_unitaries(HaarSampler(7), 20)]
-    cases = [(reference_config(w2), basis) for w2 in NOISE_GRID for basis in bases]
-    n_reference = len(cases)
+    cfgs = [reference_config(w2) for w2 in NOISE_GRID]
+    n_reference = len(cfgs)
     # the edge configs of the CLI: a huge gap, two subnormal gaps, extreme temperatures
-    cases += [(EngineConfig.from_values(*v), basis) for basis in bases[:2]
-              for v in ((1.02, 1e308, 0.4, 1.0), (1e-320, 1e-320, 0.4, 1.0),
-                        (1.02, 0.18, 1e-300, 1e300))]
-    while len(cases) < n_reference + 306:
+    cfgs += [EngineConfig.from_values(*v) for v in ((1.02, 1e308, 0.4, 1.0),
+                                                     (1e-320, 1e-320, 0.4, 1.0),
+                                                     (1.02, 0.18, 1e-300, 1e300))]
+    while len(cfgs) < n_reference + 303:
         w1, w2, b1, b2 = 10.0 ** rng.uniform(-5, 5, 4)
         if b1 != b2:
-            cases.append((EngineConfig.from_values(w1, w2, min(b1, b2), max(b1, b2)), None))
-    for k, (cfg, basis) in enumerate(cases):
+            cfgs.append(EngineConfig.from_values(w1, w2, min(b1, b2), max(b1, b2)))
+    for k, cfg in enumerate(cfgs):
         # the whole grid, and on every fifth case also none, one and two rows
         short = (grid_nus[k % 151:][:1], grid_nus[k % 150:][:2], ()) if k % 5 == 0 else ()
         for nus in (grid_nus, *short):
-            triples, nu_c = noise_sweep([cfg], nus, basis)
-            want_rows, want_nu_c = looped_noise_rows(cfg, nus, basis)
+            triples, nu_c = noise_sweep([cfg], nus)
+            want_rows, _ = looped_noise_rows(cfg, nus)
             want = np.array([(white, interf) for _, white, interf in want_rows]).reshape(-1, 2, 3)
             assert triples.shape == (1, len(nus), 2, 3)
             assert np.array_equal(np.isnan(triples[0]), np.isnan(want))
@@ -451,20 +448,10 @@ def test_noise_sweep_matches_the_looped_oracle():
             assert not np.any(err > 1e-15 * (cfg.qubit1.omega + cfg.qubit2.omega))
             if k < n_reference:
                 assert not np.any(err > 1e-14 * np.max(np.abs(want), initial=0.0))
-            if basis is not None:
-                assert (nu_c[0] is None) == (want_nu_c is None)
-            elif not _excited_populations_underflow(cfg):
-                _check_nu_c_against_decimal(cfg, nu_c[0])
-        if nu_c[0] is not None and (basis is not None or k < n_reference):
-            [(_, _, interf)], _ = looped_noise_rows(cfg, [nu_c[0]], basis)
+            _check_nu_c_against_decimal(cfg, nu_c[0])
+        if nu_c[0] is not None and k < n_reference:
+            [(_, _, interf)], _ = looped_noise_rows(cfg, [nu_c[0]])
             assert abs(interf[1]) <= 1e-15 * cfg.qubit2.omega
-
-
-def _excited_populations_underflow(cfg):
-    """Whether both excited populations e^-x_i / (1 + e^-x_i) lie below the normal
-    double range (x_i > 708.4)."""
-    xs = (cfg.bath1.beta * cfg.qubit1.omega, cfg.bath2.beta * cfg.qubit2.omega)
-    return min(xs) > -math.log(2.0**-1022)
 
 
 def _check_nu_c_against_decimal(cfg, nu_c):
@@ -485,28 +472,58 @@ def _check_nu_c_against_decimal(cfg, nu_c):
 
 
 def test_critical_visibility_matches_decimal_reference():
-    # 2000 log-uniform configs, 1866 of them checked, 473 with a root; on 1097 both
-    # x_i <= 700.  Measured: nu_c within 1.3e-15 of the reference, and None exactly
-    # where it is None.  Not checked: the 134 configs whose excited populations both
-    # lie below the double range, where nu_c is None and the root can lie in [1/2, 1]
+    # 2000 log-uniform configs, all checked; on 1097 both x_i <= 700, and on 134 both
+    # excited populations lie below the double range, where nu_c is (1 + e^(x2 - x1))/2
+    # or None.  Measured: nu_c within 2.3e-16 of the reference on the 523 with a root,
+    # and None exactly where it is None.
     rng = np.random.default_rng(2025)
     for _ in range(2000):
         w1, w2, b1, b2 = 10.0 ** rng.uniform(-5, 5, 4)
         if b1 != b2:
             cfg = EngineConfig.from_values(w1, w2, min(b1, b2), max(b1, b2))
-            if not _excited_populations_underflow(cfg):
-                _check_nu_c_against_decimal(cfg, critical_visibility(cfg))
+            _check_nu_c_against_decimal(cfg, critical_visibility(cfg))
+
+
+def test_critical_visibility_below_the_double_range_takes_the_exact_gap():
+    # both excited populations below the double range and x1 - x2 in [-5, 40]: nu_c is
+    # (1 + e^(x2 - x1))/2 or None, to 1e-14 (measured: 1.2e-16, 269 with a root).  With
+    # x_i ~ 1e12 each rounded product is off by up to ~1e-4, which e^(x2 - x1) would
+    # carry whole
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        x2 = 10.0 ** rng.uniform(3, 12)
+        b1, b2 = sorted(10.0 ** rng.uniform(-3, 3, 2))
+        cfg = EngineConfig.from_values((x2 + rng.uniform(-5, 40)) / b1, x2 / b2, b1, b2)
+        _check_nu_c_against_decimal(cfg, critical_visibility(cfg))
+
+
+def test_exact_product_and_gap_are_exact():
+    # p + e = a*b / 2^k in rational arithmetic across the double range, subnormals and the
+    # largest double included, and x1 - x2 within two roundings of the exact difference
+    rng = np.random.default_rng(5)
+    big = 1.7976931348623157e308
+    values = (10.0 ** rng.uniform(-323, 308, (3000, 4))).tolist()
+    values += [[5e-324, big, big, big], [big, big, 5e-324, 5e-324], [0.5, 3.0, 1.0, 1.5]]
+    for b1, w1, b2, w2 in values:
+        for a, b in ((b1, w1), (b2, w2)):
+            p, e, k = engine._exact_product(a, b)
+            assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b) / Fraction(2) ** k
+        b1, b2 = sorted((b1, b2))
+        got = engine._exact_gap(EngineConfig.from_values(w1, w2, b1, b2))
+        want = Fraction(b1) * Fraction(w1) - Fraction(b2) * Fraction(w2)
+        if abs(want) < 2**1020:
+            assert abs(Fraction(got) - want) <= 2**-51 * abs(want) + Fraction(2) ** -1074
+        else:  # saturated: still past 2^900, with the sign of the exact gap
+            assert abs(got) > 2.0**900 and (got > 0) == (want > 0)
 
 
 def test_white_row_at_full_weight_is_the_projective_triple():
     # c1(1) = 1.0 and the white rows share run_cycle's kernel, so they agree exactly
     cfgs = [reference_config(w2) for w2 in NOISE_GRID]
-    for basis in [canonical_basis()] + [rotate_basis(u, canonical_basis())
-                                        for u in haar_unitaries(HaarSampler(7), 20)]:
-        triples, _ = noise_sweep(cfgs, (0.3, 1.0), basis)
-        for cfg, rows in zip(cfgs, triples):
-            report = run_cycle(cfg, basis)
-            assert rows[1, 0].tolist() == [report.dE1, report.dE2, report.dE]
+    triples, _ = noise_sweep(cfgs, (0.3, 1.0), canonical_basis())
+    for cfg, rows in zip(cfgs, triples):
+        report = run_cycle(cfg)
+        assert rows[1, 0].tolist() == [report.dE1, report.dE2, report.dE]
 
 
 def test_noise_sweep_rejects_weight_outside_unit_interval():
@@ -516,13 +533,18 @@ def test_noise_sweep_rejects_weight_outside_unit_interval():
 
 
 def test_noise_sweep_takes_only_a_basis():
-    # a POVM passed the population map and then failed on its missing basis vectors
+    # a POVM passed the population map and then failed on its missing basis vectors; a
+    # rotated basis has no closed form.  A copy of the canonical vectors is the same basis
     cfg = reference_config(0.18)
-    for basis in (white_noise_povm(canonical_basis(), 0.5), canonical_basis().vectors):
-        with pytest.raises(ValidationError, match="measurement basis"):
+    rotated = rotate_basis(haar_unitary(HaarSampler(7)), canonical_basis())
+    for basis in (white_noise_povm(canonical_basis(), 0.5), canonical_basis().vectors, rotated):
+        with pytest.raises(ValidationError, match="canonical measurement basis"):
             noise_sweep([cfg], [0.5], basis)
-        with pytest.raises(ValidationError, match="measurement basis"):
+        with pytest.raises(ValidationError, match="canonical measurement basis"):
             critical_visibility(cfg, basis)
+    copy = MeasurementBasis(canonical_basis().vectors.copy())
+    assert np.array_equal(noise_sweep([cfg], [0.5], copy)[0], noise_sweep([cfg], [0.5])[0])
+    assert critical_visibility(cfg, copy) == critical_visibility(cfg)
 
 
 def test_noise_sweep_of_no_configs_is_empty():

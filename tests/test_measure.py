@@ -19,6 +19,7 @@ from qmcool import (
 
 from helpers import (
     _distinguishable,
+    _distinguishable_map,
     apply_povm,
     gibbs_state,
     hom_noisy_channel,
@@ -32,7 +33,6 @@ from helpers import (
     von_neumann_entropy,
 )
 from qmcool.engine import CHUNK, _population_map
-from qmcool.measure import _distinguishable_map
 
 
 def test_canonical_basis_orthonormal():
@@ -258,9 +258,13 @@ def test_hom_channel_preserves_trace():
 
 def test_distinguishable_map_gives_the_diagonal_of_the_sum():
     # d = Q p must be diag(D) for every diagonal input, and Q must be nonnegative; on the
-    # canonical basis (the noise command's) Q is diag(D) at rho = |s><s| bit for bit
+    # canonical basis Q is diag(D) at rho = |s><s| bit for bit, and within the rounding of
+    # s = 1/sqrt2 of the exact map of the engine's closed-form interference rows
     cols = [_distinguishable(canonical_basis(), np.diag(e)).diagonal().real for e in np.eye(4)]
     assert np.array_equal(_distinguishable_map(canonical_basis()), np.column_stack(cols))
+    exact = np.diag([2.0, 2.5, 2.5, 2.0])
+    exact[1, 2] = exact[2, 1] = 0.5
+    assert np.max(np.abs(_distinguishable_map(canonical_basis()) - exact)) <= 1e-15
     rng = np.random.default_rng(19)
     for u in haar_unitaries(HaarSampler(61), 200):
         basis = rotate_basis(u, canonical_basis())

@@ -29,6 +29,7 @@ from helpers import (
     EXPERIMENT_OMEGA2,
     chunked_haar_triples,
     decimal_canonical_noise,
+    decimal_canonical_nu_c,
     decimal_canonical_triple,
     general_population_triples,
     joint_hamiltonian_diagonals,
@@ -126,30 +127,88 @@ def test_search_configs_never_exit_three():
             run_cycle(cfg)
 
 
-def test_search_noise_labels_against_the_decimal_reference():
-    # The white rows all have a class.  The interference labels are compared with those
-    # of decimal_canonical_noise wherever it runs: both x_i in the normal double range
-    # and <= 700, 4530 cells.  Measured: 62 differ, all at nu = 0, where the row is the
-    # distinguishable-photon term alone, whose pairwise and column-sum parts cancel
-    # where t1 >> t2 or t2 >> t1 (1395 with the shift (nu g + (1-nu) d) / sum - p).
-    # A known defect: the count may only fall.
-    nus = (0.0, 0.2, 0.5, 0.8, 1.0)
+SEARCH_NUS = (0.0, 0.2, 0.5, 0.8, 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def search_noise():
+    """(triples, nu_c, references): noise_sweep on the search configs at SEARCH_NUS, and
+    {config index: rows of decimal_canonical_noise} wherever that reference runs, both
+    x_i in the normal double range and <= 700 (906 configs)."""
     cfgs = search_configs()
-    triples, _ = noise_sweep(cfgs, nus)
+    triples, nu_c = noise_sweep(cfgs, SEARCH_NUS)
+    references = {}
+    for k, cfg in enumerate(cfgs):
+        xs = (cfg.bath1.beta * cfg.qubit1.omega, cfg.bath2.beta * cfg.qubit2.omega)
+        if TINY <= min(xs) <= max(xs) <= 700:
+            digits = 40 + int(max(abs(math.log10(x)) for x in xs) + 0.4343 * max(xs))
+            references[k] = np.array(decimal_canonical_noise(cfg, SEARCH_NUS, digits)[0])
+    return triples, nu_c, references
+
+
+def test_search_noise_labels_against_the_decimal_reference():
+    # The white rows all have a class, and the interference labels are those of
+    # decimal_canonical_noise on all 4530 cells it can check.
+    triples, _, references = search_noise()
     codes = engine._class_codes(*np.moveaxis(triples, -1, 0), 1e-12)
     assert not np.any(codes[:, :, 0] < 0)
     checked = wrong = 0
-    for cfg, got in zip(cfgs, codes[:, :, 1]):
-        xs = (cfg.bath1.beta * cfg.qubit1.omega, cfg.bath2.beta * cfg.qubit2.omega)
-        if not TINY <= min(xs) <= max(xs) <= 700:
-            continue
-        digits = 40 + int(max(abs(math.log10(x)) for x in xs) + 0.4343 * max(xs))
-        rows, _ = decimal_canonical_noise(cfg, nus, digits)
-        want = engine._class_codes(*np.moveaxis(np.array(rows), -1, 0), 1e-12)
-        checked += len(nus)
-        wrong += int(np.sum(got != want))
+    for k, rows in references.items():
+        want = engine._class_codes(*np.moveaxis(rows, -1, 0), 1e-12)
+        checked += len(SEARCH_NUS)
+        wrong += int(np.sum(codes[k, :, 1] != want))
     assert checked == 4530
-    assert wrong <= 62
+    assert wrong == 0
+
+
+def test_search_noise_cells_against_the_decimal_reference():
+    # Every interference cell of the search whose exact value lies in the normal double
+    # range, where decimal_canonical_noise runs, to 1e-12 relative, including those where
+    # t1 >> t2 or t2 >> t1
+    triples, _, references = search_noise()
+    checked = 0
+    for k, rows in references.items():
+        for got, exact in zip(triples[k, :, 1].ravel().tolist(), rows.ravel().tolist()):
+            if TINY <= abs(exact) <= HUGE:
+                checked += 1
+                assert abs(got - exact) <= 1e-12 * abs(exact), (search_configs()[k], got, exact)
+    assert checked == 11151
+
+
+def test_search_noise_cells_are_finite():
+    # 1^T Q p = 2 + S >= 2, so no interference row divides by a vanishing detection
+    # weight, and every cell of the search is a finite number
+    triples, _, _ = search_noise()
+    assert np.all(np.isfinite(triples))
+
+
+def _beyond_decimal_range(cfg):
+    """Whether e^(-x2) is 0 even in decimal's widest exponent range (x2 > ~2.3e18).
+    decimal_canonical_nu_c then returns None whatever the root, so it checks nothing."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emin, ctx.Emax = 40, decimal.MIN_EMIN, decimal.MAX_EMAX
+        return (-_x(cfg.bath2.beta, cfg.qubit2.omega)).exp() == 0
+
+
+def test_search_critical_visibility_against_the_decimal_reference():
+    # nu_c of the search against decimal_canonical_nu_c, to 1e-14, on the 1438 configs
+    # where it checks something: not _beyond_decimal_range (3842 configs, on 436 of which
+    # nu_c is 1/2 from the exact gap x1 - x2, 118 of them with an x_i past the largest
+    # double), and no x_i below the normal double range (720 more, a known defect: nu_c
+    # is off on 22 of them, where t_i = tanh(x_i/2) has lost its digits or is 0).
+    # Measured: 0 off, 866 with a root.
+    _, nu_cs, _ = search_noise()
+    checked = roots = 0
+    for cfg, got in zip(search_configs(), nu_cs):
+        xs = (_x(cfg.bath1.beta, cfg.qubit1.omega), _x(cfg.bath2.beta, cfg.qubit2.omega))
+        if min(xs) < TINY or _beyond_decimal_range(cfg):
+            continue
+        want = decimal_canonical_nu_c(cfg, 40 + int(max(abs(x.log10()) for x in xs)))
+        checked += 1
+        roots += want is not None
+        assert (got is None) == (want is None), (cfg, got, want)
+        assert want is None or abs(got - want) <= 1e-14, (cfg, got, want)
+    assert (checked, roots) == (1438, 866)
 
 
 @pytest.mark.parametrize("omega2", EXPERIMENT_OMEGA2)
