@@ -1,13 +1,14 @@
 """The Haar sampling stream (stream version 4): Ginibre matrices, orthonormalized.
 
-Every Philox key of the package is built here, as ``[seed, word]``.  The Haar
-stream of a seed is key ``[seed, HAAR_WORD]``; probe j's tomography shots use
-key ``[seed, j]``, and no probe index reaches ``HAAR_WORD``, so the two never
-share a stream.  Sample i of the Haar stream reads uniforms [32i, 32i + 32)
-(the counter set to 8i), so results are a pure function of
-``(seed, start, n)`` and independent of batching: the engine draws its Haar
-samples in fixed chunks, ``ginibre_batch(seed, start, m)`` for consecutive
-starts, and gets the samples of one whole draw.
+Every stream of the package comes from :func:`stream`, on Philox key
+``[seed, word]``, rewound and advanced to a counter.  The Haar stream of a seed
+is key ``[seed, HAAR_WORD]``; probe j's tomography shots use key ``[seed, j]``,
+and no probe index reaches ``HAAR_WORD``, so the two never share a stream.
+Sample i of the Haar stream reads uniforms [32i, 32i + 32) (the counter at
+8i), so results are a pure function of ``(seed, start, n)`` and independent of
+batching: the engine draws its Haar samples in fixed chunks,
+``ginibre_batch(seed, start, m)`` for consecutive starts, and gets the samples
+of one whole draw.
 
 Both steps write into arrays that the caller may own: ``ginibre_batch`` fills
 ``out`` and puts Box-Muller's cosines in ``cos``, and ``haar_from_ginibre``
@@ -32,6 +33,7 @@ the stream as ``qmcool._accel``.
 
 import math
 import operator
+import threading
 
 import numpy as np
 
@@ -43,6 +45,8 @@ INT64_MAX = 2**63 - 1
 HAAR_WORD = INT64_MAX  # second key word of the Haar stream
 STREAM_VERSION = 4  # printed by every command whose output reads the Haar stream
 PLANAR_MIN = 8  # haar_from_ginibre's smallest batch for the planar Gram-Schmidt
+# this thread's generators: .seed, and .keys {word: (generator, its state at counter 0)}
+_STREAMS = threading.local()
 
 
 def check_int(value, name, low=0):
@@ -63,8 +67,24 @@ def check_seed(seed):
 
 def stream(seed, word, counter=0):
     """A Generator on Philox key [seed, word], its counter at ``counter``: word
-    HAAR_WORD is the Haar stream, word j < HAAR_WORD the shots of tomography probe j."""
-    return np.random.Generator(np.random.Philox(counter=counter, key=[check_seed(seed), word]))
+    HAAR_WORD is the Haar stream, word j < HAAR_WORD the shots of tomography probe j.
+
+    Each thread builds a key's generator once, for the last seed it asked for (a new
+    seed drops the old one's), and every call restores its state at counter 0 and
+    advances it, which draws what a freshly built generator at that counter draws.
+    The generator is valid until this thread's next call for the key or another seed.
+    """
+    seed = check_seed(seed)
+    if getattr(_STREAMS, "seed", None) != seed:
+        _STREAMS.seed, _STREAMS.keys = seed, {}
+    if word not in _STREAMS.keys:
+        gen = np.random.Generator(np.random.Philox(key=[seed, word]))
+        _STREAMS.keys[word] = gen, gen.bit_generator.state
+    gen, start = _STREAMS.keys[word]
+    gen.bit_generator.state = start
+    if counter:  # advance(0) changes nothing and costs ~2 us
+        gen.bit_generator.advance(counter)
+    return gen
 
 
 def ginibre_batch(seed, start, n, out=None, cos=None):

@@ -53,7 +53,6 @@ from .tomo import (
     _effects_of,
     _fidelities,
     _measurement_tomographies,
-    _probe_streams,
     _process_tomographies,
 )
 
@@ -322,16 +321,15 @@ def cmd_tomography(cfg):
     analytic = _chis_from_kraus(np.stack([channel.operators for channel in channels]))
     basis = canonical_basis()
     bases = [("canonical", basis)]
-    modes = [("exact", None, None)]
+    modes = [("exact", None)]
     if cfg.shots is not None:
         haar = haar_unitaries(HaarSampler(cfg.seed), 5)
         bases += [(f"haar_{i}", rotate_basis(u, basis)) for i, u in enumerate(haar)]
-        # every target rewinds the same probe streams, built once per command
-        modes.append(("shots", cfg.shots, _probe_streams(cfg.seed, 16)))
+        modes.append(("shots", cfg.shots))
     process, measurement = [], []
-    for mode, shots, streams in modes:
+    for mode, shots in modes:
         cells = ("", "") if shots is None else (shots, cfg.seed)
-        chis = _process_tomographies(channels, labels, shots, streams)
+        chis = _process_tomographies(channels, labels, shots, cfg.seed)
         if shots is None:
             chi = chis[0]  # the first exact chi, printed entry by entry
         process.append([(f"process_{mode}", label, "", "", "", "", *cells, fid)
@@ -339,7 +337,7 @@ def cmd_tomography(cfg):
         measured = bases[:1] if shots is None else bases
         names = [name for name, _ in measured]
         projectors = np.stack([_effects_of(bas) for _, bas in measured])
-        est = _measurement_tomographies(projectors, names, shots, streams)
+        est = _measurement_tomographies(projectors, names, shots, cfg.seed)
         fids = _effect_fidelities(est.reshape(-1, 4, 4), projectors.reshape(-1, 4, 4))
         measurement += [(f"measurement_{mode}", name, "", "", "", "", *cells, fid) for name, fid
                         in zip(names, np.mean(np.reshape(fids, (-1, 4)), axis=1).tolist())]

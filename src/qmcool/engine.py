@@ -550,12 +550,11 @@ def noise_sweep(cfgs, nu_values, basis=None):
                               f"got {type(basis).__name__}")
     coef = np.array([_pair_coefficients(cfg) for cfg in cfgs]).reshape(-1, 2, 6)
     proj = _pair_triples(coef, _population_map(canonical).take(_UPPER)[:, None])[:, :, 0]
-    terms, roots = [], []
+    terms = []
     for cfg in cfgs:
         (g1, q1, t1), (g2, q2, t2), d = _gibbs_terms(cfg)
         s, h1, h2 = g1 * q2 + q1 * g2, 0.5 * cfg.qubit1.omega, 0.5 * cfg.qubit2.omega
         terms.append((h1 * d, -h2 * d, h1 * t1 * s, h2 * t2 * s, 2.0 + s))
-        roots.append(_critical_root(cfg, q2, t2 * s, d))
     terms = np.array(terms).reshape(-1, 1, 5)
     nu = np.array(nu_values, dtype=float).reshape(-1, 1)
     c1 = white_noise_mixture_weights(nu)[0]
@@ -566,35 +565,39 @@ def noise_sweep(cfgs, nu_values, basis=None):
     # + 0.0: 0 times a negative energy is -0.0
     out[:, :, 1, :2] = (nu * terms[:, :, :2] + (1.0 - nu) * terms[:, :, 2:4]) / den + 0.0
     out[:, :, 1, 2] = out[:, :, 1, 0] + out[:, :, 1, 1]
-    return out, roots
+    return out, [_critical_root(cfg) for cfg in cfgs]
 
 
-def _critical_root(cfg, q2, t2s, d):
-    """nu_c = t2 S / (t2 S + d) of :func:`critical_visibility`, or None outside [0, 1].
+def _critical_root(cfg):
+    """nu_c = t2 S / (t2 S + d) of :func:`critical_visibility`, or None above 1.
 
-    The denominator is 2 q2 t1 g2 > 0, and rounds to <= 0 only where the root is far
-    above 1.  Where q2 lies below the normal range, q1/q2 = e^(-D) g1/g2, D = x1 - x2,
-    makes the root (t2 g1 / (t1 g2)) (1 + e^(-D))/2: (1 + e^(-D))/2 for D >= 0, where
-    g_i = t_i = 1, and above 1 for D < 0.  e^(-D) would amplify the rounding of the
-    products x_i, ~1e-16 x_i, so D is :func:`_exact_gap`.
+    Written in e^(-x_i), x_i = beta_i*omega_i, the root is
+    (1 + e^(-D))/2 * expm1(-x2)/expm1(-x1), D = x1 - x2, in which no term cancels.
+    Both factors are at most 1 for D >= 0 and above 1 for D < 0, so the root lies in
+    [0, 1] exactly when D >= 0.  e^(-D) would amplify the rounding of the products x_i,
+    ~1e-16 x_i, so D and its sign are :func:`_exact_gap`'s.  Below the normal range x_i
+    keeps few digits, or rounds to 0, so -expm1(-x_i) = x_i is taken from the mantissa
+    of its exact product.
     """
-    if q2 >= _NORMAL_MIN:
-        den = t2s + d
-        root = t2s / den if den > 0.0 else math.inf
-    else:
-        gap = _exact_gap(cfg)
-        root = 0.5 * (1.0 + math.exp(-gap)) if gap >= 0.0 else math.inf
-    return root if root <= 1.0 else None
+    pairs = ((cfg.bath1.beta, cfg.qubit1.omega), (cfg.bath2.beta, cfg.qubit2.omega))
+    products = [_exact_product(b, w) for b, w in pairs]
+    gap, k = _exact_gap(*products)
+    if gap < 0.0:
+        return None
+    # -expm1(-x_i) as m_i 2^j_i
+    (m1, j1), (m2, j2) = (math.frexp(-math.expm1(-b * w)) if b * w >= _NORMAL_MIN else (p, j)
+                          for (b, w), (p, _, j) in zip(pairs, products))
+    return 0.5 * (1.0 + math.exp(-math.ldexp(gap, min(k, 1020)))) * math.ldexp(m2 / m1, j2 - j1)
 
 
-def _exact_gap(cfg):
-    """x1 - x2, x_i = beta_i*omega_i, from the exact products (:func:`_exact_product`),
-    rounded at most twice; past 2^1020 it saturates, as e^(-x) is then 0 or inf alike."""
-    (p1, e1, k1), (p2, e2, k2) = (_exact_product(cfg.bath1.beta, cfg.qubit1.omega),
-                                  _exact_product(cfg.bath2.beta, cfg.qubit2.omega))
+def _exact_gap(x1, x2):
+    """(g, k) with g 2^k = x1 - x2, rounded at most twice, for exact products (p, e, k)
+    (:func:`_exact_product`).  g has the exact difference's sign, which 2^k can underflow
+    to -0.0; past 2^1020 the caller saturates, as e^(-x) is then 0 or inf alike."""
+    (p1, e1, k1), (p2, e2, k2) = x1, x2
     k = max(k1, k2)
     p1, e1, p2, e2 = (math.ldexp(v, j - k) for v, j in ((p1, k1), (e1, k1), (p2, k2), (e2, k2)))
-    return math.ldexp((p1 - p2) + (e1 - e2), min(k, 1020))
+    return (p1 - p2) + (e1 - e2), k
 
 
 def _exact_product(a, b):

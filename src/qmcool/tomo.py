@@ -15,14 +15,13 @@ so its counts do not depend on the other probes and never share the seed's
 Haar stream.  Exact mode performs a perfect round trip to 1e-10.
 
 Each kind is one pass over a stack of targets: one matmul over the probes, one
-``lstsq`` with a column per target, stacked clipping and fidelities.  A probe's
-stream is built once and rewound to counter 0 for each target, so it draws what
-a fresh stream would.  The public functions are the one-target case.
+``lstsq`` with a column per target, stacked clipping and fidelities.  The
+public functions are the one-target case.
 """
 
 import numpy as np
 
-from ._accel import check_int, check_seed, stream
+from ._accel import check_int, stream
 from .errors import ValidationError
 from .measure import MeasurementBasis, PovmSet
 from .thermo import KrausChannel
@@ -82,34 +81,13 @@ def _chis_from_kraus(kraus):
     return coeff.swapaxes(-1, -2) @ coeff.conj()
 
 
-def _probe_streams(seed, count):
-    """Probe j's stream ``stream(seed, j)`` for j < count, with its state at counter 0."""
-    seed = check_seed(seed)
-    return [(gen, gen.bit_generator.state) for gen in (stream(seed, j) for j in range(count))]
-
-
-def _rewound(streams, j):
-    """Probe j's stream put back to counter 0, where a freshly built one starts."""
-    gen, start = streams[j]
-    gen.bit_generator.state = start
-    return gen
-
-
-def _shot_streams(shots, seed, count):
-    """(checked shots, probe streams) of a one-target call; (None, None) in exact mode."""
-    if shots is None:
-        return None, None
-    streams = _probe_streams(seed, count)
-    return check_int(shots, "shots", 1), streams
-
-
-def _estimate_states(sigmas, shots, streams):
+def _estimate_states(sigmas, shots, seed):
     """Pauli-expectation estimates of a (t, j, d, d) stack of states from binomial
-    sampling of each setting; state (t, j) draws from probe j's rewound stream."""
-    d = sigmas.shape[-1]
+    sampling of each setting; state (t, j) draws from probe j's stream at counter 0."""
+    shots, d = check_int(shots, "shots", 1), sigmas.shape[-1]
     paulis = _paulis_of_dim(d)
     p_plus = np.real(np.einsum("tjik,gki->tjg", sigmas, np.eye(d) + paulis[1:])) / 2.0
-    k = np.array([[_rewound(streams, j).binomial(shots, p) for j, p in enumerate(row)]
+    k = np.array([[stream(seed, j).binomial(shots, p) for j, p in enumerate(row)]
                   for row in np.clip(p_plus, 0.0, 1.0)])
     mean = np.concatenate([np.ones(k.shape[:-1] + (1,)), (2.0 * k - shots) / shots], axis=-1)
     return np.einsum("tjg,gab->tjab", mean / d, paulis)
@@ -124,12 +102,12 @@ def process_tomography(channel, shots=None, seed=None):
     reconstructed chi is then eigenvalue-clipped at zero and renormalized to unit
     trace.
     """
-    return _process_tomographies([channel], ["channel"], *_shot_streams(shots, seed, 4))[0]
+    return _process_tomographies([channel], ["channel"], shots, seed)[0]
 
 
-def _process_tomographies(channels, labels, shots=None, streams=None):
+def _process_tomographies(channels, labels, shots=None, seed=None):
     """:func:`process_tomography` of channels with equally many Kraus operators, a
-    (t, 4, 4) stack; ``labels`` name them in errors, ``streams`` is from _probe_streams."""
+    (t, 4, 4) stack; ``labels`` name them in errors."""
     for channel in channels:
         if not isinstance(channel, KrausChannel):
             raise ValidationError(f"channel must be a KrausChannel, got {type(channel)!r}")
@@ -143,7 +121,7 @@ def _process_tomographies(channels, labels, shots=None, streams=None):
     drift = np.abs(np.trace(outputs, axis1=2, axis2=3) - np.trace(_PROBES[2], axis1=1, axis2=2))
     _check(~(drift > 1e-10), labels, "channel failed to preserve trace (drift {:.3e})", drift)
     if shots is not None:
-        outputs = _estimate_states(outputs, shots, streams)
+        outputs = _estimate_states(outputs, shots, seed)
     b = outputs.reshape(len(channels), 16).T
     chi = np.linalg.lstsq(_PROCESS_DESIGN, b, rcond=None)[0].T.reshape(-1, 4, 4)
     chi = 0.5 * (chi + _dagger(chi))
@@ -175,15 +153,16 @@ def measurement_tomography(measurement, shots=None, seed=None):
     reconstructed effect is eigenvalue-clipped at zero.
     """
     effects = _effects_of(measurement)[None]
-    return _measurement_tomographies(effects, ["measurement"], *_shot_streams(shots, seed, 16))[0]
+    return _measurement_tomographies(effects, ["measurement"], shots, seed)[0]
 
 
-def _measurement_tomographies(effects, labels, shots=None, streams=None):
+def _measurement_tomographies(effects, labels, shots=None, seed=None):
     """:func:`measurement_tomography` of a (b, 4, 4, 4) stack of measurements' effects,
-    with labels and streams as in :func:`_process_tomographies`."""
+    labelled as in :func:`_process_tomographies`; probe j draws from ``stream(seed, j)``."""
     freqs = np.clip(np.real(np.einsum("bkil,jli->bjk", effects, _PROBES[4])), 0.0, None)
     if shots is not None:
-        freqs = np.array([[_rewound(streams, j).multinomial(shots, p / p.sum())
+        shots = check_int(shots, "shots", 1)
+        freqs = np.array([[stream(seed, j).multinomial(shots, p / p.sum())
                            for j, p in enumerate(probes)] for probes in freqs]) / shots
     coeffs = np.linalg.lstsq(_EFFECT_DESIGN, freqs.transpose(1, 0, 2).reshape(16, -1),
                              rcond=None)[0]

@@ -21,7 +21,7 @@ from qmcool import (
     solve_hologram,
     thermalizing_channel,
 )
-from qmcool._accel import check_int, ginibre_batch, haar_from_ginibre, stream
+from qmcool._accel import check_int, ginibre_batch, haar_from_ginibre
 from qmcool.engine import TRACE_TOL, _haar_chunks, _pair_coefficients, _populations
 from qmcool.measure import white_noise_mixture_weights
 from qmcool.thermo import _omega, as_complex, thermal_populations
@@ -552,6 +552,12 @@ def looped_process_design(probes):
     return np.vstack(rows)
 
 
+def fresh_stream(seed, word, counter=0):
+    """A Generator on a freshly built Philox key [seed, word], its counter at ``counter``:
+    the oracle of :func:`qmcool._accel.stream`, which rewinds one generator per key."""
+    return np.random.Generator(np.random.Philox(counter=counter, key=[seed, word]))
+
+
 def looped_estimate_state(sigma, shots, rng):
     """Reference shot-mode state estimate: one binomial per non-identity Pauli,
     in Pauli order, with p_plus = Tr(sigma (I + G))/2."""
@@ -635,7 +641,8 @@ def looped_process_tomography(channel, shots=None, seed=None):
     sum per probe, a freshly built stream per probe and a one-column solve (no checks)."""
     outputs = [apply_channel(channel, probe) for probe in _PROBES[2]]
     if shots is not None:
-        outputs = [looped_estimate_state(s, shots, stream(seed, j)) for j, s in enumerate(outputs)]
+        outputs = [looped_estimate_state(s, shots, fresh_stream(seed, j))
+                   for j, s in enumerate(outputs)]
     b = np.stack(outputs).reshape(-1)
     chi = np.linalg.lstsq(_PROCESS_DESIGN, b, rcond=None)[0].reshape(4, 4)
     chi = 0.5 * (chi + chi.conj().T)
@@ -651,7 +658,7 @@ def looped_measurement_tomography(effects, shots=None, seed=None):
     former one-measurement body, a freshly built stream per probe (no checks)."""
     freqs = np.clip(np.real(np.einsum("kil,jli->jk", effects, _PROBES[4])), 0.0, None)
     if shots is not None:
-        freqs = np.stack([stream(seed, j).multinomial(shots, p / p.sum())
+        freqs = np.stack([fresh_stream(seed, j).multinomial(shots, p / p.sum())
                           for j, p in enumerate(freqs)]) / shots
     coeffs = np.linalg.lstsq(_EFFECT_DESIGN, freqs, rcond=None)[0]
     recon = np.einsum("mk,mij->kij", coeffs, _PAULIS[4])

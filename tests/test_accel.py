@@ -1,4 +1,8 @@
-"""Haar stream (version 4): layout, random access, seed range and the Gram-Schmidt step."""
+"""Haar stream (version 4): layout, random access, seed range, the per-thread rewound
+generators and the Gram-Schmidt step."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from qmcool import (EngineConfig, HaarSampler, ValidationError, _accel, frequenc
 from qmcool.engine import CHUNK, _haar_chunks
 from qmcool.measure import WORK_WORDS, haar_planes
 
-from helpers import box_muller_sample, complex_unitaries, qr_gauge_haar
+from helpers import box_muller_sample, complex_unitaries, fresh_stream, qr_gauge_haar
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
@@ -62,6 +66,56 @@ def test_ginibre_rejects_bad_seed():
         for run in (_haar_chunks, haar_average_report, frequency_sweep):
             with pytest.raises(ValidationError):
                 run([cfg], n, 3)
+
+
+def test_stream_draws_what_a_fresh_philox_draws():
+    # interleaved seeds, words and counters, counters past 2**64 included: each call
+    # rewinds and advances the key's one generator, and draws what a freshly built one
+    # at that counter draws
+    rng = np.random.default_rng(11)
+    seeds, words = (0, 3, 2**63 - 1), (0, 1, 15, _accel.HAAR_WORD)
+    counters = (0, 1, 8, 8 * 4095, 2**64 + 5, 8 * (2**63 - 1))
+    for _ in range(600):
+        seed, word, counter = (v[rng.integers(len(v))] for v in (seeds, words, counters))
+        gen = _accel.stream(seed, word, counter)
+        assert np.array_equal(gen.random(37), fresh_stream(seed, word, counter).random(37))
+        # one generator per key, for the last seed asked for
+        assert _accel.stream(seed, word) is gen
+        assert set(_accel._STREAMS.keys) <= set(words) and _accel._STREAMS.seed == seed
+
+
+def test_stream_threads_keep_their_own_generators():
+    # three threads ask for the same keys at other counters, and each draws only after
+    # all have asked: with one shared generator per key, all but the last to ask would
+    # draw at its counter, and a shared seed would drop the others' generators
+    plans = [[(1, 0), (2, 5), (1, 9), (1, 2**64 + 1)],
+             [(1, 3), (1, 4), (2, 5), (2, 8 * (2**63 - 1))],
+             [(2, 1), (1, 4), (3, 0), (1, 7)]]
+    sync = threading.Barrier(len(plans), timeout=30)
+    got = [[] for _ in plans]
+
+    def draw(plan, out):
+        for seed, counter in plan:
+            sync.wait()
+            gen = _accel.stream(seed, _accel.HAAR_WORD, counter)
+            sync.wait()
+            out.append(gen.random(32))
+
+    threads = [threading.Thread(target=draw, args=args) for args in zip(plans, got)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for plan, draws in zip(plans, got):
+        assert len(draws) == len(plan)
+        for (seed, counter), u in zip(plan, draws):
+            assert np.array_equal(u, fresh_stream(seed, _accel.HAAR_WORD, counter).random(32))
 
 
 def test_haar_from_ginibre_unitary():

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import threading
 
 import numpy as np
 import pytest
@@ -335,7 +336,8 @@ def test_tomography_rows_equal_the_looped_oracle(monkeypatch, tmp_path, grid, sh
 
 def test_tomography_shots_builds_each_probe_stream_once(monkeypatch, tmp_path):
     # 16 probe streams and the Haar stream, against one stream per (target, probe)
-    # and 37 solves before
+    # and 37 solves before; no generator cached by an earlier call may hide a build
+    monkeypatch.setattr(_accel, "_STREAMS", threading.local())
     keys, solves = [], []
     philox, lstsq = np.random.Philox, np.linalg.lstsq
     monkeypatch.setattr(np.random, "Philox", lambda *args, key=None, **kwargs:
@@ -542,6 +544,7 @@ def test_seed_beyond_int64_is_config_error(tmp_path, command, seed, code):
 
 def test_tomography_haar_key_is_not_a_shot_key(monkeypatch, tmp_path):
     # the Haar bases and the shot counts of probe i used to share Philox key [seed, i]
+    monkeypatch.setattr(_accel, "_STREAMS", threading.local())
     haar_keys, shot_keys, in_haar = [], [], []
     philox, ginibre = np.random.Philox, _accel.ginibre_batch
 

@@ -499,18 +499,21 @@ def test_critical_visibility_below_the_double_range_takes_the_exact_gap():
 
 def test_exact_product_and_gap_are_exact():
     # p + e = a*b / 2^k in rational arithmetic across the double range, subnormals and the
-    # largest double included, and x1 - x2 within two roundings of the exact difference
+    # largest double included; x1 - x2 within two roundings of the exact difference, and
+    # its sign exact before the scaling, which may underflow
     rng = np.random.default_rng(5)
     big = 1.7976931348623157e308
     values = (10.0 ** rng.uniform(-323, 308, (3000, 4))).tolist()
-    values += [[5e-324, big, big, big], [big, big, 5e-324, 5e-324], [0.5, 3.0, 1.0, 1.5]]
+    values += [[5e-324, big, big, big], [big, big, 5e-324, 5e-324], [0.5, 3.0, 1.0, 1.5],
+               [5e-324, 3.0, 5e-324, 3.0], [1e-300, 1e-20, 1e-300, 1.0000000000000002e-20]]
     for b1, w1, b2, w2 in values:
-        for a, b in ((b1, w1), (b2, w2)):
-            p, e, k = engine._exact_product(a, b)
+        products = [engine._exact_product(a, b) for a, b in ((b1, w1), (b2, w2))]
+        for (a, b), (p, e, k) in zip(((b1, w1), (b2, w2)), products):
             assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b) / Fraction(2) ** k
-        b1, b2 = sorted((b1, b2))
-        got = engine._exact_gap(EngineConfig.from_values(w1, w2, b1, b2))
+        gap, k = engine._exact_gap(*products)
+        got = math.ldexp(gap, min(k, 1020))
         want = Fraction(b1) * Fraction(w1) - Fraction(b2) * Fraction(w2)
+        assert (gap > 0, gap < 0) == (want > 0, want < 0)
         if abs(want) < 2**1020:
             assert abs(Fraction(got) - want) <= 2**-51 * abs(want) + Fraction(2) ** -1074
         else:  # saturated: still past 2^900, with the sign of the exact gap

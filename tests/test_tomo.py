@@ -16,7 +16,6 @@ from qmcool import (
     white_noise_povm,
 )
 from qmcool.errors import ValidationError
-from qmcool._accel import stream
 from qmcool.tomo import (
     _EFFECT_DESIGN,
     _PAULIS,
@@ -29,6 +28,7 @@ from qmcool.tomo import (
 from helpers import (
     apply_channel,
     apply_chi,
+    fresh_stream,
     looped_estimate_state,
     looped_paulis,
     looped_process_design,
@@ -73,17 +73,14 @@ def test_designs_are_square_and_full_rank():
 @pytest.mark.parametrize("dim", [2, 4])
 @pytest.mark.parametrize("seed", [1, 3, 7])
 def test_estimate_state_matches_looped_reference(dim, seed):
-    # a (target, probe) stack: every target rewinds probe j's one stream to counter 0,
-    # and so draws what a freshly built stream of the same key draws
+    # a (target, probe) stack: every target draws from probe j's stream at counter 0,
+    # what a freshly built stream of key [seed, j] draws
     rng = np.random.default_rng(seed)
     sigmas = np.array([[random_density(rng, dim) for _ in range(2)] for _ in range(3)])
     for shots in (1, 100, 10000):
-        keys = [[seed, shots + j] for j in range(2)]
-        gens = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
-        got = _estimate_states(sigmas, shots, [(gen, gen.bit_generator.state) for gen in gens])
+        got = _estimate_states(sigmas, shots, seed)
         for t, j in np.ndindex(3, 2):
-            want = looped_estimate_state(sigmas[t, j], shots,
-                                         np.random.Generator(np.random.Philox(key=keys[j])))
+            want = looped_estimate_state(sigmas[t, j], shots, fresh_stream(seed, j))
             assert np.array_equal(got[t, j], want)
 
 
@@ -168,7 +165,7 @@ def test_process_tomography_shots_chi_is_psd_and_raw_kept():
     # the clipped result is exactly the eigenvalue-floored, renormalized pre-clip
     # fit, rebuilt from the looped design and estimates on the same probe streams
     probes = _PROBES[2]
-    outputs = [looped_estimate_state(apply_channel(ch, probe), 200, stream(1, j))
+    outputs = [looped_estimate_state(apply_channel(ch, probe), 200, fresh_stream(1, j))
                for j, probe in enumerate(probes)]
     raw = np.linalg.lstsq(looped_process_design(probes), np.stack(outputs).reshape(-1),
                           rcond=None)[0].reshape(4, 4)
@@ -244,7 +241,8 @@ def test_measurement_tomography_shots_raw_kept():
     design = np.array([[np.trace(probe @ g).real for g in paulis] for probe in probes])
     freqs = np.array([[np.trace(basis.projector(k) @ probe).real for k in range(4)]
                       for probe in probes]).clip(0.0, None)
-    counts = np.stack([stream(5, j).multinomial(300, f / f.sum()) for j, f in enumerate(freqs)])
+    counts = np.stack([fresh_stream(5, j).multinomial(300, f / f.sum())
+                       for j, f in enumerate(freqs)])
     coeffs = np.linalg.lstsq(design, counts / 300, rcond=None)[0]
     for k, effect in enumerate(effects):
         raw = sum(c * g for c, g in zip(coeffs[:, k], paulis))
