@@ -60,11 +60,6 @@ def check_int(value, name, low=0):
     return out
 
 
-def check_seed(seed):
-    """The seed as an int, if it is an integer (not a bool, float or str) in [0, 2**63 - 1]."""
-    return check_int(seed, "seed")
-
-
 def stream(seed, word, counter=0):
     """A Generator on Philox key [seed, word], its counter at ``counter``: word
     HAAR_WORD is the Haar stream, word j < HAAR_WORD the shots of tomography probe j.
@@ -74,7 +69,7 @@ def stream(seed, word, counter=0):
     advances it, which draws what a freshly built generator at that counter draws.
     The generator is valid until this thread's next call for the key or another seed.
     """
-    seed = check_seed(seed)
+    seed = check_int(seed, "seed")
     if getattr(_STREAMS, "seed", None) != seed:
         _STREAMS.seed, _STREAMS.keys = seed, {}
     if word not in _STREAMS.keys:

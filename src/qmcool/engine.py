@@ -16,6 +16,7 @@ H (heater).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -37,7 +38,6 @@ from .thermo import BathSpec, QubitSpec, thermal_populations
 
 SLACK_FLOOR = -1e-10
 TRACE_TOL = 1e-12  # how far a population map's row sums may stray from 1
-_NORMAL_MIN = 2.0**-1022  # the least normal double
 # Haar samples per chunk of frequency_sweep and haar_average_report: their memory
 # is set by one chunk, whatever n_samples is.  At 2**10 a chunk's temporaries are
 # small enough that the heap keeps them from one chunk to the next
@@ -165,18 +165,18 @@ def _class_error(code, de1, de2, de, eps):
 
 
 def regime(cfg):
-    """Parameter-space regime from the gap ratio omega2/omega1.
+    """Parameter-space regime of the gap ratio omega2/omega1.
 
-    R-range for ratio <= beta1/beta2, E-range up to 1, A-range above.  The
-    first boundary coincides exactly with the tanh-equality condition
-    beta1*omega1 = beta2*omega2 (tanh is strictly monotone), so the ratio
-    form and the sign-flip of the canonical-basis energy transfer agree
-    identically, not only for small gaps.
+    R-range for ratio <= beta1/beta2, E-range up to 1, A-range above.  The first
+    boundary is the tanh-equality condition beta1*omega1 = beta2*omega2 (tanh is
+    strictly monotone), decided by the sign of :func:`_exact_gap`, the same exact gap
+    that decides whether :func:`critical_visibility` exists.  So the regime, the
+    sign-flip of the canonical-basis energy transfer and the existence of nu_c agree
+    identically, in floats as in exact arithmetic.
     """
-    ratio = cfg.qubit2.omega / cfg.qubit1.omega
-    if ratio <= cfg.bath1.beta / cfg.bath2.beta:
+    if _exact_gap(cfg)[0] >= 0:
         return RegimeLabel.R_RANGE
-    if ratio <= 1.0:
+    if cfg.qubit2.omega <= cfg.qubit1.omega:
         return RegimeLabel.E_RANGE
     return RegimeLabel.A_RANGE
 
@@ -520,10 +520,9 @@ def haar_average_report(cfgs, n_samples, seed, eps=1e-12):
     return reports
 
 
-def noise_sweep(cfgs, nu_values, basis=None):
+def noise_sweep(cfgs, nu_values):
     """Energy triples and critical visibilities of each config under both noise models,
-    measured in the canonical basis: ``basis`` is None or a basis whose vectors are
-    :func:`~qmcool.measure.canonical_basis`'s, and any other raises.
+    measured in the canonical basis.
 
     Returns ``(triples, nu_c)``: triples of shape (len(cfgs), len(nu_values), 2, 3)
     hold (dE1, dE2, dE) under white and interference noise; nu_c holds one
@@ -543,13 +542,8 @@ def noise_sweep(cfgs, nu_values, basis=None):
     """
     if any(not 0.0 <= nu <= 1.0 for nu in nu_values):
         raise ValidationError(f"noise weights must lie in [0, 1], got {nu_values!r}")
-    canonical = canonical_basis()
-    if basis is not None and not (isinstance(basis, MeasurementBasis)
-                                  and np.array_equal(basis.vectors, canonical.vectors)):
-        raise ValidationError("noise models act on the canonical measurement basis, "
-                              f"got {type(basis).__name__}")
     coef = np.array([_pair_coefficients(cfg) for cfg in cfgs]).reshape(-1, 2, 6)
-    proj = _pair_triples(coef, _population_map(canonical).take(_UPPER)[:, None])[:, :, 0]
+    proj = _pair_triples(coef, _population_map(canonical_basis()).take(_UPPER)[:, None])[:, :, 0]
     terms = []
     for cfg in cfgs:
         (g1, q1, t1), (g2, q2, t2), d = _gibbs_terms(cfg)
@@ -565,56 +559,52 @@ def noise_sweep(cfgs, nu_values, basis=None):
     # + 0.0: 0 times a negative energy is -0.0
     out[:, :, 1, :2] = (nu * terms[:, :, :2] + (1.0 - nu) * terms[:, :, 2:4]) / den + 0.0
     out[:, :, 1, 2] = out[:, :, 1, 0] + out[:, :, 1, 1]
-    return out, [_critical_root(cfg) for cfg in cfgs]
+    return out, [critical_visibility(cfg) for cfg in cfgs]
 
 
-def _critical_root(cfg):
-    """nu_c = t2 S / (t2 S + d) of :func:`critical_visibility`, or None above 1.
-
-    Written in e^(-x_i), x_i = beta_i*omega_i, the root is
-    (1 + e^(-D))/2 * expm1(-x2)/expm1(-x1), D = x1 - x2, in which no term cancels.
-    Both factors are at most 1 for D >= 0 and above 1 for D < 0, so the root lies in
-    [0, 1] exactly when D >= 0.  e^(-D) would amplify the rounding of the products x_i,
-    ~1e-16 x_i, so D and its sign are :func:`_exact_gap`'s.  Below the normal range x_i
-    keeps few digits, or rounds to 0, so -expm1(-x_i) = x_i is taken from the mantissa
-    of its exact product.
-    """
-    pairs = ((cfg.bath1.beta, cfg.qubit1.omega), (cfg.bath2.beta, cfg.qubit2.omega))
-    products = [_exact_product(b, w) for b, w in pairs]
-    gap, k = _exact_gap(*products)
-    if gap < 0.0:
-        return None
-    # -expm1(-x_i) as m_i 2^j_i
-    (m1, j1), (m2, j2) = (math.frexp(-math.expm1(-b * w)) if b * w >= _NORMAL_MIN else (p, j)
-                          for (b, w), (p, _, j) in zip(pairs, products))
-    return 0.5 * (1.0 + math.exp(-math.ldexp(gap, min(k, 1020)))) * math.ldexp(m2 / m1, j2 - j1)
+def _factors(cfg):
+    """((beta1, omega1), (beta2, omega2)), the factors of x_i = beta_i*omega_i."""
+    return (cfg.bath1.beta, cfg.qubit1.omega), (cfg.bath2.beta, cfg.qubit2.omega)
 
 
-def _exact_gap(x1, x2):
-    """(g, k) with g 2^k = x1 - x2, rounded at most twice, for exact products (p, e, k)
-    (:func:`_exact_product`).  g has the exact difference's sign, which 2^k can underflow
-    to -0.0; past 2^1020 the caller saturates, as e^(-x) is then 0 or inf alike."""
-    (p1, e1, k1), (p2, e2, k2) = x1, x2
-    k = max(k1, k2)
-    p1, e1, p2, e2 = (math.ldexp(v, j - k) for v, j in ((p1, k1), (e1, k1), (p2, k2), (e2, k2)))
-    return (p1 - p2) + (e1 - e2), k
+def _exact_ratio(a, b):
+    """(n, d), Python ints with n/d = a*b exactly."""
+    (na, da), (nb, db) = float(a).as_integer_ratio(), float(b).as_integer_ratio()
+    return na * nb, da * db
 
 
-def _exact_product(a, b):
-    """(p, e, k) with a*b = (p + e) 2^k exactly for positive finite a, b: Dekker's
-    two-product (1971) on their mantissas, which keeps every part in range."""
-    (ma, ka), (mb, kb) = math.frexp(a), math.frexp(b)
-    ah, bh = 134217729.0 * ma, 134217729.0 * mb  # Veltkamp's split by 2^27 + 1
-    ah, bh = ah - (ah - ma), bh - (bh - mb)
-    al, bl, p = ma - ah, mb - bh, ma * mb
-    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl), ka + kb
+def _exact_gap(cfg):
+    """(g, den), Python ints with g/den = x1 - x2 exactly, x_i = beta_i*omega_i."""
+    (n1, d1), (n2, d2) = (_exact_ratio(b, w) for b, w in _factors(cfg))
+    return n1 * d2 - n2 * d1, d1 * d2
 
 
-def critical_visibility(cfg, basis=None):
+def _expm1_ratio(b, w):
+    """-expm1(-x), x = b*w, as an exact integer ratio.  Below the normal range the
+    rounded x keeps few digits, or is 0, and -expm1(-x) = x to far below its rounding,
+    so there it is x itself, exact."""
+    x = b * w
+    return (-math.expm1(-x)).as_integer_ratio() if x >= sys.float_info.min else _exact_ratio(b, w)
+
+
+def critical_visibility(cfg):
     """Interference visibility nu_c at which dE2 changes sign, measured in the canonical
-    basis (``basis`` as in :func:`noise_sweep`).  dE2's numerator there,
-    (omega2/2)((1-nu) t2 S - nu d), is affine in nu, with the single root
-    nu_c = t2 S / (t2 S + d) (:func:`_critical_root`).  None where it lies outside
-    [0, 1]: the configuration never refrigerates, so no critical visibility exists.
+    basis; None where it lies outside [0, 1]: the configuration never refrigerates, so
+    no critical visibility exists.
+
+    dE2's numerator there, (omega2/2)((1-nu) t2 S - nu d) (:func:`noise_sweep`), is
+    affine in nu, with the single root nu_c = t2 S / (t2 S + d).  Written in e^(-x_i),
+    x_i = beta_i*omega_i, the root is (1 + e^(-D))/2 * f2/f1, f_i = -expm1(-x_i),
+    D = x1 - x2, in which no term cancels.  Both factors are at most 1 for D >= 0 and
+    above 1 for D < 0, so the root lies in [0, 1] exactly when D >= 0: the sign of
+    :func:`_exact_gap`'s g, which also draws :func:`regime`'s R boundary.  e^(-D) would
+    amplify the rounding of the products x_i, ~1e-16 x_i, so D is g/den rounded once;
+    past 2^10 (where g/den may also overflow a double) e^(-D) is 0.  f2/f1 is one
+    correctly rounded division of the integer ratios of :func:`_expm1_ratio`.
     """
-    return noise_sweep([cfg], (), basis)[1][0]
+    g, den = _exact_gap(cfg)
+    if g < 0:
+        return None
+    e = 0.0 if g >= den << 10 else math.exp(-(g / den))
+    (n1, d1), (n2, d2) = (_expm1_ratio(b, w) for b, w in _factors(cfg))
+    return 0.5 * (1.0 + e) * ((n2 * d1) / (d2 * n1))

@@ -82,7 +82,7 @@ class HaarSampler:
     counter: int = 0
 
     def __post_init__(self):
-        _accel.check_seed(self.seed)
+        _accel.check_int(self.seed, "seed")
         _accel.check_int(self.counter, "counter")
 
 

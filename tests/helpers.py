@@ -186,13 +186,13 @@ def random_rotated_basis(seed, counter=0):
     return rotate_basis(haar_unitary(HaarSampler(seed, counter)), canonical_basis())
 
 
-def bisect_critical_visibility(cfg, basis=None, tol=1e-10):
-    """Reference nu_c: bisection on the sign of dE2 under the interference model.
+def bisect_critical_visibility(cfg, tol=1e-10):
+    """Reference nu_c: bisection on the sign of dE2 under the interference model,
+    measured in the canonical basis.
 
     Returns None when dE2 does not change sign on [0, 1].
     """
-    if basis is None:
-        basis = canonical_basis()
+    basis = canonical_basis()
 
     def de2(nu):
         return energy_changes(cfg, hom_noisy_channel(basis, nu, initial_state(cfg)))[1]
@@ -587,12 +587,13 @@ def _energy_triple(cfg, shift):
     return de1, de2, de1 + de2
 
 
-def looped_noise_rows(cfg, nu_values, basis=None):
+def looped_noise_rows(cfg, nu_values):
     """Reference ``noise_sweep`` of one config: the former per-nu loop on the density
-    matrices rho, G and D, two energy triples per row; returns (rows, nu_c)."""
+    matrices rho, G and D of the canonical basis, two energy triples per row; returns
+    (rows, nu_c)."""
     if any(not 0.0 <= nu <= 1.0 for nu in nu_values):
         raise ValidationError(f"noise weights must lie in [0, 1], got {nu_values!r}")
-    basis = canonical_basis() if basis is None else basis
+    basis = canonical_basis()
     p, rho = _populations(cfg), initial_state(cfg)
     big_g = two_qubit_state(measurement_channel(basis, rho))
     big_d = _distinguishable(basis, rho)

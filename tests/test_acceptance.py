@@ -134,7 +134,7 @@ def test_criterion_4_white_noise_robustness(capsys):
     basis = canonical_basis()
     nus = np.arange(0.1, 1.01, 0.1)
     cfgs = [reference_config(omega2) for omega2 in EXPERIMENT_OMEGA2]
-    white_rows = noise_sweep(cfgs, nus, basis)[0][:, :, 0]
+    white_rows = noise_sweep(cfgs, nus)[0][:, :, 0]
     max_dev = 0.0
     invariant = True
     for cfg, rows in zip(cfgs, white_rows):
@@ -154,14 +154,12 @@ def test_criterion_4_white_noise_robustness(capsys):
 
 
 def test_criterion_5_interference_noise_critical_visibility(capsys):
-    basis = canonical_basis()
     cfg = reference_config(0.18)
-    nu_c = critical_visibility(cfg, basis=basis)
+    nu_c = critical_visibility(cfg)
     in_window = nu_c is not None and abs(nu_c - 0.44) <= 0.05
-    de2 = noise_sweep([cfg], np.linspace(0.0, 1.0, 21), basis)[0][0, :, 1, 1]
+    de2 = noise_sweep([cfg], np.linspace(0.0, 1.0, 21))[0][0, :, 1, 1]
     monotone = all(b < a for a, b in zip(de2, de2[1:]))
-    nu_cs = [critical_visibility(reference_config(w), basis=basis)
-             for w in (0.18, 0.14, 0.06, 0.02)]
+    nu_cs = [critical_visibility(reference_config(w)) for w in (0.18, 0.14, 0.06, 0.02)]
     decreasing = all(v is not None for v in nu_cs) and all(
         a > b for a, b in zip(nu_cs, nu_cs[1:]))
     ok = in_window and monotone and decreasing

@@ -75,6 +75,18 @@ def test_sweep_omega_large_gaps_print_their_class(tmp_path):
     assert float(rows[0]["dE1"]) == pytest.approx(-8.4967085105e-12, rel=1e-9)
 
 
+def test_regime_boundary_agrees_with_noise(tmp_path):
+    # the rounded ratios omega2/omega1 and beta1/beta2 are both fl(0.3), but the exact
+    # fl(0.3)*fl(0.7) lies below fl(0.21): E-range, and no nu_c
+    conf = tmp_path / "c.ini"
+    conf.write_text("omega1 = 0.7\nomega2 = 0.21\nbeta1 = 0.3\nbeta2 = 1.0\nnu_values = 0.5\n")
+    sweep, noise = tmp_path / "s.csv", tmp_path / "n.csv"
+    assert cli.main(["sweep-omega", "--config", str(conf), "--out", str(sweep)]) == 0
+    assert cli.main(["noise", "--config", str(conf), "--out", str(noise)]) == 0
+    assert [(r["ratio"], r["regime"]) for r in _rows(_read(sweep))[1]] == [("0.3", "E-range")]
+    assert [r["nu_c_interf"] for r in _rows(_read(noise))[1]] == ["nan"]
+
+
 @pytest.mark.parametrize("command", ["sweep-omega", "noise"])
 @pytest.mark.parametrize("line", ["eps=1e-320", "omega1=1e300", "omega1=1e308", "omega1=1e-320"])
 def test_extreme_scales_run_and_classify(tmp_path, command, line):
