@@ -1,4 +1,4 @@
-"""The Haar sampling stream (stream version 4): Ginibre matrices, orthonormalized.
+"""The Haar sampling stream (stream version 5): Ginibre matrices, orthonormalized.
 
 Every stream of the package comes from :func:`stream`, on Philox key
 ``[seed, word]``, rewound and advanced to a counter.  The Haar stream of a seed
@@ -7,24 +7,36 @@ and no probe index reaches ``HAAR_WORD``, so the two never share a stream.
 Sample i of the Haar stream reads uniforms [32i, 32i + 32) (the counter at
 8i), so results are a pure function of ``(seed, start, n)`` and independent of
 batching: the engine draws its Haar samples in fixed chunks,
-``ginibre_batch(seed, start, m)`` for consecutive starts, and gets the samples
+``ginibre_batch(seed, start, m, 3)`` for consecutive starts, and gets the samples
 of one whole draw.
 
-Both steps write into arrays that the caller may own: ``ginibre_batch`` fills
-``out`` and puts Box-Muller's cosines in ``cos``, and ``haar_from_ginibre``
-orthonormalizes into the planes ``out`` and uses the Ginibre array it was given
-as scratch.  The engine passes the same memory to every chunk (see
-:func:`qmcool.measure.haar_planes`), so a chunk's draw allocates nothing of the
-chunk's size; a one-shot draw passes none and gets fresh arrays from the same
-code.  Which memory is used does not change a bit of the result.
+Both steps work in arrays that the caller may own: ``ginibre_batch`` writes the
+Ginibre matrices as real planes into ``out``, with ``scratch`` for the uniforms
+and cosines, and ``haar_from_ginibre`` orthonormalizes those planes in place,
+with the same scratch for its coefficients.  The engine passes the same memory
+to every chunk (see :func:`qmcool.measure.haar_planes`), so a chunk's draw
+allocates nothing of the chunk's size; a one-shot draw passes none and gets
+fresh arrays from the same code.  Which memory is used does not change a bit of
+the result.
 
-Version 4 keeps version 2's keys and layout and version 3's two-pass
-Gram-Schmidt, and changes only how that Gram-Schmidt is evaluated: on real
+Version 4 kept version 2's keys and layout and version 3's two-pass
+Gram-Schmidt, and changed only how that Gram-Schmidt is evaluated: on real
 planes with the sample index last, each projection, norm and division one
 elementwise operation over the samples, where version 3 used small complex
 matmuls on sample-major matrices.  Both give the same unitary in exact
-arithmetic; in floating point they agree to ~1e-15, so seeded values move in
-their last bits and a sample that sits on a class boundary can change class.
+arithmetic; in floating point they agree to ~1e-15, so seeded values moved in
+their last bits and a sample that sits on a class boundary could change class.
+
+Version 5 keeps version 4's uniforms and arithmetic, and the engine draws and
+orthonormalizes only columns 0-2 of each unitary: it needs only P = |U C|^2,
+whose rows sum to 1, so it forms P's last column from the other three
+(:func:`qmcool.engine._canonical_p`).  This stays exact: Gram-Schmidt's column j
+reads only columns 0..j, so columns 0-2 are the bits of a full draw, and they
+have the Haar law of the first three columns of a unitary.  What moves is the
+rounding of P's last column, by ~1e-16, so seeded triples move in their last
+bits, as at version 4.  The unitaries themselves (``haar_unitaries``,
+``haar_unitary``) keep version 4's bits: Box-Muller now runs on the planes
+after one transposed copy of the uniforms, elementwise, which changes none.
 
 The cycle-energy kernel lives in :mod:`qmcool.engine`.  This module keeps
 its name because the benchmark harness (``perfbench/``) reads and wraps
@@ -43,8 +55,9 @@ from .errors import ValidationError
 # Philox keys above this pass through float64 in numpy and alias other keys.
 INT64_MAX = 2**63 - 1
 HAAR_WORD = INT64_MAX  # second key word of the Haar stream
-STREAM_VERSION = 4  # printed by every command whose output reads the Haar stream
-PLANAR_MIN = 8  # haar_from_ginibre's smallest batch for the planar Gram-Schmidt
+STREAM_VERSION = 5  # printed by every command whose output reads the Haar stream
+PLANAR_MIN = 8  # smallest batch for Box-Muller and Gram-Schmidt on the planes
+SCRATCH_WORDS = 32  # float64 words per sample of the draw's scratch: one sample's uniforms
 # this thread's generators: .seed, and .keys {word: (generator, its state at counter 0)}
 _STREAMS = threading.local()
 
@@ -82,22 +95,45 @@ def stream(seed, word, counter=0):
     return gen
 
 
-def ginibre_batch(seed, start, n, out=None, cos=None):
-    """n complex standard-Gaussian 4x4 matrices, samples [start, start + n) of the Haar stream.
+def ginibre_batch(seed, start, n, cols=4, out=None, scratch=None):
+    """Columns 0..cols-1 of n complex standard-Gaussian 4x4 matrices, samples
+    [start, start + n) of the Haar stream, as real planes.
 
-    Each entry is Box-Muller, in place, on two consecutive uniforms (u, u'): radius
-    sqrt(-log(1 - u)) and angle 2 pi u', so E|z|^2 = 1 and u = 0 stays finite.  The
-    matrices are written into ``out``, a C-contiguous complex (n, 4, 4) array, which
-    is returned, and the cosines of the angles into ``cos``, a C-contiguous float
-    (n, 4, 4) array; by default each is a fresh array.
+    Entry (r, j) of sample i is Box-Muller on uniforms 32i + 8r + 2j and the one after
+    it, (u, u'): radius sqrt(-log(1 - u)) and angle 2 pi u', so E|z|^2 = 1 and u = 0
+    stays finite.  ``scratch``, a C-contiguous float array of SCRATCH_WORDS n words,
+    takes the uniforms of every column; one transposed copy puts those of the wanted
+    columns into ``out``, a C-contiguous float (cols, 2, 4, n) array, where Box-Muller
+    runs in place (the cosines go back into ``scratch``).  Below PLANAR_MIN samples it
+    runs on the uniforms before the copy instead, where each of its numpy calls costs
+    ~1 us less.  ``out[j, c, r, i]`` is part c (0 real, 1 imaginary) of entry (r, j) of
+    matrix i; by default each array is fresh.  Every step is elementwise, so a column
+    has the same bits whatever ``cols`` or the layout is.
+
+    Returns the sample-leading view ``out.transpose(3, 2, 0, 1)``, shape
+    (n, 4, cols, 2): the real and imaginary parts of entry (r, j) of matrix i are
+    ``[i, r, j]``.
     """
     gen = stream(seed, HAAR_WORD, 8 * check_int(start, "sample counter"))
     n = check_int(n, "n")
-    out = _buffer(out, (n, 4, 4), np.complex128, "out")
-    cos = _buffer(cos, (n, 4, 4), np.float64, "cos").reshape(-1)
-    flat = out.reshape(-1)
-    gen.random(out=flat.view(np.float64))
-    r, theta = flat.real, flat.imag
+    q = _buffer(out, (cols, 2, 4, n), np.float64, "out")
+    u = _buffer(scratch, (SCRATCH_WORDS * n,), np.float64, "scratch")
+    gen.random(out=u)
+    wanted = u.reshape(n, 4, 4, 2)[:, :, :cols].transpose(2, 3, 1, 0)
+    if n < PLANAR_MIN:  # a ufunc call costs less on the 1-d views of the uniforms
+        _box_muller(u[0::2], u[1::2], np.empty(16 * n))
+        np.copyto(q, wanted)
+    else:
+        np.copyto(q, wanted)
+        parts = q.reshape(cols, 2, 4 * n)
+        _box_muller(parts[:, 0], parts[:, 1], u[:4 * cols * n].reshape(cols, 4 * n))
+    return q.transpose(3, 2, 0, 1)
+
+
+def _box_muller(r, theta, cos):
+    """Box-Muller in place on same-shape uniforms: r <- sqrt(-log(1 - r)) cos(2 pi theta)
+    and theta <- sqrt(-log(1 - r)) sin(2 pi theta), with ``cos`` as scratch.  Each
+    step is elementwise, so an entry gets the same bits in any layout."""
     np.log1p(np.negative(r, out=r), out=r)
     np.sqrt(np.negative(r, out=r), out=r)
     theta *= 2 * np.pi
@@ -105,10 +141,9 @@ def ginibre_batch(seed, start, n, out=None, cos=None):
     np.sin(theta, out=theta)
     theta *= r
     r *= cos
-    return out
 
 
-def haar_from_ginibre(gin, out=None):
+def haar_from_ginibre(gin, scratch=None):
     """Orthonormalize the columns of Ginibre matrices into Haar-distributed unitaries.
 
     Classical Gram-Schmidt, two passes per column ("twice is enough": Giraud,
@@ -117,36 +152,33 @@ def haar_from_ginibre(gin, out=None):
     diagonal of the implied QR factorization, real and positive, which is the gauge
     that makes the map from Ginibre matrix to unitary single-valued and the
     unitaries Haar-distributed (Mezzadri, math-ph/0609050); no gauge step is needed.
+    Column j reads only columns 0..j, so the first k columns are the same bits
+    whether or not the later ones are there.
 
-    The arithmetic is real and sample-last.  ``out``, a C-contiguous float
-    (4, 2, 4, n) array (by default a fresh one), gets the matrices as planes:
-    ``out[j, c, r, i]`` is part c (0 real, 1 imaginary) of entry (r, j) of matrix i,
-    so column j of every matrix is the contiguous (2, 4, n) block ``out[j]``.  It
-    is orthonormalized in place by :func:`_orthonormalize_planes`, and ``gin``,
-    once copied, is its scratch, so it is overwritten.  Fewer than PLANAR_MIN
-    matrices take :func:`_orthonormalize_one` instead, one by one: the same
-    operations in the same order on Python floats, which give the same bits.  It
-    costs ~25-30 us per matrix against ~200-300 us for the ~150 numpy calls of the
-    planar path at any small n, so the two tie near n = 8 (timeit, 2-vCPU Xeon VM).
-
-    Returns the unitaries as the sample-leading view ``out.transpose(3, 2, 0, 1)``,
-    shape (n, 4, 4, 2): the real and imaginary parts of entry (r, j) of unitary i
-    are ``[i, r, j]``.
+    ``gin`` is what :func:`ginibre_batch` returns, the view (n, 4, cols, 2) of
+    C-contiguous planes (cols, 2, 4, n), and the planes are orthonormalized in place
+    by :func:`_orthonormalize_planes`, with ``scratch`` (SCRATCH_WORDS n words, by
+    default fresh) for the coefficients.  Fewer than PLANAR_MIN matrices take
+    :func:`_orthonormalize_one` instead, one by one: the same operations in the same
+    order on Python floats, which give the same bits.  It costs ~25-30 us per matrix
+    against ~200-300 us for the ~150 numpy calls of the planar path at any small n,
+    so the two tie near n = 8 (timeit, 2-vCPU Xeon VM).  Returns ``gin``, now the
+    unitaries' first cols columns.
     """
-    n = len(gin)
-    q = _buffer(out, (4, 2, 4, n), np.float64, "out")
-    np.copyto(q, gin.view(np.float64).reshape(n, 4, 4, 2).transpose(2, 3, 1, 0))
+    n, cols = len(gin), gin.shape[2]
+    q = _buffer(gin.transpose(2, 3, 1, 0), (cols, 2, 4, n), np.float64, "the planes of gin")
     if n < PLANAR_MIN:
         for i in range(n):
             q[..., i] = _orthonormalize_one(q[..., i].tolist())
     else:
-        _orthonormalize_planes(q, gin.view(np.float64).reshape(-1))
-    return q.transpose(3, 2, 0, 1)
+        _orthonormalize_planes(q, _buffer(scratch, (SCRATCH_WORDS * n,), np.float64, "scratch"))
+    return gin
 
 
 def _orthonormalize_planes(q, scratch):
-    """Two-pass Gram-Schmidt, in place, on the planes ``q`` (4, 2, 4, n) of
-    :func:`haar_from_ginibre`; ``scratch`` is a flat float array of at least 31 n.
+    """Two-pass Gram-Schmidt, in place, on the planes ``q`` (cols, 2, 4, n) of
+    :func:`haar_from_ginibre`, cols <= 4; ``scratch`` is a flat float array of at
+    least 31 n.
 
     Every step is one elementwise +, -, *, / or sqrt over the n samples, written with
     ``out=`` into ``q`` or ``scratch``, and a sum over the four rows adds them in row
@@ -159,7 +191,7 @@ def _orthonormalize_planes(q, scratch):
     coef = scratch[24 * n:30 * n].reshape(2, 3, n)
     norm = scratch[30 * n:31 * n]
     t, t2 = prod[0], prod[1]  # (2, 4, n) each, free once the coefficients are formed
-    for j in range(4):
+    for j in range(len(q)):
         v = q[j]
         for _ in range(2 if j else 0):
             p, c = prod[:j], coef[:, :j]
@@ -198,7 +230,7 @@ def _orthonormalize_one(cols):
     CPython fuses no multiply-add, so the result is bit for bit the sample's in any
     batch.
     """
-    for j in range(4):
+    for j in range(len(cols)):
         (x0, x1, x2, x3), (y0, y1, y2, y3) = cols[j]
         for _ in range(2 if j else 0):
             coefs = [((((a0 * x0 + b0 * y0) + (a1 * x1 + b1 * y1)) + (a2 * x2 + b2 * y2))

@@ -317,24 +317,33 @@ def _sample_name(omega2, index):
 
 
 def _canonical_p(q, out=None):
-    """P = |U C|^2 of each unitary U of the planes ``q`` (4, 2, 4, samples) of
-    :func:`~qmcool.measure.haar_planes`, C the canonical basis vectors as columns,
-    without the product, as planes: ``big_p[k, r]`` holds P[r, k] of every sample,
-    shape (4, 4, samples).
+    """P = |U C|^2 of each unitary U whose columns 0-2 are the planes ``q[:3]``
+    (:func:`~qmcool.measure.haar_planes`, (cols, 2, 4, samples), cols >= 3), C the
+    canonical basis vectors as columns, without the product, as planes:
+    ``big_p[k, r]`` holds P[r, k] of every sample, shape (4, 4, samples).
 
     C keeps columns u0 and u3 of U and turns u1, u2 into (u1 + u2)/sqrt2 and
-    (u1 - u2)/sqrt2, so the columns of P are |u0|^2, |u1 + u2|^2/2, |u1 - u2|^2/2
-    and |u3|^2: two column sums of the contiguous column planes, each |z|^2 taken
-    as re^2 + im^2.  ``out``, a float array of q's shape (by default a fresh one),
-    takes the squared parts, and P is returned as a view of it.
+    (u1 - u2)/sqrt2, so the first three columns of P are |u0|^2, |u1 + u2|^2/2 and
+    |u1 - u2|^2/2, each |z|^2 taken as re^2 + im^2.  Row r of U C is a unit vector,
+    so the last column, |u3|^2, is 1 - P[r, 0] - P[r, 1] - P[r, 2], subtracted in that
+    order and clipped at 0: the engine never needs column 3 of U.  Rounding leaves the
+    difference within ~1e-15 of |u3|^2, and can take it below 0 where |u3_r| is tiny;
+    a negative entry would let a pairwise term break the second law by itself.
+    ``out``, a C-contiguous float (4, 4, samples) array (by default a fresh one), is
+    returned as P; its column planes hold the squared parts as they are formed.
     """
-    cols = np.empty(q.shape) if out is None else out
-    np.square(q[::3], out=cols[::3])
-    np.add(q[1], q[2], out=cols[1])
-    np.subtract(q[1], q[2], out=cols[2])
-    np.square(cols[1:3], out=cols[1:3])
-    big_p = np.add(cols[:, 0], cols[:, 1], out=cols[:, 0])
+    big_p = np.empty((4,) + q.shape[2:]) if out is None else out
+    np.square(q[0, 0], out=big_p[0])
+    big_p[0] += np.square(q[0, 1], out=big_p[1])
+    # (u1 + u2) into columns 1-2 and (u1 - u2) into columns 2-3, re and im, squared
+    for k, combine in ((1, np.add), (2, np.subtract)):
+        part = np.square(combine(q[1], q[2], out=big_p[k:k + 2]), out=big_p[k:k + 2])
+        part[0] += part[1]
     big_p[1:3] /= 2
+    np.subtract(1.0, big_p[0], out=big_p[3])
+    big_p[3] -= big_p[1]
+    big_p[3] -= big_p[2]
+    np.maximum(big_p[3], 0.0, out=big_p[3])
     return big_p
 
 
@@ -370,7 +379,7 @@ def _haar_chunks(cfgs, n_samples, seed):
     uniforms [32i, 32i + 32) of the stream whatever the chunk, and the kernel rounds a
     sample alike in any chunk, so the chunks concatenate to the triples of one whole
     draw.  Every chunk draws, orthonormalizes and forms P and its pairwise entries in
-    the same memory (WORK_WORDS per sample, 0.5 MB), allocated once: a fresh 0.5 MB
+    the same memory (WORK_WORDS per sample, 0.46 MB), allocated once: a fresh 0.46 MB
     per chunk would be handed back to the system and faulted in again each time.
     n_samples is checked, and the configs' coefficients and inverse temperatures
     gathered, before the first chunk is drawn.
@@ -382,12 +391,13 @@ def _haar_chunks(cfgs, n_samples, seed):
 
     def chunks():
         for start in range(0, n, CHUNK):
-            chunk = work[:WORK_WORDS * (n - start)]
-            q = haar_planes(HaarSampler(seed, start), min(CHUNK, n - start), chunk)
-            # the planes are the chunk's second half; its first half, the Ginibre draw, is
-            # free once they are orthonormalized, and the second once P is formed
-            half = len(chunk) // 2
-            entries = _pair_entries(_canonical_p(q, chunk[:half].reshape(q.shape)), chunk[half:])
+            m = min(CHUNK, n - start)
+            chunk = work[:WORK_WORDS * m]
+            q = haar_planes(HaarSampler(seed, start), m, chunk, 3)
+            # the planes end the chunk; the words before them, the draw's scratch, are
+            # free once they are orthonormalized, and the planes once P is formed
+            big_p = _canonical_p(q, chunk[:16 * m].reshape(4, 4, m))
+            entries = _pair_entries(big_p, chunk[16 * m:])
             planes = _pair_triples(coef, entries)
             with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass, as in run_cycle
                 slack = betas[:, 0] * planes[:, 0] + betas[:, 1] * planes[:, 1]

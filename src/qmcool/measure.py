@@ -18,7 +18,8 @@ from .errors import ValidationError
 from .thermo import as_complex
 
 ORTHO_TOL = 1e-10
-WORK_WORDS = 64  # float64 words per sample of a Haar draw's memory (haar_planes)
+# float64 words per sample of the engine's Haar draw, three columns (haar_planes)
+WORK_WORDS = _accel.SCRATCH_WORDS + 8 * 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +88,15 @@ class HaarSampler:
 
 
 def haar_unitary(sampler):
-    """One Haar-distributed 4x4 unitary for the sampler's (seed, counter)."""
-    return haar_unitaries(sampler, 1)[0]
+    """One Haar-distributed 4x4 unitary for the sampler's (seed, counter), sample
+    ``counter`` of :func:`haar_unitaries` bit for bit.  Its Ginibre matrix goes through
+    the one-matrix Gram-Schmidt (:func:`~qmcool._accel._orthonormalize_one`), whose
+    columns are written straight into the complex matrix."""
+    gin = _accel.ginibre_batch(sampler.seed, sampler.counter, 1)[0]  # (row, column, re/im)
+    cols = np.array(_accel._orthonormalize_one(gin.transpose(1, 2, 0).tolist()))
+    u = np.empty((4, 4), dtype=np.complex128)
+    u.real, u.imag = cols[:, 0].T, cols[:, 1].T  # cols[j, c, r]: part c of entry (r, j)
+    return u
 
 
 def haar_unitaries(sampler, n):
@@ -99,25 +107,27 @@ def haar_unitaries(sampler, n):
     return np.ascontiguousarray(pairs).view(np.complex128)[..., 0]
 
 
-def haar_planes(sampler, n, work=None):
-    """The n Haar unitaries for counters [counter, counter + n) as real planes, a float
-    (4, 2, 4, n) array: ``[j, c, r, i]`` is part c (0 real, 1 imaginary) of entry (r, j)
-    of unitary i, so column j of every unitary is the block ``[j]``.
+def haar_planes(sampler, n, work=None, cols=4):
+    """Columns 0..cols-1 of the n Haar unitaries for counters [counter, counter + n) as
+    real planes, a float (cols, 2, 4, n) array: ``[j, c, r, i]`` is part c (0 real, 1
+    imaginary) of entry (r, j) of unitary i, so column j of every unitary is the block
+    ``[j]``.  A column has the same bits whatever ``cols`` is; the engine, which needs
+    only |U C|^2, draws three (WORK_WORDS per sample) and every other caller four.
 
-    ``work``, a C-contiguous float64 array of WORK_WORDS * n words (by default a fresh
-    one), holds the whole draw.  Its first half takes the Ginibre matrices
-    (:func:`~qmcool._accel.ginibre_batch`) and then serves as Gram-Schmidt's scratch;
-    its second half takes Box-Muller's cosines and then the planes
-    (:func:`~qmcool._accel.haar_from_ginibre`), which are returned as a view of it.
-    A caller that draws many batches reuses one; which memory is used changes no bit.
+    ``work``, a C-contiguous float64 array of (SCRATCH_WORDS + 8 cols) n words (by
+    default a fresh one), holds the whole draw.  Its first SCRATCH_WORDS n words take
+    the uniforms and Box-Muller's cosines (:func:`~qmcool._accel.ginibre_batch`) and
+    then serve as Gram-Schmidt's scratch; the rest takes the Ginibre planes, which are
+    orthonormalized in place (:func:`~qmcool._accel.haar_from_ginibre`) and returned
+    as a view of it.  A caller that draws many batches reuses one; which memory is
+    used changes no bit.
     """
     n = _accel.check_int(n, "n")
-    words = WORK_WORDS * n
-    work = _accel._buffer(work, (words,), np.float64, "work")
-    gin = work[:words // 2].view(np.complex128).reshape(n, 4, 4)
-    planes = work[words // 2:].reshape(4, 2, 4, n)
-    _accel.ginibre_batch(sampler.seed, sampler.counter, n, gin, planes[:2].reshape(n, 4, 4))
-    _accel.haar_from_ginibre(gin, planes)
+    head = _accel.SCRATCH_WORDS * n
+    work = _accel._buffer(work, (head + 8 * cols * n,), np.float64, "work")
+    scratch, planes = work[:head], work[head:].reshape(cols, 2, 4, n)
+    gin = _accel.ginibre_batch(sampler.seed, sampler.counter, n, cols, planes, scratch)
+    _accel.haar_from_ginibre(gin, scratch)
     return planes
 
 

@@ -225,19 +225,20 @@ def qr_gauge_haar(gin):
 
 def canonical_column_sums(us):
     """P = |U C|^2 of a stack of unitaries, C the canonical basis vectors as columns,
-    as the Haar path forms it: |u0|^2, |u1 + u2|^2/2, |u1 - u2|^2/2 and |u3|^2, each
-    |z|^2 as re^2 + im^2 (np.abs(z)**2 goes through hypot and rounds differently)."""
+    as the Haar path forms it: |u0|^2, |u1 + u2|^2/2 and |u1 - u2|^2/2, each |z|^2 as
+    re^2 + im^2 (np.abs(z)**2 goes through hypot and rounds differently), and the last
+    column as max(0, 1 - P[r, 0] - P[r, 1] - P[r, 2]), subtracted in that order."""
     big_p = np.empty(us.shape)
-    for k, col in enumerate((us[..., 0], us[..., 1] + us[..., 2], us[..., 1] - us[..., 2],
-                             us[..., 3])):
+    for k, col in enumerate((us[..., 0], us[..., 1] + us[..., 2], us[..., 1] - us[..., 2])):
         big_p[..., k] = col.real**2 + col.imag**2
     big_p[..., 1:3] /= 2
+    big_p[..., 3] = np.maximum(1.0 - big_p[..., 0] - big_p[..., 1] - big_p[..., 2], 0.0)
     return big_p
 
 
-def complex_unitaries(pairs):
-    """The complex (n, 4, 4) unitaries of the (n, 4, 4, 2) real and imaginary parts that
-    ``haar_from_ginibre`` returns, bit for bit."""
+def complex_matrices(pairs):
+    """The complex (n, 4, k) matrices of the (n, 4, k, 2) real and imaginary parts that
+    ``ginibre_batch`` and ``haar_from_ginibre`` return, bit for bit."""
     return np.ascontiguousarray(pairs).view(np.complex128)[..., 0]
 
 
@@ -266,7 +267,7 @@ def per_row_haar_triples(cfg, n, seed):
     Draws its own Ginibre batch for the one config; P P^T enters through its six
     pairwise entries only, as in the engine's kernel.
     """
-    us = complex_unitaries(haar_from_ginibre(ginibre_batch(seed, 0, n)))
+    us = complex_matrices(haar_from_ginibre(ginibre_batch(seed, 0, n)))
     return pair_kernel_rows(cfg, pair_entries(canonical_column_sums(us)))
 
 

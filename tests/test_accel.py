@@ -1,5 +1,5 @@
-"""Haar stream (version 4): layout, random access, seed range, the per-thread rewound
-generators and the Gram-Schmidt step."""
+"""Haar stream (version 5): layout, random access, seed range, the per-thread rewound
+generators, the planar Box-Muller, the Gram-Schmidt step and the three-column draw."""
 
 import sys
 import threading
@@ -10,15 +10,28 @@ import pytest
 from qmcool import (EngineConfig, HaarSampler, ValidationError, _accel, frequency_sweep,
                     haar_average_report, haar_unitaries)
 from qmcool.engine import CHUNK, _haar_chunks
-from qmcool.measure import WORK_WORDS, haar_planes
+from qmcool.measure import WORK_WORDS, haar_planes, haar_unitary
 
-from helpers import box_muller_sample, complex_unitaries, fresh_stream, qr_gauge_haar
+from helpers import box_muller_sample, complex_matrices, fresh_stream, qr_gauge_haar
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
 @pytest.mark.parametrize("i", [0, 1, 31, 4096])
 def test_ginibre_layout_matches_box_muller_oracle(seed, i):
-    assert np.array_equal(_accel.ginibre_batch(seed, i, 1)[0], box_muller_sample(seed, i))
+    assert np.array_equal(complex_matrices(_accel.ginibre_batch(seed, i, 1))[0],
+                          box_muller_sample(seed, i))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
+@pytest.mark.parametrize("n", [_accel.PLANAR_MIN - 1, _accel.PLANAR_MIN, 672])
+@pytest.mark.parametrize("cols", [3, 4])
+def test_planar_box_muller_matches_the_oracle(seed, n, cols):
+    # from PLANAR_MIN samples on, Box-Muller runs on the planes: every column of every
+    # sample still gets the oracle's bits
+    gin = complex_matrices(_accel.ginibre_batch(seed, 40, n, cols))
+    assert gin.shape == (n, 4, cols)
+    for i in (0, n // 2, n - 1):
+        assert np.array_equal(gin[i], box_muller_sample(seed, 40 + i)[:, :cols])
 
 
 def test_ginibre_substreams_are_independent_of_batching():
@@ -52,8 +65,8 @@ def test_ginibre_rejects_bad_seed():
     with pytest.raises(ValidationError):
         _accel.ginibre_batch(2**63, 0, 2)
     # a counter past 2**63 - 1 no longer reaches a key, so it cannot alias one
-    assert _accel.ginibre_batch(1, 2**63 - 1, 2).shape == (2, 4, 4)
-    assert _accel.ginibre_batch(2**63 - 1, 2**63 - 2, 2).shape == (2, 4, 4)
+    assert _accel.ginibre_batch(1, 2**63 - 1, 2).shape == (2, 4, 4, 2)
+    assert _accel.ginibre_batch(2**63 - 1, 2**63 - 2, 2).shape == (2, 4, 4, 2)
     # counters and counts are checked, not truncated: int() moved 1.5 to 1 and let -1 through
     for start in (1.5, -1, True, "1"):
         with pytest.raises(ValidationError):
@@ -120,56 +133,65 @@ def test_stream_threads_keep_their_own_generators():
 
 def test_haar_from_ginibre_unitary():
     gin = _accel.ginibre_batch(17, 0, 50)
-    us = complex_unitaries(_accel.haar_from_ginibre(gin))
+    us = complex_matrices(_accel.haar_from_ginibre(gin))
     eye = np.broadcast_to(np.eye(4), us.shape)
     assert np.allclose(us @ us.conj().transpose(0, 2, 1), eye, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 17, 2**63 - 1])
 def test_haar_from_ginibre_matches_the_qr_gauge_oracle(seed):
-    gin = _accel.ginibre_batch(seed, 0, 4096)
-    # haar_from_ginibre overwrites its input, so it gets a copy; the planar path
-    planar = complex_unitaries(_accel.haar_from_ginibre(gin.copy()))
+    # haar_from_ginibre overwrites its input, so the oracle gets a draw of its own
+    gin = complex_matrices(_accel.ginibre_batch(seed, 0, 4096))
+    # the planar path
+    planar = complex_matrices(_accel.haar_from_ginibre(_accel.ginibre_batch(seed, 0, 4096)))
     assert np.max(np.abs(planar - qr_gauge_haar(gin))) <= 1e-12
     # and the one-matrix path, as haar_unitary draws it
     for i in (0, 1, 4095):
-        single = complex_unitaries(_accel.haar_from_ginibre(gin[i:i + 1].copy()))
+        single = complex_matrices(_accel.haar_from_ginibre(_accel.ginibre_batch(seed, i, 1)))
         assert np.max(np.abs(single - qr_gauge_haar(gin[i:i + 1]))) <= 1e-12
+        assert np.array_equal(haar_unitary(HaarSampler(seed, i)), single[0])
 
 
 def test_a_reused_buffer_draws_what_a_fresh_call_draws():
     # each call finds the memory dirty from the call before, as the engine's chunks do
     work = np.empty(WORK_WORDS * 64)
-    gin_buf, cos_buf = np.empty((64, 4, 4), dtype=np.complex128), np.empty(16 * 64)
-    q_buf = np.empty(32 * 64)
+    scratch_buf, q_buf = np.empty(32 * 64), np.empty(32 * 64)
     for start, n in ((0, 64), (64, 64), (5, 1), (3, 17)):
-        gin = _accel.ginibre_batch(41, start, n, gin_buf[:n], cos_buf[:16 * n].reshape(n, 4, 4))
+        scratch, q = scratch_buf[:32 * n], q_buf[:32 * n].reshape(4, 2, 4, n)
+        gin = _accel.ginibre_batch(41, start, n, 4, q, scratch)
         fresh = _accel.ginibre_batch(41, start, n)
-        assert np.shares_memory(gin, gin_buf) and np.array_equal(gin, fresh)
-        us = _accel.haar_from_ginibre(gin, q_buf[:32 * n].reshape(4, 2, 4, n))
-        assert np.shares_memory(us, q_buf) and us.shape == (n, 4, 4, 2)
+        assert np.shares_memory(gin, q_buf) and np.array_equal(gin, fresh)
+        us = _accel.haar_from_ginibre(gin, scratch)
+        assert us is gin and us.shape == (n, 4, 4, 2)
         assert np.array_equal(us, _accel.haar_from_ginibre(fresh))
-        planes = haar_planes(HaarSampler(41, start), n, work[:WORK_WORDS * n])
+        # the engine's three-column draw in its work array: the first columns of a fresh one
+        planes = haar_planes(HaarSampler(41, start), n, work[:WORK_WORDS * n], 3)
         assert np.shares_memory(planes, work)
-        assert np.array_equal(planes, haar_planes(HaarSampler(41, start), n))
-        assert np.array_equal(planes, us.transpose(2, 3, 1, 0))
-        assert np.array_equal(haar_unitaries(HaarSampler(41, start), n), complex_unitaries(us))
-    wrong = np.empty((4, 4, 4), dtype=np.complex128)
-    for out in (np.empty((3, 4, 4), dtype=np.complex128), np.empty((4, 4, 4)),
-                wrong.swapaxes(-1, -2)):
-        with pytest.raises(ValidationError):
-            _accel.ginibre_batch(41, 0, 4, out)
-    for cos in (np.empty((3, 4, 4)), wrong, np.empty((4, 4, 4)).swapaxes(-1, -2)):
-        with pytest.raises(ValidationError):
-            _accel.ginibre_batch(41, 0, 4, None, cos)
+        assert np.array_equal(planes, haar_planes(HaarSampler(41, start), n)[:3])
+        assert np.array_equal(planes, us.transpose(2, 3, 1, 0)[:3])
+        assert np.array_equal(haar_unitaries(HaarSampler(41, start), n), complex_matrices(us))
     for out in (np.empty((4, 2, 4, 3)), np.empty((4, 2, 4, 4), dtype=np.complex128),
-                np.empty((4, 4, 2, 4)).swapaxes(-1, -3), wrong):
+                np.empty((4, 4, 2, 4)).swapaxes(-1, -3), np.empty((3, 2, 4, 4))):
         with pytest.raises(ValidationError):
-            _accel.haar_from_ginibre(_accel.ginibre_batch(41, 0, 4), out)
+            _accel.ginibre_batch(41, 0, 4, 4, out)
+    for scratch in (np.empty(32 * 4 - 1), np.empty(32 * 4, dtype=np.complex64),
+                    np.empty(64 * 4)[::2], np.empty((32, 4))):
+        with pytest.raises(ValidationError):
+            _accel.ginibre_batch(41, 0, 4, 4, None, scratch)
+        with pytest.raises(ValidationError):
+            _accel.haar_from_ginibre(_accel.ginibre_batch(41, 0, 8), scratch)
+    # haar_from_ginibre orthonormalizes the planes in place, so it takes nothing else
+    gin = _accel.ginibre_batch(41, 0, 8)
+    for wrong in (np.ascontiguousarray(gin), gin[1:], gin[..., :1], gin.astype(np.float32)):
+        with pytest.raises(ValidationError):
+            _accel.haar_from_ginibre(wrong)
     for work in (np.empty(WORK_WORDS * 4 - 1), np.empty(WORK_WORDS * 4, dtype=np.complex128),
                  np.empty(2 * WORK_WORDS * 4)[::2], np.empty((WORK_WORDS, 4))):
         with pytest.raises(ValidationError):
-            haar_planes(HaarSampler(41), 4, work)
+            haar_planes(HaarSampler(41), 4, work, 3)
+    # four columns need 8 more words per sample than the engine's three
+    with pytest.raises(ValidationError):
+        haar_planes(HaarSampler(41), 4, np.empty(WORK_WORDS * 4))
 
 
 def test_second_pass_keeps_an_ill_conditioned_draw_unitary():
@@ -177,9 +199,9 @@ def test_second_pass_keeps_an_ill_conditioned_draw_unitary():
     # of column 2 in column 3, the second pass removes it
     gin = _accel.ginibre_batch(23, 0, 4096)
     rng = np.random.default_rng(23)
-    noise = rng.standard_normal((4096, 4)) + 1j * rng.standard_normal((4096, 4))
-    gin[..., 3] = gin[..., 2] + 1e-8 * noise
-    us = complex_unitaries(_accel.haar_from_ginibre(gin))
+    noise = np.stack([rng.standard_normal((4096, 4)), rng.standard_normal((4096, 4))], axis=-1)
+    gin[:, :, 3] = gin[:, :, 2] + 1e-8 * noise
+    us = complex_matrices(_accel.haar_from_ginibre(gin))
     assert np.max(np.abs(us.conj().transpose(0, 2, 1) @ us - np.eye(4))) <= 1e-12
 
 
@@ -189,10 +211,28 @@ def test_second_pass_keeps_an_ill_conditioned_draw_unitary():
 def test_planar_gram_schmidt_matches_the_scalar_one(n, seed):
     # haar_from_ginibre takes the scalar path below PLANAR_MIN samples and the planar one
     # from there on; called directly, the planar one gives the scalar bits at any n
-    gin = _accel.ginibre_batch(seed, 1000, n)
-    q = np.ascontiguousarray(gin.view(np.float64).reshape(n, 4, 4, 2).transpose(2, 3, 1, 0))
+    q = _accel.ginibre_batch(seed, 1000, n).transpose(2, 3, 1, 0).copy()
     singles = [_accel._orthonormalize_one(q[..., i].tolist()) for i in range(n)]
-    _accel._orthonormalize_planes(q, gin.view(np.float64).reshape(-1))
+    _accel._orthonormalize_planes(q, np.empty(32 * n))
     assert np.array_equal(np.moveaxis(q, -1, 0), np.array(singles))
     assert np.array_equal(_accel.haar_from_ginibre(_accel.ginibre_batch(seed, 1000, n)),
                           q.transpose(3, 2, 0, 1))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 672, 1024])
+def test_three_columns_are_the_first_three_of_four(n):
+    # column j of Gram-Schmidt reads only columns 0..j, so the engine's three-column draw
+    # is the unitaries' first three columns bit for bit, on the scalar path (n < 8) and
+    # the planar one, through haar_from_ginibre and through each orthonormalization alone
+    four, three = (_accel.ginibre_batch(17, 300, n, cols) for cols in (4, 3))
+    assert np.array_equal(three, four[:, :, :3])
+    q4, q3 = (g.transpose(2, 3, 1, 0).copy() for g in (four, three))
+    for i in range(n):
+        assert np.array_equal(np.array(_accel._orthonormalize_one(q3[..., i].tolist())),
+                              np.array(_accel._orthonormalize_one(q4[..., i].tolist()))[:3])
+    for q in (q4, q3):
+        _accel._orthonormalize_planes(q, np.empty(31 * n))
+    assert np.array_equal(q3, q4[:3])
+    assert np.array_equal(_accel.haar_from_ginibre(three), _accel.haar_from_ginibre(four)[:, :, :3])
+    assert np.array_equal(haar_planes(HaarSampler(17, 300), n, None, 3),
+                          haar_planes(HaarSampler(17, 300), n)[:3])

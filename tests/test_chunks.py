@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmcool import (
+    EngineConfig,
     HaarSampler,
     SecondLawViolation,
     ValidationError,
@@ -197,9 +198,9 @@ def _one_bad_sample(monkeypatch, index):
     draw, entries = engine.haar_planes, engine._pair_entries
     starts = []
 
-    def drawn(sampler, m, work=None):
+    def drawn(sampler, *args):
         starts.append(sampler.counter)
-        return draw(sampler, m, work)
+        return draw(sampler, *args)
 
     def corrupted(big_p, out=None):
         got = entries(big_p, out)
@@ -238,8 +239,39 @@ def test_classless_triple_names_row_and_sample(monkeypatch):
         frequency_sweep([reference_config(0.18)], 2 * CHUNK, SEED)
 
 
+def _overfull_planes(m):
+    """Columns 0-2 of the identity for m samples, with entry (0, 0) 1 + 2**-52: row 0 of
+    P then sums to 1 + 2**-51 over columns 0-2, so 1 - that sum rounds below 0."""
+    q = np.zeros((3, 2, 4, m))
+    for j in range(3):
+        q[j, 0, j] = 1.0
+    q[0, 0, 0] = 1 + 2.0**-52
+    return q
+
+
+def test_a_last_column_that_rounds_below_zero_is_clipped(monkeypatch):
+    # Both excited populations underflow, so every pairwise term but (|00>, |11>) is 0,
+    # and that one has weight P[0, 3] P[3, 3] = P[0, 3]: unclipped, -2**-51 of the
+    # ~3e6 that the pair moves breaks the second law by itself
+    cfg = EngineConfig.from_values(1e3, 1e3, 1e3, 2e3)
+    big_p = engine._canonical_p(_overfull_planes(1))
+    assert big_p[3, 0, 0] == 0.0 and 1.0 - big_p[0, 0, 0] - big_p[1, 0, 0] - big_p[2, 0, 0] < 0
+    unclipped = big_p.copy()
+    unclipped[3, 0, 0] = -(2.0**-51)
+    coef = engine._pair_coefficients(cfg)[None]
+    for p, ok in ((big_p, True), (unclipped, False)):
+        de1, de2, _ = engine._pair_triples(coef, engine._pair_entries(p))[0, :, 0]
+        assert (cfg.bath1.beta * de1 + cfg.bath2.beta * de2 >= engine.SLACK_FLOOR) == ok
+    # every chunk of the engine draws such a sample, and none raises
+    monkeypatch.setattr(engine, "haar_planes", lambda sampler, m, *args: _overfull_planes(m))
+    rep, = haar_average_report([cfg], CHUNK + 3, SEED)
+    assert rep.mean_dE1 == rep.mean_dE2 == 0.0
+    est, = frequency_sweep([cfg], CHUNK + 3, SEED)
+    assert sum(e.frequency for e in est.values()) == 1.0
+
+
 def test_sample_count_is_checked_before_the_first_draw(monkeypatch):
-    def no_draw(sampler, m, work=None):
+    def no_draw(*args):
         raise AssertionError("drew a chunk")
     monkeypatch.setattr(engine, "haar_planes", no_draw)
     cfg = reference_config()

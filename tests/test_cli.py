@@ -518,7 +518,7 @@ def test_stdout_when_no_out_flag(capsys):
                          (["noise"], False), (["hologram"], False)):
         assert cli.main(args) == 0
         comments = [l for l in capsys.readouterr().out.splitlines() if l.startswith("#")]
-        assert ("# stream=4" in comments) is seeded, args
+        assert (f"# stream={_accel.STREAM_VERSION}" in comments) is seeded, args
 
 
 def test_exit_code_three_on_invariant_violation(monkeypatch, capsys):

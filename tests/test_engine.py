@@ -220,6 +220,15 @@ def test_column_sums_equal_the_rotated_canonical_basis_product():
     assert np.max(np.abs(big_p.transpose(2, 1, 0) - want)) <= 1e-15  # planes to (sample, r, k)
 
 
+def test_the_derived_last_column_is_the_squared_last_column_of_u():
+    # the engine forms P's last column as 1 - (the first three), never from column 3 of U
+    n = 10**5
+    u3 = haar_unitaries(HaarSampler(1), n)[..., 3].T  # (row, sample)
+    big_p = engine._canonical_p(haar_planes(HaarSampler(1), n, None, 3))
+    assert np.max(np.abs(big_p[3] - (u3.real**2 + u3.imag**2))) <= 1e-15
+    assert np.min(big_p[3]) > 0  # so the clip at 0 acts nowhere on this draw
+
+
 def test_haar_triples_rows_match_one_row_calls():
     cfgs = _experiment_configs()
     triples = chunked_haar_triples(cfgs, 300, 5)
