@@ -14,6 +14,7 @@ from qmcool import (
     HaarSampler,
     SecondLawViolation,
     ValidationError,
+    _accel,
     classify,
     engine,
     frequency_sweep,
@@ -239,6 +240,19 @@ def test_classless_triple_names_row_and_sample(monkeypatch):
         frequency_sweep([reference_config(0.18)], 2 * CHUNK, SEED)
 
 
+def test_the_engine_never_orthonormalizes_column_3(monkeypatch):
+    # a chunk of CHUNK samples takes the planar Gram-Schmidt, the last one of 3 the
+    # scalar one; each is handed columns 0-2 only
+    seen = []
+    planar, scalar = _accel._orthonormalize_planes, _accel._orthonormalize_one
+    monkeypatch.setattr(_accel, "_orthonormalize_planes",
+                        lambda q, scratch: seen.append(len(q)) or planar(q, scratch))
+    monkeypatch.setattr(_accel, "_orthonormalize_one",
+                        lambda cols: seen.append(len(cols)) or scalar(cols))
+    frequency_sweep(CFGS[:1], CHUNK + 3, SEED)
+    assert seen == [3] * 4
+
+
 def _overfull_planes(m):
     """Columns 0-2 of the identity for m samples, with entry (0, 0) 1 + 2**-52: row 0 of
     P then sums to 1 + 2**-51 over columns 0-2, so 1 - that sum rounds below 0."""
@@ -255,9 +269,10 @@ def test_a_last_column_that_rounds_below_zero_is_clipped(monkeypatch):
     # ~3e6 that the pair moves breaks the second law by itself
     cfg = EngineConfig.from_values(1e3, 1e3, 1e3, 2e3)
     big_p = engine._canonical_p(_overfull_planes(1))
-    assert big_p[3, 0, 0] == 0.0 and 1.0 - big_p[0, 0, 0] - big_p[1, 0, 0] - big_p[2, 0, 0] < 0
+    raw = 1.0 - big_p[0, 0, 0] - big_p[1, 0, 0] - big_p[2, 0, 0]
+    assert raw < 0 and big_p[3, 0, 0] == 0.0
     unclipped = big_p.copy()
-    unclipped[3, 0, 0] = -(2.0**-51)
+    unclipped[3, 0, 0] = raw
     coef = engine._pair_coefficients(cfg)[None]
     for p, ok in ((big_p, True), (unclipped, False)):
         de1, de2, _ = engine._pair_triples(coef, engine._pair_entries(p))[0, :, 0]
