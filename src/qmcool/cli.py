@@ -350,8 +350,10 @@ def cmd_tomography(cfg):
 
 def cmd_hologram(cfg):
     beta = cfg.hologram_beta if cfg.hologram_beta is not None else cfg.beta2
-    holo = solve_hologram(BathSpec(beta))
-    rows = [(z, phase) for z, phase in holo.rows()]
+    try:
+        rows = [(z, phase) for z, phase in solve_hologram(BathSpec(beta)).rows()]
+    except (ValidationError, SecondLawViolation) as exc:
+        raise type(exc)(f"beta = {beta!r}: {exc}") from exc
     return _emit(cfg, "hologram", [f"beta={_fmt(beta)}"], ("z", "phase_rad"), rows)
 
 

@@ -48,10 +48,8 @@ _CLASS_CODES = (-2, 3, 0, 1, 2, 3)
 # the six pairs r < s of the populations (|00>, |01>, |10>, |11>): the order of the
 # pairwise entries of a population map and of the coefficients that weigh them
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-# flat indices of A_rs and A_sr in a 4x4 map, and of s, pair by pair
+# flat indices of A_rs in a 4x4 map, pair by pair
 _UPPER = np.array([4 * r + s for r, s in _PAIRS])
-_LOWER = np.array([4 * s + r for r, s in _PAIRS])
-_SECOND = _UPPER % 4
 
 
 class RegimeLabel(Enum):
@@ -223,13 +221,30 @@ def _measurement_triple(cfg, measurement):
     dE_i = sum_{r<s} (p_r A_rs - p_s A_sr)(h_i,s - h_i,r) exactly; the bracket is
     A_rs (p_r - p_s) + p_s (A_rs - A_sr), so for a POVM the kernel also takes the six
     asymmetries A_rs - A_sr, with weights p_s.  They vanish for a basis.
+
+    On one map the kernel runs on Python floats (:func:`_row_dot`), which gives the
+    stack's bits at a fraction of its numpy calls; only A stays a numpy product.
     """
-    big_a = _population_map(measurement)
-    coef, entries = _pair_coefficients(cfg), big_a.take(_UPPER)
+    big_a = _population_map(measurement).tolist()
+    rows = _pair_coefficients(cfg).tolist()
+    entries = [big_a[r][s] for r, s in _PAIRS]
     if isinstance(measurement, PovmSet):
-        coef = np.hstack((coef, _pair_matrix(cfg, _populations(cfg).take(_SECOND).tolist())))
-        entries = np.concatenate((entries, entries - big_a.take(_LOWER)))
-    return _pair_triples(coef[None], entries[:, None])[0, :, 0].tolist()
+        p = _populations(cfg).tolist()
+        for row, extra in zip(rows, _pair_matrix(cfg, [p[s] for _, s in _PAIRS]).tolist()):
+            row += extra
+        entries += [a - big_a[s][r] for a, (r, s) in zip(entries, _PAIRS)]
+    de1, de2 = _row_dot(rows[0], entries), _row_dot(rows[1], entries)
+    return de1, de2, de1 + de2
+
+
+def _row_dot(row, entries):
+    """sum_e row_e entries_e of two lists of Python floats, added left to right from
+    0.0: the order in which :func:`_pair_triples`' einsum adds one map's products, so
+    the sum has its bits (CPython fuses no multiply-add)."""
+    acc = 0.0
+    for c, m in zip(row, entries):
+        acc += c * m
+    return acc
 
 
 def _population_map(measurement):
@@ -302,7 +317,9 @@ def _pair_triples(coef, entries):
     map in entry order, so a map rounds alike in a stack of any length; a matmul would
     not (numpy sends a one-column product through gemv and a longer one through gemm).
     A lone map goes in twice: alone, einsum sums its entries with a SIMD dot product,
-    which adds them in another order.
+    which adds them in another order.  Two callers still send one: the last chunk of
+    :func:`_haar_chunks` when it holds one sample, and :func:`noise_sweep`'s projective
+    row; :func:`run_cycle` takes its one map through :func:`_row_dot` instead.
     """
     if entries.shape[1] == 1:
         return _pair_triples(coef, np.repeat(entries, 2, axis=1))[:, :, :1]

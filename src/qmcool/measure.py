@@ -18,6 +18,7 @@ from .errors import ValidationError
 from .thermo import as_complex
 
 ORTHO_TOL = 1e-10
+_EYE = np.eye(4)  # the Gram matrix of an orthonormal basis and of a complete POVM
 # float64 words per sample of the engine's Haar draw, three columns (haar_planes)
 WORK_WORDS = _accel.SCRATCH_WORDS + 8 * 3
 
@@ -32,7 +33,7 @@ class MeasurementBasis:
         v = as_complex(self.vectors)
         if v.shape != (4, 4):
             raise ValidationError(f"basis needs four 4-vectors, got shape {v.shape}")
-        gram_err = np.max(np.abs(v @ v.conj().T - np.eye(4)))
+        gram_err = abs(v @ v.conj().T - _EYE).max()
         if gram_err > ORTHO_TOL:
             raise ValidationError(f"basis vectors not orthonormal (deviation {gram_err:.3e})")
         v = v.copy()
@@ -91,12 +92,12 @@ def haar_unitary(sampler):
     """One Haar-distributed 4x4 unitary for the sampler's (seed, counter), sample
     ``counter`` of :func:`haar_unitaries` bit for bit.  Its Ginibre matrix goes through
     the one-matrix Gram-Schmidt (:func:`~qmcool._accel._orthonormalize_one`), whose
-    columns are written straight into the complex matrix."""
+    floats go straight into the complex matrix, row by row."""
     gin = _accel.ginibre_batch(sampler.seed, sampler.counter, 1)[0]  # (row, column, re/im)
-    cols = np.array(_accel._orthonormalize_one(gin.transpose(1, 2, 0).tolist()))
-    u = np.empty((4, 4), dtype=np.complex128)
-    u.real, u.imag = cols[:, 0].T, cols[:, 1].T  # cols[j, c, r]: part c of entry (r, j)
-    return u
+    # column j is (re, im) of entries (0..3, j); row r interleaves them over j
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3) = _accel._orthonormalize_one(
+        gin.transpose(1, 2, 0).tolist())
+    return np.array([*zip(a0, b0, a1, b1, a2, b2, a3, b3)]).view(np.complex128)
 
 
 def haar_unitaries(sampler, n):
@@ -142,7 +143,7 @@ class PovmSet:
         if m.ndim != 3 or m.shape[1:] != (4, 4):
             raise ValidationError(f"POVM operators must be a stack of 4x4, got {m.shape}")
         total = np.einsum("kij,kil->jl", m.conj(), m)
-        err = np.max(np.abs(total - np.eye(4)))
+        err = abs(total - _EYE).max()
         if err > ORTHO_TOL:
             raise ValidationError(f"POVM completeness violated (deviation {err:.3e})")
         m = m.copy()

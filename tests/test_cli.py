@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qmcool import _accel, cli, engine
-from qmcool.errors import ValidationError
+from qmcool.errors import SecondLawViolation, ValidationError
 
 from helpers import fmt_cell, looped_tomography_rows
 
@@ -603,4 +603,20 @@ def test_sweep_omega_names_the_row_on_exit_three(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "omega2 = 0.14: beta1*dE1 + beta2*dE2" in err
     assert "0.06" not in err and "0.46" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [ValidationError, SecondLawViolation])
+def test_hologram_names_the_row_on_exit_three(tmp_path, monkeypatch, capsys, error):
+    # a solver whose hologram breaks an invariant: the message names the beta it solved for
+    def broken(bath):
+        raise error("upper-half phases must lie in [pi/2, pi]")
+
+    monkeypatch.setattr(cli, "solve_hologram", broken)
+    conf = tmp_path / "c.ini"
+    conf.write_text("hologram_beta = 0.75\n")
+    out = tmp_path / "h.csv"
+    assert cli.main(["hologram", "--config", str(conf), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "invariant violation: beta = 0.75: upper-half phases" in err
     assert not out.exists()

@@ -299,8 +299,7 @@ def test_run_cycle_rejects_a_povm_that_loses_trace():
 
 def test_run_cycle_on_a_basis_checks_the_kernel_triple(monkeypatch):
     # heat out of both baths: beta1*dE1 + beta2*dE2 < 0 whatever the betas
-    monkeypatch.setattr(engine, "_pair_triples",
-                        lambda coef, entries: np.array([[[-1e-3], [-1e-3], [-2e-3]]]))
+    monkeypatch.setattr(engine, "_row_dot", lambda row, entries: -1e-3)
     with pytest.raises(SecondLawViolation):
         run_cycle(reference_config(0.18), canonical_basis())
 

@@ -90,6 +90,62 @@ def test_povm_kernel_matches_the_general_form():
     assert asymmetric >= 100
 
 
+def _stacked_triples(cfgs, measurements):
+    """The stacked kernel :func:`engine._pair_triples` on the measurements' pairwise
+    entries, one map per column and every config at once, shape (configs, 3, maps).
+    A POVM's six asymmetries A_rs - A_sr follow its entries, weighted by p_s."""
+    # C-contiguous: einsum adds the entries of a strided stack in another order
+    maps = np.array([engine._population_map(m) for m in measurements]).transpose(1, 2, 0)
+    entries = maps.reshape(16, -1)[engine._UPPER]
+    coef = np.array([engine._pair_coefficients(cfg) for cfg in cfgs])
+    if isinstance(measurements[0], PovmSet):
+        lower = maps.transpose(1, 0, 2).reshape(16, -1)[engine._UPPER]
+        entries = np.vstack((entries, entries - lower))
+        weights = [engine._pair_matrix(cfg, engine._populations(cfg)[[s for _, s in engine._PAIRS]])
+                   for cfg in cfgs]
+        coef = np.concatenate((coef, weights), axis=2)
+    return engine._pair_triples(coef, entries)
+
+
+def _assert_same_bits(cfgs, measurements, triple):
+    want = _stacked_triples(cfgs, measurements)
+    for j, measurement in enumerate(measurements):
+        got = np.array([triple(cfg, measurement) for cfg in cfgs])
+        assert got.tobytes() == np.ascontiguousarray(want[:, :, j]).tobytes()
+
+
+def _report_triple(cfg, measurement):
+    report = run_cycle(cfg, measurement)
+    return report.dE1, report.dE2, report.dE
+
+
+def test_run_cycle_on_a_basis_has_the_stack_bits():
+    # run_cycle sums one map's six products on Python floats; every search config on
+    # Haar bases and the canonical one gives the triple of its column in a stack
+    cfgs = search_configs()
+    bases = [canonical_basis()] + [rotate_basis(u, canonical_basis())
+                                   for u in haar_unitaries(HaarSampler(5), 8)]
+    with np.errstate(over="ignore", invalid="ignore"):  # the stack's products may overflow
+        _assert_same_bits(cfgs, bases, _report_triple)
+
+
+def test_a_povm_triple_has_the_stack_bits():
+    # twelve terms: the six entries, then the six asymmetries.  The triple is taken
+    # before run_cycle checks it: on some search configs the rounding of a white-noise
+    # POVM's asymmetries breaks the second law, and random POVMs need not keep it
+    cfgs = search_configs()
+    bases = [canonical_basis()] + [rotate_basis(u, canonical_basis())
+                                   for u in haar_unitaries(HaarSampler(9), 2)]
+    povms = [white_noise_povm(basis, nu) for basis in bases for nu in (0.0, 0.4, 0.9)]
+    rng = np.random.default_rng(71)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for measurements in (povms, [_random_povm(rng) for _ in range(3)]):
+            _assert_same_bits(cfgs, measurements, engine._measurement_triple)
+    # where run_cycle runs, it reports that triple
+    experiment = [reference_config(w2) for w2 in EXPERIMENT_OMEGA2]
+    _assert_same_bits(experiment, povms, _report_triple)
+
+
 def _x(beta, omega):
     with decimal.localcontext() as ctx:
         ctx.prec = 40
