@@ -1,4 +1,4 @@
-"""The Haar sampling stream (stream version 5): Ginibre matrices, orthonormalized.
+"""The Haar sampling stream (stream version 6): Ginibre matrices, orthonormalized.
 
 Every stream of the package comes from :func:`stream`, on Philox key
 ``[seed, word]``, rewound and advanced to a counter.  The Haar stream of a seed
@@ -6,41 +6,21 @@ is key ``[seed, HAAR_WORD]``; probe j's tomography shots use key ``[seed, j]``,
 and no probe index reaches ``HAAR_WORD``, so the two never share a stream.
 Sample i of the Haar stream reads uniforms [32i, 32i + 32) (the counter at
 8i), so results are a pure function of ``(seed, start, n)`` and independent of
-batching: the engine draws its Haar samples in fixed chunks,
-``ginibre_batch(seed, start, m, 3)`` for consecutive starts, and gets the samples
-of one whole draw.
+batching and of which memory the caller lends (:func:`qmcool.measure.haar_planes`).
 
-Both steps work in arrays that the caller may own: ``ginibre_batch`` writes the
-Ginibre matrices as real planes into ``out``, with ``scratch`` for the uniforms
-and cosines, and ``haar_from_ginibre`` orthonormalizes those planes in place,
-with the same scratch for its coefficients.  The engine passes the same memory
-to every chunk (see :func:`qmcool.measure.haar_planes`), so a chunk's draw
-allocates nothing of the chunk's size; a one-shot draw passes none and gets
-fresh arrays from the same code.  Which memory is used does not change a bit of
-the result.
+The engine's draw, ``cols=3``, is gauged by row.  It needs only P = |U C|^2, whose
+rows sum to 1, so it draws columns 0-2 and forms P's last column from the other
+three (:func:`qmcool.engine._canonical_p`).  P does not change under U -> DU for a
+diagonal unitary D, and Gram-Schmidt commutes with D, so with D_r = exp(-i theta_r0),
+theta_r0 the angle of Ginibre entry (r, 0), the engine measures DU for the U of
+:func:`qmcool.measure.haar_unitaries`.  Column 0 of its Ginibre matrix is then real,
+its radii, and entry (r, j) has the angle 2 pi (u'_rj - u'_r0), a difference of two
+uniforms, which is exact.  That saves a third of the cosines and sines, and every
+Gram-Schmidt product with column 0's zero imaginary plane.  Each sample is the
+ungauged one in exact arithmetic, and P agrees with stream 5's to ~1e-15.  Four
+columns are not gauged: U's phases reach ``haar_unitary``'s bases and tomography.
 
-Version 4 kept version 2's keys and layout and version 3's two-pass
-Gram-Schmidt, and changed only how that Gram-Schmidt is evaluated: on real
-planes with the sample index last, each projection, norm and division one
-elementwise operation over the samples, where version 3 used small complex
-matmuls on sample-major matrices.  Both give the same unitary in exact
-arithmetic; in floating point they agree to ~1e-15, so seeded values moved in
-their last bits and a sample that sits on a class boundary could change class.
-
-Version 5 keeps version 4's uniforms and arithmetic, and the engine draws and
-orthonormalizes only columns 0-2 of each unitary: it needs only P = |U C|^2,
-whose rows sum to 1, so it forms P's last column from the other three
-(:func:`qmcool.engine._canonical_p`).  This stays exact: Gram-Schmidt's column j
-reads only columns 0..j, so columns 0-2 are the bits of a full draw, and they
-have the Haar law of the first three columns of a unitary.  What moves is the
-rounding of P's last column, by ~1e-16, so seeded triples move in their last
-bits, as at version 4.  The unitaries themselves (``haar_unitaries``,
-``haar_unitary``) keep version 4's bits: Box-Muller now runs on the planes
-after one transposed copy of the uniforms, elementwise, which changes none.
-
-The cycle-energy kernel lives in :mod:`qmcool.engine`.  This module keeps
-its name because the benchmark harness (``perfbench/``) reads and wraps
-the stream as ``qmcool._accel``.
+The cycle-energy kernel is in :mod:`qmcool.engine`; ``perfbench/`` wraps this module.
 """
 
 import math
@@ -55,7 +35,7 @@ from .errors import ValidationError
 # Philox keys above this pass through float64 in numpy and alias other keys.
 INT64_MAX = 2**63 - 1
 HAAR_WORD = INT64_MAX  # second key word of the Haar stream
-STREAM_VERSION = 5  # printed by every command whose output reads the Haar stream
+STREAM_VERSION = 6  # printed by every command whose output reads the Haar stream
 PLANAR_MIN = 8  # smallest batch for Box-Muller and Gram-Schmidt on the planes
 SCRATCH_WORDS = 32  # float64 words per sample of the draw's scratch: one sample's uniforms
 # this thread's generators: .seed, and .keys {word: (generator, its state at counter 0)}
@@ -76,11 +56,9 @@ def check_int(value, name, low=0):
 def stream(seed, word, counter=0):
     """A Generator on Philox key [seed, word], its counter at ``counter``: word
     HAAR_WORD is the Haar stream, word j < HAAR_WORD the shots of tomography probe j.
-
-    Each thread builds a key's generator once, for the last seed it asked for (a new
-    seed drops the old one's), and every call restores its state at counter 0 and
-    advances it, which draws what a freshly built generator at that counter draws.
-    The generator is valid until this thread's next call for the key or another seed.
+    Each thread builds a key's generator once, for the last seed it asked for, and each
+    call restores its state at counter 0 and advances it, which draws what a fresh one
+    draws.  It is valid until this thread's next call for the key or another seed.
     """
     seed = check_int(seed, "seed")
     if getattr(_STREAMS, "seed", None) != seed:
@@ -101,18 +79,17 @@ def ginibre_batch(seed, start, n, cols=4, out=None, scratch=None):
 
     Entry (r, j) of sample i is Box-Muller on uniforms 32i + 8r + 2j and the one after
     it, (u, u'): radius sqrt(-log(1 - u)) and angle 2 pi u', so E|z|^2 = 1 and u = 0
-    stays finite.  ``scratch``, a C-contiguous float array of SCRATCH_WORDS n words,
-    takes the uniforms of every column; one transposed copy puts those of the wanted
-    columns into ``out``, a C-contiguous float (cols, 2, 4, n) array, where Box-Muller
-    runs in place (the cosines go back into ``scratch``).  Below PLANAR_MIN samples it
-    runs on the uniforms before the copy instead, where each of its numpy calls costs
-    ~1 us less.  ``out[j, c, r, i]`` is part c (0 real, 1 imaginary) of entry (r, j) of
-    matrix i; by default each array is fresh.  Every step is elementwise, so a column
-    has the same bits whatever ``cols`` or the layout is.
-
-    Returns the sample-leading view ``out.transpose(3, 2, 0, 1)``, shape
-    (n, 4, cols, 2): the real and imaginary parts of entry (r, j) of matrix i are
-    ``[i, r, j]``.
+    stays finite.  ``cols=3`` is gauged by row (see above) at any n: column 0 keeps its
+    radii and a zero imaginary plane, and columns 1-2 take the angle 2 pi d, with
+    d = u' - u'_r0 less rint(d), exact in [-1/2, 1/2] (on a Xeon, numpy's cosine and
+    sine cost ~30 % less on [-pi, pi] than on (-2 pi, 2 pi)).  ``scratch``, a float
+    C-contiguous array of SCRATCH_WORDS n words, takes the uniforms, then the cosines;
+    one transposed copy puts the wanted columns' into ``out``, a C-contiguous float
+    (cols, 2, 4, n) array, where Box-Muller runs in place, elementwise, so an entry has
+    the same bits in any layout.  Below PLANAR_MIN samples an ungauged draw runs it
+    before the copy, where a numpy call costs ~1 us less.  By default both are fresh.
+    ``out[j, c, r, i]`` is part c (0 real, 1 imaginary) of entry (r, j) of matrix i;
+    returns the view ``out.transpose(3, 2, 0, 1)``, (n, 4, cols, 2), indexed [i, r, j, c].
     """
     gen = stream(seed, HAAR_WORD, 8 * check_int(start, "sample counter"))
     n = check_int(n, "n")
@@ -120,22 +97,31 @@ def ginibre_batch(seed, start, n, cols=4, out=None, scratch=None):
     u = _buffer(scratch, (SCRATCH_WORDS * n,), np.float64, "scratch")
     gen.random(out=u)
     wanted = u.reshape(n, 4, 4, 2)[:, :, :cols].transpose(2, 3, 1, 0)
-    if n < PLANAR_MIN:  # a ufunc call costs less on the 1-d views of the uniforms
-        _box_muller(u[0::2], u[1::2], np.empty(16 * n))
+    if cols == 3:
+        np.copyto(q[:, 0], wanted[:, 0])
+        d = np.subtract(wanted[1:, 1], wanted[0, 1], out=q[1:, 1])
+        cos = u[:8 * n].reshape(2, 4, n)  # every uniform is in q by now
+        d -= np.rint(d, out=cos)
+        q[0, 1] = 0.0
+        _turn(_radius(q[:, 0])[1:], d, cos)
+    elif n < PLANAR_MIN:  # a ufunc call costs less on the 1-d views of the uniforms
+        _turn(_radius(u[0::2]), u[1::2], np.empty(16 * n))
         np.copyto(q, wanted)
     else:
         np.copyto(q, wanted)
         parts = q.reshape(cols, 2, 4 * n)
-        _box_muller(parts[:, 0], parts[:, 1], u[:4 * cols * n].reshape(cols, 4 * n))
+        _turn(_radius(parts[:, 0]), parts[:, 1], u[:4 * cols * n].reshape(cols, 4 * n))
     return q.transpose(3, 2, 0, 1)
 
 
-def _box_muller(r, theta, cos):
-    """Box-Muller in place on same-shape uniforms: r <- sqrt(-log(1 - r)) cos(2 pi theta)
-    and theta <- sqrt(-log(1 - r)) sin(2 pi theta), with ``cos`` as scratch.  Each
-    step is elementwise, so an entry gets the same bits in any layout."""
+def _radius(r):
+    """r <- sqrt(-log(1 - r)) in place, Box-Muller's radius of uniforms r; returns r."""
     np.log1p(np.negative(r, out=r), out=r)
-    np.sqrt(np.negative(r, out=r), out=r)
+    return np.sqrt(np.negative(r, out=r), out=r)
+
+
+def _turn(r, theta, cos):
+    """(r, theta) <- r (cos 2 pi theta, sin 2 pi theta) in place, with ``cos`` as scratch."""
     theta *= 2 * np.pi
     np.cos(theta, out=cos)
     np.sin(theta, out=theta)
@@ -146,24 +132,19 @@ def _box_muller(r, theta, cos):
 def haar_from_ginibre(gin, scratch=None):
     """Orthonormalize the columns of Ginibre matrices into Haar-distributed unitaries.
 
-    Classical Gram-Schmidt, two passes per column ("twice is enough": Giraud,
-    Langou and Rozloznik, 2005): column j loses its components along the finished
-    columns 0..j-1 twice over, then is divided by its norm.  That norm is the R
-    diagonal of the implied QR factorization, real and positive, which is the gauge
-    that makes the map from Ginibre matrix to unitary single-valued and the
-    unitaries Haar-distributed (Mezzadri, math-ph/0609050); no gauge step is needed.
-    Column j reads only columns 0..j, so the first k columns are the same bits
-    whether or not the later ones are there.
+    Classical Gram-Schmidt, two passes per column ("twice is enough": Giraud, Langou
+    and Rozloznik, 2005): column j loses its components along columns 0..j-1 twice
+    over, then is divided by its norm, the real and positive R diagonal of the implied
+    QR factorization, which is the gauge that makes the unitaries Haar-distributed
+    (Mezzadri, math-ph/0609050).  Column j reads only columns 0..j, so the first k
+    columns are the same bits whether or not the later ones are there.
 
     ``gin`` is what :func:`ginibre_batch` returns, the view (n, 4, cols, 2) of
-    C-contiguous planes (cols, 2, 4, n), and the planes are orthonormalized in place
-    by :func:`_orthonormalize_planes`, with ``scratch`` (SCRATCH_WORDS n words, by
-    default fresh) for the coefficients.  Fewer than PLANAR_MIN matrices take
-    :func:`_orthonormalize_one` instead, one by one: the same operations in the same
-    order on Python floats, which give the same bits.  It costs ~25-30 us per matrix
-    against ~200-300 us for the ~150 numpy calls of the planar path at any small n,
-    so the two tie near n = 8 (timeit, 2-vCPU Xeon VM).  Returns ``gin``, now the
-    unitaries' first cols columns.
+    C-contiguous planes (cols, 2, 4, n), orthonormalized in place by
+    :func:`_orthonormalize_planes`, or, three columns being the engine's gauged ones, by
+    :func:`_orthonormalize_gauged`, with ``scratch`` (SCRATCH_WORDS n words, by default fresh).
+    Below PLANAR_MIN matrices :func:`_orthonormalize_one` takes them one by one, with
+    the same bits, ~25-30 us each against ~150 numpy calls.  Returns ``gin``.
     """
     n, cols = len(gin), gin.shape[2]
     q = _buffer(gin.transpose(2, 3, 1, 0), (cols, 2, 4, n), np.float64, "the planes of gin")
@@ -171,21 +152,18 @@ def haar_from_ginibre(gin, scratch=None):
         for i in range(n):
             q[..., i] = _orthonormalize_one(q[..., i].tolist())
     else:
-        _orthonormalize_planes(q, _buffer(scratch, (SCRATCH_WORDS * n,), np.float64, "scratch"))
+        planar = _orthonormalize_gauged if cols == 3 else _orthonormalize_planes
+        planar(q, _buffer(scratch, (SCRATCH_WORDS * n,), np.float64, "scratch"))
     return gin
 
 
 def _orthonormalize_planes(q, scratch):
     """Two-pass Gram-Schmidt, in place, on the planes ``q`` (cols, 2, 4, n) of
-    :func:`haar_from_ginibre`, cols <= 4; ``scratch`` is a flat float array of at
-    least 31 n.
-
-    Every step is one elementwise +, -, *, / or sqrt over the n samples, written with
-    ``out=`` into ``q`` or ``scratch``, and a sum over the four rows adds them in row
-    order (:func:`_row_sum`), so each sample rounds as it would alone.  With
-    c_k = <q_k, v> = sum_r conj(q_k,r) v_r, all from the same v (classical
-    Gram-Schmidt), a pass takes v -= c_k q_k for k = 0..j-1 in turn.
-    """
+    :func:`haar_from_ginibre`, cols <= 4, with 31 n words of ``scratch``.  Each step is
+    one elementwise +, -, *, / or sqrt over the samples, and a sum over the four rows
+    adds them in row order (:func:`_row_sum`), so a sample rounds as it would alone.
+    With c_k = <q_k, v> = sum_r conj(q_k,r) v_r, all from the same v (classical
+    Gram-Schmidt), a pass takes v -= c_k q_k for k < j in turn."""
     n = q.shape[-1]
     prod = scratch[:24 * n].reshape(3, 2, 4, n)
     coef = scratch[24 * n:30 * n].reshape(2, 3, n)
@@ -201,16 +179,48 @@ def _orthonormalize_planes(q, scratch):
                 combine(p[:, 0], p[:, 1], out=p[:, 0])
                 _row_sum(p[:, 0], c[part])
             for k in range(j):
-                # c q = (Re c Re q - Im c Im q) + i (Re c Im q + Im c Re q)
-                np.multiply(c[0, k], q[k], out=t)
-                np.multiply(c[1, k], q[k], out=t2)
-                t[0] -= t2[1]
-                t[1] += t2[0]
-                v -= t
-        np.multiply(v, v, out=t)
-        t[0] += t[1]
-        np.sqrt(_row_sum(t[0], norm), out=norm)
-        v /= norm
+                _subtract_multiple(v, c[:, k], q[k], t, t2)
+        _normalize(v, t, norm)
+
+
+def _orthonormalize_gauged(q, scratch):
+    """:func:`_orthonormalize_planes` on the engine's gauged planes (3, 2, 4, n), whose
+    column 0 is real (``q[0, 1]`` is +0), less every product with that zero plane, with
+    21 n words of ``scratch``.  The general code only adds those zeros to floats, which
+    changes no bit unless every term of a sum is zero."""
+    n = q.shape[-1]
+    t, t2 = scratch[:16 * n].reshape(2, 2, 4, n)
+    c0, c1 = scratch[16 * n:20 * n].reshape(2, 2, n)
+    norm, a = scratch[20 * n:21 * n], q[0, 0]
+    a /= np.sqrt(_row_sum(np.square(a, out=t[0]), norm), out=norm)
+    for j in (1, 2):
+        v = q[j]
+        for _ in range(2):
+            if j == 2:  # c_1 as in _orthonormalize_planes, from the same v as c_0
+                for part, w, combine in ((0, v, np.add), (1, v[::-1], np.subtract)):
+                    combine(*np.multiply(q[1], w, out=t), out=t[0])
+                    _row_sum(t[0], c1[part])
+            _row_sum(np.multiply(a, v, out=t), c0)  # c_0 = sum_r a_r v_r, a real
+            v -= np.multiply(c0[:, None], a, out=t)
+            if j == 2:
+                _subtract_multiple(v, c1, q[1], t, t2)
+        _normalize(v, t, norm)
+
+
+def _subtract_multiple(v, c, qk, t, t2):
+    """v -= c qk, c = (Re, Im) planes: (Re c Re q - Im c Im q) + i (Re c Im q + Im c Re q)."""
+    np.multiply(c[0], qk, out=t)
+    np.multiply(c[1], qk, out=t2)
+    t[0] -= t2[1]
+    t[1] += t2[0]
+    v -= t
+
+
+def _normalize(v, t, norm):
+    """v /= its norm, sqrt(sum_r (Re v_r^2 + Im v_r^2)), with t and norm as scratch."""
+    np.multiply(v, v, out=t)
+    t[0] += t[1]
+    v /= np.sqrt(_row_sum(t[0], norm), out=norm)
 
 
 def _row_sum(x, out):
@@ -224,11 +234,8 @@ def _row_sum(x, out):
 def _orthonormalize_one(cols):
     """:func:`_orthonormalize_planes` on one matrix, as Python floats: ``cols[j][c][r]``
     is part c (real, imaginary) of entry (r, j), and column j is returned in ``cols[j]``.
-
-    The same correctly rounded operations in the same order, written out per row
-    (x the real parts of v, y the imaginary ones; (a, b) those of q_k; c + id = c_k).
-    CPython fuses no multiply-add, so the result is bit for bit the sample's in any
-    batch.
+    The same correctly rounded operations in the same order, per row (v = x + iy,
+    q_k = a + ib, c_k = c + id); CPython fuses no multiply-add, so the bits are the same.
     """
     for j in range(len(cols)):
         (x0, x1, x2, x3), (y0, y1, y2, y3) = cols[j]

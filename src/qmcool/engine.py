@@ -335,19 +335,16 @@ def _sample_name(omega2, index):
 
 def _canonical_p(q, out=None):
     """P = |U C|^2 of each unitary U whose columns 0-2 are the planes ``q[:3]``
-    (:func:`~qmcool.measure.haar_planes`, (cols, 2, 4, samples), cols >= 3), C the
-    canonical basis vectors as columns, without the product, as planes:
-    ``big_p[k, r]`` holds P[r, k] of every sample, shape (4, 4, samples).
+    (:func:`~qmcool.measure.haar_planes`, (cols, 2, 4, samples)), C the canonical basis
+    vectors as columns, as planes: ``big_p[k, r]`` holds P[r, k] of every sample.
 
-    C keeps columns u0 and u3 of U and turns u1, u2 into (u1 + u2)/sqrt2 and
-    (u1 - u2)/sqrt2, so the first three columns of P are |u0|^2, |u1 + u2|^2/2 and
-    |u1 - u2|^2/2, each |z|^2 taken as re^2 + im^2.  Row r of U C is a unit vector,
-    so the last column, |u3|^2, is 1 - P[r, 0] - P[r, 1] - P[r, 2], subtracted in that
-    order and clipped at 0: the engine never needs column 3 of U.  Rounding leaves the
-    difference within ~1e-15 of |u3|^2, and can take it below 0 where |u3_r| is tiny;
-    a negative entry would let a pairwise term break the second law by itself.
-    ``out``, a C-contiguous float (4, 4, samples) array (by default a fresh one), is
-    returned as P; its column planes hold the squared parts as they are formed.
+    C keeps columns u0 and u3 of U and turns u1, u2 into (u1 ± u2)/sqrt2, so the first
+    three columns of P are |u0|^2 and |u1 ± u2|^2/2, each |z|^2 as re^2 + im^2.  Rows of
+    U C are unit vectors, so the last column, |u3|^2, is 1 - P[r, 0] - P[r, 1] - P[r, 2],
+    subtracted in that order and clipped at 0: rounding leaves it within ~1e-15 of
+    |u3|^2 but can take it below 0, which would let a pairwise term break the second
+    law by itself.  ``out``, a C-contiguous float (4, 4, samples) array (by default
+    fresh), is returned as P; its planes hold the squared parts as they are formed.
     """
     big_p = np.empty((4,) + q.shape[2:]) if out is None else out
     np.square(q[0, 0], out=big_p[0])
@@ -387,19 +384,18 @@ def _haar_chunks(cfgs, n_samples, seed):
     (dE1, dE2, dE) over samples [start, start + m).
 
     Sample i measures in the canonical basis rotated by unitary i of the seed's Haar
-    stream, the same U for every config; the six pairwise entries of its map P P^T
-    (:func:`_pair_entries`) go through :func:`_pair_triples`.  Every sample of every
-    config must keep beta1*dE1 + beta2*dE2 >= SLACK_FLOOR, as in :func:`run_cycle`;
-    the first breach, in config order, raises.
+    stream, the same for every config: the row-gauged DU of :mod:`qmcool._accel`, so
+    P = |DUC|^2 = |UC|^2, but not the U of ``haar_unitaries`` bit for bit.  Its map's
+    six pairwise entries (:func:`_pair_entries`) go through :func:`_pair_triples`, and
+    the first sample, in config order, with slack beta1*dE1 + beta2*dE2 < SLACK_FLOOR
+    raises, as in :func:`run_cycle`.
 
-    Chunks hold CHUNK samples, the last the rest, however few.  Sample i reads
-    uniforms [32i, 32i + 32) of the stream whatever the chunk, and the kernel rounds a
-    sample alike in any chunk, so the chunks concatenate to the triples of one whole
-    draw.  Every chunk draws, orthonormalizes and forms P and its pairwise entries in
-    the same memory (WORK_WORDS per sample, 0.46 MB), allocated once: a fresh 0.46 MB
-    per chunk would be handed back to the system and faulted in again each time.
-    n_samples is checked, and the configs' coefficients and inverse temperatures
-    gathered, before the first chunk is drawn.
+    Chunks hold CHUNK samples, the last the rest.  Sample i reads uniforms
+    [32i, 32i + 32) whatever the chunk, and the kernel rounds a sample alike in any
+    chunk, so the chunks concatenate to one whole draw.  Every chunk works in the same
+    memory (WORK_WORDS per sample, 0.46 MB), allocated once, which the heap keeps:
+    a fresh one per chunk would be faulted in again each time.  n_samples is checked,
+    and the configs' coefficients and inverse temperatures gathered, up front.
     """
     n = check_int(n_samples, "n_samples", 1)
     coef = np.array([_pair_coefficients(cfg) for cfg in cfgs]).reshape(-1, 2, 6)

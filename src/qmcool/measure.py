@@ -101,9 +101,8 @@ def haar_unitary(sampler):
 
 
 def haar_unitaries(sampler, n):
-    """n Haar unitaries for counters [counter, counter + n), a complex (n, 4, 4) array;
-    any split of a range into consecutive calls gives the same unitaries.  They are
-    :func:`haar_planes`, the draw the engine reads in chunks, as complex matrices."""
+    """n Haar unitaries for counters [counter, counter + n), a complex (n, 4, 4) array:
+    the four columns of :func:`haar_planes`, the same in any split into consecutive calls."""
     pairs = haar_planes(sampler, n).transpose(3, 2, 0, 1)  # (sample, row, column, re/im)
     return np.ascontiguousarray(pairs).view(np.complex128)[..., 0]
 
@@ -111,17 +110,15 @@ def haar_unitaries(sampler, n):
 def haar_planes(sampler, n, work=None, cols=4):
     """Columns 0..cols-1 of the n Haar unitaries for counters [counter, counter + n) as
     real planes, a float (cols, 2, 4, n) array: ``[j, c, r, i]`` is part c (0 real, 1
-    imaginary) of entry (r, j) of unitary i, so column j of every unitary is the block
-    ``[j]``.  A column has the same bits whatever ``cols`` is; the engine, which needs
-    only |U C|^2, draws three (WORK_WORDS per sample) and every other caller four.
+    imaginary) of entry (r, j) of unitary i.  The engine, which needs only |U C|^2,
+    draws three (WORK_WORDS per sample), gauged by row (:mod:`qmcool._accel`): it
+    measures DU, D diagonal and unitary, not this U bit for bit.  Others draw four.
 
     ``work``, a C-contiguous float64 array of (SCRATCH_WORDS + 8 cols) n words (by
-    default a fresh one), holds the whole draw.  Its first SCRATCH_WORDS n words take
-    the uniforms and Box-Muller's cosines (:func:`~qmcool._accel.ginibre_batch`) and
-    then serve as Gram-Schmidt's scratch; the rest takes the Ginibre planes, which are
-    orthonormalized in place (:func:`~qmcool._accel.haar_from_ginibre`) and returned
-    as a view of it.  A caller that draws many batches reuses one; which memory is
-    used changes no bit.
+    default fresh), holds the whole draw: its first SCRATCH_WORDS n words take the
+    uniforms (:func:`~qmcool._accel.ginibre_batch`) and then Gram-Schmidt's scratch,
+    and the rest the planes, orthonormalized in place and returned
+    (:func:`~qmcool._accel.haar_from_ginibre`).  Which memory is used changes no bit.
     """
     n = _accel.check_int(n, "n")
     head = _accel.SCRATCH_WORDS * n

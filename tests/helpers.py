@@ -225,15 +225,23 @@ def qr_gauge_haar(gin):
 
 def canonical_column_sums(us):
     """P = |U C|^2 of a stack of unitaries, C the canonical basis vectors as columns,
-    as the Haar path forms it: |u0|^2, |u1 + u2|^2/2 and |u1 - u2|^2/2, each |z|^2 as
-    re^2 + im^2 (np.abs(z)**2 goes through hypot and rounds differently), and the last
-    column as max(0, 1 - P[r, 0] - P[r, 1] - P[r, 2]), subtracted in that order."""
-    big_p = np.empty(us.shape)
+    as the Haar path forms it from columns 0-2 of each (the engine draws only those):
+    |u0|^2, |u1 + u2|^2/2 and |u1 - u2|^2/2, each |z|^2 as re^2 + im^2 (np.abs(z)**2
+    goes through hypot and rounds differently), and the last column as
+    max(0, 1 - P[r, 0] - P[r, 1] - P[r, 2]), subtracted in that order."""
+    big_p = np.empty(us.shape[:2] + (4,))
     for k, col in enumerate((us[..., 0], us[..., 1] + us[..., 2], us[..., 1] - us[..., 2])):
         big_p[..., k] = col.real**2 + col.imag**2
     big_p[..., 1:3] /= 2
     big_p[..., 3] = np.maximum(1.0 - big_p[..., 0] - big_p[..., 1] - big_p[..., 2], 0.0)
     return big_p
+
+
+def same_bits(a, b):
+    """Whether two arrays have the same shape, dtype and bytes: array_equal with signed
+    zeros told apart (and NaNs equal when their bits are)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def complex_matrices(pairs):
@@ -264,17 +272,19 @@ def pair_kernel_rows(cfg, entries):
 def per_row_haar_triples(cfg, n, seed):
     """Reference (n, 3) Haar triples of one config: the pairwise kernel row by row.
 
-    Draws its own Ginibre batch for the one config; P P^T enters through its six
-    pairwise entries only, as in the engine's kernel.
+    Draws its own Ginibre batch for the one config, as the engine does (three columns,
+    gauged by row); P P^T enters through its six pairwise entries only, as in the
+    engine's kernel.
     """
-    us = complex_matrices(haar_from_ginibre(ginibre_batch(seed, 0, n)))
+    us = complex_matrices(haar_from_ginibre(ginibre_batch(seed, 0, n, 3)))
     return pair_kernel_rows(cfg, pair_entries(canonical_column_sums(us)))
 
 
 def whole_draw_haar_triples(cfgs, n_samples, seed):
     """Reference (len(cfgs), n, 3) Haar triples: one draw holding every sample at
-    once, through the pairwise kernel; the chunked path must match it bit for bit."""
-    us = haar_unitaries(HaarSampler(seed), check_int(n_samples, "n_samples", 1))
+    once, through the pairwise kernel; the chunked path must match it bit for bit.
+    The draw is :func:`gauged_unitaries`, whose columns 0-2 are the engine's."""
+    us = gauged_unitaries(seed, check_int(n_samples, "n_samples", 1))
     entries = pair_entries(canonical_column_sums(us))
     return np.array([pair_kernel_rows(cfg, entries) for cfg in cfgs]).reshape(-1, len(us), 3)
 
@@ -316,6 +326,37 @@ def box_muller_sample(seed, i):
     z = np.empty(16, dtype=np.complex128)
     z.real, z.imag = r * np.cos(theta), r * np.sin(theta)
     return z.reshape(4, 4)
+
+
+def gauged_ginibre(seed, start, n):
+    """Reference Ginibre matrices of the engine's draw from stream version 6, complex
+    (n, 4, 4), samples [start, start + n): Box-Muller on the uniforms of
+    :func:`box_muller_sample`, with row r turned by minus the angle of its entry (r, 0).
+    Entry (r, j) has radius sqrt(-log(1 - u)) and angle 2 pi d, d = u'_rj - u'_r0 less
+    rint(d), both exact; column 0 gets d = +0, so cos 1 and sin +0, and holds its radii
+    with a +0 imaginary part, as the engine writes them.  All four columns are gauged;
+    the engine draws columns 0-2."""
+    u = fresh_stream(seed, 2**63 - 1, 8 * start).random(32 * n).reshape(n, 4, 4, 2)
+    r = np.sqrt(-np.log1p(-u[..., 0]))
+    d = u[..., 1] - u[..., :1, 1]
+    theta = 2 * np.pi * (d - np.rint(d))
+    z = np.empty((n, 4, 4), dtype=np.complex128)
+    z.real, z.imag = r * np.cos(theta), r * np.sin(theta)
+    return z
+
+
+def planes_of(z):
+    """The C-contiguous planes (cols, 2, 4, n) of complex (n, 4, cols) matrices, laid out
+    as ``ginibre_batch`` writes them: ``.transpose(3, 2, 0, 1)`` is what it returns."""
+    return np.ascontiguousarray(np.stack([z.real, z.imag]).transpose(3, 0, 2, 1))
+
+
+def gauged_unitaries(seed, n):
+    """All four columns of the engine's unitaries DU, complex (n, 4, 4): the general
+    Gram-Schmidt on :func:`gauged_ginibre`'s four columns.  Column j reads only columns
+    0..j, so columns 0-2 are the engine's three-column draw bit for bit."""
+    return complex_matrices(haar_from_ginibre(planes_of(gauged_ginibre(seed, 0, n))
+                                              .transpose(3, 2, 0, 1)))
 
 
 def gibbs_state(qubit, bath):

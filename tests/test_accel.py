@@ -1,18 +1,32 @@
-"""Haar stream (version 5): layout, random access, seed range, the per-thread rewound
-generators, the planar Box-Muller, the Gram-Schmidt step and the three-column draw."""
+"""Haar stream (version 6): layout, random access, seed range, the per-thread rewound
+generators, the planar Box-Muller, the Gram-Schmidt step, the engine's row-gauged
+three-column draw, and the unitaries' pinned bits."""
 
+import hashlib
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from qmcool import (EngineConfig, HaarSampler, ValidationError, _accel, frequency_sweep,
-                    haar_average_report, haar_unitaries)
+from qmcool import (EngineConfig, HaarSampler, ValidationError, _accel, canonical_basis,
+                    engine, frequency_sweep, haar_average_report, haar_unitaries)
 from qmcool.engine import CHUNK, _haar_chunks
 from qmcool.measure import WORK_WORDS, haar_planes, haar_unitary
 
-from helpers import box_muller_sample, complex_matrices, fresh_stream, qr_gauge_haar
+from helpers import (box_muller_sample, complex_matrices, fresh_stream, gauged_ginibre,
+                     planes_of, qr_gauge_haar, same_bits)
+
+# SHA-256 of haar_unitaries(HaarSampler(seed), 64) and haar_unitary(HaarSampler(seed, 3)),
+# as bytes, recorded at stream version 5 (numpy 2.4, x86-64 with AVX-512): tomography's
+# haar_i bases and every single-basis draw read U's phases, which only the engine's
+# row-gauged draw may drop
+UNITARY_DIGESTS = {
+    1: ("d96b6d74839d126cd672d794214e2d760a521ec9e29816846fd3dfa35a9f84c3",
+        "7f4c17f00ece3ed41fd978f3367ccbdd9db12b1c64bef5ba570221d2dc28ed73"),
+    7: ("6427ac735bec241f70d9751b5022a293658a17d17b165b7175dededb1791d4f8",
+        "00439d63166ab161006252621680048c898c145176e2249a4ff49a5e47ed3186"),
+}
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
@@ -27,11 +41,15 @@ def test_ginibre_layout_matches_box_muller_oracle(seed, i):
 @pytest.mark.parametrize("cols", [3, 4])
 def test_planar_box_muller_matches_the_oracle(seed, n, cols):
     # from PLANAR_MIN samples on, Box-Muller runs on the planes: every column of every
-    # sample still gets the oracle's bits
+    # sample still gets the oracle's bits; three columns are the engine's draw, gauged
+    # by row at any n, with the gauged oracle's bits, signed zeros included
     gin = complex_matrices(_accel.ginibre_batch(seed, 40, n, cols))
     assert gin.shape == (n, 4, cols)
     for i in (0, n // 2, n - 1):
-        assert np.array_equal(gin[i], box_muller_sample(seed, 40 + i)[:, :cols])
+        if cols == 3:
+            assert same_bits(gin[i], gauged_ginibre(seed, 40 + i, 1)[0][:, :3])
+        else:
+            assert same_bits(gin[i], box_muller_sample(seed, 40 + i))
 
 
 def test_ginibre_substreams_are_independent_of_batching():
@@ -164,11 +182,12 @@ def test_a_reused_buffer_draws_what_a_fresh_call_draws():
         us = _accel.haar_from_ginibre(gin, scratch)
         assert us is gin and us.shape == (n, 4, 4, 2)
         assert np.array_equal(us, _accel.haar_from_ginibre(fresh))
-        # the engine's three-column draw in its work array: the first columns of a fresh one
+        # the engine's gauged three-column draw in its dirty work array: a fresh one's bits
         planes = haar_planes(HaarSampler(41, start), n, work[:WORK_WORDS * n], 3)
         assert np.shares_memory(planes, work)
-        assert np.array_equal(planes, haar_planes(HaarSampler(41, start), n)[:3])
-        assert np.array_equal(planes, us.transpose(2, 3, 1, 0)[:3])
+        assert same_bits(planes, haar_planes(HaarSampler(41, start), n, None, 3))
+        fresh3 = _accel.haar_from_ginibre(_accel.ginibre_batch(41, start, n, 3))
+        assert same_bits(planes, fresh3.transpose(2, 3, 1, 0))
         assert np.array_equal(haar_unitaries(HaarSampler(41, start), n), complex_matrices(us))
     for out in (np.empty((4, 2, 4, 3)), np.empty((4, 2, 4, 4), dtype=np.complex128),
                 np.empty((4, 4, 2, 4)).swapaxes(-1, -3), np.empty((3, 2, 4, 4))):
@@ -221,18 +240,67 @@ def test_planar_gram_schmidt_matches_the_scalar_one(n, seed):
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 672, 1024])
 def test_three_columns_are_the_first_three_of_four(n):
-    # column j of Gram-Schmidt reads only columns 0..j, so the engine's three-column draw
-    # is the unitaries' first three columns bit for bit, on the scalar path (n < 8) and
-    # the planar one, through haar_from_ginibre and through each orthonormalization alone
-    four, three = (_accel.ginibre_batch(17, 300, n, cols) for cols in (4, 3))
-    assert np.array_equal(three, four[:, :, :3])
-    q4, q3 = (g.transpose(2, 3, 1, 0).copy() for g in (four, three))
+    # the engine's three columns are gauged by row, with the Ginibre bits of the gauged
+    # oracle's four; column j of Gram-Schmidt reads only columns 0..j, so its unitaries
+    # are the first three columns of those four, bit for bit, on the scalar path (n < 8)
+    # and the planar ones, through haar_from_ginibre and through each orthonormalization
+    three = _accel.ginibre_batch(17, 300, n, 3)
+    q3, q4 = three.transpose(2, 3, 1, 0).copy(), planes_of(gauged_ginibre(17, 300, n))
+    assert same_bits(q3, q4[:3])
     for i in range(n):
-        assert np.array_equal(np.array(_accel._orthonormalize_one(q3[..., i].tolist())),
-                              np.array(_accel._orthonormalize_one(q4[..., i].tolist()))[:3])
+        assert same_bits(np.array(_accel._orthonormalize_one(q3[..., i].tolist())),
+                         np.array(_accel._orthonormalize_one(q4[..., i].tolist()))[:3])
+    short = q3.copy()
+    _accel._orthonormalize_gauged(short, np.empty(21 * n))
     for q in (q4, q3):
         _accel._orthonormalize_planes(q, np.empty(31 * n))
-    assert np.array_equal(q3, q4[:3])
-    assert np.array_equal(_accel.haar_from_ginibre(three), _accel.haar_from_ginibre(four)[:, :, :3])
-    assert np.array_equal(haar_planes(HaarSampler(17, 300), n, None, 3),
-                          haar_planes(HaarSampler(17, 300), n)[:3])
+    assert same_bits(q3, q4[:3]) and same_bits(short, q3)
+    assert same_bits(_accel.haar_from_ginibre(three), q4[:3].transpose(3, 2, 0, 1))
+    assert same_bits(haar_planes(HaarSampler(17, 300), n, None, 3), q4[:3])
+
+
+@pytest.mark.parametrize("n", [8, 9, 672, 1024])
+def test_the_gauged_gram_schmidt_has_the_general_bits(n):
+    # on gauged planes the short path skips the products with column 0's zero imaginary
+    # plane, to which the general path adds zeros: the same bits, signed zeros included,
+    # and those of the scalar path.  Sample 1 gets a zero radius (uniform u = 0) in column
+    # 0, so a_r x_r + 0 y_r is a signed zero in its row 2, and sample 2 one in column 1
+    q = _accel.ginibre_batch(5, 0, n, 3).transpose(2, 3, 1, 0).copy()
+    q[0, 0, 2, 1] = 0.0
+    q[1, :, 3, 2] *= 0.0
+    short, general = q.copy(), q.copy()
+    _accel._orthonormalize_gauged(short, np.full(21 * n, np.nan))
+    _accel._orthonormalize_planes(general, np.full(31 * n, np.nan))
+    assert same_bits(short, general)
+    singles = np.array([_accel._orthonormalize_one(q[..., i].tolist()) for i in range(n)])
+    assert same_bits(np.moveaxis(short, -1, 0), singles)
+    assert short[0, 0, 2, 1] == 0.0 and not short[0, 1].any()
+    gin = _accel.haar_from_ginibre(q.transpose(3, 2, 0, 1))
+    assert same_bits(gin, short.transpose(3, 2, 0, 1))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**63 - 1])
+def test_the_engine_measures_the_haar_unitaries_up_to_a_row_phase(seed):
+    # the engine's draw is DU, D_r = exp(-2 pi i u'_r0) the phase of Ginibre entry (r, 0),
+    # for the U of haar_unitaries, up to rounding; P = |DUC|^2 = |UC|^2
+    n = 1024
+    us = haar_unitaries(HaarSampler(seed), n)
+    whole = haar_planes(HaarSampler(seed), n, None, 3)
+    angle0 = fresh_stream(seed, _accel.HAAR_WORD).random(32 * n)[1::8]  # u' of entries (r, 0)
+    phase = np.exp(-2j * np.pi * angle0)
+    du = complex_matrices(whole.transpose(3, 2, 0, 1))
+    assert np.max(np.abs(du - phase.reshape(n, 4, 1) * us[..., :3])) <= 5e-15
+    want = np.abs(us @ canonical_basis().vectors.T) ** 2
+    assert np.max(np.abs(engine._canonical_p(whole).transpose(2, 1, 0) - want)) <= 2e-15
+    # chunks of any size concatenate to the whole draw bit for bit
+    for m in (1, 7, 8, 1024):
+        parts = [haar_planes(HaarSampler(seed, s), min(m, n - s), None, 3)
+                 for s in range(0, n, m)]
+        assert same_bits(np.concatenate(parts, axis=-1), whole)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_the_unitaries_keep_stream_5s_bits(seed):
+    batch, single = UNITARY_DIGESTS[seed]
+    assert hashlib.sha256(haar_unitaries(HaarSampler(seed), 64).tobytes()).hexdigest() == batch
+    assert hashlib.sha256(haar_unitary(HaarSampler(seed, 3)).tobytes()).hexdigest() == single

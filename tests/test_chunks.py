@@ -241,16 +241,18 @@ def test_classless_triple_names_row_and_sample(monkeypatch):
 
 
 def test_the_engine_never_orthonormalizes_column_3(monkeypatch):
-    # a chunk of CHUNK samples takes the planar Gram-Schmidt, the last one of 3 the
-    # scalar one; each is handed columns 0-2 only
+    # a chunk of CHUNK samples takes the planar Gram-Schmidt on gauged planes, the last
+    # one of 3 the scalar one; each is handed columns 0-2 only
     seen = []
-    planar, scalar = _accel._orthonormalize_planes, _accel._orthonormalize_one
-    monkeypatch.setattr(_accel, "_orthonormalize_planes",
-                        lambda q, scratch: seen.append(len(q)) or planar(q, scratch))
+    for name in ("_orthonormalize_planes", "_orthonormalize_gauged"):
+        planar = getattr(_accel, name)
+        monkeypatch.setattr(_accel, name, lambda q, scratch, planar=planar, name=name:
+                            seen.append((name, len(q))) or planar(q, scratch))
+    scalar = _accel._orthonormalize_one
     monkeypatch.setattr(_accel, "_orthonormalize_one",
-                        lambda cols: seen.append(len(cols)) or scalar(cols))
+                        lambda cols: seen.append(("scalar", len(cols))) or scalar(cols))
     frequency_sweep(CFGS[:1], CHUNK + 3, SEED)
-    assert seen == [3] * 4
+    assert seen == [("_orthonormalize_gauged", 3)] + [("scalar", 3)] * 3
 
 
 def _overfull_planes(m):

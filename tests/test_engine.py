@@ -49,6 +49,7 @@ from helpers import (
     decimal_canonical_nu_c,
     decimal_canonical_triple,
     energy_changes,
+    gauged_unitaries,
     hom_noisy_channel,
     initial_state,
     kron_initial_state,
@@ -221,9 +222,10 @@ def test_column_sums_equal_the_rotated_canonical_basis_product():
 
 
 def test_the_derived_last_column_is_the_squared_last_column_of_u():
-    # the engine forms P's last column as 1 - (the first three), never from column 3 of U
+    # the engine forms P's last column as 1 - (the first three), never from column 3 of
+    # its U, the gauged draw's, whose first three columns it has bit for bit
     n = 10**5
-    u3 = haar_unitaries(HaarSampler(1), n)[..., 3].T  # (row, sample)
+    u3 = gauged_unitaries(1, n)[..., 3].T  # (row, sample)
     big_p = engine._canonical_p(haar_planes(HaarSampler(1), n, None, 3))
     assert np.max(np.abs(big_p[3] - (u3.real**2 + u3.imag**2))) <= 1e-15
     assert np.min(big_p[3]) > 0  # so the clip at 0 acts nowhere on this draw
