@@ -1,7 +1,7 @@
 """Batch front-end: config ingestion, experiment sweeps, CSV emission.
 
-Subcommands
------------
+Commands
+--------
 sweep-omega    canonical-basis cycle per omega2: energies, class, regime
 frequency      class frequencies over Haar-rotated bases per omega2
 noise          white-noise and interference-noise energy curves + nu_c
@@ -372,15 +372,14 @@ def build_parser():
         prog="qmcool",
         description="Two-qubit measurement-cooling engine simulator",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--shots", type=int, default=None)
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--out", default=None)
+    # one flat parser: every command takes the same options
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="flat key = value config file")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--samples", type=int, default=None)
+    parser.add_argument("--shots", type=int, default=None)
+    parser.add_argument("--eps", type=float, default=None)
+    parser.add_argument("--out", default=None)
     return parser
 
 

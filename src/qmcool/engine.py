@@ -40,7 +40,8 @@ SLACK_FLOOR = -1e-10
 TRACE_TOL = 1e-12  # how far a population map's row sums may stray from 1
 # Haar samples per chunk of frequency_sweep and haar_average_report: their memory
 # is set by one chunk, whatever n_samples is.  At 2**10 a chunk's temporaries are
-# small enough that the heap keeps them from one chunk to the next
+# small enough that the heap keeps them from one chunk to the next.  The draw runs
+# two chunks at a time (_haar_chunks), which halves its numpy calls per sample
 CHUNK = 2**10
 CLASS_LABELS = ("R", "E", "A", "H")
 # the code of each test of _class_rules: -2 a failed sum check, else an index in CLASS_LABELS
@@ -390,36 +391,44 @@ def _haar_chunks(cfgs, n_samples, seed):
     the first sample, in config order, with slack beta1*dE1 + beta2*dE2 < SLACK_FLOOR
     raises, as in :func:`run_cycle`.
 
-    Chunks hold CHUNK samples, the last the rest.  Sample i reads uniforms
-    [32i, 32i + 32) whatever the chunk, and the kernel rounds a sample alike in any
-    chunk, so the chunks concatenate to one whole draw.  Every chunk works in the same
-    memory (WORK_WORDS per sample, 0.46 MB), allocated once, which the heap keeps:
-    a fresh one per chunk would be faulted in again each time.  n_samples is checked,
-    and the configs' coefficients and inverse temperatures gathered, up front.
+    Chunks hold CHUNK samples, the last the rest.  The draw, P and the entries run on
+    blocks of two chunks, 2 CHUNK read at call time, the last block the rest; each
+    chunk's slice of the entries is copied C-contiguous, since einsum may sum a strided
+    operand in another order, and the kernel and the slack check run per chunk, so the
+    chunks and their memory per config do not depend on the block.  Sample i reads
+    uniforms [32i, 32i + 32) whatever the block, and every step rounds a sample alike
+    in any block and chunk, so the chunks concatenate to one whole draw.  Every block
+    works in the same memory (WORK_WORDS per sample, 0.92 MB), allocated once, which
+    the heap keeps: a fresh one per block would be faulted in again each time.
+    n_samples is checked, and the configs' coefficients and inverse temperatures
+    gathered, up front.
     """
     n = check_int(n_samples, "n_samples", 1)
+    chunk, block = CHUNK, 2 * CHUNK
     coef = np.array([_pair_coefficients(cfg) for cfg in cfgs]).reshape(-1, 2, 6)
     betas = np.array([(cfg.bath1.beta, cfg.bath2.beta) for cfg in cfgs]).reshape(-1, 2, 1)
-    work = np.empty(WORK_WORDS * min(n, CHUNK))
+    work = np.empty(WORK_WORDS * min(n, block))
 
     def chunks():
-        for start in range(0, n, CHUNK):
-            m = min(CHUNK, n - start)
-            chunk = work[:WORK_WORDS * m]
-            q = haar_planes(HaarSampler(seed, start), m, chunk, 3)
-            # the planes end the chunk; the words before them, the draw's scratch, are
+        for first in range(0, n, block):
+            b = min(block, n - first)
+            words = work[:WORK_WORDS * b]
+            q = haar_planes(HaarSampler(seed, first), b, words, 3)
+            # the planes end the block; the words before them, the draw's scratch, are
             # free once they are orthonormalized, and the planes once P is formed
-            big_p = _canonical_p(q, chunk[:16 * m].reshape(4, 4, m))
-            entries = _pair_entries(big_p, chunk[16 * m:])
-            planes = _pair_triples(coef, entries)
-            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass, as in run_cycle
-                slack = betas[:, 0] * planes[:, 0] + betas[:, 1] * planes[:, 1]
-            bad = slack < SLACK_FLOOR
-            if bad.any():
-                c, i = np.unravel_index(np.argmax(bad), bad.shape)
-                raise SecondLawViolation(f"{_sample_name(cfgs[c].qubit2.omega, start + i)}: "
-                                         f"{_second_law_breach(slack[c, i])}")
-            yield start, planes
+            big_p = _canonical_p(q, words[:16 * b].reshape(4, 4, b))
+            entries = _pair_entries(big_p, words[16 * b:])
+            for k in range(0, b, chunk):
+                start = first + k
+                planes = _pair_triples(coef, np.ascontiguousarray(entries[:, k:k + chunk]))
+                with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass, as in run_cycle
+                    slack = betas[:, 0] * planes[:, 0] + betas[:, 1] * planes[:, 1]
+                bad = slack < SLACK_FLOOR
+                if bad.any():
+                    c, i = np.unravel_index(np.argmax(bad), bad.shape)
+                    raise SecondLawViolation(f"{_sample_name(cfgs[c].qubit2.omega, start + i)}: "
+                                             f"{_second_law_breach(slack[c, i])}")
+                yield start, planes
 
     return chunks()
 

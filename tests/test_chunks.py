@@ -16,6 +16,7 @@ from qmcool import (
     ValidationError,
     _accel,
     classify,
+    cli,
     engine,
     frequency_sweep,
     haar_average_report,
@@ -32,8 +33,9 @@ from helpers import (
 )
 
 SEED = 19
-# chunk boundaries at the start of the draw and many chunks into it
-BOUNDARY_NS = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3,
+# chunk and block (two chunks) boundaries at the start of the draw and many chunks into it
+BOUNDARY_NS = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1,
+               2 * CHUNK + 3, 4 * CHUNK + 3,
                16 * CHUNK - 1, 16 * CHUNK, 16 * CHUNK + 1, 32 * CHUNK + 3)
 CFGS = [reference_config(omega2) for omega2 in EXPERIMENT_OMEGA2]
 
@@ -76,6 +78,13 @@ def test_chunk_size_changes_no_result(monkeypatch, chunk):
     monkeypatch.setattr(engine, "CHUNK", chunk)
     assert np.array_equal(chunked_haar_triples(CFGS, n, SEED), _oracle(n))
     assert frequency_sweep(CFGS, n, SEED) == expected
+    # the means merge chunk by chunk, so they round by the chunk size, never the block's:
+    # they have the bits of the whole draw's triples handed over in chunks of that size
+    reports = haar_average_report(CFGS, n, SEED)
+    whole = _oracle(n).transpose(0, 2, 1)
+    monkeypatch.setattr(engine, "_haar_chunks", lambda cfgs, n_samples, seed: (
+        (start, whole[:, :, start:start + chunk].copy()) for start in range(0, n, chunk)))
+    assert haar_average_report(CFGS, n, SEED) == reports
 
 
 def test_a_lone_map_gets_the_triple_of_its_row_in_the_stack():
@@ -89,8 +98,10 @@ def test_a_lone_map_gets_the_triple_of_its_row_in_the_stack():
         lone = engine._pair_entries(np.ascontiguousarray(big_p[..., i:i + 1]))
         assert np.array_equal(lone[:, 0], entries[:, i])
         assert np.array_equal(engine._pair_triples(coef, lone), whole[..., i:i + 1])
-    chunks = [(start, t.shape[2]) for start, t in _haar_chunks(CFGS[:1], CHUNK + 1, SEED)]
-    assert chunks == [(0, CHUNK), (CHUNK, 1)]
+    # the draw runs two chunks at a time, and yields them one by one
+    for n, sizes in ((CHUNK + 1, [(0, CHUNK), (CHUNK, 1)]),
+                     (2 * CHUNK + 1, [(0, CHUNK), (CHUNK, CHUNK), (2 * CHUNK, 1)])):
+        assert [(start, t.shape[2]) for start, t in _haar_chunks(CFGS[:1], n, SEED)] == sizes
 
 
 def _ties(eps):
@@ -220,6 +231,22 @@ def test_second_law_breach_names_row_and_sample(monkeypatch, run):
         run([reference_config(0.18)], 2 * CHUNK, SEED)
 
 
+@pytest.mark.parametrize("command", ["frequency", "haar-average"])
+def test_second_law_breach_in_a_later_block_names_its_sample(monkeypatch, tmp_path, capsys,
+                                                              command):
+    # the draw runs two chunks at a time; a breach in the second block is named by its
+    # index in the whole draw, on exit 3
+    index = 2 * CHUNK + 5
+    _one_bad_sample(monkeypatch, index)
+    conf = tmp_path / "c.ini"
+    conf.write_text("omega2 = 0.18\n")
+    argv = [command, "--config", str(conf), "--seed", str(SEED), "--samples", str(4 * CHUNK),
+            "--out", str(tmp_path / "o.csv")]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith(
+        f"invariant violation: omega2 = 0.18, Haar sample {index}: beta1*dE1 + beta2*dE2 = ")
+
+
 def test_second_law_breach_comes_before_a_classless_triple(monkeypatch):
     # every config of the chunk is checked for the second law before any is classified
     _one_bad_sample(monkeypatch, 5)
@@ -241,8 +268,8 @@ def test_classless_triple_names_row_and_sample(monkeypatch):
 
 
 def test_the_engine_never_orthonormalizes_column_3(monkeypatch):
-    # a chunk of CHUNK samples takes the planar Gram-Schmidt on gauged planes, the last
-    # one of 3 the scalar one; each is handed columns 0-2 only
+    # a block of two chunks takes the planar Gram-Schmidt on gauged planes, the last
+    # one of 3 samples the scalar one; each is handed columns 0-2 only
     seen = []
     for name in ("_orthonormalize_planes", "_orthonormalize_gauged"):
         planar = getattr(_accel, name)
@@ -251,7 +278,7 @@ def test_the_engine_never_orthonormalizes_column_3(monkeypatch):
     scalar = _accel._orthonormalize_one
     monkeypatch.setattr(_accel, "_orthonormalize_one",
                         lambda cols: seen.append(("scalar", len(cols))) or scalar(cols))
-    frequency_sweep(CFGS[:1], CHUNK + 3, SEED)
+    frequency_sweep(CFGS[:1], 2 * CHUNK + 3, SEED)
     assert seen == [("_orthonormalize_gauged", 3)] + [("scalar", 3)] * 3
 
 
@@ -299,15 +326,21 @@ def test_sample_count_is_checked_before_the_first_draw(monkeypatch):
     _haar_chunks([cfg], 5, SEED)  # nothing is drawn until the chunks are read
 
 
-def _peak_bytes(n):
+def _peak_bytes(run, cfgs, n):
     tracemalloc.start()
     try:
-        haar_average_report([reference_config()], n, SEED)
+        run(cfgs, n, SEED)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_haar_average_memory_is_flat_in_n():
-    small, large = _peak_bytes(2 * CHUNK), _peak_bytes(16 * CHUNK)
+    cfgs = [reference_config()]
+    small, large = (_peak_bytes(haar_average_report, cfgs, n) for n in (2 * CHUNK, 16 * CHUNK))
+    assert abs(large - small) <= 0.1 * small, (small, large)
+
+
+def test_frequency_memory_is_flat_in_n_on_seven_rows():
+    small, large = (_peak_bytes(frequency_sweep, CFGS, n) for n in (4 * CHUNK, 32 * CHUNK))
     assert abs(large - small) <= 0.1 * small, (small, large)

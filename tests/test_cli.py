@@ -1,4 +1,4 @@
-"""Command-line interface: subcommands, config handling, exit codes, output."""
+"""Command-line interface: commands, config handling, exit codes, output."""
 
 import contextlib
 import io
@@ -154,6 +154,22 @@ def test_noise_prints_none_for_a_rejected_triple(tmp_path, monkeypatch):
     assert [(r["class_white"], r["class_interf"]) for r in rows] == [("H", "none"),
                                                                      ("none", "R")]
     assert float(rows[0]["dE1_interf"]) == -1e-3 and float(rows[1]["dE_white"]) == 5e-3
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'sweep-omega', "
+                "'frequency', 'noise', 'haar-average', 'tomography', 'hologram')"),
+    (["noise", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["noise", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_a_bad_command_line_exits_two_with_its_message(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qmcool [-h]")
+    assert err.endswith(f"\nqmcool: error: {message}\n")
 
 
 def test_frequency_requires_seed():
