@@ -30,7 +30,6 @@ from .measure import (
     MeasurementBasis,
     PovmSet,
     WORK_WORDS,
-    canonical_basis,
     haar_planes,
     white_noise_mixture_weights,
 )
@@ -49,8 +48,6 @@ _CLASS_CODES = (-2, 3, 0, 1, 2, 3)
 # the six pairs r < s of the populations (|00>, |01>, |10>, |11>): the order of the
 # pairwise entries of a population map and of the coefficients that weigh them
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-# flat indices of A_rs in a 4x4 map, pair by pair
-_UPPER = np.array([4 * r + s for r, s in _PAIRS])
 
 
 class RegimeLabel(Enum):
@@ -183,18 +180,19 @@ def regime(cfg):
 def run_cycle(cfg, measurement=None, eps=1e-12):
     """One full engine cycle; returns the :class:`EngineReport`.
 
-    ``measurement`` is a :class:`~qmcool.measure.MeasurementBasis` (default:
-    the canonical basis) or a :class:`~qmcool.measure.PovmSet`.  The
-    rethermalization stroke is implicit — the thermalizing channel restores the
-    Gibbs product exactly.
+    ``measurement`` is a :class:`~qmcool.measure.MeasurementBasis` or a
+    :class:`~qmcool.measure.PovmSet`.  The rethermalization stroke is implicit — the
+    thermalizing channel restores the Gibbs product exactly.
 
-    Its triple is :func:`_measurement_triple`.  No post state is built or validated:
-    the basis checks its orthonormality and the POVM its completeness on
-    construction, and the population map checks that it keeps the trace.
+    By default it measures in the canonical basis: (dE1, dE2) is the closed form N_M
+    of :func:`_canonical_terms`, else that of :func:`_measurement_triple`, and
+    dE = dE1 + dE2.  No post state is built or validated: the basis checks its
+    orthonormality and the POVM its completeness on construction, and the population
+    map checks that it keeps the trace.
     """
-    if measurement is None:
-        measurement = canonical_basis()
-    de1, de2, de = _measurement_triple(cfg, measurement)
+    de1, de2 = (_canonical_terms(cfg) if measurement is None
+                else _measurement_triple(cfg, measurement))[:2]
+    de = de1 + de2
     slack = cfg.bath1.beta * de1 + cfg.bath2.beta * de2
     if slack < SLACK_FLOOR:
         raise SecondLawViolation(_second_law_breach(slack))
@@ -293,6 +291,14 @@ def _gibbs_terms(cfg):
     return (g1, q1, t1), (g2, q2, t2), (0.5 * (t1 - t2) if t1 < 0.5 and t2 < 0.5 else q2 - q1)
 
 
+def _canonical_terms(cfg):
+    """(N_M,1, N_M,2, N_Q,1, N_Q,2, 2 + S) of :func:`noise_sweep`, signed zeros made +0.0.
+    The canonical map's one non-zero pairwise entry is m_12 = 1/2: N_M is its (dE1, dE2)."""
+    (g1, q1, t1), (g2, q2, t2), d = _gibbs_terms(cfg)
+    s, h1, h2 = g1 * q2 + q1 * g2, 0.5 * cfg.qubit1.omega, 0.5 * cfg.qubit2.omega
+    return h1 * d + 0.0, -h2 * d + 0.0, h1 * t1 * s, h2 * t2 * s, 2.0 + s
+
+
 def _pair_coefficients(cfg):
     """The (2, 6) coefficients C of the cycle energies on the six pairwise entries m of a
     population map A (m_rs = A_rs, r < s, in _PAIRS order): dE_i = (C m)_i.
@@ -318,9 +324,9 @@ def _pair_triples(coef, entries):
     map in entry order, so a map rounds alike in a stack of any length; a matmul would
     not (numpy sends a one-column product through gemv and a longer one through gemm).
     A lone map goes in twice: alone, einsum sums its entries with a SIMD dot product,
-    which adds them in another order.  Two callers still send one: the last chunk of
-    :func:`_haar_chunks` when it holds one sample, and :func:`noise_sweep`'s projective
-    row; :func:`run_cycle` takes its one map through :func:`_row_dot` instead.
+    which adds them in another order.  One caller still sends one: the last chunk of
+    :func:`_haar_chunks` when it holds one sample; :func:`run_cycle` takes its one map
+    through :func:`_row_dot` instead.
     """
     if entries.shape[1] == 1:
         return _pair_triples(coef, np.repeat(entries, 2, axis=1))[:, :, :1]
@@ -559,7 +565,7 @@ def noise_sweep(cfgs, nu_values):
     Returns ``(triples, nu_c)``: triples of shape (len(cfgs), len(nu_values), 2, 3)
     hold (dE1, dE2, dE) under white and interference noise; nu_c holds one
     :func:`critical_visibility` per config.  A white row is c1(nu) times the projective
-    triple, the kernel :func:`_pair_triples` on the population map M's entries.
+    pair N_M of :func:`_canonical_terms`.
 
     An interference row is the energy of N p / 1^T N p - p, N = nu*M + (1-nu)*Q with Q the
     distinguishable-photon map.  On the canonical basis M = diag(1, 1/2, 1/2, 1) and
@@ -570,27 +576,20 @@ def noise_sweep(cfgs, nu_values):
         dE_i = (nu N_M,i + (1-nu) N_Q,i) / (nu + (1-nu)(2 + S)),
         N_M = ((omega1/2) d, -(omega2/2) d),  N_Q = ((omega1/2) t1 S, (omega2/2) t2 S),
 
-    2 + S = 1^T Q p >= 2.  Each factor but d is a product, so no term cancels.
+    2 + S = 1^T Q p >= 2.  Each factor but d is a product, so no term cancels.  A row's
+    dE is the sum of its dE1 and dE2, as :func:`classify`'s sum check reads them.
     """
     if any(not 0.0 <= nu <= 1.0 for nu in nu_values):
         raise ValidationError(f"noise weights must lie in [0, 1], got {nu_values!r}")
-    coef = np.array([_pair_coefficients(cfg) for cfg in cfgs]).reshape(-1, 2, 6)
-    proj = _pair_triples(coef, _population_map(canonical_basis()).take(_UPPER)[:, None])[:, :, 0]
-    terms = []
-    for cfg in cfgs:
-        (g1, q1, t1), (g2, q2, t2), d = _gibbs_terms(cfg)
-        s, h1, h2 = g1 * q2 + q1 * g2, 0.5 * cfg.qubit1.omega, 0.5 * cfg.qubit2.omega
-        terms.append((h1 * d, -h2 * d, h1 * t1 * s, h2 * t2 * s, 2.0 + s))
-    terms = np.array(terms).reshape(-1, 1, 5)
+    terms = np.array([_canonical_terms(cfg) for cfg in cfgs]).reshape(-1, 1, 5)
     nu = np.array(nu_values, dtype=float).reshape(-1, 1)
     c1 = white_noise_mixture_weights(nu)[0]
     out = np.empty((len(cfgs), len(nu), 2, 3))
-    # + 0.0: c1(0) = 0 times a negative triple is -0.0
-    out[:, :, 0] = c1 * proj[:, None] + 0.0
+    # + 0.0: c1(0) = 0, or 0 times a negative energy, is -0.0
+    out[:, :, 0, :2] = c1 * terms[:, :, :2] + 0.0
     den = nu + (1.0 - nu) * terms[:, :, 4:]
-    # + 0.0: 0 times a negative energy is -0.0
     out[:, :, 1, :2] = (nu * terms[:, :, :2] + (1.0 - nu) * terms[:, :, 2:4]) / den + 0.0
-    out[:, :, 1, 2] = out[:, :, 1, 0] + out[:, :, 1, 1]
+    out[:, :, :, 2] = out[:, :, :, 0] + out[:, :, :, 1]
     return out, [critical_visibility(cfg) for cfg in cfgs]
 
 

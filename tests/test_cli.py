@@ -1,6 +1,7 @@
 """Command-line interface: commands, config handling, exit codes, output."""
 
 import contextlib
+import hashlib
 import io
 import threading
 
@@ -15,6 +16,16 @@ from helpers import fmt_cell, looped_tomography_rows
 
 GRID_14 = ("omega2 = 0.02, 0.06, 0.10, 0.14, 0.18, 0.26, 0.34, 0.40, 0.46, 0.60, 0.86, 1.00, "
            "1.10, 1.40\n")
+
+
+# SHA-256 of the default sweep-omega and noise CSVs and of noise on 14 omega2 x 100 nu.
+# A change that moves a cell of these updates the pin and lists the cells it moves.
+NU_100 = "nu_values = " + ", ".join(repr(k / 100) for k in range(1, 101)) + "\n"
+PINNED_CSVS = [
+    (["sweep-omega"], None, "81971d24a310f2329cfff9668bbb411e3c87cfef7befcf7eea8862535801b6b1"),
+    (["noise"], None, "bebf0e68c3370cf812db2fe6fa10a155c2cb3033c50ffefad075d34e11ee1323"),
+    (["noise"], GRID_14 + NU_100, "92f46b689422f28e2b87457368dbea7b5e26f0f27ac227eb58df4a52b21b1e3d"),
+]
 
 
 def _read(path):
@@ -37,6 +48,17 @@ def test_sweep_omega_default_grid(tmp_path):
         "R-range", "R-range", "R-range", "R-range", "E-range", "E-range", "A-range"]
     assert float(rows[3]["dE1"]) == pytest.approx(0.028421956860624167, abs=1e-12)
     assert float(rows[3]["dE2"]) == pytest.approx(-0.0050156394459924996, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv, config, digest", PINNED_CSVS)
+def test_canonical_csvs_are_pinned(tmp_path, argv, config, digest):
+    if config is not None:
+        conf = tmp_path / "c.ini"
+        conf.write_text(config)
+        argv = argv + ["--config", str(conf)]
+    out = tmp_path / "o.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_sweep_omega_byte_identical_reruns(tmp_path):
@@ -607,11 +629,14 @@ def test_samples_beyond_int64_is_config_error(command, samples):
 
 
 def test_sweep_omega_names_the_row_on_exit_three(tmp_path, monkeypatch, capsys):
-    # coefficients of the opposite sign move heat out of both baths on one row only
-    coefficients = engine._pair_coefficients
-    monkeypatch.setattr(engine, "_pair_coefficients",
-                        lambda cfg: -coefficients(cfg) if cfg.qubit2.omega == 0.14
-                        else coefficients(cfg))
+    # a canonical pair N_M of the opposite sign moves heat out of both baths on one row only
+    terms = engine._canonical_terms
+
+    def flipped(cfg):
+        n1, n2, *rest = terms(cfg)
+        return (-n1, -n2, *rest) if cfg.qubit2.omega == 0.14 else (n1, n2, *rest)
+
+    monkeypatch.setattr(engine, "_canonical_terms", flipped)
     conf = tmp_path / "c.ini"
     conf.write_text("omega2 = 0.06, 0.14, 0.46\n")
     out = tmp_path / "s.csv"

@@ -553,7 +553,7 @@ def test_regime_is_r_range_exactly_where_nu_c_exists():
 
 
 def test_white_row_at_full_weight_is_the_projective_triple():
-    # c1(1) = 1.0 and the white rows share run_cycle's kernel, so they agree exactly
+    # c1(1) = 1.0, and the white rows and run_cycle both take the closed form N_M
     cfgs = [reference_config(w2) for w2 in NOISE_GRID]
     triples, _ = noise_sweep(cfgs, (0.3, 1.0))
     for cfg, rows in zip(cfgs, triples):
