@@ -1,7 +1,7 @@
-"""The Haar sampling stream (stream version 6): Ginibre matrices, orthonormalized.
+"""The Haar sampling stream (stream version 7): Ginibre matrices, orthonormalized.
 
 Every stream of the package comes from :func:`stream`, on Philox key
-``[seed, word]``, rewound and advanced to a counter.  The Haar stream of a seed
+``[seed, word]``, set to a counter.  The Haar stream of a seed
 is key ``[seed, HAAR_WORD]``; probe j's tomography shots use key ``[seed, j]``,
 and no probe index reaches ``HAAR_WORD``, so the two never share a stream.
 Sample i of the Haar stream reads uniforms [32i, 32i + 32) (the counter at
@@ -15,10 +15,11 @@ diagonal unitary D, and Gram-Schmidt commutes with D, so with D_r = exp(-i theta
 theta_r0 the angle of Ginibre entry (r, 0), the engine measures DU for the U of
 :func:`qmcool.measure.haar_unitaries`.  Column 0 of its Ginibre matrix is then real,
 its radii, and entry (r, j) has the angle 2 pi (u'_rj - u'_r0), a difference of two
-uniforms, which is exact.  That saves a third of the cosines and sines, and every
-Gram-Schmidt product with column 0's zero imaginary plane.  Each sample is the
-ungauged one in exact arithmetic, and P agrees with stream 5's to ~1e-15.  Four
-columns are not gauged: U's phases reach ``haar_unitary``'s bases and tomography.
+uniforms, which is exact.  Box-Muller turns those entries by the half angle
+(:func:`_half_turn`): one tan each, where cos and sin take two slower calls.  Each
+sample is the ungauged one in exact arithmetic, and Gram-Schmidt skips every product
+with column 0's zero imaginary plane.  Four columns are not gauged and take cos and
+sin: U's phases reach ``haar_unitary``'s bases and tomography.
 
 The cycle-energy kernel is in :mod:`qmcool.engine`; ``perfbench/`` wraps this module.
 """
@@ -35,7 +36,7 @@ from .errors import ValidationError
 # Philox keys above this pass through float64 in numpy and alias other keys.
 INT64_MAX = 2**63 - 1
 HAAR_WORD = INT64_MAX  # second key word of the Haar stream
-STREAM_VERSION = 6  # printed by every command whose output reads the Haar stream
+STREAM_VERSION = 7  # printed by every command whose output reads the Haar stream
 PLANAR_MIN = 8  # smallest batch for Box-Muller and Gram-Schmidt on the planes
 SCRATCH_WORDS = 32  # float64 words per sample of the draw's scratch: one sample's uniforms
 # this thread's generators: .seed, and .keys {word: (generator, its state at counter 0)}
@@ -57,8 +58,9 @@ def stream(seed, word, counter=0):
     """A Generator on Philox key [seed, word], its counter at ``counter``: word
     HAAR_WORD is the Haar stream, word j < HAAR_WORD the shots of tomography probe j.
     Each thread builds a key's generator once, for the last seed it asked for, and each
-    call restores its state at counter 0 and advances it, which draws what a fresh one
-    draws.  It is valid until this thread's next call for the key or another seed.
+    call assigns it its saved state with the counter's two low words set to ``counter``
+    and its output buffer empty, which draws what a fresh one at that counter draws.
+    It is valid until this thread's next call for the key or another seed.
     """
     seed = check_int(seed, "seed")
     if getattr(_STREAMS, "seed", None) != seed:
@@ -66,10 +68,10 @@ def stream(seed, word, counter=0):
     if word not in _STREAMS.keys:
         gen = np.random.Generator(np.random.Philox(key=[seed, word]))
         _STREAMS.keys[word] = gen, gen.bit_generator.state
-    gen, start = _STREAMS.keys[word]
-    gen.bit_generator.state = start
-    if counter:  # advance(0) changes nothing and costs ~2 us
-        gen.bit_generator.advance(counter)
+    gen, state = _STREAMS.keys[word]
+    # counters stay below 8 * 2**63, so the top two of Philox's four words are 0
+    state["state"]["counter"] = [counter & (2**64 - 1), counter >> 64, 0, 0]
+    gen.bit_generator.state = state
     return gen
 
 
@@ -81,10 +83,10 @@ def ginibre_batch(seed, start, n, cols=4, out=None, scratch=None):
     it, (u, u'): radius sqrt(-log(1 - u)) and angle 2 pi u', so E|z|^2 = 1 and u = 0
     stays finite.  ``cols=3`` is gauged by row (see above) at any n: column 0 keeps its
     radii and a zero imaginary plane, and columns 1-2 take the angle 2 pi d, with
-    d = u' - u'_r0 less rint(d), exact in [-1/2, 1/2] (on a Xeon, numpy's cosine and
-    sine cost ~30 % less on [-pi, pi] than on (-2 pi, 2 pi)).  ``scratch``, a float
-    C-contiguous array of SCRATCH_WORDS n words, takes the uniforms, then the cosines;
-    one transposed copy puts the wanted columns' into ``out``, a C-contiguous float
+    d = u' - u'_r0 less rint(d), exact in [-1/2, 1/2], turned by :func:`_half_turn`.
+    ``scratch``, a float C-contiguous array of SCRATCH_WORDS n words, takes the
+    uniforms, then the cosines or the half-angle weights; one transposed copy puts
+    the wanted columns' uniforms into ``out``, a C-contiguous float
     (cols, 2, 4, n) array, where Box-Muller runs in place, elementwise, so an entry has
     the same bits in any layout.  Below PLANAR_MIN samples an ungauged draw runs it
     before the copy, where a numpy call costs ~1 us less.  By default both are fresh.
@@ -100,10 +102,10 @@ def ginibre_batch(seed, start, n, cols=4, out=None, scratch=None):
     if cols == 3:
         np.copyto(q[:, 0], wanted[:, 0])
         d = np.subtract(wanted[1:, 1], wanted[0, 1], out=q[1:, 1])
-        cos = u[:8 * n].reshape(2, 4, n)  # every uniform is in q by now
-        d -= np.rint(d, out=cos)
+        w = u[:8 * n].reshape(2, 4, n)  # every uniform is in q by now
+        d -= np.rint(d, out=w)
         q[0, 1] = 0.0
-        _turn(_radius(q[:, 0])[1:], d, cos)
+        _half_turn(_radius(q[:, 0])[1:], d, w)
     elif n < PLANAR_MIN:  # a ufunc call costs less on the 1-d views of the uniforms
         _turn(_radius(u[0::2]), u[1::2], np.empty(16 * n))
         np.copyto(q, wanted)
@@ -127,6 +129,22 @@ def _turn(r, theta, cos):
     np.sin(theta, out=theta)
     theta *= r
     r *= cos
+
+
+def _half_turn(r, d, w):
+    """(r, d) <- r (cos 2 pi d, sin 2 pi d) in place, d in [-1/2, 1/2], with ``w`` as
+    scratch.  With the half angle's t = tan(pi d), cos = (1 - t^2)/(1 + t^2) and
+    sin = 2t/(1 + t^2), so r cos = W - r and r sin = t W for W = r/(t^2/2 + 1/2).
+    numpy's float64 tan runs a SIMD loop, ~7x faster than its cos or sin; |pi d| <= pi/2
+    keeps t finite."""
+    d *= np.pi
+    t = np.tan(d, out=d)  # never on a negative stride: numpy takes libm's tan there
+    np.square(t, out=w)
+    w *= 0.5
+    w += 0.5
+    np.divide(r, w, out=w)
+    t *= w
+    np.subtract(w, r, out=r)
 
 
 def haar_from_ginibre(gin, scratch=None):

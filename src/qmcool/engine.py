@@ -219,7 +219,8 @@ def _measurement_triple(cfg, measurement):
     A POVM's map keeps its row sums but need not be symmetric, and
     dE_i = sum_{r<s} (p_r A_rs - p_s A_sr)(h_i,s - h_i,r) exactly; the bracket is
     A_rs (p_r - p_s) + p_s (A_rs - A_sr), so for a POVM the kernel also takes the six
-    asymmetries A_rs - A_sr, with weights p_s.  They vanish for a basis.
+    asymmetries A_rs - A_sr, with the weights of :func:`_asymmetry_weights`.  They
+    vanish for a basis.
 
     On one map the kernel runs on Python floats (:func:`_row_dot`), which gives the
     stack's bits at a fraction of its numpy calls; only A stays a numpy product.
@@ -228,12 +229,31 @@ def _measurement_triple(cfg, measurement):
     rows = _pair_coefficients(cfg).tolist()
     entries = [big_a[r][s] for r, s in _PAIRS]
     if isinstance(measurement, PovmSet):
-        p = _populations(cfg).tolist()
-        for row, extra in zip(rows, _pair_matrix(cfg, [p[s] for _, s in _PAIRS]).tolist()):
+        weights = _asymmetry_weights(cfg, measurement)
+        for row, extra in zip(rows, _pair_matrix(cfg, weights).tolist()):
             row += extra
         entries += [a - big_a[s][r] for a, (r, s) in zip(entries, _PAIRS)]
     de1, de2 = _row_dot(rows[0], entries), _row_dot(rows[1], entries)
     return de1, de2, de1 + de2
+
+
+def _asymmetry_weights(cfg, povm):
+    """The weight of each asymmetry A_rs - A_sr of a POVM's map in the cycle energies,
+    pair by pair in _PAIRS order: p_s, or p_s - p_00 if the POVM is unital.
+
+    For any map with row sums rho and column sums kappa,
+    sum_{r<s} (A_rs - A_sr)(h_s - h_r) = sum_s h_s (kappa_s - rho_s), so shifting every
+    weight by p_00 moves the energies by p_00 times that sum, which is 0 for a unital
+    POVM, whose columns sum to 1 as its rows do; in floats that term is rounding noise,
+    so it is dropped.  A white-noise POVM's asymmetries are rounding noise too (~1e-17),
+    and weights p_s ~ 1/4 let them outweigh the population gaps near infinite
+    temperature, where they decided the class; p_s - p_00 is minus a gap of
+    :func:`_pair_gaps`, and scales with the other weights."""
+    if povm.unital:
+        gaps = _pair_gaps(cfg)  # gaps[s - 1] = p_00 - p_s for s = 1, 2, 3
+        return [-gaps[s - 1] for _, s in _PAIRS]
+    p = _populations(cfg).tolist()
+    return [p[s] for _, s in _PAIRS]
 
 
 def _row_dot(row, entries):
@@ -312,8 +332,13 @@ def _pair_coefficients(cfg):
     p01 - p11 = q2 t1, p00 - p11 = (t1 + t2)/2, and p01 - p10 = d of :func:`_gibbs_terms`.
     Each cancels only where x1 ~ x2.
     """
+    return _pair_matrix(cfg, _pair_gaps(cfg))
+
+
+def _pair_gaps(cfg):
+    """The six population gaps p_r - p_s of :func:`_pair_coefficients`, in _PAIRS order."""
     (g1, q1, t1), (g2, q2, t2), d = _gibbs_terms(cfg)
-    return _pair_matrix(cfg, (g1 * t2, g2 * t1, 0.5 * (t1 + t2), d, q2 * t1, q1 * t2))
+    return g1 * t2, g2 * t1, 0.5 * (t1 + t2), d, q2 * t1, q1 * t2
 
 
 def _pair_triples(coef, entries):

@@ -9,7 +9,7 @@ Two-qubit basis order is (|00>, |01>, |10>, |11>) with qubit 1 as the slow (left
 Kronecker) index.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -131,9 +131,14 @@ def haar_planes(sampler, n, work=None, cols=4):
 
 @dataclass(frozen=True, eq=False)
 class PovmSet:
-    """Four measurement operators M_k with sum_k M†M = I (effects are M†M)."""
+    """Four measurement operators M_k with sum_k M†M = I (effects are M†M).
+
+    ``unital`` records whether sum_k M M† = I too, within ORTHO_TOL: then the channel
+    keeps the maximally mixed state, and its population map's columns sum to 1 as its
+    rows do (a white-noise POVM is unital; a reset to |00> is not)."""
 
     operators: np.ndarray
+    unital: bool = field(init=False)
 
     def __post_init__(self):
         m = as_complex(self.operators)
@@ -143,9 +148,11 @@ class PovmSet:
         err = abs(total - _EYE).max()
         if err > ORTHO_TOL:
             raise ValidationError(f"POVM completeness violated (deviation {err:.3e})")
+        unital = abs(np.einsum("kij,klj->il", m, m.conj()) - _EYE).max() <= ORTHO_TOL
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "operators", m)
+        object.__setattr__(self, "unital", bool(unital))
 
     def effects(self):
         """The positive effects E_k = M_k† M_k."""

@@ -329,20 +329,37 @@ def box_muller_sample(seed, i):
 
 
 def gauged_ginibre(seed, start, n):
-    """Reference Ginibre matrices of the engine's draw from stream version 6, complex
+    """Reference Ginibre matrices of the engine's draw from stream version 7, complex
     (n, 4, 4), samples [start, start + n): Box-Muller on the uniforms of
     :func:`box_muller_sample`, with row r turned by minus the angle of its entry (r, 0).
-    Entry (r, j) has radius sqrt(-log(1 - u)) and angle 2 pi d, d = u'_rj - u'_r0 less
-    rint(d), both exact; column 0 gets d = +0, so cos 1 and sin +0, and holds its radii
-    with a +0 imaginary part, as the engine writes them.  All four columns are gauged;
-    the engine draws columns 0-2."""
-    u = fresh_stream(seed, 2**63 - 1, 8 * start).random(32 * n).reshape(n, 4, 4, 2)
-    r = np.sqrt(-np.log1p(-u[..., 0]))
-    d = u[..., 1] - u[..., :1, 1]
-    theta = 2 * np.pi * (d - np.rint(d))
+    Entry (r, j) has radius r = sqrt(-log(1 - u)) and angle 2 pi d, d = u'_rj - u'_r0
+    less rint(d), both exact, taken by the half angle: with t = tan(pi d) and
+    w = r / (t^2/2 + 1/2), the entry is (w - r) + i t w.  Column 0 gets d = +0, so
+    w = 2r exactly, and holds its radii with a +0 imaginary part, as the engine writes
+    them.  All four columns are gauged; the engine draws columns 0-2."""
+    r, d = _gauged_polar(seed, start, n)
+    t = np.tan(d * np.pi)
+    w = r / (np.square(t) * 0.5 + 0.5)
+    z = np.empty((n, 4, 4), dtype=np.complex128)
+    z.real, z.imag = w - r, t * w
+    return z
+
+
+def gauged_ginibre_trig(seed, start, n):
+    """:func:`gauged_ginibre` as stream version 6 drew it: the same radii and angles,
+    turned by r cos(2 pi d) + i r sin(2 pi d)."""
+    r, d = _gauged_polar(seed, start, n)
+    theta = 2 * np.pi * d
     z = np.empty((n, 4, 4), dtype=np.complex128)
     z.real, z.imag = r * np.cos(theta), r * np.sin(theta)
     return z
+
+
+def _gauged_polar(seed, start, n):
+    """Radii and reduced angle differences d in [-1/2, 1/2] of the gauged draw, (n, 4, 4)."""
+    u = fresh_stream(seed, 2**63 - 1, 8 * start).random(32 * n).reshape(n, 4, 4, 2)
+    d = u[..., 1] - u[..., :1, 1]
+    return np.sqrt(-np.log1p(-u[..., 0])), d - np.rint(d)
 
 
 def planes_of(z):

@@ -1,8 +1,11 @@
-"""Haar stream (version 6): layout, random access, seed range, the per-thread rewound
+"""Haar stream (version 7): layout, random access, seed range, the per-thread rewound
 generators, the planar Box-Muller, the Gram-Schmidt step, the engine's row-gauged
-three-column draw, and the unitaries' pinned bits."""
+three-column draw by the half angle, and the pinned bits of the unitaries and of the
+engine's draw."""
 
 import hashlib
+import pathlib
+import re
 import sys
 import threading
 
@@ -15,7 +18,7 @@ from qmcool.engine import CHUNK, _haar_chunks
 from qmcool.measure import WORK_WORDS, haar_planes, haar_unitary
 
 from helpers import (box_muller_sample, complex_matrices, fresh_stream, gauged_ginibre,
-                     planes_of, qr_gauge_haar, same_bits)
+                     gauged_ginibre_trig, planes_of, qr_gauge_haar, same_bits)
 
 # SHA-256 of haar_unitaries(HaarSampler(seed), 64) and haar_unitary(HaarSampler(seed, 3)),
 # as bytes, recorded at stream version 5 (numpy 2.4, x86-64 with AVX-512): tomography's
@@ -26,6 +29,12 @@ UNITARY_DIGESTS = {
         "7f4c17f00ece3ed41fd978f3367ccbdd9db12b1c64bef5ba570221d2dc28ed73"),
     7: ("6427ac735bec241f70d9751b5022a293658a17d17b165b7175dededb1791d4f8",
         "00439d63166ab161006252621680048c898c145176e2249a4ff49a5e47ed3186"),
+}
+# SHA-256 of the engine's draw haar_planes(HaarSampler(seed), 64, None, 3), as bytes,
+# recorded at stream version 7 (numpy 2.4, x86-64 with AVX-512, whose SIMD tan it reads)
+ENGINE_DIGESTS = {
+    1: "a547144de1d5084f437014ef502e0460369a0dce5449500176cbbc59d774fba0",
+    7: "357f23be2eaccfc9841ef3bc8140deea2b4e0a53d0390fcdb5c9bb1a210eb702",
 }
 
 
@@ -100,12 +109,12 @@ def test_ginibre_rejects_bad_seed():
 
 
 def test_stream_draws_what_a_fresh_philox_draws():
-    # interleaved seeds, words and counters, counters past 2**64 included: each call
-    # rewinds and advances the key's one generator, and draws what a freshly built one
-    # at that counter draws
+    # interleaved seeds, words and counters, on both sides of 2**64: each call sets the
+    # key's one generator to its saved state at that counter, and draws what a freshly
+    # built one at that counter draws
     rng = np.random.default_rng(11)
     seeds, words = (0, 3, 2**63 - 1), (0, 1, 15, _accel.HAAR_WORD)
-    counters = (0, 1, 8, 8 * 4095, 2**64 + 5, 8 * (2**63 - 1))
+    counters = (0, 1, 2, 8, 8 * 4095, 2**64 - 1, 2**64, 2**64 + 5, 2**64 + 7, 8 * (2**63 - 1))
     for _ in range(600):
         seed, word, counter = (v[rng.integers(len(v))] for v in (seeds, words, counters))
         gen = _accel.stream(seed, word, counter)
@@ -299,8 +308,34 @@ def test_the_engine_measures_the_haar_unitaries_up_to_a_row_phase(seed):
         assert same_bits(np.concatenate(parts, axis=-1), whole)
 
 
+@pytest.mark.parametrize("seed", [0, 5, 2**63 - 1])
+def test_the_half_angle_draw_is_stream_6s_to_rounding(seed):
+    # stream 7 turns the engine's gauged entries by tan(pi d) where stream 6 took
+    # cos(2 pi d) and sin(2 pi d): the same law, and the same entries and P to rounding
+    n = 1024
+    trig = gauged_ginibre_trig(seed, 0, n)[..., :3]
+    gin = complex_matrices(_accel.ginibre_batch(seed, 0, n, 3))
+    assert np.max(np.abs(gin - trig)) <= 2e-15
+    planes = planes_of(trig)
+    _accel.haar_from_ginibre(planes.transpose(3, 2, 0, 1))
+    whole = haar_planes(HaarSampler(seed), n, None, 3)
+    assert np.max(np.abs(engine._canonical_p(whole) - engine._canonical_p(planes))) <= 2e-15
+
+
 @pytest.mark.parametrize("seed", [1, 7])
 def test_the_unitaries_keep_stream_5s_bits(seed):
     batch, single = UNITARY_DIGESTS[seed]
     assert hashlib.sha256(haar_unitaries(HaarSampler(seed), 64).tobytes()).hexdigest() == batch
     assert hashlib.sha256(haar_unitary(HaarSampler(seed, 3)).tobytes()).hexdigest() == single
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_the_engine_draw_keeps_stream_7s_bits(seed):
+    planes = haar_planes(HaarSampler(seed), 64, None, 3)
+    assert hashlib.sha256(planes.tobytes()).hexdigest() == ENGINE_DIGESTS[seed]
+
+
+def test_the_readme_names_the_stream_version():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    versions = re.findall(r"This is stream version (\d+)", readme.read_text(encoding="utf-8"))
+    assert versions == [str(_accel.STREAM_VERSION)]

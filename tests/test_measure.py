@@ -200,6 +200,19 @@ def test_white_noise_povm_completeness():
     assert np.allclose(total, np.eye(4), atol=1e-12)
 
 
+def test_a_povm_records_whether_it_is_unital():
+    # sum_k M M^dag = I within ORTHO_TOL: white noise on any basis is, a reset to |00>
+    # (complete, every M_k = |00><k|) and a random isometry's blocks are not
+    bases = [canonical_basis()] + [rotate_basis(u, canonical_basis())
+                                   for u in haar_unitaries(HaarSampler(9), 3)]
+    assert all(white_noise_povm(b, nu).unital for b in bases for nu in (0.0, 0.4, 1.0))
+    reset = np.zeros((4, 4, 4), dtype=complex)
+    reset[:, 0, :] = np.eye(4)
+    w, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((16, 4)) + 0j)
+    for ops in (reset, w.reshape(4, 4, 4)):
+        assert PovmSet(ops).unital is False
+
+
 def test_white_noise_post_state_is_mixture():
     basis = canonical_basis()
     rng = np.random.default_rng(42)

@@ -21,6 +21,7 @@ from qmcool import (
     noise_sweep,
     rotate_basis,
     run_cycle,
+    white_noise_mixture_weights,
     white_noise_povm,
 )
 from qmcool.measure import haar_planes
@@ -96,7 +97,8 @@ def test_povm_kernel_matches_the_general_form():
 def _stacked_triples(cfgs, measurements):
     """The stacked kernel :func:`engine._pair_triples` on the measurements' pairwise
     entries, one map per column and every config at once, shape (configs, 3, maps).
-    A POVM's six asymmetries A_rs - A_sr follow its entries, weighted by p_s."""
+    A POVM's six asymmetries A_rs - A_sr follow its entries, with the weights of
+    :func:`engine._asymmetry_weights`: p_s, or p_s - p_00 for POVMs that are all unital."""
     # C-contiguous: einsum adds the entries of a strided stack in another order
     maps = np.array([engine._population_map(m) for m in measurements]).transpose(1, 2, 0)
     entries = maps.reshape(16, -1)[UPPER]
@@ -104,7 +106,8 @@ def _stacked_triples(cfgs, measurements):
     if isinstance(measurements[0], PovmSet):
         lower = maps.transpose(1, 0, 2).reshape(16, -1)[UPPER]
         entries = np.vstack((entries, entries - lower))
-        weights = [engine._pair_matrix(cfg, engine._populations(cfg)[[s for _, s in engine._PAIRS]])
+        assert len({m.unital for m in measurements}) == 1
+        weights = [engine._pair_matrix(cfg, engine._asymmetry_weights(cfg, measurements[0]))
                    for cfg in cfgs]
         coef = np.concatenate((coef, weights), axis=2)
     return engine._pair_triples(coef, entries)
@@ -133,20 +136,42 @@ def test_run_cycle_on_a_basis_has_the_stack_bits():
 
 
 def test_a_povm_triple_has_the_stack_bits():
-    # twelve terms: the six entries, then the six asymmetries.  The triple is taken
-    # before run_cycle checks it: on some search configs the rounding of a white-noise
-    # POVM's asymmetries breaks the second law, and random POVMs need not keep it
+    # twelve terms: the six entries, then the six asymmetries, weighed by minus gaps for
+    # the unital white-noise POVMs and by p_s for the random ones.  The triple is taken
+    # before run_cycle checks it: random POVMs need not keep the second law
     cfgs = search_configs()
     bases = [canonical_basis()] + [rotate_basis(u, canonical_basis())
                                    for u in haar_unitaries(HaarSampler(9), 2)]
     povms = [white_noise_povm(basis, nu) for basis in bases for nu in (0.0, 0.4, 0.9)]
     rng = np.random.default_rng(71)
+    randoms = [_random_povm(rng) for _ in range(3)]
+    assert all(m.unital for m in povms) and not any(m.unital for m in randoms)
     with np.errstate(over="ignore", invalid="ignore"):
-        for measurements in (povms, [_random_povm(rng) for _ in range(3)]):
+        for measurements in (povms, randoms):
             _assert_same_bits(cfgs, measurements, engine._measurement_triple)
     # where run_cycle runs, it reports that triple
     experiment = [reference_config(w2) for w2 in EXPERIMENT_OMEGA2]
     _assert_same_bits(experiment, povms, _report_triple)
+
+
+def test_white_noise_povms_scale_their_basis_on_the_search():
+    # a white-noise POVM's cycle is c1(nu) times its basis's, exactly.  Its asymmetries
+    # are rounding noise, and weighed by p_s ~ 1/4 they outweighed the population gaps
+    # near infinite temperature: 142-174 search configs raised for 5 of these 9 pairs.
+    # Each triple within 1e-14 of the row's largest |dE|, or four steps 2^-1074 of the
+    # subnormal range.  Measured: 2.4e-15, and 2 steps on the 2841 subnormal rows.
+    cfgs = search_configs()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in haar_unitaries(HaarSampler(9), 3):
+            basis = rotate_basis(u, canonical_basis())
+            ideal = [run_cycle(cfg, basis) for cfg in cfgs]
+            for nu in (0.4, 0.9, 1.0):
+                povm, (c1, _) = white_noise_povm(basis, nu), white_noise_mixture_weights(nu)
+                for cfg, report in zip(cfgs, ideal):
+                    want = np.multiply(c1, (report.dE1, report.dE2, report.dE))
+                    got = _report_triple(cfg, povm)
+                    gap = np.max(np.abs(np.subtract(got, want)))
+                    assert gap <= max(1e-14 * np.max(np.abs(want)), 2.0**-1072), (cfg, nu)
 
 
 def _x(beta, omega):
