@@ -1,11 +1,11 @@
-"""The Haar sampling stream (stream version 7): Ginibre matrices, orthonormalized.
+"""The Haar sampling stream (stream version 8): Ginibre matrices, orthonormalized.
 
-Every stream of the package comes from :func:`stream`, on Philox key
-``[seed, word]``, set to a counter.  The Haar stream of a seed
-is key ``[seed, HAAR_WORD]``; probe j's tomography shots use key ``[seed, j]``,
-and no probe index reaches ``HAAR_WORD``, so the two never share a stream.
-Sample i of the Haar stream reads uniforms [32i, 32i + 32) (the counter at
-8i), so results are a pure function of ``(seed, start, n)`` and independent of
+Every stream of the package comes from :func:`stream`: numpy's PCG64DXSM, seeded by
+``SeedSequence(seed, spawn_key=(word,))`` and advanced to a 64-bit word of its output.
+The Haar stream of a seed is word ``HAAR_WORD``; probe j's tomography shots use word
+j, and no probe index reaches ``HAAR_WORD``, so the two never share a stream.  Sample
+i of the Haar stream reads uniforms [32i, 32i + 32), one output word each (advanced
+by 32i), so results are a pure function of ``(seed, start, n)`` and independent of
 batching and of which memory the caller lends (:func:`qmcool.measure.haar_planes`).
 
 The engine's draw, ``cols=3``, is gauged by row.  It needs only P = |U C|^2, whose
@@ -33,13 +33,14 @@ import numpy as np
 from .errors import ValidationError
 
 
-# Philox keys above this pass through float64 in numpy and alias other keys.
+# the largest seed, sample counter and count: every integer input is one int64
 INT64_MAX = 2**63 - 1
-HAAR_WORD = INT64_MAX  # second key word of the Haar stream
-STREAM_VERSION = 7  # printed by every command whose output reads the Haar stream
+HAAR_WORD = INT64_MAX  # spawn key of the Haar stream, above every probe index
+STREAM_VERSION = 8  # printed by every command whose output reads the Haar stream
 PLANAR_MIN = 8  # smallest batch for Box-Muller and Gram-Schmidt on the planes
 SCRATCH_WORDS = 32  # float64 words per sample of the draw's scratch: one sample's uniforms
-# this thread's generators: .seed, and .keys {word: (generator, its state at counter 0)}
+# this thread's generators: .seed, .keys {word: (generator, its state at word 0)}, and
+# .end, (HAAR_WORD, w) while the Haar generator is where the last fill left it, word w
 _STREAMS = threading.local()
 
 
@@ -54,24 +55,30 @@ def check_int(value, name, low=0):
     return out
 
 
-def stream(seed, word, counter=0):
-    """A Generator on Philox key [seed, word], its counter at ``counter``: word
-    HAAR_WORD is the Haar stream, word j < HAAR_WORD the shots of tomography probe j.
-    Each thread builds a key's generator once, for the last seed it asked for, and each
-    call assigns it its saved state with the counter's two low words set to ``counter``
-    and its output buffer empty, which draws what a fresh one at that counter draws.
+def stream(seed, word, skip=0):
+    """A Generator on PCG64DXSM seeded by ``SeedSequence(seed, spawn_key=(word,))``,
+    ``skip`` 64-bit words into its output: word HAAR_WORD is the Haar stream, word
+    j < HAAR_WORD the shots of tomography probe j.  The spawn key follows the seed's
+    entropy padded to a fixed length, so distinct (seed, word) pairs get distinct keys,
+    which a flat ``[seed, word]``, of words of variable width, would not.  Each thread
+    builds a key's generator once, for the last seed it asked for, and each call
+    restores its saved state and advances it ``skip`` words (O(log skip) steps), which
+    draws what a fresh one advanced there draws.  A call for the word where the last
+    :func:`ginibre_batch` fill of this thread ended finds the generator there and
+    takes it as it is; every call clears that record, since its caller may draw.
     It is valid until this thread's next call for the key or another seed.
     """
     seed = check_int(seed, "seed")
     if getattr(_STREAMS, "seed", None) != seed:
-        _STREAMS.seed, _STREAMS.keys = seed, {}
+        _STREAMS.seed, _STREAMS.keys, _STREAMS.end = seed, {}, None
     if word not in _STREAMS.keys:
-        gen = np.random.Generator(np.random.Philox(key=[seed, word]))
-        _STREAMS.keys[word] = gen, gen.bit_generator.state
+        bits = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(word,)))
+        _STREAMS.keys[word] = np.random.Generator(bits), bits.state
     gen, state = _STREAMS.keys[word]
-    # counters stay below 8 * 2**63, so the top two of Philox's four words are 0
-    state["state"]["counter"] = [counter & (2**64 - 1), counter >> 64, 0, 0]
-    gen.bit_generator.state = state
+    if _STREAMS.end != (word, skip):
+        gen.bit_generator.state = state
+        gen.bit_generator.advance(skip)
+    _STREAMS.end = None
     return gen
 
 
@@ -93,11 +100,13 @@ def ginibre_batch(seed, start, n, cols=4, out=None, scratch=None):
     ``out[j, c, r, i]`` is part c (0 real, 1 imaginary) of entry (r, j) of matrix i;
     returns the view ``out.transpose(3, 2, 0, 1)``, (n, 4, cols, 2), indexed [i, r, j, c].
     """
-    gen = stream(seed, HAAR_WORD, 8 * check_int(start, "sample counter"))
+    start = check_int(start, "sample counter")
+    gen = stream(seed, HAAR_WORD, SCRATCH_WORDS * start)
     n = check_int(n, "n")
     q = _buffer(out, (cols, 2, 4, n), np.float64, "out")
     u = _buffer(scratch, (SCRATCH_WORDS * n,), np.float64, "scratch")
-    gen.random(out=u)
+    gen.random(out=u)  # one output word per double: the fill ends at sample start + n
+    _STREAMS.end = HAAR_WORD, SCRATCH_WORDS * (start + n)
     wanted = u.reshape(n, 4, 4, 2)[:, :, :cols].transpose(2, 3, 1, 0)
     if cols == 3:
         np.copyto(q[:, 0], wanted[:, 0])

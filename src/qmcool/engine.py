@@ -245,10 +245,11 @@ def _asymmetry_weights(cfg, povm):
     sum_{r<s} (A_rs - A_sr)(h_s - h_r) = sum_s h_s (kappa_s - rho_s), so shifting every
     weight by p_00 moves the energies by p_00 times that sum, which is 0 for a unital
     POVM, whose columns sum to 1 as its rows do; in floats that term is rounding noise,
-    so it is dropped.  A white-noise POVM's asymmetries are rounding noise too (~1e-17),
-    and weights p_s ~ 1/4 let them outweigh the population gaps near infinite
-    temperature, where they decided the class; p_s - p_00 is minus a gap of
-    :func:`_pair_gaps`, and scales with the other weights."""
+    so it is dropped.  A unital POVM's asymmetries may be rounding noise too (~1e-17;
+    a white-noise POVM's are 0, its projectors being Hermitian bit for bit), and weights
+    p_s ~ 1/4 let them outweigh the population gaps near infinite temperature, where
+    they decided the class; p_s - p_00 is minus a gap of :func:`_pair_gaps`, and
+    scales with the other weights."""
     if povm.unital:
         gaps = _pair_gaps(cfg)  # gaps[s - 1] = p_00 - p_s for s = 1, 2, 3
         return [-gaps[s - 1] for _, s in _PAIRS]

@@ -41,9 +41,14 @@ class MeasurementBasis:
         object.__setattr__(self, "vectors", v)
 
     def projector(self, k):
-        """Rank-1 projector |psi_k><psi_k|."""
+        """Rank-1 projector |psi_k><psi_k|, Hermitian bit for bit: numpy's complex
+        product may fuse a multiply-add, so entries (r, s) and (s, r) of the outer product
+        can differ from conjugates in their last bit, and a white-noise POVM would carry
+        that into its map as an asymmetry.  The mean with its adjoint is exactly Hermitian
+        and changes no bit of an outer product that already was."""
         v = self.vectors[k]
-        return np.outer(v, v.conj())
+        p = np.outer(v, v.conj())
+        return (p + p.conj().T) / 2
 
 
 def canonical_basis():
@@ -75,9 +80,11 @@ def rotate_basis(u, basis):
 class HaarSampler:
     """Deterministic Haar-unitary source: (seed, counter) -> unitary.
 
-    Counter i reads uniforms [32i, 32i + 32) of the seed's Haar stream (see
-    :mod:`qmcool._accel`), so sample i is identical whether drawn one at a time
-    or in batches.  To move on, build a new sampler with a later counter.
+    Counter i reads uniforms [32i, 32i + 32) of the seed's Haar stream, which the
+    stream reaches by advancing its PCG64DXSM generator 32i words (see
+    :mod:`qmcool._accel`), so sample i is identical whether drawn one at a time or in
+    batches.  To move on, build a new sampler with a later counter; counter i + 1 after
+    a draw of sample i continues the stream where that draw stopped.
     """
 
     seed: int

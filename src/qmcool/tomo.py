@@ -10,9 +10,9 @@ matrices are built once, at import.  Output states are read out through
 Pauli expectations.  In shot mode every non-identity Pauli G (eigenvalues
 +-1, projectors (I +- G)/2) is sampled as a binomial, in Pauli order, and
 reconstructed operators are eigenvalue-clipped at zero.  Probe j draws its
-shots from its own Philox stream ``_accel.stream(seed, j)``, key (seed, j),
-so its counts do not depend on the other probes and never share the seed's
-Haar stream.  Exact mode performs a perfect round trip to 1e-10.
+shots from its own PCG64DXSM stream ``_accel.stream(seed, j)``, spawn key j of
+the seed, so its counts do not depend on the other probes and never share the
+seed's Haar stream.  Exact mode performs a perfect round trip to 1e-10.
 
 Each kind is one pass over a stack of targets: one matmul over the probes, one
 ``lstsq`` with a column per target, stacked clipping and fidelities.  The
@@ -83,7 +83,7 @@ def _chis_from_kraus(kraus):
 
 def _estimate_states(sigmas, shots, seed):
     """Pauli-expectation estimates of a (t, j, d, d) stack of states from binomial
-    sampling of each setting; state (t, j) draws from probe j's stream at counter 0."""
+    sampling of each setting; state (t, j) draws from probe j's stream at word 0."""
     shots, d = check_int(shots, "shots", 1), sigmas.shape[-1]
     paulis = _paulis_of_dim(d)
     p_plus = np.real(np.einsum("tjik,gki->tjg", sigmas, np.eye(d) + paulis[1:])) / 2.0
@@ -98,7 +98,7 @@ def process_tomography(channel, shots=None, seed=None):
 
     ``channel`` is a 2x2 :class:`~qmcool.thermo.KrausChannel`; it is evaluated on
     the four probes.  With ``shots`` set, output states are estimated from sampled
-    Pauli expectations using a per-probe Philox stream of ``seed``; the
+    Pauli expectations using a per-probe stream of ``seed``; the
     reconstructed chi is then eigenvalue-clipped at zero and renormalized to unit
     trace.
     """
@@ -149,7 +149,7 @@ def measurement_tomography(measurement, shots=None, seed=None):
 
     Outcome probabilities over the 16 probes determine each effect in the
     Pauli operator basis.  In shot mode the outcome counts of every probe are
-    a single multinomial draw (per-probe Philox stream of ``seed``) and each
+    a single multinomial draw (per-probe stream of ``seed``) and each
     reconstructed effect is eigenvalue-clipped at zero.
     """
     effects = _effects_of(measurement)[None]

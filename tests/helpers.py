@@ -318,9 +318,10 @@ def chunked_haar_triples(cfgs, n_samples, seed):
 
 
 def box_muller_sample(seed, i):
-    """Reference Ginibre sample i of stream versions 2 and 3: Box-Muller on uniforms
-    [32i, 32i + 32) of Philox key [seed, 2**63 - 1], (u, u') per entry, row-major."""
-    u = np.random.Generator(np.random.Philox(key=[seed, 2**63 - 1])).random(32 * (i + 1))[32 * i:]
+    """Reference Ginibre sample i of the four-column draw: Box-Muller on uniforms
+    [32i, 32i + 32) of the seed's Haar stream (:func:`fresh_stream`, word 2**63 - 1),
+    (u, u') per entry, row-major."""
+    u = fresh_stream(seed, 2**63 - 1, 32 * i).random(32)
     r = np.sqrt(-np.log1p(-u[0::2]))
     theta = 2 * np.pi * u[1::2]
     z = np.empty(16, dtype=np.complex128)
@@ -357,7 +358,7 @@ def gauged_ginibre_trig(seed, start, n):
 
 def _gauged_polar(seed, start, n):
     """Radii and reduced angle differences d in [-1/2, 1/2] of the gauged draw, (n, 4, 4)."""
-    u = fresh_stream(seed, 2**63 - 1, 8 * start).random(32 * n).reshape(n, 4, 4, 2)
+    u = fresh_stream(seed, 2**63 - 1, 32 * start).random(32 * n).reshape(n, 4, 4, 2)
     d = u[..., 1] - u[..., :1, 1]
     return np.sqrt(-np.log1p(-u[..., 0])), d - np.rint(d)
 
@@ -611,10 +612,12 @@ def looped_process_design(probes):
     return np.vstack(rows)
 
 
-def fresh_stream(seed, word, counter=0):
-    """A Generator on a freshly built Philox key [seed, word], its counter at ``counter``:
-    the oracle of :func:`qmcool._accel.stream`, which rewinds one generator per key."""
-    return np.random.Generator(np.random.Philox(counter=counter, key=[seed, word]))
+def fresh_stream(seed, word, skip=0):
+    """A Generator on a freshly built PCG64DXSM, seeded by SeedSequence(seed,
+    spawn_key=(word,)) and advanced ``skip`` 64-bit words: the oracle of
+    :func:`qmcool._accel.stream`, which restores one generator per key or continues it."""
+    bits = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(word,)))
+    return np.random.Generator(bits.advance(skip))
 
 
 def looped_estimate_state(sigma, shots, rng):

@@ -1,8 +1,9 @@
-"""Haar stream (version 7): layout, random access, seed range, the per-thread rewound
-generators, the planar Box-Muller, the Gram-Schmidt step, the engine's row-gauged
-three-column draw by the half angle, and the pinned bits of the unitaries and of the
-engine's draw."""
+"""Haar stream (version 8): layout, random access, seed range, the stream keys, the
+per-thread generators positioned by advance or continued after a fill, the planar
+Box-Muller, the Gram-Schmidt step, the engine's row-gauged three-column draw by the half
+angle, and the pinned bits of the unitaries and of the engine's draw."""
 
+import ast
 import hashlib
 import pathlib
 import re
@@ -21,21 +22,23 @@ from helpers import (box_muller_sample, complex_matrices, fresh_stream, gauged_g
                      gauged_ginibre_trig, planes_of, qr_gauge_haar, same_bits)
 
 # SHA-256 of haar_unitaries(HaarSampler(seed), 64) and haar_unitary(HaarSampler(seed, 3)),
-# as bytes, recorded at stream version 5 (numpy 2.4, x86-64 with AVX-512): tomography's
+# as bytes, recorded at stream version 8 (numpy 2.4, x86-64 with AVX-512): tomography's
 # haar_i bases and every single-basis draw read U's phases, which only the engine's
 # row-gauged draw may drop
 UNITARY_DIGESTS = {
-    1: ("d96b6d74839d126cd672d794214e2d760a521ec9e29816846fd3dfa35a9f84c3",
-        "7f4c17f00ece3ed41fd978f3367ccbdd9db12b1c64bef5ba570221d2dc28ed73"),
-    7: ("6427ac735bec241f70d9751b5022a293658a17d17b165b7175dededb1791d4f8",
-        "00439d63166ab161006252621680048c898c145176e2249a4ff49a5e47ed3186"),
+    1: ("d9ea774d460967c65b1f17ddfd577e269d2722ccdd71c224e0ef75a2733944bd",
+        "866790c7cab1b60285e88d66ed72039ad566a1d1beca6ab385f3c60ecf6937e7"),
+    7: ("345546770c1d1484ae7ac96a25ed9ef0bb7108a6859702ebcc01814adffb9d03",
+        "ee0deeb8f8d35637635a57fb024e02b98d1205b01df88975026b6098690db009"),
 }
 # SHA-256 of the engine's draw haar_planes(HaarSampler(seed), 64, None, 3), as bytes,
-# recorded at stream version 7 (numpy 2.4, x86-64 with AVX-512, whose SIMD tan it reads)
+# recorded at stream version 8 (numpy 2.4, x86-64 with AVX-512, whose SIMD tan it reads)
 ENGINE_DIGESTS = {
-    1: "a547144de1d5084f437014ef502e0460369a0dce5449500176cbbc59d774fba0",
-    7: "357f23be2eaccfc9841ef3bc8140deea2b4e0a53d0390fcdb5c9bb1a210eb702",
+    1: "33a324c7b884a0a35d467e0c4322152ab654e875ae3dcefa63938e84ac95f10d",
+    7: "d70eb9d1882974d6859402aa503620e38e31d712545d554917f524f8d9b64bb6",
 }
+# the names that build a generator; only _accel.stream may use them
+_GENERATOR_NAMES = {"Philox", "PCG64DXSM", "SeedSequence", "default_rng"}
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
@@ -66,7 +69,7 @@ def test_ginibre_substreams_are_independent_of_batching():
     for i in (0, 1, 31, 4096, 19999):
         single = _accel.ginibre_batch(99, i, 1)[0]
         assert np.array_equal(batch[i], single)
-    # the sample index lives in Philox's 256-bit counter, so the top of the range is valid
+    # sample 2**63 - 1 is an advance of ~2**68 words, well inside PCG's period of 2**128
     top = _accel.ginibre_batch(99, 2**63 - 2, 2)
     assert np.array_equal(top[0], _accel.ginibre_batch(99, 2**63 - 2, 1)[0])
     assert np.array_equal(top[1], _accel.ginibre_batch(99, 2**63 - 1, 1)[0])
@@ -88,10 +91,10 @@ def test_ginibre_rejects_bad_seed():
             HaarSampler(seed)
     with pytest.raises(ValidationError):
         HaarSampler(1, 2**63)
-    # numpy passes Philox keys >= 2**63 through float64, which aliases seeds
+    # seeds, counters and counts stay in [0, 2**63 - 1], as every CLI input does
     with pytest.raises(ValidationError):
         _accel.ginibre_batch(2**63, 0, 2)
-    # a counter past 2**63 - 1 no longer reaches a key, so it cannot alias one
+    # a draw may end past sample 2**63 - 1: the stream runs on
     assert _accel.ginibre_batch(1, 2**63 - 1, 2).shape == (2, 4, 4, 2)
     assert _accel.ginibre_batch(2**63 - 1, 2**63 - 2, 2).shape == (2, 4, 4, 2)
     # counters and counts are checked, not truncated: int() moved 1.5 to 1 and let -1 through
@@ -108,28 +111,92 @@ def test_ginibre_rejects_bad_seed():
                 run([cfg], n, 3)
 
 
-def test_stream_draws_what_a_fresh_philox_draws():
-    # interleaved seeds, words and counters, on both sides of 2**64: each call sets the
-    # key's one generator to its saved state at that counter, and draws what a freshly
-    # built one at that counter draws
+def test_stream_draws_what_a_fresh_generator_draws():
+    # interleaved seeds, words and skips, on both sides of 2**64: each call restores the
+    # key's one generator and advances it, and draws what a freshly built one advanced
+    # as far draws
     rng = np.random.default_rng(11)
     seeds, words = (0, 3, 2**63 - 1), (0, 1, 15, _accel.HAAR_WORD)
-    counters = (0, 1, 2, 8, 8 * 4095, 2**64 - 1, 2**64, 2**64 + 5, 2**64 + 7, 8 * (2**63 - 1))
+    skips = (0, 1, 2, 32, 32 * 4095, 2**64 - 1, 2**64, 2**64 + 5, 2**64 + 7, 32 * (2**63 - 1))
     for _ in range(600):
-        seed, word, counter = (v[rng.integers(len(v))] for v in (seeds, words, counters))
-        gen = _accel.stream(seed, word, counter)
-        assert np.array_equal(gen.random(37), fresh_stream(seed, word, counter).random(37))
+        seed, word, skip = (v[rng.integers(len(v))] for v in (seeds, words, skips))
+        gen = _accel.stream(seed, word, skip)
+        assert np.array_equal(gen.random(37), fresh_stream(seed, word, skip).random(37))
         # one generator per key, for the last seed asked for
         assert _accel.stream(seed, word) is gen
         assert set(_accel._STREAMS.keys) <= set(words) and _accel._STREAMS.seed == seed
 
 
+def test_stream_keys_are_distinct():
+    # a flat SeedSequence([seed, word]) joins words of variable width, so each pair below
+    # would be one key; the spawn key follows the seed's entropy padded to a fixed length
+    pairs = [((2**32 + 5, 3), (5, 3 * 2**32 + 1)), ((2**32, 7), (0, 7 * 2**32 + 1))]
+    for a, b in pairs:
+        assert np.array_equal(*(np.random.SeedSequence(list(k)).generate_state(4)
+                                for k in (a, b)))
+    keys = [(seed, word) for seed in (0, 1, 2, 17, 2**63 - 1)
+            for word in [*range(17), _accel.HAAR_WORD]]
+    keys += [k for pair in pairs for k in pair]
+    first = {float(_accel.stream(seed, word).random()) for seed, word in keys}
+    assert len(first) == len(keys)
+
+
+def test_a_continued_or_restored_stream_draws_what_a_fresh_one_draws(monkeypatch):
+    # after a fill the Haar generator is continued where it stopped; any other use of it
+    # (a caller's draw, a shot stream, a failed fill) sends the next call to its saved
+    # state and an advance, so every draw is that of a generator built fresh at its word
+    monkeypatch.setattr(_accel, "_STREAMS", threading.local())
+    seed, top = 13, 2**63 - 1
+
+    def fill_is_fresh(i, n):
+        got = complex_matrices(_accel.ginibre_batch(seed, i, n))
+        return np.array_equal(got, [box_muller_sample(seed, i + k) for k in range(n)])
+
+    assert fill_is_fresh(0, 10) and _accel._STREAMS.end == (_accel.HAAR_WORD, 32 * 10)
+    assert fill_is_fresh(10, 5)
+    # a caller draws 7 words at the recorded word: the fill there starts over
+    gen = _accel.stream(seed, _accel.HAAR_WORD, 32 * 15)
+    assert _accel._STREAMS.end is None
+    assert np.array_equal(gen.random(7), fresh_stream(seed, _accel.HAAR_WORD, 32 * 15).random(7))
+    assert fill_is_fresh(15, 2)
+    # a shot stream of another key between two sequential fills
+    assert _accel.stream(seed, 3).binomial(100, 0.5) == fresh_stream(seed, 3).binomial(100, 0.5)
+    assert fill_is_fresh(17, 3)
+    # fills that raised on a bad buffer, at the recorded word and elsewhere
+    for start in (20, 4):
+        with pytest.raises(ValidationError):
+            _accel.ginibre_batch(seed, start, 4, 4, np.empty((4, 2, 4, 3)))
+        with pytest.raises(ValidationError):
+            _accel.ginibre_batch(seed, start, 4, 4, None, np.empty(32 * 4 - 1))
+        assert fill_is_fresh(20, 4)
+    # the last sample, an advance of ~2**68 words, continued and then restored
+    assert fill_is_fresh(top - 3, 3) and fill_is_fresh(top, 1)
+    assert fill_is_fresh(0, 1)
+    u = haar_unitary(HaarSampler(seed, top))
+    assert np.max(np.abs(u - qr_gauge_haar(box_muller_sample(seed, top)[None])[0])) <= 1e-12
+
+
+def test_only_accel_builds_a_generator():
+    # every stream comes from _accel.stream: no other module names a bit generator,
+    # a seed sequence or default_rng, as a name, an attribute or an import
+    src = pathlib.Path(_accel.__file__).parent
+    named = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([node.id] if isinstance(node, ast.Name) else
+                     [node.attr] if isinstance(node, ast.Attribute) else
+                     [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [])
+            named.setdefault(path.name, set()).update(_GENERATOR_NAMES.intersection(names))
+    assert named.pop("_accel.py") == {"PCG64DXSM", "SeedSequence"}
+    assert len(named) >= 8 and not any(named.values()), named
+
+
 def test_stream_threads_keep_their_own_generators():
-    # three threads ask for the same keys at other counters, and each draws only after
+    # three threads ask for the same keys at other words, and each draws only after
     # all have asked: with one shared generator per key, all but the last to ask would
-    # draw at its counter, and a shared seed would drop the others' generators
+    # draw at its word, and a shared seed would drop the others' generators
     plans = [[(1, 0), (2, 5), (1, 9), (1, 2**64 + 1)],
-             [(1, 3), (1, 4), (2, 5), (2, 8 * (2**63 - 1))],
+             [(1, 3), (1, 4), (2, 5), (2, 32 * (2**63 - 1))],
              [(2, 1), (1, 4), (3, 0), (1, 7)]]
     sync = threading.Barrier(len(plans), timeout=30)
     got = [[] for _ in plans]
@@ -323,14 +390,14 @@ def test_the_half_angle_draw_is_stream_6s_to_rounding(seed):
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-def test_the_unitaries_keep_stream_5s_bits(seed):
+def test_the_unitaries_keep_stream_8s_bits(seed):
     batch, single = UNITARY_DIGESTS[seed]
     assert hashlib.sha256(haar_unitaries(HaarSampler(seed), 64).tobytes()).hexdigest() == batch
     assert hashlib.sha256(haar_unitary(HaarSampler(seed, 3)).tobytes()).hexdigest() == single
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-def test_the_engine_draw_keeps_stream_7s_bits(seed):
+def test_the_engine_draw_keeps_stream_8s_bits(seed):
     planes = haar_planes(HaarSampler(seed), 64, None, 3)
     assert hashlib.sha256(planes.tobytes()).hexdigest() == ENGINE_DIGESTS[seed]
 

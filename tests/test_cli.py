@@ -389,9 +389,9 @@ def test_tomography_shots_builds_each_probe_stream_once(monkeypatch, tmp_path):
     # and 37 solves before; no generator cached by an earlier call may hide a build
     monkeypatch.setattr(_accel, "_STREAMS", threading.local())
     keys, solves = [], []
-    philox, lstsq = np.random.Philox, np.linalg.lstsq
-    monkeypatch.setattr(np.random, "Philox", lambda *args, key=None, **kwargs:
-                        keys.append(tuple(int(k) for k in key)) or philox(*args, key=key, **kwargs))
+    pcg, lstsq = np.random.PCG64DXSM, np.linalg.lstsq
+    monkeypatch.setattr(np.random, "PCG64DXSM", lambda seq:
+                        keys.append(_stream_key(seq)) or pcg(seq))
     monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs:
                         solves.append(args[1].shape) or lstsq(*args, **kwargs))
     conf = tmp_path / "g.cfg"
@@ -402,6 +402,11 @@ def test_tomography_shots_builds_each_probe_stream_once(monkeypatch, tmp_path):
     assert len(keys) <= 17 and len(set(keys)) == len(keys)
     assert sorted(keys) == [(1, j) for j in range(16)] + [(1, 2**63 - 1)]
     assert solves == [(16, 15), (16, 4), (16, 15), (16, 24)]
+
+
+def _stream_key(seq):
+    """(seed, word) of the SeedSequence a stream's PCG64DXSM is built from."""
+    return (seq.entropy, *seq.spawn_key)
 
 
 def _lossy_solve(call, column, value):
@@ -585,7 +590,7 @@ SEEDED_COMMANDS = (
 @pytest.mark.parametrize(
     "seed, code", [(2**63 - 1, 0), (2**63, 2), (2**64 - 1, 2), (2**64, 2), (10**30, 2)])
 def test_seed_beyond_int64_is_config_error(tmp_path, command, seed, code):
-    # numpy's Philox aliases keys >= 2**63 (float64) and rejects keys >= 2**64
+    # seeds stay in [0, 2**63 - 1], the range of every integer input
     conf = tmp_path / "c.ini"
     conf.write_text("omega2 = 0.18\n")
     args = command + ["--config", str(conf), "--seed", str(seed), "--out", str(tmp_path / "o")]
@@ -593,14 +598,14 @@ def test_seed_beyond_int64_is_config_error(tmp_path, command, seed, code):
 
 
 def test_tomography_haar_key_is_not_a_shot_key(monkeypatch, tmp_path):
-    # the Haar bases and the shot counts of probe i used to share Philox key [seed, i]
+    # the Haar bases and the shot counts of probe i used to share one key, (seed, i)
     monkeypatch.setattr(_accel, "_STREAMS", threading.local())
     haar_keys, shot_keys, in_haar = [], [], []
-    philox, ginibre = np.random.Philox, _accel.ginibre_batch
+    pcg, ginibre = np.random.PCG64DXSM, _accel.ginibre_batch
 
-    def recording_philox(*args, key=None, **kwargs):
-        (haar_keys if in_haar else shot_keys).append(tuple(int(k) for k in key))
-        return philox(*args, key=key, **kwargs)
+    def recording_pcg(seq):
+        (haar_keys if in_haar else shot_keys).append(_stream_key(seq))
+        return pcg(seq)
 
     def recording_ginibre(*args):
         in_haar.append(True)
@@ -609,7 +614,7 @@ def test_tomography_haar_key_is_not_a_shot_key(monkeypatch, tmp_path):
         finally:
             in_haar.clear()
 
-    monkeypatch.setattr(np.random, "Philox", recording_philox)
+    monkeypatch.setattr(np.random, "PCG64DXSM", recording_pcg)
     monkeypatch.setattr(_accel, "ginibre_batch", recording_ginibre)
     out = tmp_path / "t.csv"
     assert cli.main(["tomography", "--shots", "10", "--seed", "3", "--out", str(out)]) == 0

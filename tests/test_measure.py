@@ -172,6 +172,24 @@ def test_rotate_basis_rejects_non_unitary():
         rotate_basis(np.ones((4, 4), dtype=complex), canonical_basis())
 
 
+def test_projectors_are_hermitian_bit_for_bit():
+    # the outer product of a complex vector may miss being Hermitian in its last bit,
+    # which a white-noise POVM's map carried as an asymmetry of ~7e-18; a real basis's
+    # projector is the outer product's bits
+    canonical = canonical_basis()
+    for k in range(4):
+        v = canonical.vectors[k]
+        assert np.array_equal(canonical.projector(k), np.outer(v, v.conj()))
+    for u in haar_unitaries(HaarSampler(9), 8):
+        basis = rotate_basis(u, canonical)
+        for k in range(4):
+            p = basis.projector(k)
+            assert np.array_equal(p, p.conj().T)
+            assert np.max(np.abs(p - np.outer(basis.vectors[k], basis.vectors[k].conj()))) <= 1e-16
+        big_a = _population_map(white_noise_povm(basis, 0.4))
+        assert np.array_equal(big_a, big_a.T)
+
+
 def test_white_noise_povm_full_visibility_is_projective():
     basis = canonical_basis()
     povm = white_noise_povm(basis, 1.0)

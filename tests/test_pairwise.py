@@ -159,7 +159,8 @@ def test_white_noise_povms_scale_their_basis_on_the_search():
     # are rounding noise, and weighed by p_s ~ 1/4 they outweighed the population gaps
     # near infinite temperature: 142-174 search configs raised for 5 of these 9 pairs.
     # Each triple within 1e-14 of the row's largest |dE|, or four steps 2^-1074 of the
-    # subnormal range.  Measured: 2.4e-15, and 2 steps on the 2841 subnormal rows.
+    # subnormal range.  Measured at stream 8: 9.6e-15, and 2 steps on the 2805 subnormal
+    # rows; a projector off Hermitian in its last bit took the first to 2.9e-14.
     cfgs = search_configs()
     with np.errstate(over="ignore", invalid="ignore"):
         for u in haar_unitaries(HaarSampler(9), 3):

@@ -221,10 +221,15 @@ def test_measurement_tomography_shots_haar_bases():
 
 
 def test_effect_fidelity_of_zero_effect():
-    # one shot per probe can leave no positive eigenvalue in an estimated effect
-    effects = measurement_tomography(canonical_basis(), shots=1, seed=13)
-    assert not effects[1].any()
-    assert effect_fidelity(effects[1], canonical_basis().projector(1)) == 0.0
+    # one shot per probe can leave no positive eigenvalue in an estimated effect; about
+    # one seed in 50 does, so the test takes the first from 13 on, under any stream
+    for seed in range(13, 1013):
+        effects = measurement_tomography(canonical_basis(), shots=1, seed=seed)
+        zero = [k for k in range(4) if not effects[k].any()]
+        if zero:
+            break
+    k = zero[0]
+    assert effect_fidelity(effects[k], canonical_basis().projector(k)) == 0.0
     with pytest.raises(ValidationError):
         effect_fidelity(-canonical_basis().projector(1), canonical_basis().projector(1))
 
@@ -257,8 +262,8 @@ def test_process_fidelity_rejects_shape_mismatch():
 
 @pytest.mark.parametrize("seed", [2**63 - 1, 2**63, -1, 1.5, "7", None])
 def test_shot_noise_seed_range(seed):
-    # numpy passes Philox keys >= 2**63 through float64 (2**63 and 2**63 + 1
-    # alias) and casts -1 with a warning; int() would alias 1.5 and "7"
+    # seeds stay in [0, 2**63 - 1], the range of every integer input; int() would
+    # alias 1.5 and "7"
     channel = thermalizing_channel(QubitSpec(0.18), BathSpec(1.0))
     for run in (lambda: process_tomography(channel, shots=10, seed=seed),
                 lambda: measurement_tomography(canonical_basis(), shots=10, seed=seed)):
