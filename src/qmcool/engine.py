@@ -40,8 +40,9 @@ TRACE_TOL = 1e-12  # how far a population map's row sums may stray from 1
 # Haar samples per chunk of frequency_sweep and haar_average_report: their memory
 # is set by one chunk, whatever n_samples is.  At 2**10 a chunk's temporaries are
 # small enough that the heap keeps them from one chunk to the next.  The draw runs
-# two chunks at a time (_haar_chunks), which halves its numpy calls per sample
+# BLOCK chunks at a time (_haar_chunks), which shares its ~100 numpy calls per block
 CHUNK = 2**10
+BLOCK = 4
 CLASS_LABELS = ("R", "E", "A", "H")
 # the code of each test of _class_rules: -2 a failed sum check, else an index in CLASS_LABELS
 _CLASS_CODES = (-2, 3, 0, 1, 2, 3)
@@ -226,11 +227,11 @@ def _measurement_triple(cfg, measurement):
     stack's bits at a fraction of its numpy calls; only A stays a numpy product.
     """
     big_a = _population_map(measurement).tolist()
-    rows = _pair_coefficients(cfg).tolist()
+    rows = _pair_coefficients(cfg)
     entries = [big_a[r][s] for r, s in _PAIRS]
     if isinstance(measurement, PovmSet):
         weights = _asymmetry_weights(cfg, measurement)
-        for row, extra in zip(rows, _pair_matrix(cfg, weights).tolist()):
+        for row, extra in zip(rows, _pair_matrix(cfg, weights)):
             row += extra
         entries += [a - big_a[s][r] for a, (r, s) in zip(entries, _PAIRS)]
     de1, de2 = _row_dot(rows[0], entries), _row_dot(rows[1], entries)
@@ -291,13 +292,13 @@ def _population_map(measurement):
 
 
 def _pair_matrix(cfg, weights):
-    """The (2, 6) matrix W with (W x)_i = sum_{r<s} weights_rs (h_i,s - h_i,r) x_rs, one
-    weight per pair of _PAIRS.  h1 steps by omega1 across the four pairs that flip qubit
-    1 and is flat across the other two; h2 likewise for qubit 2."""
+    """The (2, 6) matrix W, two fresh lists, with (W x)_i = sum_{r<s} weights_rs (h_i,s -
+    h_i,r) x_rs, one weight per pair of _PAIRS.  h1 steps by omega1 across the four pairs
+    that flip qubit 1 and is flat across the other two; h2 likewise for qubit 2."""
     w01, w02, w03, w12, w13, w23 = weights
     w1, w2 = cfg.qubit1.omega, cfg.qubit2.omega
-    return np.array([(0.0, w1 * w02, w1 * w03, w1 * w12, w1 * w13, 0.0),
-                     (w2 * w01, 0.0, w2 * w03, -w2 * w12, 0.0, w2 * w23)])
+    return [[0.0, w1 * w02, w1 * w03, w1 * w12, w1 * w13, 0.0],
+            [w2 * w01, 0.0, w2 * w03, -w2 * w12, 0.0, w2 * w23]]
 
 
 def _gibbs_terms(cfg):
@@ -321,8 +322,8 @@ def _canonical_terms(cfg):
 
 
 def _pair_coefficients(cfg):
-    """The (2, 6) coefficients C of the cycle energies on the six pairwise entries m of a
-    population map A (m_rs = A_rs, r < s, in _PAIRS order): dE_i = (C m)_i.
+    """The (2, 6) coefficients C, as lists, of the cycle energies on the six pairwise
+    entries m of a population map A (m_rs = A_rs, r < s, in _PAIRS order): dE_i = (C m)_i.
 
     A map whose rows and columns sum to 1 (a basis's P P^T) and that is symmetric
     moves dE_i = sum_{r<s} A_rs (p_r - p_s)(h_i,s - h_i,r), so C is :func:`_pair_matrix`
@@ -424,19 +425,19 @@ def _haar_chunks(cfgs, n_samples, seed):
     raises, as in :func:`run_cycle`.
 
     Chunks hold CHUNK samples, the last the rest.  The draw, P and the entries run on
-    blocks of two chunks, 2 CHUNK read at call time, the last block the rest; each
+    blocks of BLOCK chunks, both read at call time, the last block the rest; each
     chunk's slice of the entries is copied C-contiguous, since einsum may sum a strided
     operand in another order, and the kernel and the slack check run per chunk, so the
     chunks and their memory per config do not depend on the block.  Sample i reads
     uniforms [32i, 32i + 32) whatever the block, and every step rounds a sample alike
     in any block and chunk, so the chunks concatenate to one whole draw.  Every block
-    works in the same memory (WORK_WORDS per sample, 0.92 MB), allocated once, which
+    works in the same memory (WORK_WORDS per sample, 1.8 MB), allocated once, which
     the heap keeps: a fresh one per block would be faulted in again each time.
     n_samples is checked, and the configs' coefficients and inverse temperatures
     gathered, up front.
     """
     n = check_int(n_samples, "n_samples", 1)
-    chunk, block = CHUNK, 2 * CHUNK
+    chunk, block = CHUNK, BLOCK * CHUNK
     coef = np.array([_pair_coefficients(cfg) for cfg in cfgs]).reshape(-1, 2, 6)
     betas = np.array([(cfg.bath1.beta, cfg.bath2.beta) for cfg in cfgs]).reshape(-1, 2, 1)
     work = np.empty(WORK_WORDS * min(n, block))

@@ -9,6 +9,7 @@ Two-qubit basis order is (|00>, |01>, |10>, |11>) with qubit 1 as the slow (left
 Kronecker) index.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,12 +34,7 @@ class MeasurementBasis:
         v = as_complex(self.vectors)
         if v.shape != (4, 4):
             raise ValidationError(f"basis needs four 4-vectors, got shape {v.shape}")
-        gram_err = abs(v @ v.conj().T - _EYE).max()
-        if gram_err > ORTHO_TOL:
-            raise ValidationError(f"basis vectors not orthonormal (deviation {gram_err:.3e})")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "vectors", v)
+        _set_orthonormal(self, v.copy())
 
     def projector(self, k):
         """Rank-1 projector |psi_k><psi_k|, Hermitian bit for bit: numpy's complex
@@ -67,13 +63,26 @@ def canonical_basis():
     return MeasurementBasis(vectors)
 
 
+def _set_orthonormal(basis, v):
+    """``basis`` with the complex (4, 4) ``v``, made read-only, as its vectors, if v's rows
+    are orthonormal within ORTHO_TOL; a non-finite row gives a non-finite Gram matrix."""
+    gram_err = abs(v @ v.conj().T - _EYE).max()
+    if not gram_err <= ORTHO_TOL:
+        raise ValidationError(f"basis vectors not orthonormal (deviation {gram_err:.3e})")
+    v.setflags(write=False)
+    object.__setattr__(basis, "vectors", v)
+    return basis
+
+
 def rotate_basis(u, basis):
     """Map every basis vector by the unitary ``u``.  The rotated basis checks its own
-    orthonormality, which for an orthonormal ``basis`` holds exactly when u is unitary."""
+    orthonormality, which for an orthonormal ``basis`` holds exactly when u is unitary.
+    u's entries are checked finite here, and the product is not checked again: it is
+    finite unless it overflows, and then the Gram check fails."""
     u = as_complex(u)
     if u.shape != (4, 4):
         raise ValidationError(f"rotation must be 4x4, got {u.shape}")
-    return MeasurementBasis(basis.vectors @ u.T)
+    return _set_orthonormal(object.__new__(MeasurementBasis), basis.vectors @ u.T)
 
 
 @dataclass(frozen=True)
@@ -97,35 +106,49 @@ class HaarSampler:
 
 def haar_unitary(sampler):
     """One Haar-distributed 4x4 unitary for the sampler's (seed, counter), sample
-    ``counter`` of :func:`haar_unitaries` bit for bit.  Its Ginibre matrix goes through
-    the one-matrix Gram-Schmidt (:func:`~qmcool._accel._orthonormalize_one`), whose
-    floats go straight into the complex matrix, row by row."""
-    gin = _accel.ginibre_batch(sampler.seed, sampler.counter, 1)[0]  # (row, column, re/im)
-    # column j is (re, im) of entries (0..3, j); row r interleaves them over j
-    (a0, b0), (a1, b1), (a2, b2), (a3, b3) = _accel._orthonormalize_one(
-        gin.transpose(1, 2, 0).tolist())
-    return np.array([*zip(a0, b0, a1, b1, a2, b2, a3, b3)]).view(np.complex128)
+    ``counter`` of :func:`haar_unitaries` bit for bit, on Python floats: the gauged
+    Ginibre matrix of :func:`~qmcool._accel.ginibre_one`, the one-matrix Gram-Schmidt
+    (:func:`~qmcool._accel._orthonormalize_one`), and row r turned back by
+    (cos, sin) 2 pi u'_r0, which ``math`` rounds as numpy does."""
+    gin, angles = _accel.ginibre_one(sampler.seed, sampler.counter)
+    cols = _accel._orthonormalize_one(gin)  # [column][re/im][row]
+    turned = []
+    for r, angle in enumerate(angles):
+        c, s = math.cos(2 * math.pi * angle), math.sin(2 * math.pi * angle)
+        for x, y in cols:
+            turned += (c * x[r] - s * y[r], c * y[r] + s * x[r])
+    return np.array(turned).view(np.complex128).reshape(4, 4)
 
 
 def haar_unitaries(sampler, n):
     """n Haar unitaries for counters [counter, counter + n), a complex (n, 4, 4) array:
-    the four columns of :func:`haar_planes`, the same in any split into consecutive calls."""
-    pairs = haar_planes(sampler, n).transpose(3, 2, 0, 1)  # (sample, row, column, re/im)
-    return np.ascontiguousarray(pairs).view(np.complex128)[..., 0]
+    the four gauged columns of :func:`haar_planes`, row r of sample i turned back by
+    exp(2 pi i u'_r0) (:mod:`qmcool._accel`), the same in any split into consecutive calls."""
+    n = _accel.check_int(n, "n")
+    work = np.empty((_accel.SCRATCH_WORDS + 32) * n)
+    du = haar_planes(sampler, n, work).transpose(3, 2, 0, 1)  # (sample, row, column, re/im)
+    head = _accel.SCRATCH_WORDS * n  # the draw keeps u'_r0 in the last 4n words of its scratch
+    angle = 2 * np.pi * work[head - 4 * n:head].reshape(4, n).T[..., None]
+    c, s, x, y = np.cos(angle), np.sin(angle), du[..., 0], du[..., 1]
+    out = np.empty((n, 4, 4), dtype=np.complex128)
+    out.real, out.imag = c * x - s * y, c * y + s * x
+    return out
 
 
 def haar_planes(sampler, n, work=None, cols=4):
-    """Columns 0..cols-1 of the n Haar unitaries for counters [counter, counter + n) as
-    real planes, a float (cols, 2, 4, n) array: ``[j, c, r, i]`` is part c (0 real, 1
-    imaginary) of entry (r, j) of unitary i.  The engine, which needs only |U C|^2,
-    draws three (WORK_WORDS per sample), gauged by row (:mod:`qmcool._accel`): it
-    measures DU, D diagonal and unitary, not this U bit for bit.  Others draw four.
+    """Columns 0..cols-1 of the n gauged Haar unitaries DU for counters
+    [counter, counter + n) as real planes, a float (cols, 2, 4, n) array: ``[j, c, r, i]``
+    is part c (0 real, 1 imaginary) of entry (r, j) of unitary i.  D is the row phase of
+    :mod:`qmcool._accel`, which :func:`haar_unitaries` turns back; the engine, which
+    needs only |U C|^2 = |DU C|^2, draws three columns (WORK_WORDS per sample), the
+    first three of four bit for bit.
 
     ``work``, a C-contiguous float64 array of (SCRATCH_WORDS + 8 cols) n words (by
     default fresh), holds the whole draw: its first SCRATCH_WORDS n words take the
     uniforms (:func:`~qmcool._accel.ginibre_batch`) and then Gram-Schmidt's scratch,
-    and the rest the planes, orthonormalized in place and returned
-    (:func:`~qmcool._accel.haar_from_ginibre`).  Which memory is used changes no bit.
+    and keep the row phase's uniforms in their last 4n; the rest holds the planes,
+    orthonormalized in place and returned (:func:`~qmcool._accel.haar_from_ginibre`).
+    Which memory is used changes no bit.
     """
     n = _accel.check_int(n, "n")
     head = _accel.SCRATCH_WORDS * n

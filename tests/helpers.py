@@ -261,7 +261,7 @@ def pair_entries(big_p):
 def pair_kernel_rows(cfg, entries):
     """Reference (n, 3) triples of one config on (6, n) pairwise entries: the engine's
     coefficients C, each energy the sum of C_e m_e in entry order, and dE = dE1 + dE2."""
-    coef = _pair_coefficients(cfg)
+    coef = np.array(_pair_coefficients(cfg))
     out = np.empty((entries.shape[1], 3))
     for i in range(2):
         out[:, i] = sum((coef[i, e] * entries[e] for e in range(1, 6)), coef[i, 0] * entries[0])
@@ -330,9 +330,9 @@ def box_muller_sample(seed, i):
 
 
 def gauged_ginibre(seed, start, n):
-    """Reference Ginibre matrices of the engine's draw from stream version 7, complex
-    (n, 4, 4), samples [start, start + n): Box-Muller on the uniforms of
-    :func:`box_muller_sample`, with row r turned by minus the angle of its entry (r, 0).
+    """Reference Ginibre matrices of every draw from stream version 9 (of the engine's
+    since version 7), complex (n, 4, 4), samples [start, start + n): Box-Muller on the
+    uniforms of :func:`box_muller_sample`, row r turned by minus the angle of entry (r, 0).
     Entry (r, j) has radius r = sqrt(-log(1 - u)) and angle 2 pi d, d = u'_rj - u'_r0
     less rint(d), both exact, taken by the half angle: with t = tan(pi d) and
     w = r / (t^2/2 + 1/2), the entry is (w - r) + i t w.  Column 0 gets d = +0, so
@@ -370,11 +370,38 @@ def planes_of(z):
 
 
 def gauged_unitaries(seed, n):
-    """All four columns of the engine's unitaries DU, complex (n, 4, 4): the general
+    """All four columns of the gauged unitaries DU, complex (n, 4, 4): the package's
     Gram-Schmidt on :func:`gauged_ginibre`'s four columns.  Column j reads only columns
     0..j, so columns 0-2 are the engine's three-column draw bit for bit."""
     return complex_matrices(haar_from_ginibre(planes_of(gauged_ginibre(seed, 0, n))
                                               .transpose(3, 2, 0, 1)))
+
+
+def general_gram_schmidt(cols):
+    """Reference two-pass classical Gram-Schmidt on one matrix in the general complex
+    form, as Python floats: ``cols[j][c][r]`` is part c (real, imaginary) of entry
+    (r, j), and column j is returned in ``cols[j]``.  Every column, column 0 included,
+    takes all four products of each entry; every sum over the rows starts from +0, as
+    numpy's reduction over rows does.  The package's Gram-Schmidt skips the products
+    with a gauged column 0's zero imaginary part."""
+    for j in range(len(cols)):
+        (x0, x1, x2, x3), (y0, y1, y2, y3) = cols[j]
+        for _ in range(2 if j else 0):
+            coefs = [((((0.0 + (a0 * x0 + b0 * y0)) + (a1 * x1 + b1 * y1))
+                       + (a2 * x2 + b2 * y2)) + (a3 * x3 + b3 * y3),
+                      (((0.0 + (a0 * y0 - b0 * x0)) + (a1 * y1 - b1 * x1))
+                       + (a2 * y2 - b2 * x2)) + (a3 * y3 - b3 * x3))
+                     for (a0, a1, a2, a3), (b0, b1, b2, b3) in cols[:j]]
+            for (c, d), ((a0, a1, a2, a3), (b0, b1, b2, b3)) in zip(coefs, cols):
+                x0, x1, x2, x3 = (x0 - (c * a0 - d * b0), x1 - (c * a1 - d * b1),
+                                  x2 - (c * a2 - d * b2), x3 - (c * a3 - d * b3))
+                y0, y1, y2, y3 = (y0 - (c * b0 + d * a0), y1 - (c * b1 + d * a1),
+                                  y2 - (c * b2 + d * a2), y3 - (c * b3 + d * a3))
+        norm = math.sqrt((((0.0 + (x0 * x0 + y0 * y0)) + (x1 * x1 + y1 * y1))
+                          + (x2 * x2 + y2 * y2)) + (x3 * x3 + y3 * y3))
+        cols[j] = ((x0 / norm, x1 / norm, x2 / norm, x3 / norm),
+                   (y0 / norm, y1 / norm, y2 / norm, y3 / norm))
+    return cols
 
 
 def gibbs_state(qubit, bath):

@@ -268,17 +268,16 @@ def test_classless_triple_names_row_and_sample(monkeypatch):
 
 
 def test_the_engine_never_orthonormalizes_column_3(monkeypatch):
-    # a block of two chunks takes the planar Gram-Schmidt on gauged planes, the last
+    # a block of BLOCK chunks takes the planar Gram-Schmidt on gauged planes, the last
     # one of 3 samples the scalar one; each is handed columns 0-2 only
     seen = []
-    for name in ("_orthonormalize_planes", "_orthonormalize_gauged"):
-        planar = getattr(_accel, name)
-        monkeypatch.setattr(_accel, name, lambda q, scratch, planar=planar, name=name:
-                            seen.append((name, len(q))) or planar(q, scratch))
+    planar = _accel._orthonormalize_gauged
+    monkeypatch.setattr(_accel, "_orthonormalize_gauged", lambda q, scratch:
+                        seen.append(("_orthonormalize_gauged", len(q))) or planar(q, scratch))
     scalar = _accel._orthonormalize_one
     monkeypatch.setattr(_accel, "_orthonormalize_one",
                         lambda cols: seen.append(("scalar", len(cols))) or scalar(cols))
-    frequency_sweep(CFGS[:1], 2 * CHUNK + 3, SEED)
+    frequency_sweep(CFGS[:1], engine.BLOCK * CHUNK + 3, SEED)
     assert seen == [("_orthonormalize_gauged", 3)] + [("scalar", 3)] * 3
 
 
@@ -302,7 +301,7 @@ def test_a_last_column_that_rounds_below_zero_is_clipped(monkeypatch):
     assert raw < 0 and big_p[3, 0, 0] == 0.0
     unclipped = big_p.copy()
     unclipped[3, 0, 0] = raw
-    coef = engine._pair_coefficients(cfg)[None]
+    coef = np.array(engine._pair_coefficients(cfg))[None]
     for p, ok in ((big_p, True), (unclipped, False)):
         de1, de2, _ = engine._pair_triples(coef, engine._pair_entries(p))[0, :, 0]
         assert (cfg.bath1.beta * de1 + cfg.bath2.beta * de2 >= engine.SLACK_FLOOR) == ok
@@ -337,7 +336,8 @@ def _peak_bytes(run, cfgs, n):
 
 def test_haar_average_memory_is_flat_in_n():
     cfgs = [reference_config()]
-    small, large = (_peak_bytes(haar_average_report, cfgs, n) for n in (2 * CHUNK, 16 * CHUNK))
+    small, large = (_peak_bytes(haar_average_report, cfgs, n)
+                    for n in (engine.BLOCK * CHUNK, 16 * CHUNK))
     assert abs(large - small) <= 0.1 * small, (small, large)
 
 

@@ -9,6 +9,7 @@ from qmcool import (
     MeasurementBasis,
     PovmSet,
     QubitSpec,
+    ValidationError,
     canonical_basis,
     haar_unitaries,
     haar_unitary,
@@ -170,6 +171,21 @@ def test_rotate_basis_stays_orthonormal():
 def test_rotate_basis_rejects_non_unitary():
     with pytest.raises(ValueError):
         rotate_basis(np.ones((4, 4), dtype=complex), canonical_basis())
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf),
+                                 complex(np.nan, 0.0)])
+def test_rotate_basis_rejects_a_non_finite_entry_of_u(bad):
+    # u's entries are checked once, before the product: every entry below has coefficient
+    # 0 in some canonical vector (|00> reads only column 0 of u, |11> only column 3), a
+    # product that a BLAS may skip, and the error is the basis check's, with no warning
+    for k, c in ((0, 1), (3, 0), (2, 3), (1, 1)):
+        u = haar_unitary(HaarSampler(3)).copy()
+        u[k, c] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            rotate_basis(u, canonical_basis())
+    with pytest.raises(ValidationError, match="non-finite"):
+        MeasurementBasis(np.where(np.eye(4) > 0, bad, 0.0))
 
 
 def test_projectors_are_hermitian_bit_for_bit():

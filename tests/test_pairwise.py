@@ -158,21 +158,34 @@ def test_white_noise_povms_scale_their_basis_on_the_search():
     # a white-noise POVM's cycle is c1(nu) times its basis's, exactly.  Its asymmetries
     # are rounding noise, and weighed by p_s ~ 1/4 they outweighed the population gaps
     # near infinite temperature: 142-174 search configs raised for 5 of these 9 pairs.
-    # Each triple within 1e-14 of the row's largest |dE|, or four steps 2^-1074 of the
-    # subnormal range.  Measured at stream 8: 9.6e-15, and 2 steps on the 2805 subnormal
-    # rows; a projector off Hermitian in its last bit took the first to 2.9e-14.
+    # Both paths start from the same basis vectors V and sum six products C_e m_e, so
+    # each triple is within the kernels' forward error bound gamma c1 sum_e |C_e,i m_e|
+    # of the other (dE: both rows' sums), or four steps 2^-1074 where it underflows.
+    # gamma counts first-order roundings, 2^-53 each: the basis's m_rs = sum_k P_rk P_sk
+    # with P = |V|^2 (hypot, square, 4 products, 3 sums of positive terms: 10), its six
+    # products and their sum from 0 (6) and the product with c1 (1): 17; the POVM's
+    # projector entries (complex product, mean with the adjoint: 4), times a (1), |.|^2
+    # (2 products, doubling the relative error, and a sum: 10), their sum over the four
+    # effects (3), six products and their sum (6): 24; c1 = a^2 rounded once (1).  C is
+    # the same bits on both sides.  42, so gamma = 48 2^-53.  Measured at stream 9: 5.8
+    # and 5.5 2^-53 on seeds 5 and 9 (stream 8: 7.4 and 5.6); the bound scales with the
+    # terms, not with |dE|, on which they cancel (stream 9: 1.5e-13 of |dE| on seed 5).
     cfgs = search_configs()
+    gamma = 48 * 2.0**-53
     with np.errstate(over="ignore", invalid="ignore"):
         for u in haar_unitaries(HaarSampler(9), 3):
             basis = rotate_basis(u, canonical_basis())
+            m = engine._population_map(basis).reshape(-1)[UPPER]
             ideal = [run_cycle(cfg, basis) for cfg in cfgs]
             for nu in (0.4, 0.9, 1.0):
                 povm, (c1, _) = white_noise_povm(basis, nu), white_noise_mixture_weights(nu)
                 for cfg, report in zip(cfgs, ideal):
                     want = np.multiply(c1, (report.dE1, report.dE2, report.dE))
                     got = _report_triple(cfg, povm)
-                    gap = np.max(np.abs(np.subtract(got, want)))
-                    assert gap <= max(1e-14 * np.max(np.abs(want)), 2.0**-1072), (cfg, nu)
+                    terms = np.abs(np.multiply(engine._pair_coefficients(cfg), m)).sum(axis=1)
+                    bound = gamma * c1 * np.array([terms[0], terms[1], terms[0] + terms[1]])
+                    gap = np.abs(np.subtract(got, want))
+                    assert np.all(gap <= bound + 2.0**-1072), (cfg, nu)
 
 
 def _x(beta, omega):
@@ -327,4 +340,4 @@ def test_pair_coefficients_are_the_population_gaps(omega2):
     p = engine._populations(cfg)
     h = np.array(joint_hamiltonian_diagonals(cfg))
     want = [sum((p[r] - p[s]) * (hi[s] - hi[r]) for r, s in engine._PAIRS) for hi in h]
-    assert np.allclose(engine._pair_coefficients(cfg).sum(axis=1), want, rtol=1e-12, atol=0)
+    assert np.allclose(np.sum(engine._pair_coefficients(cfg), axis=1), want, rtol=1e-12, atol=0)
