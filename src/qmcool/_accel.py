@@ -14,11 +14,12 @@ into DU for the U of G.  Column 0 of DG is real, its radii, and entry (r, j) has
 angle 2 pi (u'_rj - u'_r0), a difference of two uniforms, which is exact.  Box-Muller
 turns those entries by the half angle (:func:`_half_turn`): one tan each, where cos
 and sin take two slower calls, and Gram-Schmidt skips every product with column 0's
-zero imaginary plane.  The engine needs only P = |U C|^2 = |DU C|^2, whose rows sum
-to 1, so it draws columns 0-2, the first three of the four-column draw bit for bit,
-and forms P's last column from them (:func:`qmcool.engine._canonical_p`).
-``haar_unitary`` and ``haar_unitaries`` turn row r back by exp(i theta_r0): the draw
-keeps u'_r0 in the last 4n words of its scratch, which Gram-Schmidt leaves alone.
+zero imaginary plane.  There are two draws.  The engine needs only P = |U C|^2 =
+|DU C|^2, whose rows sum to 1, so its planar draw (:func:`ginibre_batch`) takes
+columns 0-2 and it forms P's last column from them (:func:`qmcool.engine._canonical_p`).
+Every full unitary is one scalar draw (:func:`ginibre_one`), all four columns, whose
+first three are the planar draw's bit for bit; ``haar_unitary`` turns its row r back
+by exp(i theta_r0).
 
 The cycle-energy kernel is in :mod:`qmcool.engine`; ``perfbench/`` wraps this module.
 """
@@ -36,7 +37,6 @@ from .errors import ValidationError
 INT64_MAX = 2**63 - 1
 HAAR_WORD = INT64_MAX  # spawn key of the Haar stream, above every probe index
 STREAM_VERSION = 9  # printed by every command whose output reads the Haar stream
-PLANAR_MIN = 8  # smallest batch for the planar Gram-Schmidt
 SCRATCH_WORDS = 32  # float64 words per sample of the draw's scratch: one sample's uniforms
 # this thread's generators: .seed, .keys {word: (generator, its state at word 0)}, and
 # .end, (HAAR_WORD, w) while the Haar generator is where the last fill left it, word w
@@ -63,8 +63,9 @@ def stream(seed, word, skip=0):
     builds a key's generator once, for the last seed it asked for, and each call
     restores its saved state and advances it ``skip`` words (O(log skip) steps), which
     draws what a fresh one advanced there draws.  A call for the word where the last
-    :func:`ginibre_batch` fill of this thread ended finds the generator there and
-    takes it as it is; every call clears that record, since its caller may draw.
+    Haar fill of this thread (:func:`ginibre_batch`, :func:`ginibre_one`) ended finds
+    the generator there and takes it as it is; every call clears that record, since
+    its caller may draw.
     It is valid until this thread's next call for the key or another seed.
     """
     seed = check_int(seed, "seed")
@@ -82,46 +83,45 @@ def stream(seed, word, skip=0):
     return gen
 
 
-def ginibre_batch(seed, start, n, cols=4, out=None, scratch=None):
-    """Columns 0..cols-1 of n complex standard-Gaussian 4x4 matrices, samples
-    [start, start + n) of the Haar stream, gauged by row (see above), as real planes.
+def ginibre_batch(seed, start, n, out=None, scratch=None):
+    """The engine's draw: columns 0-2 of n complex standard-Gaussian 4x4 matrices,
+    samples [start, start + n) of the Haar stream, gauged by row (see above), as real planes.
 
     Entry (r, j) of sample i is Box-Muller on uniforms 32i + 8r + 2j and the one after
     it, (u, u'): radius sqrt(-log(1 - u)) and angle 2 pi u', so E|z|^2 = 1 and u = 0
     stays finite.  Column 0 keeps its radii and a zero imaginary plane, and column
     j > 0 takes the angle 2 pi d, with d = u' - u'_r0 less rint(d), exact in
     [-1/2, 1/2], turned by :func:`_half_turn`.  ``scratch``, a float C-contiguous array
-    of SCRATCH_WORDS n words, takes the uniforms; one transposed copy puts the wanted
-    columns' into ``out``, a C-contiguous float (cols, 2, 4, n) array, where Box-Muller
-    runs in place, elementwise, so an entry has the same bits in any layout.  The
-    scratch's head then takes the half-angle weights, and its last 4n words the
-    (4, n) plane of u'_r0.  By default both are fresh.
+    of SCRATCH_WORDS n words, takes the uniforms; one transposed copy puts columns 0-2's
+    into ``out``, a C-contiguous float (3, 2, 4, n) array, where Box-Muller runs in
+    place, elementwise, so an entry has the same bits in any layout.  The scratch's
+    head then takes the half-angle weights.  By default both are fresh.
     ``out[j, c, r, i]`` is part c (0 real, 1 imaginary) of entry (r, j) of matrix i;
-    returns the view ``out.transpose(3, 2, 0, 1)``, (n, 4, cols, 2), indexed [i, r, j, c].
+    returns the view ``out.transpose(3, 2, 0, 1)``, (n, 4, 3, 2), indexed [i, r, j, c].
     """
     start = check_int(start, "sample counter")
     gen = stream(seed, HAAR_WORD, SCRATCH_WORDS * start)
     n = check_int(n, "n")
-    q = _buffer(out, (cols, 2, 4, n), np.float64, "out")
+    q = _buffer(out, (3, 2, 4, n), np.float64, "out")
     u = _buffer(scratch, (SCRATCH_WORDS * n,), np.float64, "scratch")
     gen.random(out=u)  # one output word per double: the fill ends at sample start + n
     _STREAMS.end = HAAR_WORD, SCRATCH_WORDS * (start + n)
-    np.copyto(q, u.reshape(n, 4, 4, 2)[:, :, :cols].transpose(2, 3, 1, 0))
+    np.copyto(q, u.reshape(n, 4, 4, 2)[:, :, :3].transpose(2, 3, 1, 0))
     d = np.subtract(q[1:, 1], q[0, 1], out=q[1:, 1])
-    w = u[:4 * (cols - 1) * n].reshape(cols - 1, 4, n)  # every uniform is in q by now
+    w = u[:8 * n].reshape(2, 4, n)  # every uniform is in q by now
     d -= np.rint(d, out=w)
-    np.copyto(u[(SCRATCH_WORDS - 4) * n:].reshape(4, n), q[0, 1])  # u'_r0: the row phase
     q[0, 1] = 0.0
     _half_turn(_radius(q[:, 0])[1:], d, w)
     return q.transpose(3, 2, 0, 1)
 
 
 def ginibre_one(seed, start):
-    """Sample ``start`` of :func:`ginibre_batch` on Python floats, with its bits: the
-    columns as :func:`_orthonormalize_one` takes them, ``cols[j][c][r]``, and u'_r0 of
-    its four rows.  numpy takes only log1p and tan, whose bits depend on its loops;
-    negation, rint and the other steps are exact or correctly rounded alike in Python.
-    Against the planar draw's ~20 numpy calls on a few words each, ~2x faster."""
+    """All four columns of sample ``start`` of the Haar stream, gauged by row, on Python
+    floats, for every full unitary: the columns as :func:`_orthonormalize_one` takes
+    them, ``columns[j][c][r]``, and u'_r0 of its four rows, the row phase.  Columns 0-2
+    have the bits of :func:`ginibre_batch`'s: numpy takes only log1p and tan, whose bits
+    depend on its loops; negation, rint and the other steps are exact or correctly
+    rounded alike in Python."""
     start = check_int(start, "sample counter")
     u = stream(seed, HAAR_WORD, SCRATCH_WORDS * start).random(SCRATCH_WORDS)
     _STREAMS.end = HAAR_WORD, SCRATCH_WORDS * (start + 1)
@@ -175,17 +175,12 @@ def haar_from_ginibre(gin, scratch=None):
     ``gin`` is what :func:`ginibre_batch` returns, the view (n, 4, cols, 2) of
     C-contiguous planes (cols, 2, 4, n), orthonormalized in place by
     :func:`_orthonormalize_gauged` with ``scratch`` (SCRATCH_WORDS n words, by default
-    fresh; its last 4n words are left alone).  Below PLANAR_MIN matrices
-    :func:`_orthonormalize_one` takes them one by one, with the same bits, ~15 us
-    each against ~70 numpy calls.  Returns ``gin``.
+    fresh), which rounds each matrix as :func:`_orthonormalize_one` does at any n.
+    Returns ``gin``.
     """
     n, cols = len(gin), gin.shape[2]
     q = _buffer(gin.transpose(2, 3, 1, 0), (cols, 2, 4, n), np.float64, "the planes of gin")
-    if n < PLANAR_MIN:
-        for i in range(n):
-            q[..., i] = _orthonormalize_one(q[..., i].tolist())
-    else:
-        _orthonormalize_gauged(q, _buffer(scratch, (SCRATCH_WORDS * n,), np.float64, "scratch"))
+    _orthonormalize_gauged(q, _buffer(scratch, (SCRATCH_WORDS * n,), np.float64, "scratch"))
     return gin
 
 
@@ -224,17 +219,17 @@ def _orthonormalize_gauged(q, scratch):
         v /= np.sqrt(np.add.reduce(t[0], -2, out=norm), out=norm)
 
 
-def _orthonormalize_one(cols):
-    """:func:`_orthonormalize_gauged` on one matrix, as Python floats: ``cols[j][c][r]``
+def _orthonormalize_one(columns):
+    """:func:`_orthonormalize_gauged` on one matrix, as Python floats: ``columns[j][c][r]``
     is part c (real, imaginary) of entry (r, j), column 0's imaginary part is zero and
     not read; returns the columns alike.  The same correctly rounded operations in the
     same order, per row (v = x + iy, q_k = a + ib for k = 0, e + ib after it, c_k =
     c + id); CPython fuses no multiply-add, so the bits are the same."""
-    (a0, a1, a2, a3), zero = cols[0]
+    (a0, a1, a2, a3), zero = columns[0]
     norm = math.sqrt((((0.0 + a0 * a0) + a1 * a1) + a2 * a2) + a3 * a3)
     a0, a1, a2, a3 = a0 / norm, a1 / norm, a2 / norm, a3 / norm
     out = [((a0, a1, a2, a3), zero)]
-    for (x0, x1, x2, x3), (y0, y1, y2, y3) in cols[1:]:
+    for (x0, x1, x2, x3), (y0, y1, y2, y3) in columns[1:]:
         for _ in (0, 1):
             c, d = ((((0.0 + a0 * x0) + a1 * x1) + a2 * x2) + a3 * x3,
                     (((0.0 + a0 * y0) + a1 * y1) + a2 * y2) + a3 * y3)

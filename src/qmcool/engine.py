@@ -369,7 +369,7 @@ def _sample_name(omega2, index):
 
 def _canonical_p(q, out=None):
     """P = |U C|^2 of each unitary U whose columns 0-2 are the planes ``q[:3]``
-    (:func:`~qmcool.measure.haar_planes`, (cols, 2, 4, samples)), C the canonical basis
+    (:func:`~qmcool.measure.haar_planes`, (3, 2, 4, samples)), C the canonical basis
     vectors as columns, as planes: ``big_p[k, r]`` holds P[r, k] of every sample.
 
     C keeps columns u0 and u3 of U and turns u1, u2 into (u1 ± u2)/sqrt2, so the first
@@ -446,7 +446,7 @@ def _haar_chunks(cfgs, n_samples, seed):
         for first in range(0, n, block):
             b = min(block, n - first)
             words = work[:WORK_WORDS * b]
-            q = haar_planes(HaarSampler(seed, first), b, words, 3)
+            q = haar_planes(HaarSampler(seed, first), b, words)
             # the planes end the block; the words before them, the draw's scratch, are
             # free once they are orthonormalized, and the planes once P is formed
             big_p = _canonical_p(q, words[:16 * b].reshape(4, 4, b))

@@ -105,11 +105,11 @@ class HaarSampler:
 
 
 def haar_unitary(sampler):
-    """One Haar-distributed 4x4 unitary for the sampler's (seed, counter), sample
-    ``counter`` of :func:`haar_unitaries` bit for bit, on Python floats: the gauged
-    Ginibre matrix of :func:`~qmcool._accel.ginibre_one`, the one-matrix Gram-Schmidt
-    (:func:`~qmcool._accel._orthonormalize_one`), and row r turned back by
-    (cos, sin) 2 pi u'_r0, which ``math`` rounds as numpy does."""
+    """One Haar-distributed 4x4 unitary for the sampler's (seed, counter), on Python
+    floats: the gauged Ginibre matrix of :func:`~qmcool._accel.ginibre_one`, the
+    one-matrix Gram-Schmidt (:func:`~qmcool._accel._orthonormalize_one`), and row r
+    turned back by (cos, sin) 2 pi u'_r0.  Its first three columns before the turn are
+    the engine's sample ``counter`` (:func:`haar_planes`) bit for bit."""
     gin, angles = _accel.ginibre_one(sampler.seed, sampler.counter)
     cols = _accel._orthonormalize_one(gin)  # [column][re/im][row]
     turned = []
@@ -122,39 +122,34 @@ def haar_unitary(sampler):
 
 def haar_unitaries(sampler, n):
     """n Haar unitaries for counters [counter, counter + n), a complex (n, 4, 4) array:
-    the four gauged columns of :func:`haar_planes`, row r of sample i turned back by
-    exp(2 pi i u'_r0) (:mod:`qmcool._accel`), the same in any split into consecutive calls."""
+    :func:`haar_unitary` of each, so the same in any split into consecutive calls.
+    Every counter must be one a :class:`HaarSampler` can name."""
     n = _accel.check_int(n, "n")
-    work = np.empty((_accel.SCRATCH_WORDS + 32) * n)
-    du = haar_planes(sampler, n, work).transpose(3, 2, 0, 1)  # (sample, row, column, re/im)
-    head = _accel.SCRATCH_WORDS * n  # the draw keeps u'_r0 in the last 4n words of its scratch
-    angle = 2 * np.pi * work[head - 4 * n:head].reshape(4, n).T[..., None]
-    c, s, x, y = np.cos(angle), np.sin(angle), du[..., 0], du[..., 1]
+    if sampler.counter + n - 1 > _accel.INT64_MAX:
+        raise ValidationError(f"{n} unitaries from counter {sampler.counter} pass 2**63 - 1")
     out = np.empty((n, 4, 4), dtype=np.complex128)
-    out.real, out.imag = c * x - s * y, c * y + s * x
+    for i in range(n):
+        out[i] = haar_unitary(HaarSampler(sampler.seed, sampler.counter + i))
     return out
 
 
-def haar_planes(sampler, n, work=None, cols=4):
-    """Columns 0..cols-1 of the n gauged Haar unitaries DU for counters
-    [counter, counter + n) as real planes, a float (cols, 2, 4, n) array: ``[j, c, r, i]``
-    is part c (0 real, 1 imaginary) of entry (r, j) of unitary i.  D is the row phase of
-    :mod:`qmcool._accel`, which :func:`haar_unitaries` turns back; the engine, which
-    needs only |U C|^2 = |DU C|^2, draws three columns (WORK_WORDS per sample), the
-    first three of four bit for bit.
+def haar_planes(sampler, n, work=None):
+    """Columns 0-2 of the n gauged Haar unitaries DU for counters [counter, counter + n)
+    as real planes, the engine's draw, a float (3, 2, 4, n) array: ``[j, c, r, i]`` is
+    part c (0 real, 1 imaginary) of entry (r, j) of unitary i.  D is the row phase of
+    :mod:`qmcool._accel`; the engine needs only |U C|^2 = |DU C|^2.
 
-    ``work``, a C-contiguous float64 array of (SCRATCH_WORDS + 8 cols) n words (by
-    default fresh), holds the whole draw: its first SCRATCH_WORDS n words take the
-    uniforms (:func:`~qmcool._accel.ginibre_batch`) and then Gram-Schmidt's scratch,
-    and keep the row phase's uniforms in their last 4n; the rest holds the planes,
-    orthonormalized in place and returned (:func:`~qmcool._accel.haar_from_ginibre`).
-    Which memory is used changes no bit.
+    ``work``, a C-contiguous float64 array of WORK_WORDS n words (by default fresh),
+    holds the whole draw: its first SCRATCH_WORDS n words take the uniforms
+    (:func:`~qmcool._accel.ginibre_batch`) and then Gram-Schmidt's scratch; the rest
+    holds the planes, orthonormalized in place and returned
+    (:func:`~qmcool._accel.haar_from_ginibre`).  Which memory is used changes no bit.
     """
     n = _accel.check_int(n, "n")
     head = _accel.SCRATCH_WORDS * n
-    work = _accel._buffer(work, (head + 8 * cols * n,), np.float64, "work")
-    scratch, planes = work[:head], work[head:].reshape(cols, 2, 4, n)
-    gin = _accel.ginibre_batch(sampler.seed, sampler.counter, n, cols, planes, scratch)
+    work = _accel._buffer(work, (WORK_WORDS * n,), np.float64, "work")
+    scratch, planes = work[:head], work[head:].reshape(3, 2, 4, n)
+    gin = _accel.ginibre_batch(sampler.seed, sampler.counter, n, planes, scratch)
     _accel.haar_from_ginibre(gin, scratch)
     return planes
 

@@ -36,9 +36,17 @@ PIXELS_PER_STEP = 8
 OMEGA_MAX = OMEGA_STEP * (GRID_ROWS // PIXELS_PER_STEP)
 
 
+def _whole(x):
+    """x as an int if it is a whole number, else None; int() of NaN or +-inf raises."""
+    try:
+        return int(x) if int(x) == x else None
+    except (ValueError, OverflowError):
+        return None
+
+
 def omega_of_d(d):
     """Gap encoded by a rail separation of d pixels: omega = 0.02*(d/8)."""
-    if int(d) != d or d <= 0 or d % PIXELS_PER_STEP != 0 or d > GRID_ROWS:
+    if _whole(d) is None or d <= 0 or d % PIXELS_PER_STEP != 0 or d > GRID_ROWS:
         raise ValidationError(
             f"rail separation must be a positive multiple of {PIXELS_PER_STEP} "
             f"up to {GRID_ROWS}, got {d!r}"
@@ -49,8 +57,8 @@ def omega_of_d(d):
 def d_of_omega(omega):
     """Rail separation for an on-grid gap (multiple of 0.02, at most 1.28)."""
     k = omega / OMEGA_STEP
-    ki = int(round(k))
-    if abs(k - ki) > 1e-9 or ki < 1 or ki > GRID_ROWS // PIXELS_PER_STEP:
+    ki = _whole(np.rint(k))
+    if ki is None or abs(k - ki) > 1e-9 or ki < 1 or ki > GRID_ROWS // PIXELS_PER_STEP:
         raise ValidationError(
             f"gap {omega!r} is not on the {OMEGA_STEP} grid up to {OMEGA_MAX}"
         )
@@ -59,7 +67,7 @@ def d_of_omega(omega):
 
 def _row(z):
     """z as an int, if it is a grid row: a nonzero integer within +-Z_MAX."""
-    if int(z) != z or z == 0 or abs(z) > Z_MAX:
+    if _whole(z) is None or z == 0 or abs(z) > Z_MAX:
         raise ValidationError(f"row must be a nonzero integer within +-{Z_MAX}, got {z!r}")
     return int(z)
 

@@ -25,7 +25,7 @@ from qmcool._accel import check_int, ginibre_batch, haar_from_ginibre
 from qmcool.engine import TRACE_TOL, _haar_chunks, _pair_coefficients, _populations
 from qmcool.measure import white_noise_mixture_weights
 from qmcool.thermo import _omega, as_complex, thermal_populations
-from qmcool.tomo import _EFFECT_DESIGN, _PAULIS, _PROBES, _PROCESS_DESIGN
+from qmcool.tomo import _EFFECT_DESIGN, _PAULIS, _PROBES, _PROCESS_DESIGN, _fidelities
 
 EXPERIMENT_OMEGA2 = (0.02, 0.06, 0.14, 0.18, 0.46, 0.86, 1.10)
 
@@ -276,7 +276,7 @@ def per_row_haar_triples(cfg, n, seed):
     gauged by row); P P^T enters through its six pairwise entries only, as in the
     engine's kernel.
     """
-    us = complex_matrices(haar_from_ginibre(ginibre_batch(seed, 0, n, 3)))
+    us = complex_matrices(haar_from_ginibre(ginibre_batch(seed, 0, n)))
     return pair_kernel_rows(cfg, pair_entries(canonical_column_sums(us)))
 
 
@@ -440,6 +440,11 @@ def validate_density(rho, dim=None, name="state"):
 
 single_qubit_state = functools.partial(validate_density, dim=2, name="single-qubit state")
 two_qubit_state = functools.partial(validate_density, dim=4, name="two-qubit state")
+
+
+def state_fidelity(a, b):
+    """The package's Uhlmann fidelity of one pair of states, as the one-element case of its stacks."""
+    return _fidelities(np.asarray(a)[None], np.asarray(b)[None], "states")[0]
 
 
 def trace_distance(a, b):

@@ -44,7 +44,7 @@ UNITARY_DIGESTS = {
             "9f4782ea511e9bdbd521a1243bcc031b63f218c06eb3c0698d7d1cc616bf424a"),
     },
 }
-# SHA-256 of the engine's draw haar_planes(HaarSampler(seed), 64, None, 3), as bytes:
+# SHA-256 of the engine's draw haar_planes(HaarSampler(seed), 64), as bytes:
 # stream version 9 keeps the engine's bits of version 8 (X86_V4 recorded at version 8)
 ENGINE_DIGESTS = {
     "X86_V4": {1: "33a324c7b884a0a35d467e0c4322152ab654e875ae3dcefa63938e84ac95f10d",
@@ -61,35 +61,31 @@ _GENERATOR_NAMES = {"Philox", "PCG64DXSM", "SeedSequence", "default_rng"}
 def test_ginibre_layout_matches_box_muller_oracle(seed, i):
     # every draw is gauged by row: Box-Muller, then row r turned by minus its entry (r, 0)
     assert same_bits(complex_matrices(_accel.ginibre_batch(seed, i, 1)),
-                     gauged_ginibre(seed, i, 1))
+                     gauged_ginibre(seed, i, 1)[..., :3])
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
-@pytest.mark.parametrize("n", [_accel.PLANAR_MIN - 1, _accel.PLANAR_MIN, 672])
-@pytest.mark.parametrize("cols", [3, 4])
-def test_planar_box_muller_matches_the_oracle(seed, n, cols):
+@pytest.mark.parametrize("n", [7, 8, 672])
+def test_planar_box_muller_matches_the_oracle(seed, n):
     # Box-Muller runs on the planes at any n, gauged by row: every column of every sample
-    # gets the gauged oracle's bits, signed zeros included, and the last 4n words of the
-    # scratch keep each row's u'_r0, the row phase of haar_unitaries
-    scratch = np.empty(32 * n)
-    gin = complex_matrices(_accel.ginibre_batch(seed, 40, n, cols, None, scratch))
-    assert gin.shape == (n, 4, cols)
+    # gets the gauged oracle's bits, signed zeros included
+    gin = complex_matrices(_accel.ginibre_batch(seed, 40, n))
+    assert gin.shape == (n, 4, 3)
     for i in (0, n // 2, n - 1):
-        assert same_bits(gin[i], gauged_ginibre(seed, 40 + i, 1)[0][:, :cols])
-    angles = fresh_stream(seed, _accel.HAAR_WORD, 32 * 40).random(32 * n)[1::8]
-    assert same_bits(scratch[28 * n:], angles.reshape(n, 4).T.ravel())
+        assert same_bits(gin[i], gauged_ginibre(seed, 40 + i, 1)[0][:, :3])
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
 def test_one_sample_on_python_floats_has_the_planar_bits(seed):
     # ginibre_one takes numpy's log1p and tan on the sample's words and the rest on
-    # Python floats: the planar draw's bits and row-phase uniforms, sample by sample
+    # Python floats: the gauged oracle's four columns, whose first three are the planar
+    # draw's, and the row phase's uniforms u'_r0, sample by sample
     for i in [*range(0, 3000, 7), 2**40 + 5, 2**63 - 1]:
-        scratch = np.empty(32)
-        gin = _accel.ginibre_batch(seed, i, 1, 4, None, scratch)[0]
         cols, angles = _accel.ginibre_one(seed, i)
-        assert same_bits(np.array(cols), gin.transpose(1, 2, 0))
-        assert same_bits(np.array(angles), scratch[28:])
+        assert same_bits(np.array(cols), planes_of(gauged_ginibre(seed, i, 1))[..., 0])
+        assert same_bits(np.array(cols)[:3], _accel.ginibre_batch(seed, i, 1)[0].transpose(1, 2, 0))
+        u = fresh_stream(seed, _accel.HAAR_WORD, 32 * i).random(32)
+        assert same_bits(np.array(angles), u[1::8])
 
 
 def test_ginibre_substreams_are_independent_of_batching():
@@ -123,8 +119,8 @@ def test_ginibre_rejects_bad_seed():
     with pytest.raises(ValidationError):
         _accel.ginibre_batch(2**63, 0, 2)
     # a draw may end past sample 2**63 - 1: the stream runs on
-    assert _accel.ginibre_batch(1, 2**63 - 1, 2).shape == (2, 4, 4, 2)
-    assert _accel.ginibre_batch(2**63 - 1, 2**63 - 2, 2).shape == (2, 4, 4, 2)
+    assert _accel.ginibre_batch(1, 2**63 - 1, 2).shape == (2, 4, 3, 2)
+    assert _accel.ginibre_batch(2**63 - 1, 2**63 - 2, 2).shape == (2, 4, 3, 2)
     # counters and counts are checked, not truncated: int() moved 1.5 to 1 and let -1 through
     for start in (1.5, -1, True, "1"):
         with pytest.raises(ValidationError):
@@ -178,7 +174,7 @@ def test_a_continued_or_restored_stream_draws_what_a_fresh_one_draws(monkeypatch
 
     def fill_is_fresh(i, n):
         return same_bits(complex_matrices(_accel.ginibre_batch(seed, i, n)),
-                         gauged_ginibre(seed, i, n))
+                         gauged_ginibre(seed, i, n)[..., :3])
 
     assert fill_is_fresh(0, 10) and _accel._STREAMS.end == (_accel.HAAR_WORD, 32 * 10)
     assert fill_is_fresh(10, 5)
@@ -193,9 +189,9 @@ def test_a_continued_or_restored_stream_draws_what_a_fresh_one_draws(monkeypatch
     # fills that raised on a bad buffer, at the recorded word and elsewhere
     for start in (20, 4):
         with pytest.raises(ValidationError):
-            _accel.ginibre_batch(seed, start, 4, 4, np.empty((4, 2, 4, 3)))
+            _accel.ginibre_batch(seed, start, 4, np.empty((3, 2, 4, 3)))
         with pytest.raises(ValidationError):
-            _accel.ginibre_batch(seed, start, 4, 4, None, np.empty(32 * 4 - 1))
+            _accel.ginibre_batch(seed, start, 4, None, np.empty(32 * 4 - 1))
         assert fill_is_fresh(20, 4)
     # the last sample, an advance of ~2**68 words, continued and then restored
     assert fill_is_fresh(top - 3, 3) and fill_is_fresh(top, 1)
@@ -276,7 +272,8 @@ def test_stream_threads_keep_their_own_generators():
 
 
 def test_haar_from_ginibre_unitary():
-    gin = _accel.ginibre_batch(17, 0, 50)
+    # four gauged columns, as the tests' gauged_unitaries hands them over
+    gin = planes_of(gauged_ginibre(17, 0, 50)).transpose(3, 2, 0, 1)
     us = complex_matrices(_accel.haar_from_ginibre(gin))
     eye = np.broadcast_to(np.eye(4), us.shape)
     assert np.allclose(us @ us.conj().transpose(0, 2, 1), eye, atol=1e-12)
@@ -284,15 +281,18 @@ def test_haar_from_ginibre_unitary():
 
 @pytest.mark.parametrize("seed", [0, 17, 2**63 - 1])
 def test_haar_from_ginibre_matches_the_qr_gauge_oracle(seed):
-    # haar_from_ginibre overwrites its input, so the oracle gets a draw of its own
-    gin = complex_matrices(_accel.ginibre_batch(seed, 0, 4096))
-    # the planar path
-    planar = complex_matrices(_accel.haar_from_ginibre(_accel.ginibre_batch(seed, 0, 4096)))
-    assert np.max(np.abs(planar - qr_gauge_haar(gin))) <= 1e-12
-    # and the one-matrix path; haar_unitary turns its rows back to the ungauged draw's U
+    # four gauged columns, as the tests' gauged_unitaries hands them over, and the
+    # engine's three, in a block and one by one; haar_from_ginibre overwrites its input
+    gin = gauged_ginibre(seed, 0, 4096)
+    want = qr_gauge_haar(gin)
+    planar = complex_matrices(_accel.haar_from_ginibre(planes_of(gin).transpose(3, 2, 0, 1)))
+    assert np.max(np.abs(planar - want)) <= 1e-12
+    three = complex_matrices(_accel.haar_from_ginibre(_accel.ginibre_batch(seed, 0, 4096)))
+    assert np.max(np.abs(three - want[..., :3])) <= 1e-12
+    # haar_unitary turns its rows back to the ungauged draw's U
     for i in (0, 1, 4095):
         single = complex_matrices(_accel.haar_from_ginibre(_accel.ginibre_batch(seed, i, 1)))
-        assert np.max(np.abs(single - qr_gauge_haar(gin[i:i + 1]))) <= 1e-12
+        assert np.max(np.abs(single - want[i:i + 1, :, :3])) <= 1e-12
         u = qr_gauge_haar(box_muller_sample(seed, i)[None])[0]
         assert np.max(np.abs(haar_unitary(HaarSampler(seed, i)) - u)) <= 1e-12
 
@@ -300,30 +300,28 @@ def test_haar_from_ginibre_matches_the_qr_gauge_oracle(seed):
 def test_a_reused_buffer_draws_what_a_fresh_call_draws():
     # each call finds the memory dirty from the call before, as the engine's chunks do
     work = np.empty(WORK_WORDS * 64)
-    scratch_buf, q_buf = np.empty(32 * 64), np.empty(32 * 64)
+    scratch_buf, q_buf = np.empty(32 * 64), np.empty(24 * 64)
     for start, n in ((0, 64), (64, 64), (5, 1), (3, 17)):
-        scratch, q = scratch_buf[:32 * n], q_buf[:32 * n].reshape(4, 2, 4, n)
-        gin = _accel.ginibre_batch(41, start, n, 4, q, scratch)
+        scratch, q = scratch_buf[:32 * n], q_buf[:24 * n].reshape(3, 2, 4, n)
+        gin = _accel.ginibre_batch(41, start, n, q, scratch)
         fresh = _accel.ginibre_batch(41, start, n)
         assert np.shares_memory(gin, q_buf) and np.array_equal(gin, fresh)
         us = _accel.haar_from_ginibre(gin, scratch)
-        assert us is gin and us.shape == (n, 4, 4, 2)
+        assert us is gin and us.shape == (n, 4, 3, 2)
         assert np.array_equal(us, _accel.haar_from_ginibre(fresh))
-        # the engine's gauged three-column draw in its dirty work array: a fresh one's bits
-        planes = haar_planes(HaarSampler(41, start), n, work[:WORK_WORDS * n], 3)
+        # the engine's draw in its dirty work array: a fresh one's bits
+        planes = haar_planes(HaarSampler(41, start), n, work[:WORK_WORDS * n])
         assert np.shares_memory(planes, work)
-        assert same_bits(planes, haar_planes(HaarSampler(41, start), n, None, 3))
-        fresh3 = _accel.haar_from_ginibre(_accel.ginibre_batch(41, start, n, 3))
-        assert same_bits(planes, fresh3.transpose(2, 3, 1, 0))
-        assert same_bits(haar_planes(HaarSampler(41, start), n), us.transpose(2, 3, 1, 0))
-    for out in (np.empty((4, 2, 4, 3)), np.empty((4, 2, 4, 4), dtype=np.complex128),
-                np.empty((4, 4, 2, 4)).swapaxes(-1, -3), np.empty((3, 2, 4, 4))):
+        assert same_bits(planes, haar_planes(HaarSampler(41, start), n))
+        assert same_bits(planes, us.transpose(2, 3, 1, 0))
+    for out in (np.empty((3, 2, 4, 3)), np.empty((3, 2, 4, 4), dtype=np.complex128),
+                np.empty((3, 4, 2, 4)).transpose(0, 2, 3, 1), np.empty((4, 2, 4, 4))):
         with pytest.raises(ValidationError):
-            _accel.ginibre_batch(41, 0, 4, 4, out)
+            _accel.ginibre_batch(41, 0, 4, out)
     for scratch in (np.empty(32 * 4 - 1), np.empty(32 * 4, dtype=np.complex64),
                     np.empty(64 * 4)[::2], np.empty((32, 4))):
         with pytest.raises(ValidationError):
-            _accel.ginibre_batch(41, 0, 4, 4, None, scratch)
+            _accel.ginibre_batch(41, 0, 4, None, scratch)
         with pytest.raises(ValidationError):
             _accel.haar_from_ginibre(_accel.ginibre_batch(41, 0, 8), scratch)
     # haar_from_ginibre orthonormalizes the planes in place, so it takes nothing else
@@ -334,16 +332,13 @@ def test_a_reused_buffer_draws_what_a_fresh_call_draws():
     for work in (np.empty(WORK_WORDS * 4 - 1), np.empty(WORK_WORDS * 4, dtype=np.complex128),
                  np.empty(2 * WORK_WORDS * 4)[::2], np.empty((WORK_WORDS, 4))):
         with pytest.raises(ValidationError):
-            haar_planes(HaarSampler(41), 4, work, 3)
-    # four columns need 8 more words per sample than the engine's three
-    with pytest.raises(ValidationError):
-        haar_planes(HaarSampler(41), 4, np.empty(WORK_WORDS * 4))
+            haar_planes(HaarSampler(41), 4, work)
 
 
 def test_second_pass_keeps_an_ill_conditioned_draw_unitary():
     # column 3 is column 2 plus 1e-8 of noise: one Gram-Schmidt pass leaves ~1e-8
     # of column 2 in column 3, the second pass removes it
-    gin = _accel.ginibre_batch(23, 0, 4096)
+    gin = planes_of(gauged_ginibre(23, 0, 4096)).transpose(3, 2, 0, 1)
     rng = np.random.default_rng(23)
     noise = np.stack([rng.standard_normal((4096, 4)), rng.standard_normal((4096, 4))], axis=-1)
     gin[:, :, 3] = gin[:, :, 2] + 1e-8 * noise
@@ -357,7 +352,7 @@ def test_the_unitaries_are_orthonormal_to_the_measured_bound():
     # both dispatch targets; one pass would read ~1e-14 (Giraud, Langou and Rozloznik)
     n = 2**17
     us = haar_unitaries(HaarSampler(7), n)
-    three = complex_matrices(haar_planes(HaarSampler(7), n, None, 3).transpose(3, 2, 0, 1))
+    three = complex_matrices(haar_planes(HaarSampler(7), n).transpose(3, 2, 0, 1))
     for q in (us, three):
         gram = q.conj().transpose(0, 2, 1) @ q
         assert np.max(np.abs(gram - np.eye(q.shape[2]))) <= 8 * 2.0**-53
@@ -368,7 +363,7 @@ def test_a_nearly_dependent_column_rounds_alike_in_a_block_and_alone():
     # ~1e-7 of column 1 in it and the second takes it out.  The block gives that sample
     # the scalar path's bits, and any split of the block into pieces the same bits
     n, i = 2048, 1000
-    q = _accel.ginibre_batch(29, 0, n).transpose(2, 3, 1, 0).copy()
+    q = planes_of(gauged_ginibre(29, 0, n))
     noise = np.random.default_rng(29).standard_normal((2, 4))
     q[2, ..., i] = q[1, ..., i] + 1e-9 * noise
     whole = q.copy()
@@ -388,38 +383,16 @@ def test_a_nearly_dependent_column_rounds_alike_in_a_block_and_alone():
 
 
 @pytest.mark.parametrize("seed", [31, 2**63 - 1])
-@pytest.mark.parametrize("n", [2, 5, _accel.PLANAR_MIN - 1, _accel.PLANAR_MIN,
-                               _accel.PLANAR_MIN + 1, CHUNK - 1, CHUNK + 1])
+@pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 9, CHUNK - 1, CHUNK + 1])
 def test_planar_gram_schmidt_matches_the_scalar_one(n, seed):
-    # haar_from_ginibre takes the scalar path below PLANAR_MIN samples and the planar one
-    # from there on; called directly, the planar one gives the scalar bits at any n
-    q = _accel.ginibre_batch(seed, 1000, n).transpose(2, 3, 1, 0).copy()
-    singles = [_accel._orthonormalize_one(q[..., i].tolist()) for i in range(n)]
-    _accel._orthonormalize_gauged(q, np.empty(32 * n))
-    assert same_bits(np.moveaxis(q, -1, 0), np.array(singles))
-    assert np.array_equal(_accel.haar_from_ginibre(_accel.ginibre_batch(seed, 1000, n)),
-                          q.transpose(3, 2, 0, 1))
-
-
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 672, 1024])
-def test_three_columns_are_the_first_three_of_four(n):
-    # every draw is gauged by row, so the engine's three columns have the bits of the
-    # first three of four; column j of Gram-Schmidt reads only columns 0..j, so its
-    # unitaries are the first three columns of those four, bit for bit, on the scalar path
-    # (n < 8) and the planar one, through haar_from_ginibre and through the planes
-    three = _accel.ginibre_batch(17, 300, n, 3)
-    q3, q4 = three.transpose(2, 3, 1, 0).copy(), planes_of(gauged_ginibre(17, 300, n))
-    assert same_bits(q3, q4[:3])
-    assert same_bits(q4, _accel.ginibre_batch(17, 300, n).transpose(2, 3, 1, 0))
-    for i in range(n):
-        assert same_bits(np.array(_accel._orthonormalize_one(q3[..., i].tolist())),
-                         np.array(_accel._orthonormalize_one(q4[..., i].tolist()))[:3])
-    for q in (q4, q3):
-        _accel._orthonormalize_gauged(q, np.empty(32 * n))
-    assert same_bits(q3, q4[:3])
-    assert same_bits(_accel.haar_from_ginibre(three), q4[:3].transpose(3, 2, 0, 1))
-    assert same_bits(haar_planes(HaarSampler(17, 300), n, None, 3), q4[:3])
-    assert same_bits(haar_planes(HaarSampler(17, 300), n)[:3], q4[:3])
+    # the engine's planar draw of three columns, at any n, is the first three columns of
+    # the scalar draw and Gram-Schmidt of all four, bit for bit: column j reads only
+    # columns 0..j.  So haar_unitary(HaarSampler(seed, i)) names the basis that the
+    # engine's sample i measures in, up to the row phase D
+    planes = haar_planes(HaarSampler(seed, 1000), n)
+    singles = [_accel._orthonormalize_one(_accel.ginibre_one(seed, 1000 + i)[0])[:3]
+               for i in range(n)]
+    assert same_bits(np.moveaxis(planes, -1, 0), np.array(singles))
 
 
 @pytest.mark.parametrize("n", [8, 9, 672, 1024])
@@ -429,7 +402,7 @@ def test_the_gauged_gram_schmidt_has_the_general_bits(n):
     # included, and those of the scalar path.  Sample 1 gets a zero radius (uniform
     # u = 0) in column 0, so a_r x_r + 0 y_r is a signed zero in its row 2, and sample 2
     # one in column 1
-    q = _accel.ginibre_batch(5, 0, n, 4).transpose(2, 3, 1, 0).copy()
+    q = planes_of(gauged_ginibre(5, 0, n))
     q[0, 0, 2, 1] = 0.0
     q[1, :, 3, 2] *= 0.0
     short = q.copy()
@@ -449,7 +422,7 @@ def test_the_engine_measures_the_haar_unitaries_up_to_a_row_phase(seed):
     # for the U of haar_unitaries, up to rounding; P = |DUC|^2 = |UC|^2
     n = 1024
     us = haar_unitaries(HaarSampler(seed), n)
-    whole = haar_planes(HaarSampler(seed), n, None, 3)
+    whole = haar_planes(HaarSampler(seed), n)
     angle0 = fresh_stream(seed, _accel.HAAR_WORD).random(32 * n)[1::8]  # u' of entries (r, 0)
     phase = np.exp(-2j * np.pi * angle0)
     du = complex_matrices(whole.transpose(3, 2, 0, 1))
@@ -458,7 +431,7 @@ def test_the_engine_measures_the_haar_unitaries_up_to_a_row_phase(seed):
     assert np.max(np.abs(engine._canonical_p(whole).transpose(2, 1, 0) - want)) <= 2e-15
     # chunks of any size concatenate to the whole draw bit for bit
     for m in (1, 7, 8, 1024):
-        parts = [haar_planes(HaarSampler(seed, s), min(m, n - s), None, 3)
+        parts = [haar_planes(HaarSampler(seed, s), min(m, n - s))
                  for s in range(0, n, m)]
         assert same_bits(np.concatenate(parts, axis=-1), whole)
 
@@ -469,11 +442,11 @@ def test_the_half_angle_draw_is_stream_6s_to_rounding(seed):
     # cos(2 pi d) and sin(2 pi d): the same law, and the same entries and P to rounding
     n = 1024
     trig = gauged_ginibre_trig(seed, 0, n)[..., :3]
-    gin = complex_matrices(_accel.ginibre_batch(seed, 0, n, 3))
+    gin = complex_matrices(_accel.ginibre_batch(seed, 0, n))
     assert np.max(np.abs(gin - trig)) <= 2e-15
     planes = planes_of(trig)
     _accel.haar_from_ginibre(planes.transpose(3, 2, 0, 1))
-    whole = haar_planes(HaarSampler(seed), n, None, 3)
+    whole = haar_planes(HaarSampler(seed), n)
     assert np.max(np.abs(engine._canonical_p(whole) - engine._canonical_p(planes))) <= 2e-15
 
 
@@ -486,7 +459,7 @@ def test_the_unitaries_keep_stream_9s_bits(seed):
 
 @pytest.mark.parametrize("seed", [1, 7])
 def test_the_engine_draw_keeps_stream_8s_bits(seed):
-    planes = haar_planes(HaarSampler(seed), 64, None, 3)
+    planes = haar_planes(HaarSampler(seed), 64)
     assert hashlib.sha256(planes.tobytes()).hexdigest() == _digests(ENGINE_DIGESTS)[seed]
 
 

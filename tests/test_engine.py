@@ -226,7 +226,7 @@ def test_the_derived_last_column_is_the_squared_last_column_of_u():
     # its U, the gauged draw's, whose first three columns it has bit for bit
     n = 10**5
     u3 = gauged_unitaries(1, n)[..., 3].T  # (row, sample)
-    big_p = engine._canonical_p(haar_planes(HaarSampler(1), n, None, 3))
+    big_p = engine._canonical_p(haar_planes(HaarSampler(1), n))
     assert np.max(np.abs(big_p[3] - (u3.real**2 + u3.imag**2))) <= 1e-15
     assert np.min(big_p[3]) > 0  # so the clip at 0 acts nowhere on this draw
 

@@ -33,7 +33,7 @@ from helpers import (
     trains_hom_detected,
     von_neumann_entropy,
 )
-from qmcool.engine import CHUNK, _population_map
+from qmcool.engine import _population_map
 
 
 def test_canonical_basis_orthonormal():
@@ -137,15 +137,16 @@ def test_haar_unitary_deterministic():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("seed", [31, 2**63 - 1])
-@pytest.mark.parametrize("n", [2, 5, CHUNK - 1, CHUNK + 1])
-def test_haar_batch_matches_advanced_singles(n, seed):
-    # a batch takes the planar Gram-Schmidt and a single draw the scalar one: the same
-    # operations in the same order, so the same bits, sample by sample
-    start = 1000
-    batch = haar_unitaries(HaarSampler(seed, start), n)
-    for i in range(n):
-        assert np.array_equal(batch[i], haar_unitary(HaarSampler(seed, start + i)))
+def test_haar_unitaries_stay_within_the_counters_a_sampler_names():
+    # the last counter, 2**63 - 1, is checked before anything is drawn: a draw past it
+    # would return a sample that no HaarSampler can name
+    top = 2**63 - 1
+    assert haar_unitaries(HaarSampler(5, top), 0).shape == (0, 4, 4)
+    assert np.array_equal(haar_unitaries(HaarSampler(5, top), 1)[0],
+                          haar_unitary(HaarSampler(5, top)))
+    for start, n in ((top, 2), (top - 2, 4), (2, top)):
+        with pytest.raises(ValidationError, match=f"from counter {start} pass 2"):
+            haar_unitaries(HaarSampler(5, start), n)
 
 
 def test_haar_moments():

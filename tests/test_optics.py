@@ -12,6 +12,7 @@ from qmcool import (
     HaarSampler,
     Hologram,
     QubitSpec,
+    ValidationError,
     canonical_basis,
     d_of_omega,
     haar_unitary,
@@ -50,6 +51,18 @@ def test_d_of_omega_rejects_off_grid():
     for bad in (0.0, 0.03, 1.29, -0.02):
         with pytest.raises(ValueError):
             d_of_omega(bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 np.float64("nan"), np.float64("-inf")],
+                         ids=["nan", "inf", "-inf", "np-nan", "np-minus-inf"])
+def test_grid_helpers_reject_a_non_finite_input(bad):
+    # int() raises ValueError on NaN and OverflowError on +-inf: each helper raises its own
+    # error instead, as for any other value off the grid
+    holo = solve_hologram(BathSpec(0.4))
+    for check in (omega_of_d, d_of_omega, omega_of_z, holo.phase_at):
+        with pytest.raises(ValidationError):
+            check(bad)
 
 
 def test_omega_of_z_bands():
