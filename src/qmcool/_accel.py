@@ -14,17 +14,17 @@ into DU for the U of G.  Column 0 of DG is real, its radii, and entry (r, j) has
 angle 2 pi (u'_rj - u'_r0), a difference of two uniforms, which is exact.  Box-Muller
 turns those entries by the half angle (:func:`_half_turn`): one tan each, where cos
 and sin take two slower calls, and Gram-Schmidt skips every product with column 0's
-zero imaginary plane.  There are two draws.  The engine needs only P = |U C|^2 =
-|DU C|^2, whose rows sum to 1, so its planar draw (:func:`ginibre_batch`) takes
-columns 0-2 and it forms P's last column from them (:func:`qmcool.engine._canonical_p`).
-Every full unitary is one scalar draw (:func:`ginibre_one`), all four columns, whose
-first three are the planar draw's bit for bit; ``haar_unitary`` turns its row r back
-by exp(i theta_r0).
+zero imaginary plane.  There is one planar draw (:func:`ginibre_batch`), and the
+buffer its caller lends sets how many columns it takes.  The engine needs only
+P = |U C|^2 = |DU C|^2, whose rows sum to 1, so it takes columns 0-2 and forms P's
+last column from them (:func:`qmcool.engine._canonical_p`).  Every full unitary takes
+all four, whose first three are the engine's bit for bit, and
+:func:`qmcool.measure.haar_unitaries` turns its row r back by exp(i theta_r0); a
+single :func:`qmcool.measure.haar_unitary` draws the aligned block that holds it.
 
 The cycle-energy kernel is in :mod:`qmcool.engine`; ``perfbench/`` wraps this module.
 """
 
-import math
 import operator
 import threading
 
@@ -63,7 +63,7 @@ def stream(seed, word, skip=0):
     builds a key's generator once, for the last seed it asked for, and each call
     restores its saved state and advances it ``skip`` words (O(log skip) steps), which
     draws what a fresh one advanced there draws.  A call for the word where the last
-    Haar fill of this thread (:func:`ginibre_batch`, :func:`ginibre_one`) ended finds
+    Haar fill of this thread (:func:`ginibre_batch`) ended finds
     the generator there and takes it as it is; every call clears that record, since
     its caller may draw.
     It is valid until this thread's next call for the key or another seed.
@@ -84,59 +84,41 @@ def stream(seed, word, skip=0):
 
 
 def ginibre_batch(seed, start, n, out=None, scratch=None):
-    """The engine's draw: columns 0-2 of n complex standard-Gaussian 4x4 matrices,
-    samples [start, start + n) of the Haar stream, gauged by row (see above), as real planes.
+    """Columns 0..cols-1 of n complex standard-Gaussian 4x4 matrices, samples
+    [start, start + n) of the Haar stream, gauged by row (see above), as real planes:
+    cols = 4 if ``out`` has four columns, else 3, the engine's draw.
 
     Entry (r, j) of sample i is Box-Muller on uniforms 32i + 8r + 2j and the one after
     it, (u, u'): radius sqrt(-log(1 - u)) and angle 2 pi u', so E|z|^2 = 1 and u = 0
     stays finite.  Column 0 keeps its radii and a zero imaginary plane, and column
     j > 0 takes the angle 2 pi d, with d = u' - u'_r0 less rint(d), exact in
     [-1/2, 1/2], turned by :func:`_half_turn`.  ``scratch``, a float C-contiguous array
-    of SCRATCH_WORDS n words, takes the uniforms; one transposed copy puts columns 0-2's
-    into ``out``, a C-contiguous float (3, 2, 4, n) array, where Box-Muller runs in
-    place, elementwise, so an entry has the same bits in any layout.  The scratch's
-    head then takes the half-angle weights.  By default both are fresh.
+    of SCRATCH_WORDS n words, takes the uniforms; one transposed copy puts the wanted
+    columns' into ``out``, a C-contiguous float (cols, 2, 4, n) array, where Box-Muller
+    runs in place, elementwise, so an entry has the same bits in any layout.  The
+    scratch's head then takes the half-angle weights, and for four columns its last 4n
+    words the (4, n) plane of u'_r0, the row phase, which :func:`haar_from_ginibre`
+    leaves alone.  By default both are fresh, three columns.
     ``out[j, c, r, i]`` is part c (0 real, 1 imaginary) of entry (r, j) of matrix i;
-    returns the view ``out.transpose(3, 2, 0, 1)``, (n, 4, 3, 2), indexed [i, r, j, c].
+    returns the view ``out.transpose(3, 2, 0, 1)``, (n, 4, cols, 2), indexed [i, r, j, c].
     """
     start = check_int(start, "sample counter")
     gen = stream(seed, HAAR_WORD, SCRATCH_WORDS * start)
     n = check_int(n, "n")
-    q = _buffer(out, (3, 2, 4, n), np.float64, "out")
+    cols = 4 if out is not None and out.shape[:1] == (4,) else 3
+    q = _buffer(out, (cols, 2, 4, n), np.float64, "out")
     u = _buffer(scratch, (SCRATCH_WORDS * n,), np.float64, "scratch")
     gen.random(out=u)  # one output word per double: the fill ends at sample start + n
     _STREAMS.end = HAAR_WORD, SCRATCH_WORDS * (start + n)
-    np.copyto(q, u.reshape(n, 4, 4, 2)[:, :, :3].transpose(2, 3, 1, 0))
+    np.copyto(q, u.reshape(n, 4, 4, 2)[:, :, :cols].transpose(2, 3, 1, 0))
     d = np.subtract(q[1:, 1], q[0, 1], out=q[1:, 1])
-    w = u[:8 * n].reshape(2, 4, n)  # every uniform is in q by now
+    w = u[:4 * (cols - 1) * n].reshape(cols - 1, 4, n)  # every uniform is in q by now
     d -= np.rint(d, out=w)
+    if cols == 4:
+        np.copyto(u[(SCRATCH_WORDS - 4) * n:].reshape(4, n), q[0, 1])
     q[0, 1] = 0.0
     _half_turn(_radius(q[:, 0])[1:], d, w)
     return q.transpose(3, 2, 0, 1)
-
-
-def ginibre_one(seed, start):
-    """All four columns of sample ``start`` of the Haar stream, gauged by row, on Python
-    floats, for every full unitary: the columns as :func:`_orthonormalize_one` takes
-    them, ``columns[j][c][r]``, and u'_r0 of its four rows, the row phase.  Columns 0-2
-    have the bits of :func:`ginibre_batch`'s: numpy takes only log1p and tan, whose bits
-    depend on its loops; negation, rint and the other steps are exact or correctly
-    rounded alike in Python."""
-    start = check_int(start, "sample counter")
-    u = stream(seed, HAAR_WORD, SCRATCH_WORDS * start).random(SCRATCH_WORDS)
-    _STREAMS.end = HAAR_WORD, SCRATCH_WORDS * (start + 1)
-    r = [math.sqrt(-x) for x in np.log1p(-u[0::2]).tolist()]  # entry (row, j) at 4 row + j
-    a, d, x, y = u[1::2].tolist(), [], [], []
-    for k in range(0, 16, 4):
-        for dk in a[k + 1:k + 4]:  # d less rint(d), exact, as the planar draw takes it
-            dk -= a[k]
-            d.append((dk - 1.0 if dk > 0.5 else dk + 1.0 if dk < -0.5 else dk) * math.pi)
-    for k, t in enumerate(np.tan(d).tolist()):  # entry (row, j > 0) at 3 row + j - 1
-        rk = r[k + k // 3 + 1]
-        w = rk / (t * t * 0.5 + 0.5)
-        x.append(w - rk)
-        y.append(t * w)
-    return [(r[0::4], [0.0] * 4)] + [(x[j::3], y[j::3]) for j in range(3)], a[0::4]
 
 
 def _radius(r):
@@ -174,9 +156,9 @@ def haar_from_ginibre(gin, scratch=None):
 
     ``gin`` is what :func:`ginibre_batch` returns, the view (n, 4, cols, 2) of
     C-contiguous planes (cols, 2, 4, n), orthonormalized in place by
-    :func:`_orthonormalize_gauged` with ``scratch`` (SCRATCH_WORDS n words, by default
-    fresh), which rounds each matrix as :func:`_orthonormalize_one` does at any n.
-    Returns ``gin``.
+    :func:`_orthonormalize_gauged` with the first 23 n words of ``scratch``
+    (SCRATCH_WORDS n words, by default fresh), which rounds each matrix as it would
+    alone, at any n.  Returns ``gin``.
     """
     n, cols = len(gin), gin.shape[2]
     q = _buffer(gin.transpose(2, 3, 1, 0), (cols, 2, 4, n), np.float64, "the planes of gin")
@@ -217,40 +199,6 @@ def _orthonormalize_gauged(q, scratch):
         np.multiply(v, v, out=t)
         t[0] += t[1]
         v /= np.sqrt(np.add.reduce(t[0], -2, out=norm), out=norm)
-
-
-def _orthonormalize_one(columns):
-    """:func:`_orthonormalize_gauged` on one matrix, as Python floats: ``columns[j][c][r]``
-    is part c (real, imaginary) of entry (r, j), column 0's imaginary part is zero and
-    not read; returns the columns alike.  The same correctly rounded operations in the
-    same order, per row (v = x + iy, q_k = a + ib for k = 0, e + ib after it, c_k =
-    c + id); CPython fuses no multiply-add, so the bits are the same."""
-    (a0, a1, a2, a3), zero = columns[0]
-    norm = math.sqrt((((0.0 + a0 * a0) + a1 * a1) + a2 * a2) + a3 * a3)
-    a0, a1, a2, a3 = a0 / norm, a1 / norm, a2 / norm, a3 / norm
-    out = [((a0, a1, a2, a3), zero)]
-    for (x0, x1, x2, x3), (y0, y1, y2, y3) in columns[1:]:
-        for _ in (0, 1):
-            c, d = ((((0.0 + a0 * x0) + a1 * x1) + a2 * x2) + a3 * x3,
-                    (((0.0 + a0 * y0) + a1 * y1) + a2 * y2) + a3 * y3)
-            coefs = [((((0.0 + (e0 * x0 + b0 * y0)) + (e1 * x1 + b1 * y1))
-                       + (e2 * x2 + b2 * y2)) + (e3 * x3 + b3 * y3),
-                      (((0.0 + (e0 * y0 - b0 * x0)) + (e1 * y1 - b1 * x1))
-                       + (e2 * y2 - b2 * x2)) + (e3 * y3 - b3 * x3),
-                      e0, e1, e2, e3, b0, b1, b2, b3)
-                     for (e0, e1, e2, e3), (b0, b1, b2, b3) in out[1:]]
-            x0, x1, x2, x3 = x0 - c * a0, x1 - c * a1, x2 - c * a2, x3 - c * a3
-            y0, y1, y2, y3 = y0 - d * a0, y1 - d * a1, y2 - d * a2, y3 - d * a3
-            for c, d, e0, e1, e2, e3, b0, b1, b2, b3 in coefs:
-                x0, x1, x2, x3 = (x0 - (c * e0 - d * b0), x1 - (c * e1 - d * b1),
-                                  x2 - (c * e2 - d * b2), x3 - (c * e3 - d * b3))
-                y0, y1, y2, y3 = (y0 - (c * b0 + d * e0), y1 - (c * b1 + d * e1),
-                                  y2 - (c * b2 + d * e2), y3 - (c * b3 + d * e3))
-        norm = math.sqrt((((0.0 + (x0 * x0 + y0 * y0)) + (x1 * x1 + y1 * y1))
-                          + (x2 * x2 + y2 * y2)) + (x3 * x3 + y3 * y3))
-        out.append(((x0 / norm, x1 / norm, x2 / norm, x3 / norm),
-                    (y0 / norm, y1 / norm, y2 / norm, y3 / norm)))
-    return out
 
 
 def _buffer(out, shape, dtype, name):

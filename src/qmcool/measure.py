@@ -9,7 +9,7 @@ Two-qubit basis order is (|00>, |01>, |10>, |11>) with qubit 1 as the slow (left
 Kronecker) index.
 """
 
-import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +20,14 @@ from .thermo import as_complex
 
 ORTHO_TOL = 1e-10
 _EYE = np.eye(4)  # the Gram matrix of an orthonormal basis and of a complete POVM
-# float64 words per sample of the engine's Haar draw, three columns (haar_planes)
+# float64 words per sample of a Haar draw (haar_planes): the engine's three columns, and
+# the four of every full unitary
 WORK_WORDS = _accel.SCRATCH_WORDS + 8 * 3
+UNITARY_WORDS = _accel.SCRATCH_WORDS + 8 * 4
+# counters per block that haar_unitary reads ahead, a power of two, so it divides 2**63
+READ_AHEAD = 256
+# this thread's last block of haar_unitary: .key, its (seed, first counter), and .us
+_BLOCK = threading.local()
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +98,10 @@ class HaarSampler:
     Counter i reads uniforms [32i, 32i + 32) of the seed's Haar stream, which the
     stream reaches by advancing its PCG64DXSM generator 32i words (see
     :mod:`qmcool._accel`), so sample i is identical whether drawn one at a time or in
-    batches.  To move on, build a new sampler with a later counter; counter i + 1 after
-    a draw of sample i continues the stream where that draw stopped.
+    batches.  Every unitary comes from one planar draw, :func:`haar_unitaries`; a single
+    :func:`haar_unitary` reads its aligned block of READ_AHEAD counters ahead, so a
+    counter outside the block its thread keeps pays for a whole block.  To move on,
+    build a new sampler with a later counter.
     """
 
     seed: int
@@ -105,50 +113,65 @@ class HaarSampler:
 
 
 def haar_unitary(sampler):
-    """One Haar-distributed 4x4 unitary for the sampler's (seed, counter), on Python
-    floats: the gauged Ginibre matrix of :func:`~qmcool._accel.ginibre_one`, the
-    one-matrix Gram-Schmidt (:func:`~qmcool._accel._orthonormalize_one`), and row r
-    turned back by (cos, sin) 2 pi u'_r0.  Its first three columns before the turn are
-    the engine's sample ``counter`` (:func:`haar_planes`) bit for bit."""
-    gin, angles = _accel.ginibre_one(sampler.seed, sampler.counter)
-    cols = _accel._orthonormalize_one(gin)  # [column][re/im][row]
-    turned = []
-    for r, angle in enumerate(angles):
-        c, s = math.cos(2 * math.pi * angle), math.sin(2 * math.pi * angle)
-        for x, y in cols:
-            turned += (c * x[r] - s * y[r], c * y[r] + s * x[r])
-    return np.array(turned).view(np.complex128).reshape(4, 4)
+    """One Haar-distributed 4x4 unitary for the sampler's (seed, counter): a copy of
+    sample ``counter`` of :func:`haar_unitaries`, bit for bit, from the aligned block of
+    READ_AHEAD counters that holds it, [counter - counter % READ_AHEAD, + READ_AHEAD).
+    Each thread keeps its last block, keyed by (seed, first counter), and a unitary is
+    a pure function of (seed, counter), so the block is never stale.  A loop over
+    consecutive counters draws one block per READ_AHEAD calls, a few us a unitary; a
+    counter outside the kept block pays for a whole block, ~0.5 ms.  READ_AHEAD
+    divides 2**63, so the last block ends at counter 2**63 - 1."""
+    seed, i = sampler.seed, sampler.counter
+    key = seed, i - i % READ_AHEAD
+    if getattr(_BLOCK, "key", None) != key:
+        _BLOCK.us, _BLOCK.key = haar_unitaries(HaarSampler(*key), READ_AHEAD), key
+    return _BLOCK.us[i - key[1]].copy()
 
 
 def haar_unitaries(sampler, n):
     """n Haar unitaries for counters [counter, counter + n), a complex (n, 4, 4) array:
-    :func:`haar_unitary` of each, so the same in any split into consecutive calls.
+    the four gauged columns of :func:`haar_planes`, row r of sample i turned back by
+    (cos, sin) 2 pi u'_r0 (:mod:`qmcool._accel`), one ufunc per real product and sum,
+    so no multiply-add is fused.  It draws pieces of at most READ_AHEAD samples in one
+    work array, and every sample has the same bits in any split into consecutive calls.
     Every counter must be one a :class:`HaarSampler` can name."""
     n = _accel.check_int(n, "n")
     if sampler.counter + n - 1 > _accel.INT64_MAX:
         raise ValidationError(f"{n} unitaries from counter {sampler.counter} pass 2**63 - 1")
     out = np.empty((n, 4, 4), dtype=np.complex128)
-    for i in range(n):
-        out[i] = haar_unitary(HaarSampler(sampler.seed, sampler.counter + i))
+    work = np.empty(UNITARY_WORDS * min(n, READ_AHEAD))
+    for first in range(0, n, READ_AHEAD):
+        m = min(READ_AHEAD, n - first)
+        sample = HaarSampler(sampler.seed, sampler.counter + first)
+        du = haar_planes(sample, m, work[:UNITARY_WORDS * m]).transpose(3, 2, 0, 1)  # [i, r, j, c]
+        head = _accel.SCRATCH_WORDS * m  # the draw keeps u'_r0 in its scratch's last 4m words
+        angle = 2 * np.pi * work[head - 4 * m:head].reshape(4, m).T[..., None]
+        c, s, x, y = np.cos(angle), np.sin(angle), du[..., 0], du[..., 1]
+        piece = out[first:first + m]
+        piece.real, piece.imag = c * x - s * y, c * y + s * x
     return out
 
 
 def haar_planes(sampler, n, work=None):
-    """Columns 0-2 of the n gauged Haar unitaries DU for counters [counter, counter + n)
-    as real planes, the engine's draw, a float (3, 2, 4, n) array: ``[j, c, r, i]`` is
-    part c (0 real, 1 imaginary) of entry (r, j) of unitary i.  D is the row phase of
-    :mod:`qmcool._accel`; the engine needs only |U C|^2 = |DU C|^2.
+    """Columns 0..cols-1 of the n gauged Haar unitaries DU for counters
+    [counter, counter + n) as real planes, a float (cols, 2, 4, n) array: ``[j, c, r, i]``
+    is part c (0 real, 1 imaginary) of entry (r, j) of unitary i.  D is the row phase of
+    :mod:`qmcool._accel`, which :func:`haar_unitaries` turns back; the engine, which
+    needs only |U C|^2 = |DU C|^2, draws three columns, the first three of four bit for bit.
 
-    ``work``, a C-contiguous float64 array of WORK_WORDS n words (by default fresh),
-    holds the whole draw: its first SCRATCH_WORDS n words take the uniforms
-    (:func:`~qmcool._accel.ginibre_batch`) and then Gram-Schmidt's scratch; the rest
-    holds the planes, orthonormalized in place and returned
-    (:func:`~qmcool._accel.haar_from_ginibre`).  Which memory is used changes no bit.
+    ``work``, a C-contiguous float64 array (by default fresh, three columns), holds the
+    whole draw, and its length sets cols: WORK_WORDS n words for three columns,
+    UNITARY_WORDS n for four.  Its first SCRATCH_WORDS n words take the uniforms
+    (:func:`~qmcool._accel.ginibre_batch`), then Gram-Schmidt's scratch, and for four
+    columns keep the row phase's uniforms in their last 4n; the rest holds the planes,
+    orthonormalized in place and returned (:func:`~qmcool._accel.haar_from_ginibre`).
+    Which memory is used changes no bit.
     """
     n = _accel.check_int(n, "n")
     head = _accel.SCRATCH_WORDS * n
-    work = _accel._buffer(work, (WORK_WORDS * n,), np.float64, "work")
-    scratch, planes = work[:head], work[head:].reshape(3, 2, 4, n)
+    cols = 4 if work is not None and n and work.size == UNITARY_WORDS * n else 3
+    work = _accel._buffer(work, (head + 8 * cols * n,), np.float64, "work")
+    scratch, planes = work[:head], work[head:].reshape(cols, 2, 4, n)
     gin = _accel.ginibre_batch(sampler.seed, sampler.counter, n, planes, scratch)
     _accel.haar_from_ginibre(gin, scratch)
     return planes

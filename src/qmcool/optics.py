@@ -56,7 +56,10 @@ def omega_of_d(d):
 
 def d_of_omega(omega):
     """Rail separation for an on-grid gap (multiple of 0.02, at most 1.28)."""
-    k = omega / OMEGA_STEP
+    try:
+        k = omega / OMEGA_STEP
+    except OverflowError:  # an int beyond the float range
+        k = np.inf
     ki = _whole(np.rint(k))
     if ki is None or abs(k - ki) > 1e-9 or ki < 1 or ki > GRID_ROWS // PIXELS_PER_STEP:
         raise ValidationError(

@@ -404,6 +404,41 @@ def general_gram_schmidt(cols):
     return cols
 
 
+def scalar_gram_schmidt(columns):
+    """Reference two-pass classical Gram-Schmidt on one gauged matrix, as Python floats,
+    with the operations of the package's planar ``_orthonormalize_gauged`` in its order:
+    ``columns[j][c][r]`` is part c (real, imaginary) of entry (r, j); column 0's
+    imaginary part is zero and not read.  Per row, v = x + iy, q_k = a + ib for k = 0
+    and e + ib after it, and c_k = c + id, all from the same v; every sum over the rows
+    starts from +0.  CPython fuses no multiply-add, so a planar matrix has these bits."""
+    (a0, a1, a2, a3), zero = columns[0]
+    norm = math.sqrt((((0.0 + a0 * a0) + a1 * a1) + a2 * a2) + a3 * a3)
+    a0, a1, a2, a3 = a0 / norm, a1 / norm, a2 / norm, a3 / norm
+    out = [((a0, a1, a2, a3), zero)]
+    for (x0, x1, x2, x3), (y0, y1, y2, y3) in columns[1:]:
+        for _ in (0, 1):
+            c, d = ((((0.0 + a0 * x0) + a1 * x1) + a2 * x2) + a3 * x3,
+                    (((0.0 + a0 * y0) + a1 * y1) + a2 * y2) + a3 * y3)
+            coefs = [((((0.0 + (e0 * x0 + b0 * y0)) + (e1 * x1 + b1 * y1))
+                       + (e2 * x2 + b2 * y2)) + (e3 * x3 + b3 * y3),
+                      (((0.0 + (e0 * y0 - b0 * x0)) + (e1 * y1 - b1 * x1))
+                       + (e2 * y2 - b2 * x2)) + (e3 * y3 - b3 * x3),
+                      e0, e1, e2, e3, b0, b1, b2, b3)
+                     for (e0, e1, e2, e3), (b0, b1, b2, b3) in out[1:]]
+            x0, x1, x2, x3 = x0 - c * a0, x1 - c * a1, x2 - c * a2, x3 - c * a3
+            y0, y1, y2, y3 = y0 - d * a0, y1 - d * a1, y2 - d * a2, y3 - d * a3
+            for c, d, e0, e1, e2, e3, b0, b1, b2, b3 in coefs:
+                x0, x1, x2, x3 = (x0 - (c * e0 - d * b0), x1 - (c * e1 - d * b1),
+                                  x2 - (c * e2 - d * b2), x3 - (c * e3 - d * b3))
+                y0, y1, y2, y3 = (y0 - (c * b0 + d * e0), y1 - (c * b1 + d * e1),
+                                  y2 - (c * b2 + d * e2), y3 - (c * b3 + d * e3))
+        norm = math.sqrt((((0.0 + (x0 * x0 + y0 * y0)) + (x1 * x1 + y1 * y1))
+                          + (x2 * x2 + y2 * y2)) + (x3 * x3 + y3 * y3))
+        out.append(((x0 / norm, x1 / norm, x2 / norm, x3 / norm),
+                    (y0 / norm, y1 / norm, y2 / norm, y3 / norm)))
+    return out
+
+
 def gibbs_state(qubit, bath):
     """Reference thermal state diag(1 - q, q) of one qubit."""
     return np.diag(thermal_populations(qubit, bath)).astype(np.complex128)

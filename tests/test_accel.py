@@ -1,12 +1,16 @@
 """Haar stream (version 9): layout, random access, seed range, the stream keys, the
 per-thread generators positioned by advance or continued after a fill, the row-gauged
-Box-Muller by the half angle, planar and on one sample, the gauged Gram-Schmidt, the row
-phase, and the pinned bits of the unitaries and of the engine's draw per dispatch target."""
+Box-Muller by the half angle on three or four columns, the gauged Gram-Schmidt against
+its scalar oracle, the row phase, and the pinned bits of the unitaries and of the
+engine's draw per dispatch target, in this process and under numpy's X86_V3 loops."""
 
 import ast
 import hashlib
+import json
+import os
 import pathlib
 import re
+import subprocess
 import sys
 import threading
 
@@ -17,11 +21,11 @@ from numpy._core._multiarray_umath import __cpu_features__
 from qmcool import (EngineConfig, HaarSampler, ValidationError, _accel, canonical_basis,
                     engine, frequency_sweep, haar_average_report, haar_unitaries)
 from qmcool.engine import CHUNK, _haar_chunks
-from qmcool.measure import WORK_WORDS, haar_planes, haar_unitary
+from qmcool.measure import UNITARY_WORDS, WORK_WORDS, haar_planes, haar_unitary
 
 from helpers import (box_muller_sample, complex_matrices, fresh_stream, gauged_ginibre,
                      gauged_ginibre_trig, general_gram_schmidt, planes_of, qr_gauge_haar,
-                     same_bits)
+                     same_bits, scalar_gram_schmidt)
 
 # The draw's bits depend on numpy's log1p and tan loops, which differ between its
 # dispatch targets, so each digest is recorded per target (numpy 2.4 on x86-64): X86_V4
@@ -76,16 +80,18 @@ def test_planar_box_muller_matches_the_oracle(seed, n):
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
-def test_one_sample_on_python_floats_has_the_planar_bits(seed):
-    # ginibre_one takes numpy's log1p and tan on the sample's words and the rest on
-    # Python floats: the gauged oracle's four columns, whose first three are the planar
-    # draw's, and the row phase's uniforms u'_r0, sample by sample
-    for i in [*range(0, 3000, 7), 2**40 + 5, 2**63 - 1]:
-        cols, angles = _accel.ginibre_one(seed, i)
-        assert same_bits(np.array(cols), planes_of(gauged_ginibre(seed, i, 1))[..., 0])
-        assert same_bits(np.array(cols)[:3], _accel.ginibre_batch(seed, i, 1)[0].transpose(1, 2, 0))
-        u = fresh_stream(seed, _accel.HAAR_WORD, 32 * i).random(32)
-        assert same_bits(np.array(angles), u[1::8])
+def test_four_planar_columns_have_the_oracle_bits_and_keep_the_row_phase(seed):
+    # a four-column buffer draws all four gauged columns of the oracle, whose first
+    # three are the three-column draw's, and leaves u'_r0 of every row, the row phase,
+    # in the scratch's last 4n words, sample by sample
+    for start, n in ((0, 1), (0, 3000), (2**40 + 5, 7), (2**63 - 1, 1)):
+        scratch, out = np.empty(32 * n), np.empty((4, 2, 4, n))
+        gin = _accel.ginibre_batch(seed, start, n, out, scratch)
+        assert gin.shape == (n, 4, 4, 2) and np.shares_memory(gin, out)
+        assert same_bits(out, planes_of(gauged_ginibre(seed, start, n)))
+        assert same_bits(out[:3], _accel.ginibre_batch(seed, start, n).transpose(2, 3, 1, 0))
+        u = fresh_stream(seed, _accel.HAAR_WORD, 32 * start).random(32 * n)
+        assert same_bits(scratch[28 * n:].reshape(4, n).T.ravel(), u[1::8])
 
 
 def test_ginibre_substreams_are_independent_of_batching():
@@ -315,7 +321,8 @@ def test_a_reused_buffer_draws_what_a_fresh_call_draws():
         assert same_bits(planes, haar_planes(HaarSampler(41, start), n))
         assert same_bits(planes, us.transpose(2, 3, 1, 0))
     for out in (np.empty((3, 2, 4, 3)), np.empty((3, 2, 4, 4), dtype=np.complex128),
-                np.empty((3, 4, 2, 4)).transpose(0, 2, 3, 1), np.empty((4, 2, 4, 4))):
+                np.empty((3, 4, 2, 4)).transpose(0, 2, 3, 1), np.empty((4, 2, 4, 3)),
+                np.empty((2, 2, 4, 4)), np.empty((5, 2, 4, 4))):
         with pytest.raises(ValidationError):
             _accel.ginibre_batch(41, 0, 4, out)
     for scratch in (np.empty(32 * 4 - 1), np.empty(32 * 4, dtype=np.complex64),
@@ -330,9 +337,16 @@ def test_a_reused_buffer_draws_what_a_fresh_call_draws():
         with pytest.raises(ValidationError):
             _accel.haar_from_ginibre(wrong)
     for work in (np.empty(WORK_WORDS * 4 - 1), np.empty(WORK_WORDS * 4, dtype=np.complex128),
-                 np.empty(2 * WORK_WORDS * 4)[::2], np.empty((WORK_WORDS, 4))):
+                 np.empty(2 * WORK_WORDS * 4)[::2], np.empty((WORK_WORDS, 4)),
+                 np.empty(UNITARY_WORDS * 4 + 1), np.empty((UNITARY_WORDS, 4))):
         with pytest.raises(ValidationError):
             haar_planes(HaarSampler(41), 4, work)
+    # a work array of UNITARY_WORDS n words draws four columns, the first three the
+    # engine's, in any dirty memory
+    work = np.full(UNITARY_WORDS * 17, np.nan)
+    four = haar_planes(HaarSampler(41, 3), 17, work)
+    assert four.shape == (4, 2, 4, 17) and np.shares_memory(four, work)
+    assert same_bits(four[:3], haar_planes(HaarSampler(41, 3), 17))
 
 
 def test_second_pass_keeps_an_ill_conditioned_draw_unitary():
@@ -361,14 +375,14 @@ def test_the_unitaries_are_orthonormal_to_the_measured_bound():
 def test_a_nearly_dependent_column_rounds_alike_in_a_block_and_alone():
     # sample 1000 of a block gets column 2 = column 1 + 1e-9 of noise: one pass leaves
     # ~1e-7 of column 1 in it and the second takes it out.  The block gives that sample
-    # the scalar path's bits, and any split of the block into pieces the same bits
+    # the scalar oracle's bits, and any split of the block into pieces the same bits
     n, i = 2048, 1000
     q = planes_of(gauged_ginibre(29, 0, n))
     noise = np.random.default_rng(29).standard_normal((2, 4))
     q[2, ..., i] = q[1, ..., i] + 1e-9 * noise
     whole = q.copy()
     _accel._orthonormalize_gauged(whole, np.empty(32 * n))
-    assert same_bits(whole[..., i], np.array(_accel._orthonormalize_one(q[..., i].tolist())))
+    assert same_bits(whole[..., i], np.array(scalar_gram_schmidt(q[..., i].tolist())))
     u = complex_matrices(whole[..., i:i + 1].transpose(3, 2, 0, 1))[0]
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 8 * 2.0**-53
     # one pass on column 2, from the orthonormal columns 0-1 of the block's result
@@ -386,12 +400,12 @@ def test_a_nearly_dependent_column_rounds_alike_in_a_block_and_alone():
 @pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 9, CHUNK - 1, CHUNK + 1])
 def test_planar_gram_schmidt_matches_the_scalar_one(n, seed):
     # the engine's planar draw of three columns, at any n, is the first three columns of
-    # the scalar draw and Gram-Schmidt of all four, bit for bit: column j reads only
-    # columns 0..j.  So haar_unitary(HaarSampler(seed, i)) names the basis that the
-    # engine's sample i measures in, up to the row phase D
+    # the scalar Gram-Schmidt of the oracle's four gauged columns, bit for bit: column j
+    # reads only columns 0..j.  So haar_unitary(HaarSampler(seed, i)) names the basis
+    # that the engine's sample i measures in, up to the row phase D
     planes = haar_planes(HaarSampler(seed, 1000), n)
-    singles = [_accel._orthonormalize_one(_accel.ginibre_one(seed, 1000 + i)[0])[:3]
-               for i in range(n)]
+    gin = planes_of(gauged_ginibre(seed, 1000, n))
+    singles = [scalar_gram_schmidt(gin[..., i].tolist())[:3] for i in range(n)]
     assert same_bits(np.moveaxis(planes, -1, 0), np.array(singles))
 
 
@@ -399,7 +413,7 @@ def test_planar_gram_schmidt_matches_the_scalar_one(n, seed):
 def test_the_gauged_gram_schmidt_has_the_general_bits(n):
     # on gauged planes Gram-Schmidt skips the products with column 0's zero imaginary
     # plane, to which the general complex form adds zeros: the same bits, signed zeros
-    # included, and those of the scalar path.  Sample 1 gets a zero radius (uniform
+    # included, and those of the scalar oracle.  Sample 1 gets a zero radius (uniform
     # u = 0) in column 0, so a_r x_r + 0 y_r is a signed zero in its row 2, and sample 2
     # one in column 1
     q = planes_of(gauged_ginibre(5, 0, n))
@@ -408,7 +422,7 @@ def test_the_gauged_gram_schmidt_has_the_general_bits(n):
     short = q.copy()
     _accel._orthonormalize_gauged(short, np.full(32 * n, np.nan))
     general = np.array([general_gram_schmidt(q[..., i].tolist()) for i in range(n)])
-    singles = np.array([_accel._orthonormalize_one(q[..., i].tolist()) for i in range(n)])
+    singles = np.array([scalar_gram_schmidt(q[..., i].tolist()) for i in range(n)])
     assert same_bits(np.moveaxis(short, -1, 0), general)
     assert same_bits(np.moveaxis(short, -1, 0), singles)
     assert short[0, 0, 2, 1] == 0.0 and not short[0, 1].any()
@@ -463,11 +477,43 @@ def test_the_engine_draw_keeps_stream_8s_bits(seed):
     assert hashlib.sha256(planes.tobytes()).hexdigest() == _digests(ENGINE_DIGESTS)[seed]
 
 
-def _digests(pins):
-    """The pins recorded for numpy's dispatch target in this process; a target with none
-    fails, by name, rather than skip."""
-    target = "X86_V4" if __cpu_features__.get("X86_V4") else "X86_V3"
-    if target == "X86_V3" and not __cpu_features__.get("X86_V3"):
+_PIN_DRAWS = """
+import hashlib, json
+from numpy._core._multiarray_umath import __cpu_features__
+from qmcool import HaarSampler, haar_unitaries, haar_unitary
+from qmcool.measure import haar_planes
+def digest(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+print(json.dumps([{k: bool(__cpu_features__.get(k)) for k in ("X86_V4", "X86_V3")},
+                  {s: [digest(haar_unitaries(HaarSampler(s), 64)),
+                       digest(haar_unitary(HaarSampler(s, 3))),
+                       digest(haar_planes(HaarSampler(s), 64))] for s in (1, 7)}]))
+"""
+
+
+def test_the_pins_hold_on_numpys_other_dispatch_target():
+    # a fresh process with numpy's AVX-512 loops disabled, as tier-1 runs under
+    # NPY_DISABLE_CPU_FEATURES, draws the X86_V3 pins: the unitaries in a block, one read
+    # ahead, and the engine's draw.  Where this process already runs without AVX-512
+    # loops, the child inherits its setting
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(_accel.__file__).parents[1]))
+    disable = [f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if __cpu_features__.get(f)]
+    if disable:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disable)
+    run = subprocess.run([sys.executable, "-c", _PIN_DRAWS], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    features, got = json.loads(run.stdout)
+    assert not features["X86_V4"]
+    for seed, (batch, single, planes) in got.items():
+        assert (batch, single) == _digests(UNITARY_DIGESTS, features)[int(seed)]
+        assert planes == _digests(ENGINE_DIGESTS, features)[int(seed)]
+
+
+def _digests(pins, features=__cpu_features__):
+    """The pins recorded for numpy's dispatch target, given its CPU features (by default
+    this process's); a target with none fails, by name, rather than skip."""
+    target = "X86_V4" if features.get("X86_V4") else "X86_V3"
+    if target == "X86_V3" and not features.get("X86_V3"):
         target = "baseline (neither X86_V4 nor X86_V3)"
     assert target in pins, f"no digest is recorded for numpy's {target} loops"
     return pins[target]

@@ -2,6 +2,7 @@
 classifier, per-sample invariant checks, eager validation and flat memory."""
 
 import functools
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -20,9 +21,12 @@ from qmcool import (
     engine,
     frequency_sweep,
     haar_average_report,
+    haar_unitaries,
+    haar_unitary,
+    measure,
 )
 from qmcool.engine import CHUNK, CLASS_LABELS, _class_codes, _class_counts, _haar_chunks
-from qmcool.measure import haar_planes
+from qmcool.measure import READ_AHEAD, haar_planes
 
 from helpers import (
     EXPERIMENT_OMEGA2,
@@ -268,17 +272,20 @@ def test_classless_triple_names_row_and_sample(monkeypatch):
 
 
 def test_the_engine_never_orthonormalizes_column_3(monkeypatch):
-    # a block of BLOCK chunks and the last one of 3 samples each take the planar
-    # Gram-Schmidt on gauged planes, handed columns 0-2 only; the scalar one never runs
+    # a block of BLOCK chunks and the last one of 3 samples each hand the planar
+    # Gram-Schmidt columns 0-2 only; every full unitary hands it all four, one piece of
+    # at most READ_AHEAD samples at a time, and a single one its whole aligned block
     seen = []
     planar = _accel._orthonormalize_gauged
+    monkeypatch.setattr(measure, "_BLOCK", threading.local())
     monkeypatch.setattr(_accel, "_orthonormalize_gauged", lambda q, scratch:
-                        seen.append(("_orthonormalize_gauged", len(q))) or planar(q, scratch))
-    scalar = _accel._orthonormalize_one
-    monkeypatch.setattr(_accel, "_orthonormalize_one",
-                        lambda cols: seen.append(("scalar", len(cols))) or scalar(cols))
+                        seen.append((len(q), q.shape[-1])) or planar(q, scratch))
     frequency_sweep(CFGS[:1], engine.BLOCK * CHUNK + 3, SEED)
-    assert seen == [("_orthonormalize_gauged", 3)] * 2
+    assert seen == [(3, engine.BLOCK * CHUNK), (3, 3)]
+    seen.clear()
+    haar_unitaries(HaarSampler(SEED), READ_AHEAD + 3)
+    haar_unitary(HaarSampler(SEED + 1, 2 * READ_AHEAD + 5))
+    assert seen == [(4, READ_AHEAD), (4, 3), (4, READ_AHEAD)]
 
 
 def _overfull_planes(m):

@@ -601,7 +601,7 @@ def test_tomography_haar_key_is_not_a_shot_key(monkeypatch, tmp_path):
     # the Haar bases and the shot counts of probe i used to share one key, (seed, i)
     monkeypatch.setattr(_accel, "_STREAMS", threading.local())
     haar_keys, shot_keys, in_haar = [], [], []
-    pcg, ginibre = np.random.PCG64DXSM, _accel.ginibre_one
+    pcg, ginibre = np.random.PCG64DXSM, _accel.ginibre_batch
 
     def recording_pcg(seq):
         (haar_keys if in_haar else shot_keys).append(_stream_key(seq))
@@ -615,7 +615,7 @@ def test_tomography_haar_key_is_not_a_shot_key(monkeypatch, tmp_path):
             in_haar.clear()
 
     monkeypatch.setattr(np.random, "PCG64DXSM", recording_pcg)
-    monkeypatch.setattr(_accel, "ginibre_one", recording_ginibre)
+    monkeypatch.setattr(_accel, "ginibre_batch", recording_ginibre)
     out = tmp_path / "t.csv"
     assert cli.main(["tomography", "--shots", "10", "--seed", "3", "--out", str(out)]) == 0
     assert len(haar_keys) == 1

@@ -1,4 +1,8 @@
-"""Measurement layer: bases, non-selective channels, Haar sampling, noisy POVMs."""
+"""Measurement layer: bases, non-selective channels, Haar sampling and its read-ahead,
+noisy POVMs."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,8 +15,10 @@ from qmcool import (
     QubitSpec,
     ValidationError,
     canonical_basis,
+    frequency_sweep,
     haar_unitaries,
     haar_unitary,
+    measure,
     rotate_basis,
     white_noise_mixture_weights,
     white_noise_povm,
@@ -29,11 +35,13 @@ from helpers import (
     partial_trace,
     random_density,
     reference_config,
+    same_bits,
     scalar_white_noise_weights,
     trains_hom_detected,
     von_neumann_entropy,
 )
 from qmcool.engine import _population_map
+from qmcool.measure import READ_AHEAD
 
 
 def test_canonical_basis_orthonormal():
@@ -147,6 +155,91 @@ def test_haar_unitaries_stay_within_the_counters_a_sampler_names():
     for start, n in ((top, 2), (top - 2, 4), (2, top)):
         with pytest.raises(ValidationError, match=f"from counter {start} pass 2"):
             haar_unitaries(HaarSampler(5, start), n)
+
+
+def test_haar_unitary_reads_ahead_across_block_boundaries(monkeypatch):
+    # single draws over consecutive counters, up and down, across aligned blocks and
+    # into the top block, which ends at 2**63 - 1 since READ_AHEAD divides 2**63, are
+    # the samples of one haar_unitaries call bit for bit
+    monkeypatch.setattr(measure, "_BLOCK", threading.local())
+    top = 2**63 - 1
+    assert READ_AHEAD & (READ_AHEAD - 1) == 0 and 2**63 % READ_AHEAD == 0
+    for seed, first, n in ((3, READ_AHEAD - 2, READ_AHEAD + 4), (3, 0, 3),
+                           (4, top - READ_AHEAD - 1, READ_AHEAD + 2)):
+        whole = haar_unitaries(HaarSampler(seed, first), n)
+        for order in (range(n), range(n - 1, -1, -1)):
+            singles = [haar_unitary(HaarSampler(seed, first + i)) for i in order]
+            assert same_bits(np.array(singles), whole[list(order)])
+    assert measure._BLOCK.key == (4, 2**63 - 2 * READ_AHEAD)
+    haar_unitary(HaarSampler(4, top))
+    assert measure._BLOCK.key == (4, 2**63 - READ_AHEAD)
+
+
+def test_haar_unitary_switches_seeds_between_engine_draws(monkeypatch):
+    # single draws alternate between two seeds, with an engine sweep between them, whose
+    # fill moves the seed's stream: every draw is its haar_unitaries sample
+    monkeypatch.setattr(measure, "_BLOCK", threading.local())
+    want = {seed: haar_unitaries(HaarSampler(seed), 2 * READ_AHEAD) for seed in (5, 6)}
+    cfg = reference_config()
+    for i in (0, 1, READ_AHEAD + 7, 2, 2 * READ_AHEAD - 1):
+        for seed in (5, 6):
+            assert same_bits(haar_unitary(HaarSampler(seed, i)), want[seed][i])
+            frequency_sweep([cfg], 3, seed)
+
+
+def test_a_mutated_unitary_leaves_the_next_draw_alone(monkeypatch):
+    # each call returns a copy: writing into one changes neither the kept block nor
+    # the next draw of the same counter
+    monkeypatch.setattr(measure, "_BLOCK", threading.local())
+    want = haar_unitaries(HaarSampler(8, 40), 1)[0]
+    u = haar_unitary(HaarSampler(8, 40))
+    u[...] = np.nan
+    v = haar_unitary(HaarSampler(8, 40))
+    assert same_bits(v, want) and v.flags.writeable
+    assert not np.shares_memory(v, measure._BLOCK.us)
+
+
+def test_threads_keep_their_own_read_ahead_blocks():
+    # two threads draw single unitaries of two seeds in lockstep across a block
+    # boundary, and each reads its kept block's key once both have drawn: with one
+    # block for both, one of them would find the other seed's
+    n, first = 40, READ_AHEAD - 20
+    want = {seed: haar_unitaries(HaarSampler(seed, first), n) for seed in (11, 12)}
+    sync = threading.Barrier(2, timeout=30)
+    got, keys = {11: [], 12: []}, {11: set(), 12: set()}
+
+    def draw(seed):
+        for i in range(n):
+            sync.wait()
+            got[seed].append(haar_unitary(HaarSampler(seed, first + i)))
+            sync.wait()
+            keys[seed].add(measure._BLOCK.key)
+
+    threads = [threading.Thread(target=draw, args=(seed,)) for seed in got]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed in got:
+        assert same_bits(np.array(got[seed]), want[seed])
+        assert keys[seed] == {(seed, 0), (seed, READ_AHEAD)}
+
+
+@pytest.mark.parametrize("m", [1, READ_AHEAD - 2, READ_AHEAD - 1, READ_AHEAD, READ_AHEAD + 1,
+                               READ_AHEAD + 2])
+def test_haar_unitaries_in_pieces_equal_one_call(m):
+    # one call draws pieces of at most READ_AHEAD samples in one work array; any split
+    # into consecutive calls gives the same bits
+    n = 2 * READ_AHEAD + 3
+    whole = haar_unitaries(HaarSampler(9, 100), n)
+    parts = [haar_unitaries(HaarSampler(9, 100 + k), min(m, n - k)) for k in range(0, n, m)]
+    assert same_bits(np.concatenate(parts), whole)
 
 
 def test_haar_moments():

@@ -65,6 +65,15 @@ def test_grid_helpers_reject_a_non_finite_input(bad):
             check(bad)
 
 
+@pytest.mark.parametrize("bad", [10**400, -10**400], ids=["1e400", "-1e400"])
+def test_grid_helpers_reject_an_int_beyond_the_float_range(bad):
+    # omega / 0.02 raises OverflowError on such an int: d_of_omega raised it unchanged
+    holo = solve_hologram(BathSpec(0.4))
+    for check in (omega_of_d, d_of_omega, omega_of_z, holo.phase_at):
+        with pytest.raises(ValidationError):
+            check(bad)
+
+
 def test_omega_of_z_bands():
     assert omega_of_z(1) == pytest.approx(0.02)
     assert omega_of_z(4) == pytest.approx(0.02)
