@@ -5,8 +5,9 @@ Every stream of the package comes from :func:`stream`: numpy's PCG64DXSM, seeded
 The Haar stream of a seed is word ``HAAR_WORD``; probe j's tomography shots use word
 j, and no probe index reaches ``HAAR_WORD``, so the two never share a stream.  Sample
 i of the Haar stream reads uniforms [32i, 32i + 32), one output word each (advanced
-by 32i), so results are a pure function of ``(seed, start, n)`` and independent of
-batching and of which memory the caller lends (:func:`qmcool.measure.haar_planes`).
+by 32i from the saved state, which :func:`stream` restores on every call), so results
+are a pure function of ``(seed, start, n)`` and independent of batching, of the draw
+before, and of which memory the caller lends (:func:`qmcool.measure.haar_planes`).
 
 Every draw is gauged by row.  Gram-Schmidt commutes with a diagonal unitary D, so
 with D_r = exp(-i theta_r0), theta_r0 the angle of Ginibre entry (r, 0), it turns DG
@@ -38,8 +39,7 @@ INT64_MAX = 2**63 - 1
 HAAR_WORD = INT64_MAX  # spawn key of the Haar stream, above every probe index
 STREAM_VERSION = 9  # printed by every command whose output reads the Haar stream
 SCRATCH_WORDS = 32  # float64 words per sample of the draw's scratch: one sample's uniforms
-# this thread's generators: .seed, .keys {word: (generator, its state at word 0)}, and
-# .end, (HAAR_WORD, w) while the Haar generator is where the last fill left it, word w
+# this thread's generators: .seed, .keys {word: (generator, its state at word 0)}
 _STREAMS = threading.local()
 
 
@@ -62,24 +62,19 @@ def stream(seed, word, skip=0):
     which a flat ``[seed, word]``, of words of variable width, would not.  Each thread
     builds a key's generator once, for the last seed it asked for, and each call
     restores its saved state and advances it ``skip`` words (O(log skip) steps), which
-    draws what a fresh one advanced there draws.  A call for the word where the last
-    Haar fill of this thread (:func:`ginibre_batch`) ended finds
-    the generator there and takes it as it is; every call clears that record, since
-    its caller may draw.
+    draws what a fresh one advanced there draws.
     It is valid until this thread's next call for the key or another seed.
     """
     seed = check_int(seed, "seed")
     if getattr(_STREAMS, "seed", None) != seed:
-        _STREAMS.seed, _STREAMS.keys, _STREAMS.end = seed, {}, None
+        _STREAMS.seed, _STREAMS.keys = seed, {}
     if word not in _STREAMS.keys:
         bits = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(word,)))
         _STREAMS.keys[word] = np.random.Generator(bits), bits.state
     gen, state = _STREAMS.keys[word]
-    if _STREAMS.end != (word, skip):
-        gen.bit_generator.state = state
-        if skip:  # advance(0) costs ~0.5 us and moves nothing
-            gen.bit_generator.advance(skip)
-    _STREAMS.end = None
+    gen.bit_generator.state = state
+    if skip:  # advance(0) costs ~0.5 us and moves nothing
+        gen.bit_generator.advance(skip)
     return gen
 
 
@@ -108,8 +103,7 @@ def ginibre_batch(seed, start, n, out=None, scratch=None):
     cols = 4 if out is not None and out.shape[:1] == (4,) else 3
     q = _buffer(out, (cols, 2, 4, n), np.float64, "out")
     u = _buffer(scratch, (SCRATCH_WORDS * n,), np.float64, "scratch")
-    gen.random(out=u)  # one output word per double: the fill ends at sample start + n
-    _STREAMS.end = HAAR_WORD, SCRATCH_WORDS * (start + n)
+    gen.random(out=u)  # one output word per double
     np.copyto(q, u.reshape(n, 4, 4, 2)[:, :, :cols].transpose(2, 3, 1, 0))
     d = np.subtract(q[1:, 1], q[0, 1], out=q[1:, 1])
     w = u[:4 * (cols - 1) * n].reshape(cols - 1, 4, n)  # every uniform is in q by now

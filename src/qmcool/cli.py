@@ -12,14 +12,16 @@ hologram       phase profile of the thermalizing hologram for one bath
 Every command is a pure function of (config file, flags): identical inputs
 produce byte-identical CSV, including the header comment, which carries the
 package version and a hash of the fully resolved configuration.  Exit codes:
-0 success, 2 configuration error, 3 internal invariant violation.
+0 success, 2 configuration error or unwritable --out, 3 internal invariant violation.
 ``frequency`` and ``haar-average`` share one Haar draw across their omega2 rows.
 ``sweep-omega``'s ``ratio`` cell prints ``inf`` when omega2/omega1 exceeds the
 double range (e.g. omega1 = 1e-320); such a config is valid and exits 0.
 
 Config files are flat ``key = value`` text; unknown keys are rejected.  Flags
-win over file values.  Keys: beta1, beta2, omega1, omega2 (comma list),
-samples, shots, seed, eps, out, nu_values (comma list), hologram_beta.
+win over file values.  Keys (``_KEYS``): beta1, beta2, omega1, omega2 (comma
+list), samples, shots, seed, eps, out, nu_values (comma list), hologram_beta.
+The engine's types own the ranges (BathSpec, QubitSpec, EngineConfig, check_int);
+the CLI checks eps > 0 and nu in [0, 1].  A config error names its key and value.
 """
 
 import argparse
@@ -27,12 +29,12 @@ import functools
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from ._accel import INT64_MAX, STREAM_VERSION
+from ._accel import STREAM_VERSION, check_int
 from .engine import (
     CLASS_LABELS,
     EngineConfig,
@@ -84,13 +86,7 @@ class RunConfig:
     hologram_beta: float
 
     def engine_config(self, omega2):
-        try:
-            return EngineConfig.from_values(self.omega1, omega2, self.beta1, self.beta2)
-        except ValidationError as exc:
-            raise ConfigError(str(exc)) from exc
-
-
-_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+        return EngineConfig.from_values(self.omega1, omega2, self.beta1, self.beta2)
 
 
 def _parse_float(raw, key):
@@ -105,17 +101,37 @@ def _parse_float(raw, key):
 
 def _parse_int(raw, key):
     try:
-        value = int(str(raw), 10)
+        return int(str(raw), 10)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be an integer, got {raw!r}")
-    return value
 
 
 def _parse_float_list(raw, key):
     parts = [p.strip() for p in str(raw).split(",") if p.strip()]
     if not parts:
-        raise ConfigError(f"{key} must be a non-empty comma-separated list")
+        raise ConfigError(f"{key} must be a non-empty comma-separated list, got {raw!r}")
     return tuple(_parse_float(p, key) for p in parts)
+
+
+# each RunConfig key: its parser, and its value when neither the file nor a flag sets it
+_KEYS = {
+    "beta1": (_parse_float, 0.4),
+    "beta2": (_parse_float, 1.0),
+    "omega1": (_parse_float, 1.02),
+    "omega2": (_parse_float_list, DEFAULT_OMEGA2),
+    "samples": (_parse_int, None),  # hashed unset; the Haar commands take DEFAULT_SAMPLES
+    "shots": (_parse_int, None),
+    "seed": (_parse_int, None),
+    "eps": (_parse_float, 1e-12),
+    "out": (lambda raw, key: str(raw), None),
+    "nu_values": (_parse_float_list, DEFAULT_NU),
+    "hologram_beta": (_parse_float, None),  # hologram takes beta2
+}
+# the keys a flag sets, each with its argparse type, in the order of ``qmcool -h``
+_FLAGS = {"seed": int, "samples": int, "shots": int, "eps": float, "out": str}
+# the engine type that checks each value of a float key
+_SPECS = {"beta1": BathSpec, "beta2": BathSpec, "omega1": QubitSpec, "omega2": QubitSpec,
+          "hologram_beta": BathSpec}
 
 
 def parse_config_file(path):
@@ -134,67 +150,41 @@ def parse_config_file(path):
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}")
         key, _, value = text.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
 
 
+def _each(value):
+    """A key's values: a list's own, none if it is unset, else the one."""
+    return value if isinstance(value, tuple) else () if value is None else (value,)
+
+
 def resolve_config(args):
-    """Merge defaults, config file, and flags (flags win) into a RunConfig."""
-    raw = {}
-    if args.config:
-        raw.update(parse_config_file(args.config))
-    for key in ("seed", "samples", "shots", "eps", "out"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            raw[key] = flag
-
-    beta1 = _parse_float(raw.get("beta1", 0.4), "beta1")
-    beta2 = _parse_float(raw.get("beta2", 1.0), "beta2")
-    omega1 = _parse_float(raw.get("omega1", 1.02), "omega1")
-    omega2 = (
-        _parse_float_list(raw["omega2"], "omega2") if "omega2" in raw else DEFAULT_OMEGA2
-    )
-    samples = _parse_int(raw["samples"], "samples") if raw.get("samples") is not None else None
-    shots = _parse_int(raw["shots"], "shots") if raw.get("shots") is not None else None
-    seed = _parse_int(raw["seed"], "seed") if raw.get("seed") is not None else None
-    eps = _parse_float(raw.get("eps", 1e-12), "eps")
-    out = str(raw["out"]) if raw.get("out") is not None else None
-    nu_values = (
-        _parse_float_list(raw["nu_values"], "nu_values") if "nu_values" in raw else DEFAULT_NU
-    )
-    hologram_beta = (
-        _parse_float(raw["hologram_beta"], "hologram_beta")
-        if raw.get("hologram_beta") is not None
-        else None
-    )
-
-    if not (0 < beta1 < beta2):
-        raise ConfigError(f"need 0 < beta1 < beta2, got beta1={beta1}, beta2={beta2}")
-    if omega1 <= 0:
-        raise ConfigError(f"omega1 must be positive, got {omega1}")
-    if not omega2:
-        raise ConfigError("omega2 list is empty")
-    if any(w <= 0 for w in omega2):
-        raise ConfigError(f"omega2 values must be positive, got {omega2}")
-    if samples is not None and not 1 <= samples <= INT64_MAX:
-        raise ConfigError(f"samples must lie in [1, 2**63 - 1], got {samples}")
-    if shots is not None and not 1 <= shots <= INT64_MAX:
-        raise ConfigError(f"shots must lie in [1, 2**63 - 1], got {shots}")
-    if seed is not None and not 0 <= seed <= INT64_MAX:
-        raise ConfigError(f"seed must lie in [0, 2**63 - 1], got {seed}")
-    if eps <= 0:
-        raise ConfigError(f"eps must be positive, got {eps}")
-    if any(not 0.0 <= nu <= 1.0 for nu in nu_values):
-        raise ConfigError(f"nu_values must lie in [0, 1], got {nu_values}")
-    if hologram_beta is not None and hologram_beta <= 0:
-        raise ConfigError(f"hologram_beta must be positive, got {hologram_beta}")
-
-    cfg = RunConfig(beta1, beta2, omega1, omega2, samples, shots, seed, eps, out, nu_values,
-                    hologram_beta)
-    for w2 in omega2:
-        cfg.engine_config(w2)  # surface invalid engine parameters as exit 2
+    """Merge unset values, config file, and flags (flags win) into a RunConfig that the
+    engine's types accept; a ValidationError of theirs is a ConfigError naming the key."""
+    raw = parse_config_file(args.config) if args.config else {}
+    raw.update((key, getattr(args, key)) for key in _FLAGS if getattr(args, key, None) is not None)
+    cfg = RunConfig(**{key: parse(raw[key], key) if key in raw else unset
+                       for key, (parse, unset) in _KEYS.items()})
+    for key, spec in _SPECS.items():
+        for value in _each(getattr(cfg, key)):
+            try:
+                spec(value)
+            except ValidationError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+    try:  # each of these messages names its keys and values
+        cfg.engine_config(cfg.omega2[0])  # beta1 < beta2, once every value passed its spec
+        for key, low in (("samples", 1), ("shots", 1), ("seed", 0)):
+            for value in _each(getattr(cfg, key)):
+                check_int(value, key, low)
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from exc
+    if cfg.eps <= 0:
+        raise ConfigError(f"eps must be positive, got {cfg.eps}")
+    if any(not 0.0 <= nu <= 1.0 for nu in cfg.nu_values):
+        raise ConfigError(f"nu_values must lie in [0, 1], got {cfg.nu_values}")
     return cfg
 
 
@@ -218,17 +208,8 @@ def _row_format(types):
 
 def _config_hash(cfg, command):
     parts = [f"command={command}"]
-    for key in sorted(_CONFIG_KEYS):
-        if key == "out":
-            continue
-        value = getattr(cfg, key)
-        if isinstance(value, tuple):
-            text = ",".join(repr(float(v)) for v in value)
-        elif value is None:
-            text = ""
-        else:
-            text = repr(value)
-        parts.append(f"{key}={text}")
+    for key in sorted(_KEYS.keys() - {"out"}):
+        parts.append(f"{key}={','.join(map(repr, _each(getattr(cfg, key))))}")
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
@@ -245,8 +226,11 @@ def _emit(cfg, command, comments, header, rows):
         lines.append(fmt % tuple(row))
     text = "\n".join(lines) + "\n"
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {cfg.out}: {exc}")
     else:
         sys.stdout.write(text)
     return 0
@@ -255,6 +239,15 @@ def _emit(cfg, command, comments, header, rows):
 def _require_seed(cfg, command):
     if cfg.seed is None:
         raise ConfigError(f"{command} needs --seed")
+
+
+def _haar_run(cfg, command, sweep):
+    """A Haar command's one draw, ``sweep(engines, samples, seed, eps)``, and its comments."""
+    _require_seed(cfg, command)
+    samples = cfg.samples if cfg.samples is not None else DEFAULT_SAMPLES
+    engines = [cfg.engine_config(w2) for w2 in cfg.omega2]
+    comments = [f"samples={samples} per omega2, same seed shared across rows", _STREAM]
+    return sweep(engines, samples, cfg.seed, eps=cfg.eps), comments
 
 
 def cmd_sweep_omega(cfg):
@@ -272,14 +265,10 @@ def cmd_sweep_omega(cfg):
 
 
 def cmd_frequency(cfg):
-    _require_seed(cfg, "frequency")
-    samples = cfg.samples if cfg.samples is not None else DEFAULT_SAMPLES
-    engines = [cfg.engine_config(w2) for w2 in cfg.omega2]
-    sweep = frequency_sweep(engines, samples, cfg.seed, eps=cfg.eps)
+    sweep, comments = _haar_run(cfg, "frequency", frequency_sweep)
     rows = [(w2, *(v for label in "REAH" for v in (freqs[label].frequency, freqs[label].stderr)))
             for w2, freqs in zip(cfg.omega2, sweep)]
     header = ("omega2", *(f"{stat}_{label}" for label in "REAH" for stat in ("freq", "se")))
-    comments = [f"samples={samples} per omega2, same seed shared across rows", _STREAM]
     return _emit(cfg, "frequency", comments, header, rows)
 
 
@@ -298,23 +287,17 @@ def cmd_noise(cfg):
 
 
 def cmd_haar_average(cfg):
-    _require_seed(cfg, "haar-average")
-    samples = cfg.samples if cfg.samples is not None else DEFAULT_SAMPLES
-    engines = [cfg.engine_config(w2) for w2 in cfg.omega2]
-    reports = haar_average_report(engines, samples, cfg.seed, eps=cfg.eps)
+    reports, comments = _haar_run(cfg, "haar-average", haar_average_report)
     rows = [(w2, rep.mean_dE1, rep.stderr_dE1, rep.mean_dE2, rep.stderr_dE2, rep.mean_dE,
              rep.stderr_dE, rep.predicted_dE1, rep.predicted_dE2, rep.predicted_dE,
              rep.classification)
             for w2, rep in zip(cfg.omega2, reports)]
     header = ("omega2", "mean_dE1", "se_dE1", "mean_dE2", "se_dE2", "mean_dE", "se_dE",
               "pred_dE1", "pred_dE2", "pred_dE", "class_of_mean")
-    comments = [f"samples={samples} per omega2, same seed shared across rows", _STREAM]
     return _emit(cfg, "haar-average", comments, header, rows)
 
 
 def cmd_tomography(cfg):
-    if cfg.shots is not None and cfg.seed is None:
-        raise ConfigError("tomography with --shots needs --seed")
     targets = [(cfg.omega1, cfg.beta1)] + [(w2, cfg.beta2) for w2 in cfg.omega2]
     labels = [f"thermal(omega={_fmt(w)} beta={_fmt(beta)})" for w, beta in targets]
     channels = [thermalizing_channel(QubitSpec(w), BathSpec(beta)) for w, beta in targets]
@@ -323,6 +306,7 @@ def cmd_tomography(cfg):
     bases = [("canonical", basis)]
     modes = [("exact", None)]
     if cfg.shots is not None:
+        _require_seed(cfg, "tomography with --shots")
         haar = haar_unitaries(HaarSampler(cfg.seed), 5)
         bases += [(f"haar_{i}", rotate_basis(u, basis)) for i, u in enumerate(haar)]
         modes.append(("shots", cfg.shots))
@@ -375,19 +359,15 @@ def build_parser():
     # one flat parser: every command takes the same options
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--shots", type=int, default=None)
-    parser.add_argument("--eps", type=float, default=None)
-    parser.add_argument("--out", default=None)
+    for key, kind in _FLAGS.items():
+        parser.add_argument(f"--{key}", type=kind)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](resolve_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 """Command-line interface: commands, config handling, exit codes, output."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -241,6 +242,50 @@ def test_non_finite_eps_flag(value):
 
 def test_config_missing_file():
     assert cli.main(["sweep-omega", "--config", "/nonexistent/path.ini"]) == 2
+
+
+@pytest.mark.parametrize("where", ["missing/dir/o.csv", "."], ids=["missing_dir", "a_dir"])
+def test_an_unwritable_out_path_is_config_error(tmp_path, capsys, where):
+    # both used to escape as FileNotFoundError and IsADirectoryError, exit 1
+    out = tmp_path / where
+    assert cli.main(["sweep-omega", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write output file {out}: ")
+    assert err.count("\n") == 1 and not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("config, flags, named", [
+    ("beta1 = -0.5\n", [], ["beta1", "-0.5"]),
+    ("beta2 = 0\n", [], ["beta2", "0.0"]),
+    ("beta1 = 2\nbeta2 = 1\n", [], ["beta1", "beta2", "2.0", "1.0"]),
+    ("omega1 = -1\n", [], ["omega1", "-1.0"]),
+    ("omega2 = 0.1, -0.2\n", [], ["omega2", "-0.2"]),
+    ("omega2 = ,\n", [], ["omega2", "','"]),
+    ("samples = 0\n", [], ["samples", "0"]),
+    ("", ["--shots", str(2**63)], ["shots", str(2**63)]),
+    ("", ["--seed", "-1"], ["seed", "-1"]),
+    ("eps = 0\n", [], ["eps", "0.0"]),
+    ("nu_values = 0.5, 1.5\n", [], ["nu_values", "1.5"]),
+    ("hologram_beta = -2\n", [], ["hologram_beta", "-2.0"]),
+], ids=["beta1", "beta2", "beta_order", "omega1", "omega2", "omega2_empty", "samples", "shots",
+        "seed", "eps", "nu", "hologram_beta"])
+def test_a_config_error_names_its_key_and_value(tmp_path, capsys, config, flags, named):
+    conf = tmp_path / "c.ini"
+    conf.write_text(config)
+    assert cli.main(["sweep-omega", "--config", str(conf), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert all(text in err for text in named), err
+
+
+def test_a_namespace_with_config_and_seed_resolves_as_the_command_line(tmp_path):
+    # the benchmark builds its engines from resolve_config(Namespace(config=..., seed=...))
+    conf = tmp_path / "c.ini"
+    conf.write_text("beta1 = 0.3\nomega2 = 0.05, 0.9\nsamples = 300\nshots = 50\n")
+    direct = cli.resolve_config(argparse.Namespace(config=str(conf), seed=3))
+    parsed = cli.build_parser().parse_args(["haar-average", "--config", str(conf), "--seed", "3"])
+    assert direct == cli.resolve_config(parsed)
+    assert (direct.seed, direct.samples, direct.omega2) == (3, 300, (0.05, 0.9))
 
 
 def test_bad_bath_ordering_is_config_error(tmp_path):

@@ -62,6 +62,8 @@ def test_cli_exits_zero_or_config_error(invocation):
         if code == 0:
             with open(out, encoding="utf-8") as fh:
                 _assert_finite_cells(argv[0], fh.read().splitlines(), (argv, config))
+        else:
+            assert not os.path.exists(out), (argv, config)  # a rejected config writes nothing
 
 
 def _assert_finite_cells(command, lines, context):
