@@ -33,7 +33,7 @@ from .measure import (
     haar_planes,
     white_noise_mixture_weights,
 )
-from .thermo import BathSpec, QubitSpec, thermal_populations
+from .thermo import BathSpec, QubitSpec
 
 SLACK_FLOOR = -1e-10
 TRACE_TOL = 1e-12  # how far a population map's row sums may stray from 1
@@ -115,8 +115,8 @@ class HaarAverageReport:
 
 def _populations(cfg):
     """The four Gibbs populations p of gibbs1 x gibbs2, in (|00>, |01>, |10>, |11>) order."""
-    return np.outer(thermal_populations(cfg.qubit1, cfg.bath1),
-                    thermal_populations(cfg.qubit2, cfg.bath2)).ravel()
+    (g1, q1, _), (g2, q2, _), _ = _gibbs_terms(cfg)
+    return np.outer((g1, q1), (g2, q2)).ravel()
 
 
 def classify(de1, de2, de, eps=1e-12):
@@ -186,10 +186,11 @@ def run_cycle(cfg, measurement=None, eps=1e-12):
     thermalizing channel restores the Gibbs product exactly.
 
     By default it measures in the canonical basis: (dE1, dE2) is the closed form N_M
-    of :func:`_canonical_terms`, else that of :func:`_measurement_triple`, and
-    dE = dE1 + dE2.  No post state is built or validated: the basis checks its
-    orthonormality and the POVM its completeness on construction, and the population
-    map checks that it keeps the trace.
+    of :func:`_canonical_terms`, else that of :func:`_measurement_triple`: for a basis,
+    one numpy product P P^T read back as floats and two six-term sums on the Gibbs
+    terms of the specs (:func:`_gibbs_terms`).  dE = dE1 + dE2.  No post state is built
+    or validated: the basis checks its orthonormality and the POVM its completeness on
+    construction, and the population map checks that it keeps the trace.
     """
     de1, de2 = (_canonical_terms(cfg) if measurement is None
                 else _measurement_triple(cfg, measurement))[:2]
@@ -226,15 +227,15 @@ def _measurement_triple(cfg, measurement):
     On one map the kernel runs on Python floats (:func:`_row_dot`), which gives the
     stack's bits at a fraction of its numpy calls; only A stays a numpy product.
     """
-    big_a = _population_map(measurement).tolist()
-    rows = _pair_coefficients(cfg)
-    entries = [big_a[r][s] for r, s in _PAIRS]
+    (_, a01, a02, a03), (a10, _, a12, a13), (a20, a21, _, a23), (a30, a31, a32, _) = (
+        _population_map(measurement).tolist())
+    entries = a01, a02, a03, a12, a13, a23  # in _PAIRS order
+    row1, row2 = _pair_coefficients(cfg)
+    de1, de2 = _row_dot(row1, entries), _row_dot(row2, entries)
     if isinstance(measurement, PovmSet):
-        weights = _asymmetry_weights(cfg, measurement)
-        for row, extra in zip(rows, _pair_matrix(cfg, weights)):
-            row += extra
-        entries += [a - big_a[s][r] for a, (r, s) in zip(entries, _PAIRS)]
-    de1, de2 = _row_dot(rows[0], entries), _row_dot(rows[1], entries)
+        asymmetries = a01 - a10, a02 - a20, a03 - a30, a12 - a21, a13 - a31, a23 - a32
+        row1, row2 = _pair_matrix(cfg, _asymmetry_weights(cfg, measurement))
+        de1, de2 = _row_dot(row1, asymmetries, de1), _row_dot(row2, asymmetries, de2)
     return de1, de2, de1 + de2
 
 
@@ -258,14 +259,13 @@ def _asymmetry_weights(cfg, povm):
     return [p[s] for _, s in _PAIRS]
 
 
-def _row_dot(row, entries):
-    """sum_e row_e entries_e of two lists of Python floats, added left to right from
-    0.0: the order in which :func:`_pair_triples`' einsum adds one map's products, so
-    the sum has its bits (CPython fuses no multiply-add)."""
-    acc = 0.0
-    for c, m in zip(row, entries):
-        acc += c * m
-    return acc
+def _row_dot(row, entries, acc=0.0):
+    """acc + sum_e row_e entries_e of six Python floats each, added left to right: from
+    0.0, the order in which :func:`_pair_triples`' einsum adds one map's products, so
+    the sum has its bits (CPython fuses no multiply-add); a POVM's twelve continue from
+    its first six."""
+    (c0, c1, c2, c3, c4, c5), (m0, m1, m2, m3, m4, m5) = row, entries
+    return acc + c0 * m0 + c1 * m1 + c2 * m2 + c3 * m3 + c4 * m4 + c5 * m5
 
 
 def _population_map(measurement):
@@ -280,7 +280,7 @@ def _population_map(measurement):
     """
     if isinstance(measurement, MeasurementBasis):
         big_p = np.square(np.abs(measurement.vectors.T))
-        return big_p @ big_p.T
+        return np.dot(big_p, big_p.T)
     if isinstance(measurement, PovmSet):
         ops = measurement.operators
         a = (ops * ops.conj()).real.sum(axis=0).T
@@ -303,14 +303,14 @@ def _pair_matrix(cfg, weights):
 
 def _gibbs_terms(cfg):
     """((1 - q1, q1, t1), (1 - q2, q2, t2), d): each qubit's ground and excited Gibbs
-    populations (:func:`~qmcool.thermo.thermal_populations`), t_i = tanh(x_i/2) =
-    1 - 2q_i, x_i = beta_i*omega_i, and d = p01 - p10 = q2 - q1, each to full relative
-    precision: d is (t1 - t2)/2 while both t_i < 1/2, and cancels only where x1 ~ x2."""
-    (g1, q1), (g2, q2) = (thermal_populations(cfg.qubit1, cfg.bath1),
-                          thermal_populations(cfg.qubit2, cfg.bath2))
-    t1 = math.tanh(0.5 * (cfg.bath1.beta * cfg.qubit1.omega))
-    t2 = math.tanh(0.5 * (cfg.bath2.beta * cfg.qubit2.omega))
-    return (g1, q1, t1), (g2, q2, t2), (0.5 * (t1 - t2) if t1 < 0.5 and t2 < 0.5 else q2 - q1)
+    populations (:func:`~qmcool.thermo.thermal_populations`' arithmetic), t_i = tanh(x_i/2)
+    = 1 - 2q_i, x_i = beta_i*omega_i of the specs, and d = p01 - p10 = q2 - q1, each to full
+    relative precision: d is (t1 - t2)/2 while both t_i < 1/2, and cancels only where x1 ~ x2."""
+    x1, x2 = cfg.bath1.beta * cfg.qubit1.omega, cfg.bath2.beta * cfg.qubit2.omega
+    z1, z2 = math.exp(-x1), math.exp(-x2)
+    q1, q2, t1, t2 = z1 / (1.0 + z1), z2 / (1.0 + z2), math.tanh(0.5 * x1), math.tanh(0.5 * x2)
+    d = 0.5 * (t1 - t2) if t1 < 0.5 and t2 < 0.5 else q2 - q1
+    return (1.0 - q1, q1, t1), (1.0 - q2, q2, t2), d
 
 
 def _canonical_terms(cfg):

@@ -9,6 +9,7 @@ Two-qubit basis order is (|00>, |01>, |10>, |11>) with qubit 1 as the slow (left
 Kronecker) index.
 """
 
+import contextlib
 import threading
 from dataclasses import dataclass, field
 
@@ -16,10 +17,11 @@ import numpy as np
 
 from . import _accel
 from .errors import ValidationError
-from .thermo import as_complex
+from .thermo import _complex_and_square_sum, as_complex
 
 ORTHO_TOL = 1e-10
-_EYE = np.eye(4)  # the Gram matrix of an orthonormal basis and of a complete POVM
+_EYE = np.eye(4, dtype=np.complex128)  # an orthonormal basis's Gram matrix, a complete POVM's sum
+_KEEP = contextlib.nullcontext()  # numpy's floating-point warnings, left as they are
 # float64 words per sample of a Haar draw (haar_planes): the engine's three columns, and
 # the four of every full unitary
 WORK_WORDS = _accel.SCRATCH_WORDS + 8 * 3
@@ -37,10 +39,11 @@ class MeasurementBasis:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = as_complex(self.vectors)
+        v, square_sum = _complex_and_square_sum(self.vectors)
         if v.shape != (4, 4):
             raise ValidationError(f"basis needs four 4-vectors, got shape {v.shape}")
-        _set_orthonormal(self, v.copy())
+        with _warnings_if_small(square_sum):
+            _set_orthonormal(self, v.copy())
 
     def projector(self, k):
         """Rank-1 projector |psi_k><psi_k|, Hermitian bit for bit: numpy's complex
@@ -71,8 +74,10 @@ def canonical_basis():
 
 def _set_orthonormal(basis, v):
     """``basis`` with the complex (4, 4) ``v``, made read-only, as its vectors, if v's rows
-    are orthonormal within ORTHO_TOL; a non-finite row gives a non-finite Gram matrix."""
-    gram_err = abs(v @ v.conj().T - _EYE).max()
+    are orthonormal within ORTHO_TOL: the largest |V V^dag - I|, found by argmax, which
+    like max takes the first NaN, so a non-finite row, whose Gram matrix is not finite, fails."""
+    dev = np.abs(np.dot(v, v.conj().T) - _EYE)
+    gram_err = dev.item(dev.argmax())
     if not gram_err <= ORTHO_TOL:
         raise ValidationError(f"basis vectors not orthonormal (deviation {gram_err:.3e})")
     v.setflags(write=False)
@@ -80,15 +85,25 @@ def _set_orthonormal(basis, v):
     return basis
 
 
+def _warnings_if_small(square_sum):
+    """The context of a basis check's products on a matrix whose entries' squares sum to
+    ``square_sum``.  Orthonormal rows, and a unitary, have entries of at most 1 in
+    magnitude, so a larger sum than 16 fails the check, and only then, where the products
+    may overflow, are numpy's warnings turned off (np.errstate costs more than the check)."""
+    return _KEEP if square_sum <= 16.0 else np.errstate(all="ignore")
+
+
 def rotate_basis(u, basis):
     """Map every basis vector by the unitary ``u``.  The rotated basis checks its own
-    orthonormality, which for an orthonormal ``basis`` holds exactly when u is unitary.
-    u's entries are checked finite here, and the product is not checked again: it is
-    finite unless it overflows, and then the Gram check fails."""
-    u = as_complex(u)
+    orthonormality (:func:`_set_orthonormal`), which for an orthonormal ``basis`` holds
+    exactly when u is unitary.  u's entries are checked finite here, and the product is
+    not checked again: it is finite unless it overflows, and a u that large (its squared
+    entries sum past 16) fails quietly (:func:`_warnings_if_small`)."""
+    u, square_sum = _complex_and_square_sum(u)
     if u.shape != (4, 4):
         raise ValidationError(f"rotation must be 4x4, got {u.shape}")
-    return _set_orthonormal(object.__new__(MeasurementBasis), basis.vectors @ u.T)
+    with _warnings_if_small(square_sum):
+        return _set_orthonormal(object.__new__(MeasurementBasis), basis.vectors @ u.T)
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,24 @@ from .errors import ValidationError
 
 
 def as_complex(matrix):
-    """Return the input as a complex128 ndarray without copying when possible."""
-    arr = np.asarray(matrix, dtype=np.complex128)
-    if not np.isfinite(arr).all():  # a complex entry is finite when both its parts are
+    """Return the input as a complex128 ndarray without copying when possible; input numpy
+    cannot read as one (a malformed string, a ragged list) or with a non-finite entry
+    raises ValidationError."""
+    return _complex_and_square_sum(matrix)[0]
+
+
+def _complex_and_square_sum(matrix):
+    """(:func:`as_complex` of the input, s = sum |x|^2 over its entries, added by np.vdot,
+    which warns of no overflow).  A non-finite entry makes s non-finite, and so may an
+    overflow, so the entries are counted only when s is not finite."""
+    try:
+        arr = np.asarray(matrix, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"matrix cannot be read as complex numbers ({exc})") from None
+    s = np.vdot(arr, arr).real
+    if not s < math.inf and np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValidationError("matrix has non-finite entries")
-    return arr
+    return arr, s
 
 
 @dataclass(frozen=True)

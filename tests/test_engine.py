@@ -35,7 +35,8 @@ from qmcool import (
     thermalizing_channel,
     white_noise_povm,
 )
-from qmcool.measure import haar_planes
+from qmcool.measure import READ_AHEAD, haar_planes
+from qmcool.thermo import thermal_populations
 
 from helpers import (
     EXPECTED_CLASSES,
@@ -52,6 +53,7 @@ from helpers import (
     gauged_unitaries,
     hom_noisy_channel,
     initial_state,
+    joint_hamiltonian_diagonals,
     kron_initial_state,
     looped_noise_rows,
     measurement_channel,
@@ -297,6 +299,26 @@ def test_run_cycle_rejects_a_povm_that_loses_trace():
     povm = PovmSet(white_noise_povm(canonical_basis(), 0.5).operators * np.sqrt(1.0 + 1e-11))
     with pytest.raises(ValidationError, match="trace"):
         run_cycle(reference_config(0.18), povm)
+
+
+def test_the_basis_scan_loop_keeps_the_closed_form_and_the_second_law():
+    # the benchmark's API loop on counters 250-262, across a READ_AHEAD block edge,
+    # cycling the paper's seven omega2: each triple is p^T (P P^T - I) h_i with
+    # P = |U C|^2 from the same U, and each second-law slack is at least -1e-10
+    assert 250 < READ_AHEAD < 262
+    canonical = canonical_basis()
+    for i in range(250, 263):
+        cfg = reference_config(EXPERIMENT_OMEGA2[i % 7])
+        u = haar_unitary(HaarSampler(1, i))
+        report = run_cycle(cfg, rotate_basis(u, canonical))
+        big_p = np.abs(u @ canonical.vectors.T) ** 2
+        p = np.kron(thermal_populations(cfg.qubit1, cfg.bath1),
+                    thermal_populations(cfg.qubit2, cfg.bath2))
+        h = np.array(joint_hamiltonian_diagonals(cfg)).T
+        de1, de2 = p @ (big_p @ big_p.T - np.eye(4)) @ h
+        got = report.dE1, report.dE2, report.dE
+        assert np.max(np.abs(np.subtract(got, (de1, de2, de1 + de2)))) <= 1e-12
+        assert report.second_law_slack >= -1e-10
 
 
 def test_run_cycle_on_a_basis_checks_the_kernel_triple(monkeypatch):

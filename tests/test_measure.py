@@ -1,6 +1,7 @@
 """Measurement layer: bases, non-selective channels, Haar sampling and its read-ahead,
 noisy POVMs."""
 
+import re
 import sys
 import threading
 
@@ -260,6 +261,7 @@ def test_rotate_basis_stays_orthonormal():
     u = haar_unitary(HaarSampler(77))
     out = rotate_basis(u, canonical_basis())
     assert np.allclose(out.vectors @ out.vectors.conj().T, np.eye(4), atol=1e-10)
+    assert same_bits(out.vectors, canonical_basis().vectors @ u.T)
 
 
 def test_rotate_basis_rejects_non_unitary():
@@ -280,6 +282,42 @@ def test_rotate_basis_rejects_a_non_finite_entry_of_u(bad):
             rotate_basis(u, canonical_basis())
     with pytest.raises(ValidationError, match="non-finite"):
         MeasurementBasis(np.where(np.eye(4) > 0, bad, 0.0))
+
+
+_NAN_3X3 = np.where(np.eye(3) > 0, np.nan, 0.0)
+
+
+@pytest.mark.parametrize("matrix, rotate_message, basis_message", [
+    # the finite check runs before the shape check
+    (_NAN_3X3, r"matrix has non-finite entries", r"matrix has non-finite entries"),
+    (np.zeros((3, 3)), r"rotation must be 4x4, got \(3, 3\)",
+     r"basis needs four 4-vectors, got shape \(3, 3\)"),
+    # rows (1, 1, 1, 1) and (sqrt2, sqrt2, sqrt2, sqrt2) once rotated, and four rows of ones
+    (np.ones((4, 4)), r"basis vectors not orthonormal \(deviation 7\.000e\+00\)",
+     r"basis vectors not orthonormal \(deviation 4\.000e\+00\)"),
+], ids=["non_finite_3x3", "finite_3x3", "ones"])
+def test_a_bad_basis_fails_its_first_check_with_its_message(matrix, rotate_message, basis_message):
+    with pytest.raises(ValidationError, match=f"^{rotate_message}$"):
+        rotate_basis(matrix, canonical_basis())
+    with pytest.raises(ValidationError, match=f"^{basis_message}$"):
+        MeasurementBasis(matrix)
+
+
+@pytest.mark.parametrize("matrix, rotate_deviation, basis_deviation", [
+    (np.eye(4) * 1e200, "inf", "inf"),  # the Gram matrix overflows
+    (np.full((4, 4), 1.5e308), "nan", "inf"),  # so does the rotated product
+    (np.eye(4) * 3.0, "8.000e+00", "8.000e+00"),  # entries past 2 take the quiet path too
+], ids=["gram_overflows", "product_overflows", "finite_gram"])
+def test_a_basis_too_large_to_be_orthonormal_fails_without_a_warning(matrix, rotate_deviation,
+                                                                       basis_deviation):
+    # warnings are errors here: an overflow warned, and under -W error the warning was
+    # raised in place of the ValidationError.  numpy's error state is left as it was
+    state = np.geterr()
+    with pytest.raises(ValidationError, match=rf"\(deviation {re.escape(rotate_deviation)}\)$"):
+        rotate_basis(matrix, canonical_basis())
+    with pytest.raises(ValidationError, match=rf"\(deviation {re.escape(basis_deviation)}\)$"):
+        MeasurementBasis(matrix)
+    assert np.geterr() == state
 
 
 def test_projectors_are_hermitian_bit_for_bit():

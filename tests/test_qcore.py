@@ -4,7 +4,8 @@ entropy and complex input; the entropy oracle of the test suite."""
 import numpy as np
 import pytest
 
-from qmcool import ValidationError
+from qmcool import (KrausChannel, MeasurementBasis, PovmSet, ValidationError, canonical_basis,
+                    rotate_basis)
 from qmcool.thermo import as_complex
 
 from helpers import (random_unit_vector, single_qubit_state, state_fidelity, trace_distance,
@@ -68,3 +69,14 @@ def test_as_complex_rejects_a_non_finite_real_or_imaginary_part(bad):
         as_complex(m.tolist())
     m[2, 1] = complex(1e308, -1e308)
     assert as_complex(m)[2, 1] == complex(1e308, -1e308)
+
+
+@pytest.mark.parametrize("bad", ["abc", [[1, 2], [3]], {}, 10**400],
+                         ids=["malformed_string", "ragged_list", "dict", "int_beyond_floats"])
+def test_input_numpy_cannot_read_is_a_validation_error(bad):
+    # numpy's own ValueError, TypeError or OverflowError escaped from every constructor
+    builds = (as_complex, MeasurementBasis, lambda m: rotate_basis(m, canonical_basis()),
+              PovmSet, lambda m: KrausChannel((m,)))
+    for build in builds:
+        with pytest.raises(ValidationError, match="^matrix cannot be read as complex numbers"):
+            build(bad)
